@@ -48,15 +48,23 @@ class RoleBindings:
     def uniform(cls, backend) -> "RoleBindings":
         return cls(backend, backend, backend, backend, backend)
 
-    def reset(self) -> None:
-        for b in {
+    def _distinct(self) -> list:
+        return list({
             id(x): x
             for x in (self.selection, self.inference, self.halter_ready,
                       self.halter_answer, self.value)
             if x is not None
-        }.values():
+        }.values())
+
+    def reset(self) -> None:
+        for b in self._distinct():
             if hasattr(b, "reset"):
                 b.reset()
+
+    def close(self) -> None:
+        for b in self._distinct():
+            if hasattr(b, "close"):
+                b.close()
 
 
 @dataclass

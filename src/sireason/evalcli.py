@@ -12,6 +12,7 @@ import json
 import os
 import random
 import sys
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -230,10 +231,23 @@ def make_bindings(cfg: SolverConfig, problem_index: int = 0) -> engine.RoleBindi
 
 
 def make_solver(cfg: SolverConfig, stats: Optional[engine.SolveStats] = None) -> Solver:
+    """A solver over fresh bindings per problem, except for the remote
+    backend: one server serves the whole run, is reset before each problem,
+    and is closed once the solver is gone (or at interpreter exit)."""
     counter = {"i": 0}
+    shared = make_bindings(cfg) if cfg.backend == "remote" else None
 
     def solve(problem: Problem) -> tuple[Answer, ReasoningTrace]:
-        bindings = make_bindings(cfg, counter["i"])
+        if shared is None:
+            bindings = make_bindings(cfg, counter["i"])
+        else:
+            bindings = shared
+            try:
+                bindings.reset()
+            except models.BackendError as exc:
+                if stats is not None:
+                    stats.backend_failures += 1
+                    stats.notes.append(f"{problem.id}: reset: {exc}")
         counter["i"] += 1
         if cfg.beam_width == 1 and cfg.proposals_per_trace == 1:
             return engine.si_answer(problem, bindings, cfg.max_steps, stats)
@@ -246,6 +260,8 @@ def make_solver(cfg: SolverConfig, stats: Optional[engine.SolveStats] = None) ->
         answer, trace, _ = engine.beam_search(problem, bindings, beam_cfg, stats)
         return answer, trace
 
+    if shared is not None:
+        weakref.finalize(solve, shared.close)
     return solve
 
 

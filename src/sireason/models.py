@@ -10,10 +10,12 @@ swapped without touching the engine.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import subprocess
 import sys
 import threading
+import traceback
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
@@ -513,8 +515,19 @@ def scripted_backend(
 
 
 # ---------------------------------------------------------------------------
-# Remote backend: one JSON document per request/response over a byte stream.
+# Remote backend: one JSON document per line, one reply per document.
+#
+#   request   {"role", "prompt", "max_new_tokens", "scored_continuations"}
+#             answered by {"text", "continuation_logprobs"}
+#   reset     {"reset": true}, sent before each problem: the server calls
+#             backend.reset() and answers with the same document
+#   error     {"error": "..."}, the server's answer to a line it could not
+#             answer; it reads on
 # ---------------------------------------------------------------------------
+
+_RESET = {"reset": True}
+RESET_DOCUMENT = (json.dumps(_RESET) + "\n").encode("utf-8")
+
 
 def encode_request(request: CompletionRequest) -> bytes:
     doc = {
@@ -530,9 +543,12 @@ def encode_request(request: CompletionRequest) -> bytes:
     return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
 
 
-def decode_request(data: bytes) -> CompletionRequest:
+def decode_request(data: bytes) -> Optional[CompletionRequest]:
+    """The request a document carries, or None for the reset document."""
     try:
         doc = json.loads(data.decode("utf-8"))
+        if doc == _RESET:
+            return None
         cont = doc["scored_continuations"]
         return CompletionRequest(
             role=GeneratorRole(doc["role"]),
@@ -556,9 +572,25 @@ def encode_response(response: CompletionResponse) -> bytes:
     return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
 
 
-def decode_response(data: bytes) -> CompletionResponse:
+def encode_error(exc: Exception) -> bytes:
+    doc = {"error": f"{type(exc).__name__}: {exc}"}
+    return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _load_reply(data: bytes):
+    """Parse a server reply; an error document raises RemoteError."""
     try:
         doc = json.loads(data.decode("utf-8"))
+    except ValueError as exc:
+        raise RemoteError(f"bad response document: {exc}") from exc
+    if isinstance(doc, dict) and "error" in doc:
+        raise RemoteError(f"server error: {doc['error']}")
+    return doc
+
+
+def decode_response(data: bytes) -> CompletionResponse:
+    doc = _load_reply(data)
+    try:
         logprobs = doc["continuation_logprobs"]
         return CompletionResponse(
             text=doc["text"],
@@ -568,19 +600,32 @@ def decode_response(data: bytes) -> CompletionResponse:
                 else None
             ),
         )
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise RemoteError(f"bad response document: {exc}") from exc
 
 
+# Seconds `PipeTransport` waits for a server to exit once its input is
+# closed, before killing it.
+CLOSE_WAIT_S = 10.0
+
+
 class PipeTransport:
-    """Runs a server subprocess and exchanges newline-delimited documents."""
+    """Runs a server subprocess and exchanges newline-delimited documents,
+    one exchange at a time.
+
+    The server is started on the first exchange.  If it dies, the failing
+    exchange reaps it and raises, and the next exchange starts a new one.
+    """
 
     def __init__(self, argv: Optional[Sequence[str]] = None) -> None:
         self._argv = list(argv) if argv else [sys.executable, "-m", "sireason.models"]
         self._proc: Optional[subprocess.Popen] = None
+        self._lock = threading.Lock()
 
     def _ensure(self) -> subprocess.Popen:
-        if self._proc is None or self._proc.poll() is not None:
+        if self._proc is not None and self._proc.poll() is not None:
+            self._stop()
+        if self._proc is None:
             self._proc = subprocess.Popen(
                 self._argv,
                 stdin=subprocess.PIPE,
@@ -589,22 +634,41 @@ class PipeTransport:
         return self._proc
 
     def exchange(self, payload: bytes) -> bytes:
-        proc = self._ensure()
-        try:
-            proc.stdin.write(payload)
-            proc.stdin.flush()
-            line = proc.stdout.readline()
-        except (BrokenPipeError, OSError) as exc:
-            raise RemoteError(f"pipe transport failed: {exc}") from exc
-        if not line:
-            raise RemoteError("pipe transport: server closed the stream")
-        return line
+        # One lock over the write and the read: a reply belongs to the
+        # request written just before it.
+        with self._lock:
+            proc = self._ensure()
+            try:
+                proc.stdin.write(payload)
+                proc.stdin.flush()
+                line = proc.stdout.readline()
+            except OSError as exc:
+                self._stop()
+                raise RemoteError(f"pipe transport failed: {exc}") from exc
+            if not line:
+                self._stop()
+                raise RemoteError("pipe transport: server closed the stream")
+            return line
 
     def close(self) -> None:
-        if self._proc is not None:
-            self._proc.stdin.close()
-            self._proc.wait(timeout=10)
-            self._proc = None
+        """Stop the server; closing twice is harmless."""
+        with self._lock:
+            self._stop()
+
+    def _stop(self) -> None:
+        """Close the server's input, wait for it to exit (kill it after
+        CLOSE_WAIT_S) and forget it."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        with contextlib.suppress(OSError):
+            proc.stdin.close()
+        try:
+            proc.wait(timeout=CLOSE_WAIT_S)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
 
 
 class HttpTransport:
@@ -632,56 +696,73 @@ class HttpTransport:
 
 
 class RemoteBackend:
-    """Client side of the wire protocol with a retry budget and flight cap."""
+    """Client side of the wire protocol with a retry budget."""
 
-    def __init__(self, transport, retries: int = 2, max_in_flight: int = 4) -> None:
-        if max_in_flight < 1:
-            raise ValueError("max_in_flight must be at least 1")
+    def __init__(self, transport, retries: int = 2) -> None:
         self._transport = transport
         self._retries = retries
-        self._gate = threading.BoundedSemaphore(max_in_flight)
 
-    def complete(self, request: CompletionRequest) -> CompletionResponse:
-        payload = encode_request(request)
+    def _exchange(self, payload: bytes) -> bytes:
+        # Only transport failures are retried: a server that answered, even
+        # with an error document, would answer the same again.
         last: Optional[Exception] = None
         for _ in range(self._retries + 1):
-            with self._gate:
-                try:
-                    raw = self._transport.exchange(payload)
-                except RemoteError as exc:
-                    last = exc
-                    continue
-            response = decode_response(raw)
-            if request.scored_continuations is not None:
-                lp = response.continuation_logprobs or {}
-                missing = [c for c in request.scored_continuations if c not in lp]
-                if missing:
-                    raise RemoteError(f"response missing logprobs for {missing!r}")
-            return response
+            try:
+                return self._transport.exchange(payload)
+            except RemoteError as exc:
+                last = exc
         raise RemoteError(f"retry budget exhausted: {last}")
+
+    def complete(self, request: CompletionRequest) -> CompletionResponse:
+        response = decode_response(self._exchange(encode_request(request)))
+        if request.scored_continuations is not None:
+            lp = response.continuation_logprobs or {}
+            missing = [c for c in request.scored_continuations if c not in lp]
+            if missing:
+                raise RemoteError(f"response missing logprobs for {missing!r}")
+        return response
+
+    def reset(self) -> None:
+        """Clear the server's per-problem state before the next problem."""
+        if _load_reply(self._exchange(RESET_DOCUMENT)) != _RESET:
+            raise RemoteError("server did not acknowledge the reset")
 
     def close(self) -> None:
         self._transport.close()
 
 
-def remote_backend(endpoint: str, retries: int = 2, max_in_flight: int = 4) -> RemoteBackend:
+def remote_backend(endpoint: str, retries: int = 2) -> RemoteBackend:
     """Connect to a server.  `pipe:` endpoints spawn a subprocess, others POST."""
     if endpoint.startswith("pipe:"):
         argv = endpoint[len("pipe:"):]
         transport = PipeTransport(argv.split() if argv else None)
     else:
         transport = HttpTransport(endpoint)
-    return RemoteBackend(transport, retries=retries, max_in_flight=max_in_flight)
+    return RemoteBackend(transport, retries=retries)
 
 
 def serve(backend, rfile, wfile) -> None:
-    """Answer newline-delimited request documents until the stream closes."""
+    """Answer newline-delimited documents until the stream closes.
+
+    A line that cannot be answered gets an error document and the server
+    reads on, so one bad request does not cost the state of the problem in
+    progress.
+    """
     for line in rfile:
         if not line.strip():
             continue
-        request = decode_request(line)
-        response = backend.complete(request)
-        wfile.write(encode_response(response))
+        try:
+            request = decode_request(line)
+            if request is None:
+                backend.reset()
+                reply = RESET_DOCUMENT
+            else:
+                reply = encode_response(backend.complete(request))
+        except Exception as exc:  # the server outlives any one request
+            if not isinstance(exc, (BackendError, cnl.ParseError)):
+                traceback.print_exc(file=sys.stderr)
+            reply = encode_error(exc)
+        wfile.write(reply)
         wfile.flush()
 
 

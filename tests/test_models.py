@@ -1,4 +1,7 @@
 import io
+import json
+import sys
+import threading
 
 import pytest
 
@@ -13,6 +16,7 @@ from sireason.models import (
     CompletionResponse,
     GeneratorRole,
     OracleBackend,
+    RESET_DOCUMENT,
     PipeTransport,
     RemoteBackend,
     RemoteError,
@@ -20,6 +24,7 @@ from sireason.models import (
     ScriptedBackend,
     decode_request,
     decode_response,
+    encode_error,
     encode_request,
     encode_response,
     format_halter_prompts,
@@ -414,3 +419,167 @@ def test_remote_backend_matches_local_oracle(pw_problems):
     assert [s.inference for s in remote_trace.steps] == [
         s.inference for s in local_trace.steps
     ]
+
+
+# ---------------------------------------------------------------------------
+# One server for many problems: reset, error documents, lifetime.
+# ---------------------------------------------------------------------------
+
+def _inference_request(adjective: str) -> CompletionRequest:
+    return CompletionRequest(
+        role=GeneratorRole.INFERENCE,
+        prompt=format_inference_prompt(
+            [
+                Statement(f"If something is kind then it is {adjective}"),
+                Statement("the tiger is kind"),
+            ]
+        ),
+    )
+
+
+def test_reset_and_error_documents_on_the_wire():
+    assert decode_request(RESET_DOCUMENT) is None
+    assert json.loads(RESET_DOCUMENT) == {"reset": True}
+    error = encode_error(models.BackendError("malformed selection prompt"))
+    assert json.loads(error) == {"error": "BackendError: malformed selection prompt"}
+    with pytest.raises(RemoteError, match="malformed selection prompt"):
+        decode_response(error)
+    with pytest.raises(RemoteError):
+        decode_response(b'{"text": " ok", "continuation_logprobs": [0.0]}\n')
+
+
+def test_serve_answers_bad_lines_with_error_documents_and_reads_on():
+    selection = CompletionRequest(
+        role=GeneratorRole.SELECTION, prompt=format_selection_prompt(QUESTION, CTX)
+    )
+    bad_selection = CompletionRequest(role=GeneratorRole.SELECTION, prompt="no prompt")
+    eb_halter = CompletionRequest(
+        role=GeneratorRole.HALTER_READY,
+        prompt="Given the sun is a star. What is the sun?",
+    )
+    rfile = io.BytesIO(
+        b"not json\n"
+        + encode_request(selection)
+        + encode_request(bad_selection)
+        + encode_request(eb_halter)
+        + encode_request(selection)
+        + RESET_DOCUMENT
+        + encode_request(selection)
+    )
+    wfile = io.BytesIO()
+    serve(OracleBackend(), rfile, wfile)
+    replies = wfile.getvalue().splitlines(keepends=True)
+    assert len(replies) == 7
+    for i in (0, 2, 3):
+        assert "error" in json.loads(replies[i]), replies[i]
+    first = decode_response(replies[1]).text
+    assert first == " sent 1. We know that sent 3."
+    # The bad lines left the cursor alone: the repeat walks on, and only
+    # the reset takes it back to the first candidate.
+    assert decode_response(replies[4]).text != first
+    assert replies[5] == RESET_DOCUMENT
+    assert decode_response(replies[6]).text == first
+
+
+def test_pipe_server_survives_bad_request(pipe_spawns):
+    transport = PipeTransport()
+    backend = RemoteBackend(transport)
+    try:
+        assert "error" in json.loads(transport.exchange(b"not json\n"))
+        with pytest.raises(RemoteError, match="malformed selection prompt"):
+            backend.complete(
+                CompletionRequest(role=GeneratorRole.SELECTION, prompt="no prompt")
+            )
+        assert backend.complete(_inference_request("red")).text == " the tiger is red."
+    finally:
+        backend.close()
+    assert len(pipe_spawns) == 1
+
+
+def test_remote_reset_restarts_the_selection_walk(pipe_spawns):
+    backend = RemoteBackend(PipeTransport())
+    request = CompletionRequest(
+        role=GeneratorRole.SELECTION, prompt=format_selection_prompt(QUESTION, CTX)
+    )
+    try:
+        first = backend.complete(request).text
+        assert backend.complete(request).text != first
+        backend.reset()
+        assert backend.complete(request).text == first
+    finally:
+        backend.close()
+    assert len(pipe_spawns) == 1
+
+
+def test_pipe_transport_one_exchange_at_a_time():
+    """More threads than cores share one pipe; each gets its own replies."""
+    adjectives = ["red", "blue", "green", "big", "small", "round", "young", "cold"]
+    oracle = OracleBackend()
+    expected = {a: encode_response(oracle.complete(_inference_request(a))) for a in adjectives}
+    assert len(set(expected.values())) == len(adjectives)
+    transport = PipeTransport()
+    mismatches: list = []
+
+    def worker(adjective):
+        payload = encode_request(_inference_request(adjective))
+        for _ in range(25):
+            reply = transport.exchange(payload)
+            if reply != expected[adjective]:
+                mismatches.append((adjective, reply))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        transport.exchange(encode_request(_inference_request("red")))
+        threads = [threading.Thread(target=worker, args=(a,)) for a in adjectives]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+        transport.close()
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+
+
+def _stub_server(tmp_path, body: str) -> list:
+    script = tmp_path / "stub_server.py"
+    script.write_text(body, encoding="utf-8")
+    return [sys.executable, str(script)]
+
+
+ONE_REPLY = """import sys, time
+sys.stdin.buffer.readline()
+sys.stdout.buffer.write(b'{"continuation_logprobs": null, "text": " ok"}\\n')
+sys.stdout.buffer.flush()
+"""
+
+
+def test_pipe_transport_respawns_after_the_server_exits(tmp_path, pipe_spawns):
+    transport = PipeTransport(_stub_server(tmp_path, ONE_REPLY))
+    backend = RemoteBackend(transport, retries=0)
+    request = _inference_request("red")
+    try:
+        assert backend.complete(request).text == " ok"
+        with pytest.raises(RemoteError):
+            backend.complete(request)
+        # The dead server was reaped, so the next exchange starts a new one
+        # rather than writing into a closed pipe.
+        assert pipe_spawns[0].returncode is not None
+        assert backend.complete(request).text == " ok"
+    finally:
+        backend.close()
+    assert len(pipe_spawns) == 2
+
+
+def test_pipe_transport_close_kills_a_server_that_does_not_exit(
+    tmp_path, monkeypatch, pipe_spawns
+):
+    monkeypatch.setattr(models, "CLOSE_WAIT_S", 0.2)
+    transport = PipeTransport(_stub_server(tmp_path, ONE_REPLY + "time.sleep(60)\n"))
+    assert decode_response(transport.exchange(b"{}\n")).text == " ok"
+    transport.close()
+    assert pipe_spawns[0].returncode is not None
+    transport.close()
+    assert len(pipe_spawns) == 1
