@@ -50,6 +50,11 @@ def register_verb(third_person: str, lemma: str) -> None:
         pass
 
 
+def third_person(lemma: str) -> str:
+    """The third-person-singular form of a registered verb lemma."""
+    return _THIRD_PERSON.get(lemma, lemma)
+
+
 def unregister_verb(third_person: str) -> None:
     """Undo register_verb, mainly useful for test isolation."""
     lemma = _VERB_FORMS.pop(third_person, None)
@@ -331,18 +336,7 @@ def render_atom(atom: Atom) -> str:
     obj = _render_term(atom.obj)
     if atom.negated:
         return f"{subject} does not {atom.predicate} {obj}"
-    verb = _THIRD_PERSON.get(atom.predicate, atom.predicate)
-    return f"{subject} {verb} {obj}"
-
-
-def render_statement(ast: Parsed) -> str:
-    if isinstance(ast, Fact):
-        return render_atom(ast.atom)
-    if isinstance(ast, RuleAst):
-        return ast.surface
-    if isinstance(ast, Opaque):
-        return ast.surface
-    raise TypeError(f"cannot render {type(ast).__name__}")
+    return f"{subject} {third_person(atom.predicate)} {obj}"
 
 
 _PW_QUESTION_RE = re.compile(

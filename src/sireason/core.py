@@ -168,9 +168,6 @@ class ReasoningStep:
         if not self.selection:
             raise ValueError("selection must be non-empty")
 
-    def with_score(self, score: float) -> "ReasoningStep":
-        return replace(self, value_score=score)
-
 
 @dataclass(frozen=True)
 class Answer:
@@ -309,12 +306,35 @@ def is_valid(
     return ValidityReport(valid=ok, connectivity=connectivity, step_verdicts=tuple(verdicts))
 
 
-def render_step(step: ReasoningStep) -> str:
-    head = step.selection[0].surface
-    rest = [s.surface for s in step.selection[1:]]
+_WE_KNOW = ". We know that "
+
+
+def render_premises(premises: Sequence[str]) -> str:
+    """Premises as "X. We know that Y and Z.", or "X." for one premise.
+
+    The one writer of a step's premises, for trace steps, inference prompts
+    and selection completions alike.
+    """
+    head, rest = premises[0], premises[1:]
     if rest:
-        return f"{head}. We know that {' and '.join(rest)}. Therefore, {step.inference.surface}."
-    return f"{head}. Therefore, {step.inference.surface}."
+        return f"{head}{_WE_KNOW}{' and '.join(rest)}."
+    return f"{head}."
+
+
+def split_premises(text: str) -> list[str]:
+    """The premises `render_premises` wrote, read back."""
+    text = text.strip()
+    if text.endswith("."):
+        text = text[:-1]
+    if _WE_KNOW in text:
+        head, rest = text.split(_WE_KNOW, 1)
+        return [head] + rest.split(" and ")
+    return [text]
+
+
+def render_step(step: ReasoningStep) -> str:
+    premises = render_premises([s.surface for s in step.selection])
+    return f"{premises} Therefore, {step.inference.surface}."
 
 
 def render_trace(trace: ReasoningTrace) -> str:
@@ -343,16 +363,8 @@ def parse_trace_text(text: str, base_context: LabeledContext) -> ReasoningTrace:
         if len(parts) != 2:
             raise TraceParseError(f"line {lineno}: no 'Therefore,' clause: {line!r}")
         premise_part, inference_part = parts
-        premise_part = premise_part.strip()
-        if premise_part.endswith("."):
-            premise_part = premise_part[:-1]
-        if ". We know that " in premise_part:
-            first, rest = premise_part.split(". We know that ", 1)
-            premises = [first] + rest.split(" and ")
-        else:
-            premises = [premise_part]
         try:
-            selection = tuple(normalize_statement(p) for p in premises)
+            selection = tuple(normalize_statement(p) for p in split_premises(premise_part))
             inference = normalize_statement(inference_part)
         except EmptyStatement as exc:
             raise TraceParseError(f"line {lineno}: {exc}") from exc

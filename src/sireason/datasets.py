@@ -235,15 +235,6 @@ def generate_problem_set(
 # Training-pair extraction.
 # ---------------------------------------------------------------------------
 
-def _selection_target(step: ReasoningStep) -> str:
-    labels = [l.index for l in step.selection_labels]
-    first, rest = labels[0], labels[1:]
-    known = " and ".join(f"sent {i}" for i in rest)
-    if not rest:
-        return f" sent {first}."
-    return f" sent {first}. We know that {known}."
-
-
 def extract_si_pairs(problem: Problem) -> list[TrainingPair]:
     if problem.gold_proof is None:
         return []
@@ -255,7 +246,7 @@ def extract_si_pairs(problem: Problem) -> list[TrainingPair]:
             TrainingPair(
                 role=GeneratorRole.SELECTION,
                 input=models.format_selection_prompt(problem.question, context_k),
-                target=_selection_target(step),
+                target=models.render_selection([l.index for l in step.selection_labels]),
                 source_problem_id=problem.id,
                 step_index=k,
             )
@@ -264,7 +255,7 @@ def extract_si_pairs(problem: Problem) -> list[TrainingPair]:
             TrainingPair(
                 role=GeneratorRole.INFERENCE,
                 input=models.format_inference_prompt(step.selection),
-                target=f" {step.inference.surface}.",
+                target=models.render_inference(step.inference.surface),
                 source_problem_id=problem.id,
                 step_index=k,
             )
@@ -273,52 +264,41 @@ def extract_si_pairs(problem: Problem) -> list[TrainingPair]:
 
 
 def extract_halter_pairs(problem: Problem) -> list[TrainingPair]:
-    if problem.gold_proof is None:
+    """One readiness pair per proof step, plus one answer pair for the last
+    step of a multiple-choice proof; True/False/Unknown proofs say Unknown
+    until the last step."""
+    if problem.gold_proof is None or not problem.gold_proof.steps:
         return []
     steps = problem.gold_proof.steps
+    last = len(steps) - 1
     pairs: list[TrainingPair] = []
-    if problem.choices is None:
-        for k, step in enumerate(steps):
-            final = k == len(steps) - 1
-            target = f" {problem.gold_answer.render()}" if final else " Unknown"
-            pairs.append(
-                TrainingPair(
-                    role=GeneratorRole.HALTER_READY,
-                    input=f"Given {step.inference.surface}. {problem.question}",
-                    target=target,
-                    source_problem_id=problem.id,
-                    step_index=k,
-                )
-            )
-        return pairs
     for k, step in enumerate(steps):
-        final = k == len(steps) - 1
+        ready, answer = models.format_halter_prompts(
+            problem.question, step.inference.surface, problem.choices
+        )
+        if problem.choices is None:
+            target = models.render_answer(problem.gold_answer if k == last else Answer.UNKNOWN)
+        else:
+            target = models.render_ready(k == last)
         pairs.append(
             TrainingPair(
                 role=GeneratorRole.HALTER_READY,
-                input=(
-                    f"Question: {problem.question}. "
-                    f"Given {step.inference.surface}. Do you know the answer?"
-                ),
-                target=" Yes." if final else " No.",
+                input=ready,
+                target=target,
                 source_problem_id=problem.id,
                 step_index=k,
             )
         )
-    joined = " OR ".join(problem.choices)
-    final_inference = steps[-1].inference.surface
-    pairs.append(
-        TrainingPair(
-            role=GeneratorRole.HALTER_ANSWER,
-            input=(
-                f"Given {final_inference}. "
-                f"Which of these most closely matches {joined}?"
-            ),
-            target=f" {problem.gold_answer.render()}",
-            source_problem_id=problem.id,
-            step_index=len(steps) - 1,
+    if answer is not None:  # the last step's answer prompt
+        pairs.append(
+            TrainingPair(
+                role=GeneratorRole.HALTER_ANSWER,
+                input=answer,
+                target=models.render_answer(problem.gold_answer),
+                source_problem_id=problem.id,
+                step_index=last,
+            )
         )
-    )
     return pairs
 
 

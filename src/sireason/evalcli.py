@@ -21,10 +21,8 @@ from .core import (
     Answer,
     LabeledContext,
     ReasoningTrace,
-    TraceParseError,
     is_connected,
     normalize_key,
-    parse_trace_text,
     render_trace,
 )
 from .datasets import Problem
@@ -166,26 +164,6 @@ def made_up_fact_rate(
             flagged += 1
     denom = len(traces) - unreadable
     return (flagged / denom if denom else 0.0), unreadable
-
-
-def ingest_trace_file(path, problems: Sequence[Problem]) -> list[Optional[ReasoningTrace]]:
-    """Read externally produced trace text, one JSON doc per line.
-
-    Each line: {"id": ..., "trace": "..."}; unreadable traces load as None.
-    """
-    by_id = {p.id: p for p in problems}
-    traces: list[Optional[ReasoningTrace]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            problem = by_id[str(doc["id"])]
-            try:
-                traces.append(parse_trace_text(doc["trace"], problem.context))
-            except TraceParseError:
-                traces.append(None)
-    return traces
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +485,7 @@ def evaluate(problems: Sequence[Problem], cfg: SolverConfig) -> EvalReport:
     report.made_up_fact_rate = rate
     report.selection_syntax_errors = stats.selection_syntax_errors
     report.selection_calls = stats.selection_calls
+    report.failures.extend(stats.notes)
     assert report.overall.known_only_accuracy >= report.overall.accuracy or (
         report.overall.known == report.overall.count
     ), "known-only accuracy fell below overall accuracy"

@@ -24,10 +24,17 @@ from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 from . import cnl, symbolic
-from .core import LabeledContext, Statement, normalize_key, normalize_statement
+from .core import (
+    Answer,
+    EmptyStatement,
+    LabeledContext,
+    Statement,
+    normalize_key,
+    normalize_statement,
+    render_premises,
+    split_premises,
+)
 
-CORRECT = " correct"
-INCORRECT = " incorrect"
 # Finite stand-in for certainty about a wrong step; keeps score sums total.
 CERTAIN_GOOD = 0.0
 CERTAIN_BAD = -1e9
@@ -45,7 +52,6 @@ class GeneratorRole(str, Enum):
 class CompletionRequest:
     role: GeneratorRole
     prompt: str
-    max_new_tokens: int = 64
     scored_continuations: Optional[tuple[str, ...]] = None
 
 
@@ -68,8 +74,14 @@ class RemoteError(BackendError):
 
 
 # ---------------------------------------------------------------------------
-# Prompt templates.
+# Prompt codec, role by role: the prompt the engine sends (format_*), its
+# reader for the oracle, which gets only prompt text, exactly like a model
+# would (_read_*), and the completion a perfect model gives (render_*).
+# Training pairs are built from the same functions, so a model trains on the
+# text the engine sends it at run time.
 # ---------------------------------------------------------------------------
+
+# -- selection --------------------------------------------------------------
 
 def format_selection_prompt(question: str, context: LabeledContext) -> str:
     lines = [
@@ -80,15 +92,46 @@ def format_selection_prompt(question: str, context: LabeledContext) -> str:
     return "\n".join(lines)
 
 
+def _read_selection_prompt(prompt: str) -> tuple[str, LabeledContext]:
+    lines = prompt.split("\n")
+    if len(lines) < 3 or lines[-1] != "Selection:" or not lines[-2].startswith("Question: "):
+        raise BackendError("malformed selection prompt")
+    question = lines[-2][len("Question: "):]
+    surfaces = []
+    for i, line in enumerate(lines[:-2], start=1):
+        prefix = f"sent {i}: "
+        if not line.startswith(prefix):
+            raise BackendError(f"malformed sentence line {i!r}")
+        surfaces.append(line[len(prefix):])
+    return question, LabeledContext.from_statements(surfaces)
+
+
+def render_selection(labels: Sequence[int]) -> str:
+    """The selection completion " sent 1. We know that sent 2." (rule first)."""
+    return " " + render_premises([f"sent {i}" for i in labels])
+
+
+# -- inference --------------------------------------------------------------
+
 def format_inference_prompt(selection: Sequence[Statement]) -> str:
     if not selection:
         raise ValueError("inference prompt needs at least one selected statement")
-    head = selection[0].surface
-    if len(selection) == 1:
-        return f"{head}. Therefore,"
-    rest = " and ".join(s.surface for s in selection[1:])
-    return f"{head}. We know that {rest}. Therefore,"
+    return f"{render_premises([s.surface for s in selection])} Therefore,"
 
+
+def _read_inference_prompt(prompt: str) -> list[Statement]:
+    if not prompt.endswith(" Therefore,"):
+        raise BackendError("malformed inference prompt")
+    return [
+        normalize_statement(p) for p in split_premises(prompt[: -len(" Therefore,")])
+    ]
+
+
+def render_inference(surface: str) -> str:
+    return f" {surface}."
+
+
+# -- halter -----------------------------------------------------------------
 
 def format_halter_prompts(
     question: str,
@@ -116,6 +159,57 @@ def format_halter_prompts(
     return f"Given {inference}. {question}", None
 
 
+def _read_ready_prompt(prompt: str) -> Optional[tuple[tuple[str, ...], str]]:
+    """(choices, inference) of a multiple-choice readiness prompt, or None
+    for any other prompt."""
+    if not (prompt.startswith("Question:") and prompt.endswith(" Do you know the answer?")):
+        return None
+    q_and_inf = prompt[len("Question:"): -len(" Do you know the answer?")]
+    try:
+        question, inference = q_and_inf.rsplit(" Given ", 1)
+    except ValueError as exc:
+        raise BackendError("malformed readiness prompt") from exc
+    parsed = cnl.parse_question(question)
+    if not isinstance(parsed, cnl.MultiChoiceQuestion):
+        raise BackendError("readiness prompt without choices")
+    return parsed.choices, inference.rstrip(".")
+
+
+def _read_answer_prompt(prompt: str) -> Optional[tuple[tuple[str, ...], str]]:
+    """(choices, inference) of a multiple-choice answer prompt, or None for
+    any other prompt."""
+    marker = ". Which of the following most closely matches: "
+    if not (prompt.startswith("Given ") and marker in prompt and prompt.endswith("? Answer:")):
+        return None
+    inference, rest = prompt[len("Given "):].split(marker, 1)
+    return tuple(rest[: -len("? Answer:")].split(" OR ")), inference
+
+
+def _read_halter_prompt(prompt: str) -> tuple[str, str]:
+    """(inference, question) of a True/False/Unknown halting prompt."""
+    if not prompt.startswith("Given "):
+        raise BackendError("malformed halting prompt")
+    try:
+        inference, question = prompt[len("Given "):].split(". ", 1)
+    except ValueError as exc:
+        raise BackendError("malformed halting prompt") from exc
+    return inference, question
+
+
+def render_ready(ready: bool) -> str:
+    return " Yes." if ready else " No."
+
+
+def render_answer(answer: Answer) -> str:
+    return f" {answer.render()}"
+
+
+# -- value ------------------------------------------------------------------
+
+CORRECT = " correct"
+INCORRECT = " incorrect"
+
+
 def format_value_prompt(context: LabeledContext, question: str, rendered_steps: str) -> str:
     if not rendered_steps.strip():
         raise ValueError("value prompt needs at least one reasoning step")
@@ -124,46 +218,6 @@ def format_value_prompt(context: LabeledContext, question: str, rendered_steps: 
         f"Context: {ctx_text} Question: {question} "
         f"Reason: {rendered_steps} The above reasoning steps are"
     )
-
-
-# ---------------------------------------------------------------------------
-# Prompt readers shared by oracle and scripted noise.  The oracle receives
-# only prompt text, exactly like a model would, and parses it back into
-# structured form so every backend honours the same interface.
-# ---------------------------------------------------------------------------
-
-def _read_selection_prompt(prompt: str) -> tuple[str, LabeledContext]:
-    lines = prompt.split("\n")
-    if len(lines) < 3 or lines[-1] != "Selection:" or not lines[-2].startswith("Question: "):
-        raise BackendError("malformed selection prompt")
-    question = lines[-2][len("Question: "):]
-    surfaces = []
-    for i, line in enumerate(lines[:-2], start=1):
-        prefix = f"sent {i}: "
-        if not line.startswith(prefix):
-            raise BackendError(f"malformed sentence line {i!r}")
-        surfaces.append(line[len(prefix):])
-    return question, LabeledContext.from_statements(surfaces)
-
-
-def _count_selection_sentences(prompt: str) -> int:
-    try:
-        _, ctx = _read_selection_prompt(prompt)
-    except BackendError:
-        return 0
-    return len(ctx)
-
-
-def _read_inference_prompt(prompt: str) -> list[Statement]:
-    if not prompt.endswith(" Therefore,"):
-        raise BackendError("malformed inference prompt")
-    body = prompt[: -len(" Therefore,")]
-    if ". We know that " in body:
-        head, rest = body.split(". We know that ", 1)
-        parts = [head] + rest.rstrip(".").split(" and ")
-    else:
-        parts = [body.rstrip(".")]
-    return [normalize_statement(p) for p in parts]
 
 
 def _read_value_prompt(prompt: str) -> tuple[list[str], str, str]:
@@ -223,18 +277,12 @@ class OracleBackend:
             self._selection_cursor.clear()
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        role = GeneratorRole(request.role)
-        if role is GeneratorRole.SELECTION:
-            return self._complete_selection(request)
-        if role is GeneratorRole.INFERENCE:
-            return self._complete_inference(request)
-        if role is GeneratorRole.HALTER_READY:
-            return self._complete_halter_ready(request)
-        if role is GeneratorRole.HALTER_ANSWER:
-            return self._complete_halter_answer(request)
-        if role is GeneratorRole.VALUE:
-            return self._complete_value(request)
-        raise BackendError(f"unknown role: {request.role!r}")
+        handler = getattr(self, f"_complete_{GeneratorRole(request.role).value}")
+        try:
+            return handler(request)
+        except (cnl.ParseError, EmptyStatement) as exc:
+            # Text outside the grammar, such as a free-text (EB) question.
+            raise BackendError(f"oracle cannot read the prompt: {exc}") from exc
 
     # -- selection ----------------------------------------------------------
 
@@ -253,41 +301,31 @@ class OracleBackend:
     def _complete_inference(self, request: CompletionRequest) -> CompletionResponse:
         selection = _read_inference_prompt(request.prompt)
         try:
-            inferred = symbolic.entail_step(selection)
+            inferred = symbolic.entail_step(selection).surface
         except (symbolic.NoEntailment, symbolic.MalformedSelection):
-            return CompletionResponse(text=f" {symbolic.NOTHING_FOLLOWS}.")
-        return CompletionResponse(text=f" {inferred.surface}.")
+            inferred = symbolic.NOTHING_FOLLOWS
+        return CompletionResponse(text=render_inference(inferred))
 
     # -- halting ------------------------------------------------------------
 
     def _complete_halter_ready(self, request: CompletionRequest) -> CompletionResponse:
-        prompt = request.prompt
-        if prompt.startswith("Question:") and prompt.endswith(" Do you know the answer?"):
-            q_and_inf = prompt[len("Question:"): -len(" Do you know the answer?")]
-            try:
-                question, inference = q_and_inf.rsplit(" Given ", 1)
-            except ValueError as exc:
-                raise BackendError("malformed readiness prompt") from exc
-            inference = inference.rstrip(".")
-            parsed = cnl.parse_question(question)
-            if not isinstance(parsed, cnl.MultiChoiceQuestion):
-                raise BackendError("readiness prompt without choices")
-            ready = _matched_choice(parsed.choices, inference) is not None
-            return CompletionResponse(text=" Yes." if ready else " No.")
-        # Single-prompt True/False/Unknown halting.
-        return CompletionResponse(text=_pw_halt_text(prompt))
+        read = _read_ready_prompt(request.prompt)
+        if read is None:
+            return CompletionResponse(text=render_answer(_pw_halt_answer(request.prompt)))
+        choices, inference = read
+        return CompletionResponse(
+            text=render_ready(_matched_choice(choices, inference) is not None)
+        )
 
     def _complete_halter_answer(self, request: CompletionRequest) -> CompletionResponse:
-        prompt = request.prompt
-        marker = ". Which of the following most closely matches: "
-        if prompt.startswith("Given ") and marker in prompt and prompt.endswith("? Answer:"):
-            given, rest = prompt[len("Given "):].split(marker, 1)
-            choices = rest[: -len("? Answer:")].split(" OR ")
-            best = _matched_choice(choices, given)
-            if best is None:
-                best = max(choices, key=lambda c: (_overlap_score(c, given), c))
-            return CompletionResponse(text=f" {best}")
-        return CompletionResponse(text=_pw_halt_text(prompt))
+        read = _read_answer_prompt(request.prompt)
+        if read is None:
+            return CompletionResponse(text=render_answer(_pw_halt_answer(request.prompt)))
+        choices, inference = read
+        best = _matched_choice(choices, inference)
+        if best is None:
+            best = max(choices, key=lambda c: (_overlap_score(c, inference), c))
+        return CompletionResponse(text=render_answer(Answer.of_choice(best)))
 
     # -- value --------------------------------------------------------------
 
@@ -307,29 +345,25 @@ class OracleBackend:
         return CompletionResponse(text=preferred, continuation_logprobs=logprobs)
 
 
-def _pw_halt_text(prompt: str) -> str:
-    if not prompt.startswith("Given "):
-        raise BackendError("malformed halting prompt")
-    try:
-        inference, question = prompt[len("Given "):].split(". ", 1)
-    except ValueError as exc:
-        raise BackendError("malformed halting prompt") from exc
+def _pw_halt_answer(prompt: str) -> Answer:
+    """The single-prompt True/False/Unknown halter's answer."""
+    inference, question = _read_halter_prompt(prompt)
     if normalize_key(inference) == normalize_key(symbolic.NOTHING_FOLLOWS):
-        return " Unknown"
+        return Answer.UNKNOWN
     parsed = cnl.parse_question(question)
     if not isinstance(parsed, cnl.Hypothesis):
         raise BackendError("halting prompt without a hypothesis question")
     try:
         inf_stmt = cnl.parse_statement(inference, strict=True)
     except cnl.ParseError:
-        return " Unknown"
+        return Answer.UNKNOWN
     if not isinstance(inf_stmt, cnl.Fact):
-        return " Unknown"
+        return Answer.UNKNOWN
     if inf_stmt.atom == parsed.atom:
-        return " True"
+        return Answer.TRUE
     if cnl.is_negation_of(inf_stmt.atom, parsed.atom):
-        return " False"
-    return " Unknown"
+        return Answer.FALSE
+    return Answer.UNKNOWN
 
 
 def _matched_choice(choices: Sequence[str], inference: str) -> Optional[str]:
@@ -387,7 +421,7 @@ def _selection_candidates(surfaces: tuple[str, ...], question: str) -> tuple[str
         if on_path is not None and frozenset(f) == frozenset(on_path):
             continue
         ordered.append(f)
-    return tuple(_render_selection(labels) for labels in ordered)
+    return tuple(render_selection(labels) for labels in ordered)
 
 
 def _firing_combos(rule, fact_atoms):
@@ -402,14 +436,6 @@ def _firing_combos(rule, fact_atoms):
             continue
         labels = sorted((label for label, _ in combo), key=lambda l: l.index)
         yield normalize_key(cnl.render_atom(head)), labels
-
-
-def _render_selection(labels: Sequence[int]) -> str:
-    first, rest = labels[0], labels[1:]
-    if not rest:
-        raise BackendError("selection needs a rule and at least one premise")
-    known = " and ".join(f"sent {i}" for i in rest)
-    return f" sent {first}. We know that {known}."
 
 
 @lru_cache(maxsize=8192)
@@ -496,13 +522,16 @@ class ScriptedBackend:
             return self._base.complete(request)
 
     def _random_selection(self, prompt: str) -> str:
-        n = _count_selection_sentences(prompt)
+        try:
+            n = len(_read_selection_prompt(prompt)[1])
+        except BackendError:
+            n = 0
         if n < 2:
             return ""
         rule = self._rng.randint(1, n)
         n_premises = self._rng.choice([1, 2])
         premises = [self._rng.randint(1, n) for _ in range(n_premises)]
-        return _render_selection([rule] + premises)
+        return render_selection([rule] + premises)
 
 
 def scripted_backend(
@@ -517,7 +546,7 @@ def scripted_backend(
 # ---------------------------------------------------------------------------
 # Remote backend: one JSON document per line, one reply per document.
 #
-#   request   {"role", "prompt", "max_new_tokens", "scored_continuations"}
+#   request   {"role", "prompt", "scored_continuations"}
 #             answered by {"text", "continuation_logprobs"}
 #   reset     {"reset": true}, sent before each problem: the server calls
 #             backend.reset() and answers with the same document
@@ -533,7 +562,6 @@ def encode_request(request: CompletionRequest) -> bytes:
     doc = {
         "role": GeneratorRole(request.role).value,
         "prompt": request.prompt,
-        "max_new_tokens": request.max_new_tokens,
         "scored_continuations": (
             list(request.scored_continuations)
             if request.scored_continuations is not None
@@ -553,7 +581,6 @@ def decode_request(data: bytes) -> Optional[CompletionRequest]:
         return CompletionRequest(
             role=GeneratorRole(doc["role"]),
             prompt=doc["prompt"],
-            max_new_tokens=int(doc["max_new_tokens"]),
             scored_continuations=tuple(cont) if cont is not None else None,
         )
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
@@ -759,7 +786,7 @@ def serve(backend, rfile, wfile) -> None:
             else:
                 reply = encode_response(backend.complete(request))
         except Exception as exc:  # the server outlives any one request
-            if not isinstance(exc, (BackendError, cnl.ParseError)):
+            if not isinstance(exc, BackendError):
                 traceback.print_exc(file=sys.stderr)
             reply = encode_error(exc)
         wfile.write(reply)

@@ -24,6 +24,7 @@ from .cnl import (
     negate,
     parse_statement,
     render_atom,
+    third_person,
 )
 from .core import (
     Answer,
@@ -374,9 +375,9 @@ _ADJECTIVES = [
     "kind", "nice", "green", "blue", "red", "round", "rough", "cold",
     "young", "big", "quiet", "smart", "furry", "happy",
 ]
-_VERBS = ["eats", "likes", "sees", "needs", "chases", "visits"]
-_VERB_LEMMA = {"eats": "eat", "likes": "like", "sees": "see", "needs": "need",
-               "chases": "chase", "visits": "visit"}
+# Fixed here rather than read from `cnl`'s verb table, which `register_verb`
+# can extend: the draw order keeps seeded problem sets stable.
+_VERB_LEMMAS = ("eat", "like", "see", "need", "chase", "visit")
 
 
 def _render_rule(body_atoms: list[Atom], head: Atom, quantifier: str) -> str:
@@ -405,21 +406,14 @@ def _render_rule(body_atoms: list[Atom], head: Atom, quantifier: str) -> str:
         obj = term_text(a.obj, False)
         if a.negated:
             do = "do" if plural else "does"
-            return f"{subj} {do} not {_VERB_LEMMA[_third_of(a.predicate)]} {obj}"
-        verb = _third_of(a.predicate) if not plural else a.predicate
+            return f"{subj} {do} not {a.predicate} {obj}"
+        verb = a.predicate if plural else third_person(a.predicate)
         return f"{subj} {verb} {obj}"
 
     for a in body_atoms:
         parts.append(atom_text(a))
     head_text = atom_text(head)
     return f"If {' and '.join(parts)} then {head_text}"
-
-
-def _third_of(lemma: str) -> str:
-    for third, lem in _VERB_LEMMA.items():
-        if lem == lemma:
-            return third
-    return lemma
 
 
 def generate_problem(
@@ -467,7 +461,7 @@ def _generate_once(rng, seed, depth, n_distractor_rules, n_distractor_facts):
 
     def fresh_relation(subject: Term) -> Atom:
         for _ in range(30):
-            verb = _VERB_LEMMA[rng.choice(_VERBS)]
+            verb = rng.choice(_VERB_LEMMAS)
             obj = const(rng.choice(entities))
             if (verb, subject.name, obj.name) not in used_relations:
                 used_relations.add((verb, subject.name, obj.name))

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -114,3 +115,17 @@ def test_eval_deterministic_output(problem_file, capsys):
     assert main(args) in (0, 1)
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_eval_eb_through_the_oracle_counts_backend_failures(capsys):
+    """The oracle cannot read free-text (EB) questions: each problem is
+    counted, its failure is listed, and `eval` exits 1."""
+    fixture = pathlib.Path(__file__).parent / "fixtures" / "golden_eb.jsonl"
+    rc = main(["eval", "--problems", str(fixture), "--dataset", "eb",
+               "--report", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert doc["overall"]["count"] == 3
+    assert len(doc["failures"]) == 3
+    assert all("selection backend: oracle cannot read the prompt" in f
+               for f in doc["failures"])

@@ -1,8 +1,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sireason import datasets
+from sireason import datasets, engine
 from sireason.core import Answer, Statement
 from sireason.datasets import (
     SchemaError,
@@ -16,7 +17,13 @@ from sireason.datasets import (
     save_problems,
     validate_problems,
 )
-from sireason.models import CORRECT, INCORRECT, GeneratorRole
+from sireason.models import (
+    CORRECT,
+    INCORRECT,
+    GeneratorRole,
+    OracleBackend,
+    ScriptedBackend,
+)
 
 
 def _doc():
@@ -182,11 +189,17 @@ def test_extract_halter_pairs_multi_choice(eb_problems):
     ready = [p for p in pairs if p.role == GeneratorRole.HALTER_READY]
     answer = [p for p in pairs if p.role == GeneratorRole.HALTER_ANSWER]
     assert [p.target for p in ready] == [" Yes."]
+    assert ready[0].input == (
+        "Question:Which word best describes the physical state of an ice cube?"
+        " gas OR solid OR liquid OR plasma. "
+        "Given an ice cube is solid in its physical state. Do you know the answer?"
+    )
     assert len(answer) == 1
     assert answer[0].target == " solid"
     assert answer[0].input == (
         "Given an ice cube is solid in its physical state. "
-        "Which of these most closely matches gas OR solid OR liquid OR plasma?"
+        "Which of the following most closely matches:"
+        " gas OR solid OR liquid OR plasma? Answer:"
     )
 
 
@@ -231,3 +244,87 @@ def test_save_training_pairs_jsonl(tmp_path):
     first = json.loads(lines[0])
     assert first["role"] == "selection"
     assert first["target"] == " sent 1. We know that sent 2."
+
+
+# ---------------------------------------------------------------------------
+# Train/serve agreement: a pair's input is the prompt the engine sends.
+# ---------------------------------------------------------------------------
+
+class _Recorder:
+    """Passes requests on to a backend and keeps each prompt under its role
+    and step; a step starts with its selection request."""
+
+    def __init__(self, backend, sent: dict) -> None:
+        self._backend = backend
+        self._sent = sent
+
+    def complete(self, request):
+        step = sum(1 for role, _ in self._sent if role is GeneratorRole.SELECTION)
+        if request.role is not GeneratorRole.SELECTION:
+            step -= 1
+        key = (request.role, step)
+        assert key not in self._sent, f"two {key} requests"
+        self._sent[key] = request.prompt
+        return self._backend.complete(request)
+
+
+def _replay(problem, pairs, search: str):
+    """Solve `problem` with the pairs' selection and inference targets as the
+    scripted completions and the oracle halter; (trace, prompts sent)."""
+    script = {
+        role: [p.target for p in pairs if p.role is role]
+        for role in (GeneratorRole.SELECTION, GeneratorRole.INFERENCE)
+    }
+    scripted = ScriptedBackend(script=script)
+    oracle = OracleBackend()
+    # The oracle's value role judges only True/False/Unknown proofs.
+    value = oracle
+    if problem.choices is not None:
+        value = ScriptedBackend(script={GeneratorRole.VALUE: [CORRECT] * len(problem.gold_proof.steps)})
+    sent: dict = {}
+    bindings = engine.RoleBindings(
+        *(_Recorder(b, sent) for b in (scripted, scripted, oracle, oracle, value))
+    )
+    if search == "greedy":
+        answer, trace = engine.si_answer(problem, bindings)
+    else:
+        cfg = engine.BeamConfig(beam_width=1, proposals_per_trace=1)
+        answer, trace, _ = engine.beam_search(problem, bindings, cfg)
+    assert answer == problem.gold_answer, problem.id
+    return trace, sent
+
+
+def _assert_pairs_match_engine_prompts(problem):
+    pairs = (
+        extract_si_pairs(problem)
+        + extract_halter_pairs(problem)
+        + [p for p in extract_value_pairs(problem, seed=0) if p.target == CORRECT]
+    )
+    gold = [(s.selection_labels, s.inference) for s in problem.gold_proof.steps]
+    for search in ("greedy", "beam"):
+        trace, sent = _replay(problem, pairs, search)
+        taken = [(s.selection_labels, s.inference) for s in trace.steps]
+        # The multiple-choice halter may answer before the proof's last step.
+        assert taken == gold[: len(taken)], problem.id
+        if problem.choices is None:
+            assert len(taken) == len(gold), problem.id
+        for pair in pairs:
+            if pair.role is GeneratorRole.VALUE and search == "greedy":
+                continue
+            key = (pair.role, pair.step_index)
+            if key in sent:
+                assert pair.input == sent[key], (problem.id, search, key)
+            else:  # the engine halted before this step
+                assert pair.step_index >= len(trace.steps), (problem.id, search, key)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from([1, 2, 3, 5]))
+def test_training_pairs_equal_engine_prompts_pw(seed, depth):
+    (problem,) = generate_problem_set(seed, {depth: 1})
+    _assert_pairs_match_engine_prompts(problem)
+
+
+@pytest.mark.parametrize("pid", ["eb-d1-fly", "eb-d1-ice-cube", "eb-d2-runway"])
+def test_training_pairs_equal_engine_prompts_eb(eb_problems, pid):
+    _assert_pairs_match_engine_prompts(next(p for p in eb_problems if p.id == pid))

@@ -104,7 +104,7 @@ def test_eb_fixture_scripted_end_to_end(eb_problems, pid):
     script = {GeneratorRole.SELECTION: [], GeneratorRole.INFERENCE: []}
     for step in problem.gold_proof.steps:
         labels = [l.index for l in step.selection_labels]
-        script[GeneratorRole.SELECTION].append(models._render_selection(labels))
+        script[GeneratorRole.SELECTION].append(models.render_selection(labels))
         script[GeneratorRole.INFERENCE].append(f" {step.inference.surface}.")
     shared = ScriptedBackend(script=script)
     oracle = OracleBackend()

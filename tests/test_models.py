@@ -283,12 +283,11 @@ def test_request_wire_format_is_stable():
     req = CompletionRequest(
         role=GeneratorRole.VALUE,
         prompt="p",
-        max_new_tokens=8,
         scored_continuations=(CORRECT, INCORRECT),
     )
     data = encode_request(req)
     assert data == (
-        b'{"max_new_tokens": 8, "prompt": "p", '
+        b'{"prompt": "p", '
         b'"role": "value", '
         b'"scored_continuations": [" correct", " incorrect"]}\n'
     )
