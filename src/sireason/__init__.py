@@ -5,7 +5,7 @@ Submodules:
   cnl       the controlled-language parser and renderer
   symbolic  forward chaining, proof extraction, problem generation
   models    generator roles, prompt templates, and the three backends
-  engine    the select/infer/halt loop and value-guided beam search
+  engine    the one select/infer/halt loop: value-guided beam search
   datasets  problem files and training-pair extraction
   evalcli   metrics, probes, batch evaluation, command line
 """

@@ -44,10 +44,6 @@ class SchemaError(ValueError):
         self.line_number = line_number
 
 
-class CorruptionImpossible(Exception):
-    """No alternative context statement exists for a corruption."""
-
-
 @dataclass(frozen=True)
 class Problem:
     id: str

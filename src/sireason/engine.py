@@ -1,4 +1,8 @@
-"""The step loop: select by label, infer, halt, and optionally beam-search.
+"""The step loop: select by label, infer, halt, in a value-guided beam.
+
+There is one search loop, `beam_search`.  Greedy selection-inference
+(`si_answer`) is a beam of one trace with one proposal per step, which has
+nothing to rank and so never calls the value role.
 
 Selections are made purely by sentence label.  The raw generator output is
 scanned for "sent N" tokens, out-of-range labels are dropped, and the
@@ -76,6 +80,10 @@ class SolveStats:
     backend_failures: int = 0
     notes: list[str] = field(default_factory=list)
 
+    def backend_failure(self, note: str) -> None:
+        self.backend_failures += 1
+        self.notes.append(note)
+
 
 def selection_step(
     question: str, context: LabeledContext, backend, stats: Optional[SolveStats] = None
@@ -147,53 +155,6 @@ def _halt_check(
     return None
 
 
-def si_answer(
-    problem,
-    bindings: RoleBindings,
-    max_steps: int = 10,
-    stats: Optional[SolveStats] = None,
-) -> tuple[Answer, ReasoningTrace]:
-    """Greedy loop: select, infer, extend the context, check the halter.
-
-    Returns the first halter answer, or Unknown once `max_steps` passes
-    (or a step fails) without one.  The trace covers every step taken.
-    """
-    trace = ReasoningTrace(base_context=problem.context)
-    answer = Answer.UNKNOWN
-    for _ in range(max_steps):
-        context = trace.full_context
-        try:
-            selection, labels = selection_step(
-                problem.question, context, bindings.selection, stats
-            )
-        except SelectionSyntaxError:
-            break
-        except models.BackendError as exc:
-            if stats is not None:
-                stats.backend_failures += 1
-                stats.notes.append(f"{problem.id}: selection backend: {exc}")
-            break
-        try:
-            inference = _infer(selection, bindings.inference)
-            step = ReasoningStep(
-                selection=tuple(selection),
-                inference=inference,
-                selection_labels=tuple(labels),
-            )
-            trace = trace.extended(step)
-            maybe = _halt_check(problem.question, problem.choices, inference, bindings)
-        except models.BackendError as exc:
-            if stats is not None:
-                stats.backend_failures += 1
-                stats.notes.append(f"{problem.id}: backend: {exc}")
-            break
-        if maybe is not None:
-            answer = maybe
-            break
-    trace = replace(trace, halted=True, answer=answer)
-    return answer, trace
-
-
 @dataclass(frozen=True)
 class BeamConfig:
     beam_width: int = 4
@@ -256,13 +217,19 @@ def beam_search(
     """Value-guided search over reasoning traces.
 
     Each live trace proposes up to `proposals_per_trace` next steps
-    (deduplicated by selection set plus inference), every extension is
-    scored by the value generator, and the best `beam_width` entries
-    survive.  Halted entries keep competing with frozen scores until every
-    entry has halted or the step cap is reached.
+    (deduplicated by selection set plus inference), and the best
+    `beam_width` extensions survive.  With more than one proposal per trace
+    every extension is scored by the value generator; a single proposal has
+    nothing to rank, so its steps keep no value score.  Halted entries keep
+    competing with frozen scores until every entry has halted or the step
+    cap is reached.  A step whose backend call fails is dropped and counted
+    in `stats`.
     """
-    if bindings.value is None:
-        raise ValueError("beam search needs a value backend")
+    ranked = cfg.proposals_per_trace > 1
+    if ranked and bindings.value is None:
+        raise ValueError("beam search with several proposals needs a value backend")
+    if stats is None:
+        stats = SolveStats()
     entries: list[BeamEntry] = [BeamEntry(ReasoningTrace(base_context=problem.context))]
     for _ in range(cfg.max_steps):
         if all(e.halted for e in entries):
@@ -279,13 +246,15 @@ def beam_search(
                     selection, labels = selection_step(
                         problem.question, context, bindings.selection, stats
                     )
-                    inference = _infer(selection, bindings.inference)
                 except SelectionSyntaxError:
                     continue
                 except models.BackendError as exc:
-                    if stats is not None:
-                        stats.backend_failures += 1
-                        stats.notes.append(f"{problem.id}: backend: {exc}")
+                    stats.backend_failure(f"{problem.id}: selection backend: {exc}")
+                    continue
+                try:
+                    inference = _infer(selection, bindings.inference)
+                except models.BackendError as exc:
+                    stats.backend_failure(f"{problem.id}: backend: {exc}")
                     continue
                 sig = (
                     frozenset(l.index for l in labels),
@@ -301,26 +270,23 @@ def beam_search(
                         selection_labels=tuple(labels),
                     )
                 )
-            if not candidates:
-                # Dead branch: no expansion survived, drop it from the beam.
-                continue
+            # A dead branch (no expansion survived) drops out of the beam.
             for step in candidates:
-                new_trace = entry.trace.extended(step)
+                score = entry.cumulative_score
                 try:
-                    value = _value_score(problem, new_trace, bindings.value)
+                    if ranked:
+                        value = _value_score(
+                            problem, entry.trace.extended(step), bindings.value
+                        )
+                        step = replace(step, value_score=value)
+                        score = score_trace(entry, value, cfg.score_mode)
                     maybe = _halt_check(
                         problem.question, problem.choices, step.inference, bindings
                     )
                 except models.BackendError as exc:
-                    if stats is not None:
-                        stats.backend_failures += 1
-                        stats.notes.append(f"{problem.id}: backend: {exc}")
+                    stats.backend_failure(f"{problem.id}: backend: {exc}")
                     continue
-                scored_step = replace(step, value_score=value)
-                new_trace = replace(
-                    new_trace, steps=new_trace.steps[:-1] + (scored_step,)
-                )
-                score = score_trace(entry, value, cfg.score_mode)
+                new_trace = entry.trace.extended(step)
                 if maybe is not None:
                     pool.append(
                         BeamEntry(
@@ -344,3 +310,18 @@ def beam_search(
     # Nothing halted with an answer before the step cap.
     trace = final[0].trace if final else ReasoningTrace(base_context=problem.context)
     return Answer.UNKNOWN, replace(trace, halted=True, answer=Answer.UNKNOWN), final
+
+
+def si_answer(
+    problem,
+    bindings: RoleBindings,
+    max_steps: int = 10,
+    stats: Optional[SolveStats] = None,
+) -> tuple[Answer, ReasoningTrace]:
+    """Greedy selection-inference: a beam of one trace and one proposal.
+
+    Returns the first halter answer, or Unknown once `max_steps` passes
+    (or a step fails) without one.  The value role is never called.
+    """
+    answer, trace, _ = beam_search(problem, bindings, BeamConfig(1, 1, max_steps), stats)
+    return answer, trace

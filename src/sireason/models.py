@@ -480,7 +480,9 @@ class ScriptedBackend:
     `script` maps a role to a FIFO list of response texts.  Roles without a
     script entry fall through to `base`.  With noise rate ε, selection
     outputs are replaced (with probability ε, seeded) by a uniformly random
-    well-formed label sentence over the prompt's sentence range.
+    well-formed label sentence over the prompt's sentence range.  The k-th
+    `reset()` reseeds the noise with `seed + k`, so each problem of a run
+    draws its own reproducible noise.
     """
 
     def __init__(
@@ -497,10 +499,15 @@ class ScriptedBackend:
             GeneratorRole(role): list(items) for role, items in (script or {}).items()
         }
         self._noise_rate = noise_rate
+        self._seed = seed
+        self._resets = 0
         self._rng = __import__("random").Random(("scripted", seed).__repr__())
         self._lock = threading.Lock()
 
     def reset(self) -> None:
+        with self._lock:
+            self._rng.seed(("scripted", self._seed + self._resets).__repr__())
+            self._resets += 1
         if self._base is not None and hasattr(self._base, "reset"):
             self._base.reset()
 

@@ -129,3 +129,44 @@ def test_eval_eb_through_the_oracle_counts_backend_failures(capsys):
     assert len(doc["failures"]) == 3
     assert all("selection backend: oracle cannot read the prompt" in f
                for f in doc["failures"])
+
+
+def test_eval_reports_known_only_accuracy_below_accuracy(tmp_path, capsys):
+    """An Unknown gold answered Unknown is correct but not known, so the
+    known-only accuracy may fall below the accuracy."""
+    context = ["If something is kind then it likes the cow", "the tiger is kind"]
+    question = 'Does it imply that the statement "The {} likes the cow" is True?'
+    docs = [
+        # Nothing in the context is about the cow: the oracle answers Unknown.
+        {"id": "unknown", "context": context[:1] + ["the cow is big"],
+         "question": question.format("cow"), "answer": "Unknown"},
+        # The oracle proves True; the gold answer is flipped.
+        {"id": "flipped", "context": context,
+         "question": question.format("tiger"), "answer": "False"},
+    ]
+    path = tmp_path / "two.jsonl"
+    path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+    rc = main(["eval", "--problems", str(path), "--report", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert doc["overall"]["accuracy"] == 0.5
+    assert doc["overall"]["known_only_accuracy"] == 0.0
+    assert doc["overall"]["unknown_rate"] == 0.5
+
+
+@pytest.mark.parametrize("command", [
+    ["solve"], ["eval"], ["probe", "--kind", "random"],
+], ids=["solve", "eval", "probe"])
+@pytest.mark.parametrize("setting, message", [
+    (["--beam", "4", "--proposals", "2"], "beam_width <= proposals_per_trace"),
+    (["--max-steps", "0"], "max_steps must be at least 1"),
+], ids=["beam-over-proposals", "zero-max-steps"])
+def test_bad_search_setting_stops_before_any_problem(
+    problem_file, capsys, command, setting, message
+):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--problems", problem_file] + setting)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: bad search setting: " in err and message in err

@@ -252,27 +252,33 @@ def test_save_training_pairs_jsonl(tmp_path):
 
 class _Recorder:
     """Passes requests on to a backend and keeps each prompt under its role
-    and step; a step starts with its selection request."""
+    and step; a step ends with its halter-ready request, and a request
+    repeated within a step (a second proposal) must carry the same prompt."""
 
     def __init__(self, backend, sent: dict) -> None:
         self._backend = backend
         self._sent = sent
 
     def complete(self, request):
-        step = sum(1 for role, _ in self._sent if role is GeneratorRole.SELECTION)
-        if request.role is not GeneratorRole.SELECTION:
+        step = sum(1 for role, _ in self._sent if role is GeneratorRole.HALTER_READY)
+        if request.role is GeneratorRole.HALTER_ANSWER:
             step -= 1
         key = (request.role, step)
-        assert key not in self._sent, f"two {key} requests"
-        self._sent[key] = request.prompt
+        recorded = self._sent.setdefault(key, request.prompt)
+        assert recorded == request.prompt, f"two {key} requests with different prompts"
         return self._backend.complete(request)
 
 
 def _replay(problem, pairs, search: str):
     """Solve `problem` with the pairs' selection and inference targets as the
-    scripted completions and the oracle halter; (trace, prompts sent)."""
+    scripted completions and the oracle halter; (trace, prompts sent).
+
+    The beam replay proposes twice per step, so the value role is called:
+    each target is scripted twice, both proposals replay the gold step and
+    the dedup keeps one."""
+    copies = 1 if search == "greedy" else 2
     script = {
-        role: [p.target for p in pairs if p.role is role]
+        role: [p.target for p in pairs if p.role is role for _ in range(copies)]
         for role in (GeneratorRole.SELECTION, GeneratorRole.INFERENCE)
     }
     scripted = ScriptedBackend(script=script)
@@ -288,7 +294,7 @@ def _replay(problem, pairs, search: str):
     if search == "greedy":
         answer, trace = engine.si_answer(problem, bindings)
     else:
-        cfg = engine.BeamConfig(beam_width=1, proposals_per_trace=1)
+        cfg = engine.BeamConfig(beam_width=1, proposals_per_trace=2)
         answer, trace, _ = engine.beam_search(problem, bindings, cfg)
     assert answer == problem.gold_answer, problem.id
     return trace, sent

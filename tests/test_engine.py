@@ -1,6 +1,6 @@
 import pytest
 
-from sireason import models, symbolic
+from sireason import evalcli, models, symbolic
 from sireason.core import Answer, LabeledContext, Statement, is_valid
 from sireason.engine import (
     BeamConfig,
@@ -14,7 +14,7 @@ from sireason.engine import (
     si_answer,
 )
 from sireason.models import GeneratorRole, OracleBackend, ScriptedBackend
-from sireason.datasets import Problem
+from sireason.datasets import Problem, generate_problem_set
 
 
 
@@ -144,6 +144,24 @@ def test_si_answer_multi_choice(eb_problems):
     assert len(trace.steps) == 1
 
 
+class _FailingBackend:
+    def complete(self, request):
+        raise models.BackendError(f"{request.role.value} down")
+
+
+def test_si_answer_drops_a_step_whose_halter_call_failed():
+    oracle = OracleBackend()
+    failing = _FailingBackend()
+    stats = SolveStats()
+    answer, trace = si_answer(
+        WORST_1, RoleBindings(oracle, oracle, failing, failing), stats=stats
+    )
+    assert answer.is_unknown
+    assert trace.halted and trace.steps == ()
+    assert stats.backend_failures == 1
+    assert stats.notes == ["test: backend: halter_ready down"]
+
+
 def test_beam_config_validation():
     with pytest.raises(ValueError):
         BeamConfig(beam_width=4, proposals_per_trace=2)
@@ -227,3 +245,59 @@ def test_beam_search_unknown_when_nothing_halts():
     answer, trace, _ = beam_search(WORST_1, bindings, cfg)
     assert answer.is_unknown
     assert trace.halted
+
+
+# ---------------------------------------------------------------------------
+# Solvers: one set of bindings per run.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_scripted_solver_noise_is_per_problem(width):
+    """One scripted solver, reset before each problem, draws the same noise
+    as fresh bindings seeded `seed * 1000003 + i` for the i-th problem of
+    the run, also across a second pass over the same problems."""
+    problems = generate_problem_set(4, {2: 5, 3: 5})
+    cfg = evalcli.SolverConfig(
+        backend="scripted", noise_rate=0.3, seed=11,
+        beam_width=width, proposals_per_trace=width,
+    )
+    solver = evalcli.make_solver(cfg)
+    got = [solver(p) for p in problems + problems]
+
+    def reference(seed_of):
+        out = []
+        for i, problem in enumerate(problems + problems):
+            oracle = OracleBackend()
+            noisy = ScriptedBackend(base=oracle, noise_rate=0.3, seed=seed_of(i))
+            bindings = RoleBindings(noisy, oracle, oracle, oracle, oracle)
+            answer, trace, _ = beam_search(problem, bindings, cfg.beam_config())
+            out.append((answer, trace))
+        return out
+
+    assert got == reference(lambda i: cfg.seed * 1000003 + i)
+    # The noise matters: one seed for every problem gives other traces.
+    assert got != reference(lambda i: cfg.seed * 1000003)
+
+
+class _CountingBackend:
+    def __init__(self, base) -> None:
+        self._base = base
+        self.roles: list[GeneratorRole] = []
+
+    def reset(self) -> None:
+        self._base.reset()
+
+    def complete(self, request):
+        self.roles.append(request.role)
+        return self._base.complete(request)
+
+
+def test_greedy_solve_sends_no_value_request(pw_problems, monkeypatch):
+    counting = _CountingBackend(OracleBackend())
+    traces = [si_answer(p, RoleBindings.uniform(counting))[1] for p in pw_problems]
+    monkeypatch.setattr(models, "oracle_backend", lambda: counting)
+    solver = evalcli.make_solver(evalcli.SolverConfig())
+    traces += [solver(p)[1] for p in pw_problems]
+    assert GeneratorRole.SELECTION in counting.roles
+    assert GeneratorRole.VALUE not in counting.roles
+    assert all(step.value_score is None for t in traces for step in t.steps)
