@@ -19,7 +19,7 @@ as text but not by the reasoner.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
 
@@ -118,11 +118,13 @@ class Atom:
         obj = self.obj
         if obj is not None and obj.is_variable and binding:
             obj = binding
-        return replace(self, subject=subject, obj=obj)
+        # Built directly: `dataclasses.replace` costs several times more,
+        # and grounding rules in every closure calls this most.
+        return Atom(self.predicate, subject, obj, self.negated)
 
 
 def negate(atom: Atom) -> Atom:
-    return replace(atom, negated=not atom.negated)
+    return Atom(atom.predicate, atom.subject, atom.obj, not atom.negated)
 
 
 def is_negation_of(a: Atom, b: Atom) -> bool:

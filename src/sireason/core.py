@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 
@@ -23,6 +24,9 @@ class TraceParseError(ValueError):
 _NON_ALPHA = re.compile(r"[^a-z]+")
 
 
+# Statements are hashed and compared by key, so the same few thousand
+# surfaces are keyed over and over during a search.
+@lru_cache(maxsize=4096)
 def normalize_key(raw: str) -> str:
     """Equality key: lowercase with every non-alphabetic character removed."""
     return _NON_ALPHA.sub("", raw.lower())

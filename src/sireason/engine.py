@@ -225,6 +225,7 @@ def beam_search(
     cap is reached.  A step whose backend call fails is dropped and counted
     in `stats`.
     """
+    # One proposal per trace leaves nothing to deduplicate or to rank.
     ranked = cfg.proposals_per_trace > 1
     if ranked and bindings.value is None:
         raise ValueError("beam search with several proposals needs a value backend")
@@ -256,13 +257,14 @@ def beam_search(
                 except models.BackendError as exc:
                     stats.backend_failure(f"{problem.id}: backend: {exc}")
                     continue
-                sig = (
-                    frozenset(l.index for l in labels),
-                    normalize_key(inference.surface),
-                )
-                if sig in seen:
-                    continue
-                seen.add(sig)
+                if ranked:
+                    sig = (
+                        frozenset(l.index for l in labels),
+                        normalize_key(inference.surface),
+                    )
+                    if sig in seen:
+                        continue
+                    seen.add(sig)
                 candidates.append(
                     ReasoningStep(
                         selection=tuple(selection),
@@ -300,16 +302,17 @@ def beam_search(
                     pool.append(BeamEntry(trace=new_trace, cumulative_score=score))
         if not pool:
             break
-        pool.sort(key=_rank_key)
+        if len(pool) > 1:
+            pool.sort(key=_rank_key)
         entries = pool[: cfg.beam_width]
-    final = sorted(entries, key=_rank_key)
-    halted = [e for e in final if e.halted]
+    # `entries` is in rank order: the start entry, or a prefix of a sorted pool.
+    halted = [e for e in entries if e.halted]
     if halted:
         best = halted[0]
-        return best.answer or Answer.UNKNOWN, best.trace, final
+        return best.answer or Answer.UNKNOWN, best.trace, entries
     # Nothing halted with an answer before the step cap.
-    trace = final[0].trace if final else ReasoningTrace(base_context=problem.context)
-    return Answer.UNKNOWN, replace(trace, halted=True, answer=Answer.UNKNOWN), final
+    trace = entries[0].trace if entries else ReasoningTrace(base_context=problem.context)
+    return Answer.UNKNOWN, replace(trace, halted=True, answer=Answer.UNKNOWN), entries
 
 
 def si_answer(

@@ -193,8 +193,20 @@ class SolverConfig:
             score_mode=self.score_mode,
         )
 
+    def remote_endpoint(self) -> Optional[str]:
+        return self.endpoint or os.environ.get(REMOTE_ENDPOINT_ENV)
+
+    def check_backend(self) -> None:
+        """Raises ValueError on a backend setting no bindings can be made
+        from; starts nothing."""
+        if self.backend == "scripted" and not 0.0 <= self.noise_rate <= 1.0:
+            raise ValueError(f"noise rate must be within [0, 1], got {self.noise_rate}")
+        if self.backend == "remote" and not self.remote_endpoint():
+            raise ValueError(f"remote backend needs --endpoint or ${REMOTE_ENDPOINT_ENV}")
+
 
 def make_bindings(cfg: SolverConfig) -> engine.RoleBindings:
+    cfg.check_backend()
     if cfg.backend == "oracle":
         return engine.RoleBindings.uniform(models.oracle_backend())
     if cfg.backend == "scripted":
@@ -207,12 +219,7 @@ def make_bindings(cfg: SolverConfig) -> engine.RoleBindings:
             halter_answer=oracle, value=oracle,
         )
     if cfg.backend == "remote":
-        endpoint = cfg.endpoint or os.environ.get(REMOTE_ENDPOINT_ENV)
-        if not endpoint:
-            raise ValueError(
-                f"remote backend needs --endpoint or ${REMOTE_ENDPOINT_ENV}"
-            )
-        return engine.RoleBindings.uniform(models.remote_backend(endpoint))
+        return engine.RoleBindings.uniform(models.remote_backend(cfg.remote_endpoint()))
     raise ValueError(f"unknown backend {cfg.backend!r}")
 
 
@@ -507,8 +514,9 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _solver_config(args) -> SolverConfig:
-    """The solver settings from the command line; a bad search setting
-    stops the command (exit 2) before any problem runs."""
+    """The solver settings from the command line; a bad search or backend
+    setting stops the command (exit 2) before any problem loads or any
+    server starts."""
     cfg = SolverConfig(
         backend=args.backend,
         noise_rate=args.noise,
@@ -523,6 +531,10 @@ def _solver_config(args) -> SolverConfig:
         cfg.beam_config()
     except ValueError as exc:
         args.parser_error(f"bad search setting: {exc}")
+    try:
+        cfg.check_backend()
+    except ValueError as exc:
+        args.parser_error(f"bad backend setting: {exc}")
     return cfg
 
 

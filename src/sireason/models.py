@@ -11,6 +11,7 @@ swapped without touching the engine.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import subprocess
 import sys
@@ -29,8 +30,10 @@ from .core import (
     EmptyStatement,
     LabeledContext,
     Statement,
+    TraceParseError,
     normalize_key,
     normalize_statement,
+    parse_trace_text,
     render_premises,
     split_premises,
 )
@@ -92,7 +95,8 @@ def format_selection_prompt(question: str, context: LabeledContext) -> str:
     return "\n".join(lines)
 
 
-def _read_selection_prompt(prompt: str) -> tuple[str, LabeledContext]:
+def _read_selection_prompt(prompt: str) -> tuple[str, tuple[str, ...]]:
+    """(question, sentence surfaces) of a selection prompt, as written."""
     lines = prompt.split("\n")
     if len(lines) < 3 or lines[-1] != "Selection:" or not lines[-2].startswith("Question: "):
         raise BackendError("malformed selection prompt")
@@ -103,7 +107,7 @@ def _read_selection_prompt(prompt: str) -> tuple[str, LabeledContext]:
         if not line.startswith(prefix):
             raise BackendError(f"malformed sentence line {i!r}")
         surfaces.append(line[len(prefix):])
-    return question, LabeledContext.from_statements(surfaces)
+    return question, tuple(surfaces)
 
 
 def render_selection(labels: Sequence[int]) -> str:
@@ -287,8 +291,7 @@ class OracleBackend:
     # -- selection ----------------------------------------------------------
 
     def _complete_selection(self, request: CompletionRequest) -> CompletionResponse:
-        question, ctx = _read_selection_prompt(request.prompt)
-        candidates = _selection_candidates(tuple(s.surface for _, s in ctx), question)
+        candidates = _selection_candidates(request.prompt)
         with self._lock:
             cursor = self._selection_cursor.get(request.prompt, 0)
             self._selection_cursor[request.prompt] = cursor + 1
@@ -377,31 +380,55 @@ def _matched_choice(choices: Sequence[str], inference: str) -> Optional[str]:
     return scored[0][1]
 
 
-@lru_cache(maxsize=8192)
-def _selection_candidates(surfaces: tuple[str, ...], question: str) -> tuple[str, ...]:
-    """Ordered selection completions for one prompt, best candidate first."""
+@lru_cache(maxsize=1024)
+def _gold_steps(
+    surfaces: tuple[str, ...], question: str
+) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """(inference key, selection labels) of each step of the shortest proof
+    of a hypothesis question; none if it has no proof or is no hypothesis.
+
+    Selection and value calls on one context share it, and it keeps keys
+    and label numbers only, not the proof."""
+    _, world = _world_for(surfaces)
+    parsed_q = cnl.parse_question(question)
+    if not isinstance(parsed_q, cnl.Hypothesis):
+        return ()
+    try:
+        proof = symbolic.shortest_proof(world, parsed_q)
+    except symbolic.NoProof:
+        return ()
+    return tuple(
+        (normalize_key(step.inference.surface),
+         tuple(label.index for label in step.selection_labels))
+        for step in proof.steps
+    )
+
+
+@lru_cache(maxsize=1024)
+def _selection_candidates(prompt: str) -> tuple[str, ...]:
+    """Ordered selection completions for one prompt, best candidate first.
+
+    Keyed by the prompt itself: each further proposal for a prompt already
+    seen is a cache hit, with no prompt to read back.  A search repeats
+    only the prompts of the problem it is solving, so a small cache serves.
+    """
+    question, surfaces = _read_selection_prompt(prompt)
     ctx, world = _world_for(surfaces)
     present = {stmt.key for _, stmt in ctx}
-    parsed_q = cnl.parse_question(question)
 
     on_path: Optional[tuple[int, ...]] = None
-    if isinstance(parsed_q, cnl.Hypothesis):
-        try:
-            proof = symbolic.shortest_proof(world, parsed_q)
-            for step in proof.steps:
-                if normalize_key(step.inference.surface) not in present:
-                    on_path = tuple(lbl.index for lbl in step.selection_labels)
-                    break
-        except symbolic.NoProof:
-            pass
+    for key, labels in _gold_steps(surfaces, question):
+        if key not in present:
+            on_path = labels
+            break
 
-    facts, rules, _ = symbolic.parse_context(ctx)
     fact_atoms = sorted(
-        ((label, atom) for atom, label in facts.items()), key=lambda p: p[0].index
+        ((label, atom) for atom, label in world.fact_labels.items()),
+        key=lambda p: p[0].index,
     )
     firings: list[tuple[int, ...]] = []
     seen: set[tuple[int, frozenset[int]]] = set()
-    for rule_label, rule in rules:
+    for rule_label, rule in world.rule_entries:
         for combo in _firing_combos(rule, fact_atoms):
             head_key = combo[0]
             labels = combo[1]
@@ -424,12 +451,19 @@ def _selection_candidates(surfaces: tuple[str, ...], question: str) -> tuple[str
     return tuple(render_selection(labels) for labels in ordered)
 
 
-def _firing_combos(rule, fact_atoms):
-    """Yield (head key, premise labels) for every way the rule body matches."""
-    import itertools
+def _atom_shape(atom: cnl.Atom) -> tuple[str, bool, bool]:
+    return atom.predicate, atom.negated, atom.is_attribute
 
-    n = len(rule.body)
-    for combo in itertools.combinations(fact_atoms, n):
+
+def _firing_combos(rule, fact_atoms):
+    """Yield (head key, premise labels) for every way the rule body matches.
+
+    A fact whose shape (predicate, polarity, arity) matches no body atom is
+    in no match, so it is dropped before the combinations are formed.
+    """
+    shapes = {_atom_shape(a) for a in rule.body}
+    usable = [fa for fa in fact_atoms if _atom_shape(fa[1]) in shapes]
+    for combo in itertools.combinations(usable, len(rule.body)):
         try:
             head = symbolic.apply_rule(rule, [atom for _, atom in combo])
         except symbolic.NoEntailment:
@@ -441,15 +475,13 @@ def _firing_combos(rule, fact_atoms):
 @lru_cache(maxsize=8192)
 def _judge_steps(surfaces: tuple[str, ...], question: str, reason: str) -> bool:
     """Decide whether the newest rendered step is valid and on a shortest proof."""
-    from . import core
-
-    ctx, world = _world_for(surfaces)
+    ctx, _ = _world_for(surfaces)
     parsed_q = cnl.parse_question(question)
     if not isinstance(parsed_q, cnl.Hypothesis):
         raise BackendError("value oracle needs a hypothesis question")
     try:
-        trace = core.parse_trace_text(reason, ctx)
-    except core.TraceParseError:
+        trace = parse_trace_text(reason, ctx)
+    except TraceParseError:
         return False
     if not trace.steps:
         return False
@@ -458,12 +490,8 @@ def _judge_steps(surfaces: tuple[str, ...], question: str, reason: str) -> bool:
         return False
     if not symbolic.is_step_correct(step):
         return False
-    try:
-        gold = symbolic.shortest_proof(world, parsed_q)
-    except symbolic.NoProof:
-        return False
-    gold_keys = {normalize_key(s.inference.surface) for s in gold.steps}
-    return normalize_key(step.inference.surface) in gold_keys
+    inferred = normalize_key(step.inference.surface)
+    return any(key == inferred for key, _ in _gold_steps(surfaces, question))
 
 
 def oracle_backend() -> OracleBackend:

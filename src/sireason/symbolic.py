@@ -8,6 +8,7 @@ generator.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -195,12 +196,45 @@ def parse_context(context: LabeledContext):
     return fact_labels, rules, opaque
 
 
+def _binding(pattern: Atom, atom: Atom):
+    """How `atom` instantiates the rule atom `pattern`: the constant that
+    stands for the variable, None if `pattern` is ground and equal to
+    `atom`, or False if `atom` is no instance of `pattern`."""
+    if pattern.predicate != atom.predicate or pattern.negated != atom.negated:
+        return False
+    if (pattern.obj is None) != (atom.obj is None):
+        return False
+    binding = None
+    for pat, term in ((pattern.subject, atom.subject), (pattern.obj, atom.obj)):
+        if pat is None:
+            continue
+        if pat.is_variable:
+            if binding is not None and binding != term:
+                return False
+            binding = term
+        elif pat != term:
+            return False
+    return binding
+
+
 def closure(context: LabeledContext) -> WorldClosure:
     """Least fixed point of rule application, with one minimal proof per atom.
 
     Proof size counts distinct rule applications (shared sub-proofs counted
     once). Ties break on the lowest rule label, then on premise atoms, for
     deterministic provenance.
+
+    The fixpoint is the naive loop's, in the naive loop's order: passes over
+    the rule instances (rule by rule in label order, then constant by
+    constant) until a pass changes nothing, each instance seeing the proofs
+    that the instances before it just wrote.  An instance is evaluated
+    again only once one of its premises has a new proof, since with the
+    same premises it would reach the same verdict (the proof of its head
+    only ever improves).  A premise that changes at instance i queues each
+    later instance using it for the current pass, and each earlier one, or
+    i itself, for the next.  Every tie-break therefore falls as it would in
+    the naive loop.  An instance is ground when one of its premises first
+    has a proof: those no proof reaches are never built.
     """
     fact_labels, rules, opaque = parse_context(context)
 
@@ -215,52 +249,82 @@ def closure(context: LabeledContext) -> WorldClosure:
         if atom.obj:
             constants.add(atom.obj)
     for _, rule in rules:
-        for a in list(rule.body) + [rule.head]:
+        for a in rule.body + (rule.head,):
             for t in (a.subject, a.obj):
                 if t is not None and not t.is_variable:
                     constants.add(t)
     constants = sorted(constants, key=lambda t: (t.name, t.proper))
+    position = {t: k for k, t in enumerate(constants)}
 
-    def bindings_for(rule: RuleAst):
-        uses_var = any(
+    # Body atoms by predicate, and whether each rule has a variable (one
+    # instance per constant) or not (a single instance).
+    patterns: dict[str, list[tuple[int, Atom]]] = {}
+    uses_var = []
+    for r, (_, rule) in enumerate(rules):
+        for a in rule.body:
+            patterns.setdefault(a.predicate, []).append((r, a))
+        uses_var.append(any(
             a.subject.is_variable or (a.obj and a.obj.is_variable)
-            for a in list(rule.body) + [rule.head]
-        )
-        return constants if uses_var else [None]
+            for a in rule.body + (rule.head,)
+        ))
 
-    changed = True
-    while changed:
-        changed = False
-        for label, rule in rules:
-            for binding in bindings_for(rule):
-                premises = tuple(a.substitute(binding) for a in rule.body)
-                if any(not p.is_ground for p in premises):
-                    continue
-                if any(p not in derived for p in premises):
-                    continue
-                head = rule.head.substitute(binding)
-                if not head.is_ground:
-                    continue
-                step = Derivation(rule_label=label, premises=premises, head=head)
-                steps = frozenset().union(*(derived[p].steps for p in premises)) | {step}
-                cost = len(steps)
-                current = derived.get(head)
-                if current is not None and current.depth < cost:
-                    continue
-                if (
-                    current is not None
-                    and current.depth == cost
-                    and current.derivation is not None
-                    and _candidate_key(
-                        current.derivation.rule_label, current.derivation.premises
-                    )
-                    <= _candidate_key(label, premises)
-                ):
-                    continue
-                if current is not None and current.depth == 0:
-                    continue  # base facts keep their trivial proof
-                derived[head] = AtomProof(depth=cost, steps=steps, derivation=step)
-                changed = True
+    def users(atom: Atom):
+        """The instances (rule, constant) with `atom` among their premises."""
+        for r, pattern in patterns.get(atom.predicate, ()):
+            binding = _binding(pattern, atom)
+            if binding is False:
+                continue
+            if not uses_var[r]:
+                yield r, 0
+            elif binding is None:
+                for k in range(len(constants)):
+                    yield r, k
+            else:
+                yield r, position[binding]
+
+    grounded: dict[tuple[int, int], tuple[SentenceLabel, tuple[Atom, ...], Atom]] = {}
+
+    def ground(key: tuple[int, int]) -> tuple[SentenceLabel, tuple[Atom, ...], Atom]:
+        if key not in grounded:
+            r, k = key
+            label, rule = rules[r]
+            binding = constants[k] if uses_var[r] else None
+            premises = tuple(a.substitute(binding) for a in rule.body)
+            grounded[key] = (label, premises, rule.head.substitute(binding))
+        return grounded[key]
+
+    # Instances left in the current pass (a heap) and queued for the next.
+    current = sorted({key for atom in derived for key in users(atom)})
+    queued = set(current)
+    next_pass: set[tuple[int, int]] = set()
+    while current:
+        while current:
+            key = heapq.heappop(current)
+            queued.discard(key)
+            label, premises, head = ground(key)
+            if any(p not in derived for p in premises):
+                continue
+            step = Derivation(rule_label=label, premises=premises, head=head)
+            steps = frozenset().union(*(derived[p].steps for p in premises)) | {step}
+            cost = len(steps)
+            best = derived.get(head)
+            # Every cost is at least 1, so a base fact keeps its depth-0 proof.
+            if best is not None and (
+                best.depth < cost
+                or best.depth == cost
+                and _candidate_key(best.derivation.rule_label, best.derivation.premises)
+                <= _candidate_key(label, premises)
+            ):
+                continue
+            derived[head] = AtomProof(depth=cost, steps=steps, derivation=step)
+            for user in users(head):
+                if user <= key:
+                    next_pass.add(user)
+                elif user not in queued:
+                    queued.add(user)
+                    heapq.heappush(current, user)
+        current = sorted(next_pass)
+        queued, next_pass = next_pass, set()
 
     return WorldClosure(
         context=context,

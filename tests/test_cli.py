@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 from sireason import datasets
-from sireason.evalcli import build_parser, main
+from sireason.evalcli import REMOTE_ENDPOINT_ENV, build_parser, main
 
 
 @pytest.fixture()
@@ -170,3 +170,26 @@ def test_bad_search_setting_stops_before_any_problem(
     out, err = capsys.readouterr()
     assert out == ""
     assert "error: bad search setting: " in err and message in err
+
+
+@pytest.mark.parametrize("command", [
+    ["solve"], ["eval"], ["probe", "--kind", "random"],
+], ids=["solve", "eval", "probe"])
+@pytest.mark.parametrize("setting, message", [
+    (["--backend", "scripted", "--noise", "1.5"], "noise rate must be within [0, 1]"),
+    (["--backend", "remote"], "remote backend needs --endpoint"),
+], ids=["noise-over-one", "remote-without-endpoint"])
+def test_bad_backend_setting_stops_before_any_problem(
+    tmp_path, monkeypatch, capsys, pipe_spawns, command, setting, message
+):
+    monkeypatch.delenv(REMOTE_ENDPOINT_ENV, raising=False)
+    # The problem file does not exist: the setting is refused before any
+    # problem would load.
+    missing = str(tmp_path / "missing.jsonl")
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--problems", missing] + setting)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: bad backend setting: " in err and message in err
+    assert pipe_spawns == []

@@ -128,6 +128,90 @@ def test_oracle_selection_walks_candidates():
     assert backend.complete(req).text == first
 
 
+def _sireason_caches() -> dict:
+    """Every `functools.lru_cache` in the sireason modules, by name."""
+    import importlib
+    import pkgutil
+
+    import sireason
+
+    caches = {}
+    for info in pkgutil.iter_modules(sireason.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"sireason.{info.name}")
+        for name, obj in vars(module).items():
+            if callable(getattr(obj, "cache_clear", None)) and getattr(
+                obj, "__module__", None
+            ) == module.__name__:
+                caches[f"{module.__name__}.{name}"] = obj
+    return caches
+
+
+def test_every_cache_is_bounded():
+    caches = _sireason_caches()
+    assert {"sireason.core.normalize_key", "sireason.cnl.parse_statement",
+            "sireason.models._selection_candidates"} <= set(caches)
+    for name, cache in caches.items():
+        assert cache.cache_parameters()["maxsize"] is not None, name
+
+
+def _clear_caches() -> None:
+    for cache in _sireason_caches().values():
+        cache.cache_clear()
+
+
+def test_selection_walk_is_the_same_with_cold_and_warm_caches():
+    from sireason import datasets
+
+    problem = datasets.generate_problem_set(30, {3: 1})[0]
+    req = CompletionRequest(
+        GeneratorRole.SELECTION, format_selection_prompt(problem.question, problem.context)
+    )
+
+    def walk():
+        backend = OracleBackend()
+        texts = [backend.complete(req).text]
+        while texts[-1]:
+            texts.append(backend.complete(req).text)
+        return texts
+
+    _clear_caches()
+    cold = walk()
+    warm = walk()
+    _clear_caches()
+    assert walk() == warm == cold
+    assert len(cold) > 2
+
+
+@pytest.mark.parametrize("settings", [
+    {},
+    {"backend": "scripted", "noise_rate": 0.3, "seed": 11,
+     "beam_width": 4, "proposals_per_trace": 4},
+], ids=["oracle-greedy", "scripted-beam"])
+def test_warm_caches_solve_as_cold_ones(settings):
+    from sireason import datasets, evalcli
+    from sireason.core import render_trace
+
+    problems = datasets.generate_problem_set(17, {1: 2, 2: 2, 3: 2, 5: 2})
+    cfg = evalcli.SolverConfig(**settings)
+
+    def solve_all():
+        solver = evalcli.make_solver(cfg)
+        return [(a.render(), render_trace(t)) for a, t in map(solver, problems)]
+
+    _clear_caches()
+    cold = solve_all()
+    assert solve_all() == cold
+
+
+def test_scripted_noise_on_a_malformed_prompt_selects_nothing():
+    backend = ScriptedBackend(noise_rate=1.0, seed=3)
+    for prompt in ("not a selection prompt", "sent 1: the cow is big\nQuestion: q\nSelection:"):
+        req = CompletionRequest(role=GeneratorRole.SELECTION, prompt=prompt)
+        assert backend.complete(req).text == ""
+
+
 def test_oracle_inference():
     backend = OracleBackend()
     prompt = format_inference_prompt(

@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sireason import cnl, symbolic
 from sireason.core import (
@@ -8,9 +10,13 @@ from sireason.core import (
     ReasoningStep,
     Statement,
     is_valid,
+    normalize_statement,
 )
 from sireason.symbolic import (
     NOTHING_FOLLOWS,
+    AtomProof,
+    Derivation,
+    GenerationFailure,
     NoEntailment,
     NoProof,
     closure,
@@ -175,3 +181,165 @@ def test_generated_problems_are_sound(seed, depth):
     hyp = cnl.parse_question(gen.question)
     assert evaluate_hypothesis(world, hyp) == gen.gold_answer
     assert gen.gold_answer in (Answer.TRUE, Answer.FALSE)
+
+
+def _naive_derived(context):
+    """The reference fixpoint: every rule under every constant, pass after
+    pass in the same order, until a pass changes nothing."""
+    fact_labels, rules, _ = symbolic.parse_context(context)
+    derived = {
+        atom: AtomProof(depth=0, steps=frozenset(), derivation=None)
+        for atom in fact_labels
+    }
+    constants = set()
+    for atom in fact_labels:
+        constants.add(atom.subject)
+        if atom.obj:
+            constants.add(atom.obj)
+    for _, rule in rules:
+        for a in list(rule.body) + [rule.head]:
+            for t in (a.subject, a.obj):
+                if t is not None and not t.is_variable:
+                    constants.add(t)
+    constants = sorted(constants, key=lambda t: (t.name, t.proper))
+
+    def bindings_for(rule):
+        uses_var = any(
+            a.subject.is_variable or (a.obj and a.obj.is_variable)
+            for a in list(rule.body) + [rule.head]
+        )
+        return constants if uses_var else [None]
+
+    changed = True
+    while changed:
+        changed = False
+        for label, rule in rules:
+            for binding in bindings_for(rule):
+                premises = tuple(a.substitute(binding) for a in rule.body)
+                if any(not p.is_ground for p in premises):
+                    continue
+                if any(p not in derived for p in premises):
+                    continue
+                head = rule.head.substitute(binding)
+                if not head.is_ground:
+                    continue
+                step = Derivation(rule_label=label, premises=premises, head=head)
+                steps = frozenset().union(*(derived[p].steps for p in premises)) | {step}
+                cost = len(steps)
+                current = derived.get(head)
+                if current is not None and current.depth < cost:
+                    continue
+                if (
+                    current is not None
+                    and current.depth == cost
+                    and current.derivation is not None
+                    and symbolic._candidate_key(
+                        current.derivation.rule_label, current.derivation.premises
+                    )
+                    <= symbolic._candidate_key(label, premises)
+                ):
+                    continue
+                if current is not None and current.depth == 0:
+                    continue
+                derived[head] = AtomProof(depth=cost, steps=steps, derivation=step)
+                changed = True
+    return derived
+
+
+def _assert_closure_is_naive(context):
+    """closure() gives every atom the naive loop's depth, steps and
+    derivation; returns the closure."""
+    world = closure(context)
+    expected = _naive_derived(context)
+    assert world.derived.keys() == expected.keys()
+    for atom, proof in expected.items():
+        got = world.derived[atom]
+        assert (got.depth, got.steps, got.derivation) == (
+            proof.depth, proof.steps, proof.derivation
+        ), cnl.render_atom(atom)
+    return world
+
+
+def _with_derived_atoms(context, world, rng, count):
+    """`context` with up to `count` of its derived atoms appended, one
+    context per appended atom."""
+    derived = sorted(
+        (a for a, p in world.derived.items() if p.depth > 0), key=cnl.render_atom
+    )
+    for atom in rng.sample(derived, min(count, len(derived))):
+        context = context.extended(normalize_statement(cnl.render_atom(atom)))
+        yield context
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([1, 2, 3, 5]),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=4),
+    st.randoms(use_true_random=False),
+)
+def test_closure_matches_naive_fixpoint(seed, depth, rules, facts, appended, rng):
+    try:
+        gen = generate_problem(
+            seed=seed, depth=depth, n_distractor_rules=rules, n_distractor_facts=facts
+        )
+    except GenerationFailure:
+        assume(False)
+    world = _assert_closure_is_naive(gen.context)
+    for context in _with_derived_atoms(gen.context, world, rng, appended):
+        _assert_closure_is_naive(context)
+    statements = list(gen.context.statements())
+    rng.shuffle(statements)
+    _assert_closure_is_naive(LabeledContext.from_statements(statements))
+
+
+def test_closure_matches_naive_fixpoint_on_golden_contexts(pw_problems, pw_worst_problems):
+    rng = random.Random(5)
+    for problem in list(pw_problems) + list(pw_worst_problems):
+        world = _assert_closure_is_naive(problem.context)
+        for context in _with_derived_atoms(problem.context, world, rng, 4):
+            _assert_closure_is_naive(context)
+
+
+def test_closure_keeps_the_naive_pass_order():
+    # "kind" is first proved through young and big (3 steps), which "nice"
+    # shares, so "happy" costs 5; later in the same pass "kind" gets a
+    # 2-step proof through round, and "happy" re-costed on it would be 6.
+    # The naive loop keeps 5; a fixpoint that deferred "big"'s later users
+    # to the next pass would find the 2-step "kind" first and say 6.
+    context = LabeledContext.from_statements([
+        "If something is cold then it is young",
+        "If something is young then it is big",
+        "If something is big then it is kind",
+        "If something is big then it is nice",
+        "If something is kind and it is nice then it is happy",
+        "If something is cold then it is round",
+        "If something is round then it is kind",
+        "the cat is cold",
+    ])
+    world = _assert_closure_is_naive(context)
+    assert world.depth(cnl.parse_statement("the cat is kind").atom) == 2
+    assert world.depth(cnl.parse_statement("the cat is happy").atom) == 5
+
+
+def test_closure_matches_naive_fixpoint_on_every_rule_shape():
+    # The variable as object only, only in the head, twice in one atom, a
+    # body atom repeated, and no variable at all.
+    context = LabeledContext.from_statements([
+        "If the cat eats something then it is big",
+        "If the dog is red then the dog likes something",
+        "If something likes it then it is round",
+        "If something is big and it is big then it is kind",
+        "If Gary is kind and Gary is big then Gary is nice",
+        "the cat eats the mouse",
+        "the cat eats Gary",
+        "the dog is red",
+    ])
+    world = _assert_closure_is_naive(context)
+    for surface, depth in [
+        ("the mouse is big", 1), ("Gary is kind", 2), ("Gary is nice", 3),
+        ("the dog likes the dog", 1), ("the dog is round", 2),
+    ]:
+        assert world.depth(cnl.parse_statement(surface).atom) == depth, surface
