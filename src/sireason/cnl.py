@@ -14,6 +14,9 @@ Within a rule, "something"/"someone" introduces the quantified variable and
 "it"/"they"/"them" refer back to it; "the X" and capitalized names are
 constants. Anything outside the grammar becomes an Opaque statement, usable
 as text but not by the reasoner.
+
+`render_atom` writes a fact and `render_rule` an if-rule, both through one
+clause writer over the closed verb table `VERBS`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from types import MappingProxyType
+from typing import Optional, Sequence, Union
 
 
 class ParseError(ValueError):
@@ -33,49 +37,18 @@ class ParseError(ValueError):
         super().__init__(f"{message} at position {position} in {text!r}{detail}")
 
 
-# Closed, extensible map of inflected verb forms to lemmas.
-_VERB_FORMS: dict[str, str] = {}
-# Preferred third-person-singular surface per lemma, for rendering.
-_THIRD_PERSON: dict[str, str] = {}
-
-
-def register_verb(third_person: str, lemma: str) -> None:
-    """Add a relation verb to the closed lemma table."""
-    _VERB_FORMS[third_person] = lemma
-    _VERB_FORMS[lemma] = lemma
-    _THIRD_PERSON[lemma] = third_person
-    try:
-        parse_statement.cache_clear()
-    except NameError:
-        pass
-
-
-def third_person(lemma: str) -> str:
-    """The third-person-singular form of a registered verb lemma."""
-    return _THIRD_PERSON.get(lemma, lemma)
-
-
-def unregister_verb(third_person: str) -> None:
-    """Undo register_verb, mainly useful for test isolation."""
-    lemma = _VERB_FORMS.pop(third_person, None)
-    if lemma is not None:
-        _VERB_FORMS.pop(lemma, None)
-        _THIRD_PERSON.pop(lemma, None)
-    try:
-        parse_statement.cache_clear()
-    except NameError:
-        pass
-
-
-for _third, _lemma in [
-    ("eats", "eat"),
-    ("likes", "like"),
-    ("sees", "see"),
-    ("needs", "need"),
-    ("chases", "chase"),
-    ("visits", "visit"),
-]:
-    register_verb(_third, _lemma)
+# The closed verb table: lemma to third-person singular, in the order the
+# problem generator draws from it.
+VERBS = MappingProxyType({
+    "eat": "eats",
+    "like": "likes",
+    "see": "sees",
+    "need": "needs",
+    "chase": "chases",
+    "visit": "visits",
+})
+# Every inflected form to its lemma, for parsing.
+_VERB_FORMS = {form: lemma for lemma, third in VERBS.items() for form in (lemma, third)}
 
 
 @dataclass(frozen=True)
@@ -178,11 +151,11 @@ _NAME_RE = re.compile(r"^[A-Z][a-z]+$")
 
 
 class _AtomParser:
-    """Parses atoms inside one statement, tracking the quantified variable."""
+    """Parses atoms inside one statement, tracking the last subject for
+    bare-adjective continuations."""
 
     def __init__(self, text: str):
         self.text = text
-        self.has_variable = False
         self.last_subject: Optional[Term] = None
 
     def parse_term_tokens(self, tokens: list[str]) -> Term:
@@ -193,20 +166,13 @@ class _AtomParser:
                 raise ParseError("bare article", self.text, expected="noun")
             name = " ".join(tokens[1:]).lower()
             # "the same entity" binds to the quantified variable
-            if name == "same entity":
-                self.has_variable = True
-                return VAR
-            return const(name)
-        joined = " ".join(tokens)
-        if joined.lower() in _QUANTIFIERS:
-            self.has_variable = True
-            return VAR
-        if joined.lower() in _PRONOUNS:
-            self.has_variable = True
+            return VAR if name == "same entity" else const(name)
+        joined = " ".join(tokens).lower()
+        if joined in _QUANTIFIERS or joined in _PRONOUNS:
             return VAR
         if len(tokens) == 1 and _NAME_RE.match(tokens[0]):
             return const(tokens[0], proper=True)
-        raise ParseError(f"cannot read term {joined!r}", self.text, expected="term")
+        raise ParseError(f"cannot read term {' '.join(tokens)!r}", self.text, expected="term")
 
     def parse_atom(self, text: str) -> Atom:
         tokens = text.split()
@@ -289,9 +255,7 @@ def _parse_if_rule(text: str, surface: str) -> RuleAst:
     parser = _AtomParser(surface)
     body = tuple(parser.parse_atom(chunk) for chunk in _split_body(body_text))
     head = parser.parse_atom(head_text)
-    if head.subject.is_variable and not any(
-        a.subject.is_variable or (a.obj and a.obj.is_variable) for a in body
-    ):
+    if not head.is_ground and all(a.is_ground for a in body):
         raise ParseError("head variable not bound in body", surface, expected="bound variable")
     return RuleAst(body=body, head=head, surface=surface)
 
@@ -329,16 +293,51 @@ def _render_term(term: Term) -> str:
     return term.name if term.proper else f"the {term.name}"
 
 
+def _clause(atom: Atom, subject: str, obj: Optional[str]) -> str:
+    """Write one atom with its terms already written: the copula or verb
+    agrees with the subject, and negation is "not" after the copula or
+    "does not"/"do not" before the lemma."""
+    plural = subject == "they"
+    if atom.is_attribute:
+        copula = "are" if plural else "is"
+        return f"{subject} {copula} {'not ' if atom.negated else ''}{atom.predicate}"
+    if atom.negated:
+        return f"{subject} {'do' if plural else 'does'} not {atom.predicate} {obj}"
+    verb = atom.predicate if plural else VERBS.get(atom.predicate, atom.predicate)
+    return f"{subject} {verb} {obj}"
+
+
 def render_atom(atom: Atom) -> str:
     """Render a ground atom in fact form."""
-    subject = _render_term(atom.subject)
-    if atom.is_attribute:
-        copula = "is not" if atom.negated else "is"
-        return f"{subject} {copula} {atom.predicate}"
-    obj = _render_term(atom.obj)
-    if atom.negated:
-        return f"{subject} does not {atom.predicate} {obj}"
-    return f"{subject} {third_person(atom.predicate)} {obj}"
+    obj = None if atom.is_attribute else _render_term(atom.obj)
+    return _clause(atom, _render_term(atom.subject), obj)
+
+
+def render_rule(body: Sequence[Atom], head: Atom, quantifier: str) -> str:
+    """Render an if-rule. The variable is written with `quantifier` where it
+    first appears and with its pronoun after that: "it" after "something",
+    "they" (or "them" as an object) after "someone"."""
+    subject_pronoun, object_pronoun = (
+        ("it", "it") if quantifier == "something" else ("they", "them")
+    )
+    seen = False
+
+    def term_text(term: Term, pronoun: str) -> str:
+        nonlocal seen
+        if not term.is_variable:
+            return _render_term(term)
+        if seen:
+            return pronoun
+        seen = True
+        return quantifier
+
+    def clause(atom: Atom) -> str:
+        subject = term_text(atom.subject, subject_pronoun)
+        obj = None if atom.is_attribute else term_text(atom.obj, object_pronoun)
+        return _clause(atom, subject, obj)
+
+    conditions = " and ".join(clause(a) for a in body)
+    return f"If {conditions} then {clause(head)}"
 
 
 _PW_QUESTION_RE = re.compile(

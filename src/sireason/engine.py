@@ -125,7 +125,8 @@ def _infer(selection: Sequence[Statement], backend) -> Statement:
     text = text.strip()
     if text.endswith("."):
         text = text[:-1]
-    if not text:
+    # A completion with no letters in it says nothing, like an empty one.
+    if not normalize_key(text):
         text = symbolic.NOTHING_FOLLOWS
     return normalize_statement(text)
 

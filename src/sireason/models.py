@@ -451,18 +451,16 @@ def _selection_candidates(prompt: str) -> tuple[str, ...]:
     return tuple(render_selection(labels) for labels in ordered)
 
 
-def _atom_shape(atom: cnl.Atom) -> tuple[str, bool, bool]:
-    return atom.predicate, atom.negated, atom.is_attribute
-
-
 def _firing_combos(rule, fact_atoms):
     """Yield (head key, premise labels) for every way the rule body matches.
 
-    A fact whose shape (predicate, polarity, arity) matches no body atom is
-    in no match, so it is dropped before the combinations are formed.
+    A fact that is an instance of no body atom is in no match, so it is
+    dropped before the combinations are formed.
     """
-    shapes = {_atom_shape(a) for a in rule.body}
-    usable = [fa for fa in fact_atoms if _atom_shape(fa[1]) in shapes]
+    usable = [
+        (label, atom) for label, atom in fact_atoms
+        if any(symbolic._binding(pattern, atom) is not False for pattern in rule.body)
+    ]
     for combo in itertools.combinations(usable, len(rule.body)):
         try:
             head = symbolic.apply_rule(rule, [atom for _, atom in combo])

@@ -21,11 +21,12 @@ from .cnl import (
     RuleAst,
     Term,
     VAR,
+    VERBS,
     const,
     negate,
     parse_statement,
     render_atom,
-    third_person,
+    render_rule,
 )
 from .core import (
     Answer,
@@ -57,43 +58,47 @@ class GenerationFailure(RuntimeError):
 NOTHING_FOLLOWS = "nothing follows"
 
 
-def _match_body(body: tuple[Atom, ...], facts: list[Atom]) -> Optional[Optional[Term]]:
-    """Find a variable binding under which `facts` cover `body` one-to-one.
+def _binding(pattern: Atom, atom: Atom):
+    """How `atom` instantiates the rule atom `pattern`: the constant that
+    stands for the variable, None if `pattern` is ground and equal to
+    `atom`, or False if `atom` is no instance of `pattern`."""
+    if pattern.predicate != atom.predicate or pattern.negated != atom.negated:
+        return False
+    if (pattern.obj is None) != (atom.obj is None):
+        return False
+    binding = None
+    for pat, term in ((pattern.subject, atom.subject), (pattern.obj, atom.obj)):
+        if pat is None:
+            continue
+        if pat.is_variable:
+            if binding is not None and binding != term:
+                return False
+            binding = term
+        elif pat != term:
+            return False
+    return binding
 
-    Returns the binding term (or None for variable-free rules) if a consistent
-    bijection exists; returns no match as a raised NoEntailment.
-    """
+
+def _match_body(body: tuple[Atom, ...], facts: list[Atom]) -> Optional[Term]:
+    """The binding under which `facts` cover `body` one-to-one: some order
+    of the facts in which each is an instance of its body atom and at most
+    one constant stands for the variable (None for variable-free rules).
+    Raises NoEntailment when there is no such order."""
     if len(body) != len(facts):
         raise NoEntailment(
             f"rule body has {len(body)} atoms but {len(facts)} facts were selected"
         )
     for perm in itertools.permutations(facts):
-        binding: Optional[Term] = None
-        ok = True
+        bound = set()
         for pattern, fact in zip(body, perm):
-            if pattern.predicate != fact.predicate or pattern.negated != fact.negated:
-                ok = False
+            binding = _binding(pattern, fact)
+            if binding is False:
                 break
-            if bool(pattern.obj) != bool(fact.obj):
-                ok = False
-                break
-            pairs = [(pattern.subject, fact.subject)]
-            if pattern.obj is not None:
-                pairs.append((pattern.obj, fact.obj))
-            for pat_term, fact_term in pairs:
-                if pat_term.is_variable:
-                    if binding is None:
-                        binding = fact_term
-                    elif binding != fact_term:
-                        ok = False
-                        break
-                elif pat_term != fact_term:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return binding
+            if binding is not None:
+                bound.add(binding)
+        else:
+            if len(bound) <= 1:
+                return next(iter(bound), None)
     raise NoEntailment("facts do not instantiate the rule body under one binding")
 
 
@@ -194,27 +199,6 @@ def parse_context(context: LabeledContext):
         else:
             opaque.append(label)
     return fact_labels, rules, opaque
-
-
-def _binding(pattern: Atom, atom: Atom):
-    """How `atom` instantiates the rule atom `pattern`: the constant that
-    stands for the variable, None if `pattern` is ground and equal to
-    `atom`, or False if `atom` is no instance of `pattern`."""
-    if pattern.predicate != atom.predicate or pattern.negated != atom.negated:
-        return False
-    if (pattern.obj is None) != (atom.obj is None):
-        return False
-    binding = None
-    for pat, term in ((pattern.subject, atom.subject), (pattern.obj, atom.obj)):
-        if pat is None:
-            continue
-        if pat.is_variable:
-            if binding is not None and binding != term:
-                return False
-            binding = term
-        elif pat != term:
-            return False
-    return binding
 
 
 def closure(context: LabeledContext) -> WorldClosure:
@@ -439,47 +423,6 @@ _ADJECTIVES = [
     "kind", "nice", "green", "blue", "red", "round", "rough", "cold",
     "young", "big", "quiet", "smart", "furry", "happy",
 ]
-# Fixed here rather than read from `cnl`'s verb table, which `register_verb`
-# can extend: the draw order keeps seeded problem sets stable.
-_VERB_LEMMAS = ("eat", "like", "see", "need", "chase", "visit")
-
-
-def _render_rule(body_atoms: list[Atom], head: Atom, quantifier: str) -> str:
-    """Render a rule whose variable (if any) is written with the quantifier
-    introducing it and pronouns thereafter."""
-    parts = []
-    var_seen = False
-
-    def term_text(t: Term, as_subject: bool) -> str:
-        nonlocal var_seen
-        if not t.is_variable:
-            return t.name if t.proper else f"the {t.name}"
-        if not var_seen:
-            var_seen = True
-            return quantifier
-        return "it" if quantifier == "something" else "they"
-
-    def atom_text(a: Atom) -> str:
-        subj = term_text(a.subject, True)
-        plural = subj == "they"
-        if a.is_attribute:
-            copula = "are" if plural else "is"
-            if a.negated:
-                return f"{subj} {copula} not {a.predicate}"
-            return f"{subj} {copula} {a.predicate}"
-        obj = term_text(a.obj, False)
-        if a.negated:
-            do = "do" if plural else "does"
-            return f"{subj} {do} not {a.predicate} {obj}"
-        verb = a.predicate if plural else third_person(a.predicate)
-        return f"{subj} {verb} {obj}"
-
-    for a in body_atoms:
-        parts.append(atom_text(a))
-    head_text = atom_text(head)
-    return f"If {' and '.join(parts)} then {head_text}"
-
-
 def generate_problem(
     seed: int,
     depth: int,
@@ -525,7 +468,7 @@ def _generate_once(rng, seed, depth, n_distractor_rules, n_distractor_facts):
 
     def fresh_relation(subject: Term) -> Atom:
         for _ in range(30):
-            verb = rng.choice(_VERB_LEMMAS)
+            verb = rng.choice(tuple(VERBS))
             obj = const(rng.choice(entities))
             if (verb, subject.name, obj.name) not in used_relations:
                 used_relations.add((verb, subject.name, obj.name))
@@ -567,7 +510,7 @@ def _generate_once(rng, seed, depth, n_distractor_rules, n_distractor_facts):
             head = Atom(rel.predicate, VAR, obj=rel.obj, negated=negated_head)
             head_ground = Atom(rel.predicate, current.subject, obj=rel.obj, negated=negated_head)
         quantifier = rng.choice(["something", "someone"])
-        rules.append(_render_rule(body, head, quantifier))
+        rules.append(render_rule(body, head, quantifier))
         if side_fact is not None:
             facts.append(render_atom(side_fact))
         current = head_ground
@@ -581,9 +524,7 @@ def _generate_once(rng, seed, depth, n_distractor_rules, n_distractor_facts):
         if adj is None or head_adj is None:
             break
         quantifier = rng.choice(["something", "someone"])
-        rules.append(
-            _render_rule([Atom(adj, VAR)], Atom(head_adj, VAR), quantifier)
-        )
+        rules.append(render_rule((Atom(adj, VAR),), Atom(head_adj, VAR), quantifier))
     for _ in range(n_distractor_facts):
         who = const(rng.choice(entities))
         distractor = fresh_relation(who)

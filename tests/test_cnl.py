@@ -1,7 +1,10 @@
+import pathlib
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
-from sireason import cnl
+from sireason import cnl, symbolic
 from sireason.cnl import (
     Atom,
     Fact,
@@ -17,6 +20,7 @@ from sireason.cnl import (
     parse_question,
     parse_statement,
     render_atom,
+    render_rule,
 )
 
 
@@ -183,12 +187,146 @@ def test_parse_question_rejects_other_forms():
         parse_question("")
 
 
-def test_register_verb_extends_grammar():
-    with pytest.raises(ParseError):
-        parse_statement("the cat hugs the dog", strict=True)
-    cnl.register_verb("hugs", "hug")
-    try:
-        parsed = parse_statement("the cat hugs the dog", strict=True)
-        assert parsed.atom.predicate == "hug"
-    finally:
-        cnl.unregister_verb("hugs")
+def test_a_head_variable_no_condition_binds_is_outside_the_grammar():
+    for surface in (
+        "If the cat is red then something likes the dog",
+        "If the cat is red then the dog likes something",
+    ):
+        assert isinstance(parse_statement(surface), Opaque), surface
+        with pytest.raises(ParseError):
+            parse_statement(surface, strict=True)
+
+
+def test_grammar_lists_exactly_the_verb_table():
+    grammar = pathlib.Path(cnl.__file__).with_name("grammar.txt").read_text()
+    lines = grammar.splitlines()
+    verbs = lines[lines.index("  The verb table is closed:") + 1]
+    assert re.findall(r"(\w+)/(\w+)", verbs) == [
+        (third, lemma) for lemma, third in cnl.VERBS.items()
+    ]
+
+
+# Every production of grammar.txt, over the problem generator's nouns and
+# adjectives, the verb table and capitalised names.  Pronouns, quantifiers
+# and "the same entity" are not drawn as names: the grammar reserves them
+# for the rule variable, so they never stand for a constant.
+_NOUNS = st.sampled_from(symbolic._ENTITIES)
+_ADJECTIVES = st.sampled_from(symbolic._ADJECTIVES)
+_LEMMAS = st.sampled_from(tuple(cnl.VERBS))
+_NAMES = st.sampled_from(["Anne", "Bob", "Charlie", "Dave", "Erin", "Fiona", "Gary", "Harry"])
+_CONSTANTS = _NOUNS.map(const) | _NAMES.map(lambda name: const(name, proper=True))
+
+
+def _atoms(terms):
+    attributes = st.builds(
+        lambda adj, subject, negated: Atom(adj, subject, None, negated),
+        _ADJECTIVES, terms, st.booleans(),
+    )
+    relations = st.builds(Atom, _LEMMAS, terms, terms, st.booleans())
+    return attributes | relations
+
+
+_FACT_ATOMS = _atoms(_CONSTANTS)
+# If-rules with one or two conditions; the variable anywhere, but a head
+# variable needs a condition that binds it.
+_RULE_ATOMS = st.tuples(
+    st.lists(_atoms(_CONSTANTS | st.just(VAR)), min_size=1, max_size=2).map(tuple),
+    _atoms(_CONSTANTS | st.just(VAR)),
+).filter(lambda rule: rule[1].is_ground or not all(a.is_ground for a in rule[0]))
+_QUANTIFIER = st.sampled_from(["something", "someone"])
+
+
+@st.composite
+def _fact_surfaces(draw):
+    """A fact as written, with or without a capital and a final period."""
+    surface = render_atom(draw(_FACT_ATOMS))
+    if draw(st.booleans()):
+        surface = surface[0].upper() + surface[1:]
+    return surface + draw(st.sampled_from(["", "."]))
+
+
+@st.composite
+def _if_rule_surfaces(draw):
+    """An if-rule written independently of `render_rule`: any pronoun after
+    the quantifier, with agreement, and a second condition that repeats the
+    first one's subject may be a bare (negated) adjective."""
+    body, head = draw(_RULE_ATOMS)
+    quantifier = draw(_QUANTIFIER)
+    seen = False
+
+    def term(t, pronouns):
+        nonlocal seen
+        if not t.is_variable:
+            return t.name if t.proper else f"the {t.name}"
+        if seen:
+            return draw(st.sampled_from(pronouns))
+        seen = True
+        return quantifier
+
+    def clause(atom):
+        subject = term(atom.subject, ["it", "they"])
+        plural = subject == "they"
+        if atom.is_attribute:
+            copula = "are" if plural else "is"
+            return f"{subject} {copula} {'not ' if atom.negated else ''}{atom.predicate}"
+        obj = term(atom.obj, ["it", "them"])
+        if atom.negated:
+            return f"{subject} {'do' if plural else 'does'} not {atom.predicate} {obj}"
+        return f"{subject} {atom.predicate if plural else cnl.VERBS[atom.predicate]} {obj}"
+
+    conditions = [clause(body[0])]
+    if len(body) == 2:
+        second = body[1]
+        if (second.is_attribute and second.subject == body[0].subject
+                and draw(st.booleans())):
+            conditions.append(f"{'not ' if second.negated else ''}{second.predicate}")
+        else:
+            conditions.append(clause(second))
+    return f"If {' and '.join(conditions)} then {clause(head)}"
+
+
+@st.composite
+def _class_rule_surfaces(draw):
+    """"All ADJ things are ADJ", with or without "All", one or two
+    adjectives joined by a comma, "things" or "people"."""
+    adjectives = ", ".join(draw(st.lists(_ADJECTIVES, min_size=1, max_size=2)))
+    noun = draw(st.sampled_from(["things", "people"]))
+    surface = f"{adjectives} {noun} are {draw(_ADJECTIVES)}"
+    if draw(st.booleans()):
+        return "All " + surface
+    return surface[0].upper() + surface[1:]
+
+
+@given(_fact_surfaces())
+def test_fact_parse_render_parse_is_a_fixed_point(surface):
+    parsed = parse_statement(surface, strict=True)
+    assert isinstance(parsed, Fact)
+    assert parse_statement(render_atom(parsed.atom), strict=True).atom == parsed.atom
+
+
+@given(_if_rule_surfaces() | _class_rule_surfaces(), _QUANTIFIER)
+def test_rule_parse_render_parse_is_a_fixed_point(surface, quantifier):
+    parsed = parse_statement(surface, strict=True)
+    assert isinstance(parsed, RuleAst)
+    again = parse_statement(render_rule(parsed.body, parsed.head, quantifier), strict=True)
+    assert (again.body, again.head) == (parsed.body, parsed.head)
+
+
+@given(_RULE_ATOMS, _QUANTIFIER)
+def test_render_rule_parses_back_to_its_atoms(rule, quantifier):
+    body, head = rule
+    parsed = parse_statement(render_rule(body, head, quantifier), strict=True)
+    assert (parsed.body, parsed.head) == (body, head)
+
+
+def test_render_rule_writes_the_quantifier_then_its_pronoun():
+    cat = const("cat")
+    assert render_rule(
+        (Atom("red", VAR), Atom("like", VAR, cat, negated=True)), Atom("big", VAR), "someone"
+    ) == "If someone is red and they do not like the cat then they are big"
+    assert render_rule(
+        (Atom("chase", cat, VAR),), Atom("see", VAR, VAR), "something"
+    ) == "If the cat chases something then it sees it"
+    assert render_rule(
+        (Atom("chase", cat, VAR),), Atom("need", cat, VAR, negated=True), "someone"
+    ) == "If the cat chases someone then the cat does not need them"

@@ -247,6 +247,22 @@ def test_beam_search_unknown_when_nothing_halts():
     assert trace.halted
 
 
+@pytest.mark.parametrize("completion", [" .", " 123.", " ..."])
+def test_an_inference_without_letters_means_nothing_follows(pw_problems, completion):
+    oracle = OracleBackend()
+    inference = ScriptedBackend(script={GeneratorRole.INFERENCE: [completion]})
+    stats = SolveStats()
+    answer, trace, _ = beam_search(
+        pw_problems[0],
+        RoleBindings(oracle, inference, oracle, oracle, oracle),
+        BeamConfig(beam_width=1, proposals_per_trace=1, max_steps=1),
+        stats,
+    )
+    assert answer.is_unknown
+    assert trace.steps[0].inference == Statement(symbolic.NOTHING_FOLLOWS)
+    assert stats.backend_failures == 0 and stats.notes == []
+
+
 # ---------------------------------------------------------------------------
 # Solvers: one set of bindings per run.
 # ---------------------------------------------------------------------------

@@ -325,21 +325,78 @@ def test_closure_keeps_the_naive_pass_order():
 
 
 def test_closure_matches_naive_fixpoint_on_every_rule_shape():
-    # The variable as object only, only in the head, twice in one atom, a
-    # body atom repeated, and no variable at all.
+    # The variable as object only, twice in one atom, beside a variable-free
+    # body atom, a body atom repeated, and no variable at all.  "the dog is
+    # red" is proved only in the second pass, after both instances of the
+    # first rule were tried without it, so it must wake every constant's
+    # instance.  A variable only in the head is outside the grammar.
     context = LabeledContext.from_statements([
+        "If the dog is red and something is big then it is happy",
         "If the cat eats something then it is big",
-        "If the dog is red then the dog likes something",
         "If something likes it then it is round",
         "If something is big and it is big then it is kind",
         "If Gary is kind and Gary is big then Gary is nice",
+        "If the cat is cold then the dog is red",
+        "If the cat is wet then the cat is cold",
+        "If the dog is red then the dog likes something",
         "the cat eats the mouse",
         "the cat eats Gary",
-        "the dog is red",
+        "the cat is wet",
+        "the dog likes the dog",
     ])
     world = _assert_closure_is_naive(context)
+    assert [label.index for label in world.opaque_labels] == [8]
     for surface, depth in [
         ("the mouse is big", 1), ("Gary is kind", 2), ("Gary is nice", 3),
-        ("the dog likes the dog", 1), ("the dog is round", 2),
+        ("the dog is round", 1), ("the dog is red", 2),
+        ("Gary is happy", 4), ("the mouse is happy", 4),
     ]:
         assert world.depth(cnl.parse_statement(surface).atom) == depth, surface
+
+
+def _assert_closure_agrees_with_entailment(context):
+    """Every derivation the closure keeps, written as a step, is one that
+    single-step entailment accepts."""
+    world = closure(context)
+    for proof in world.derived.values():
+        d = proof.derivation
+        if d is None:
+            continue
+        step = ReasoningStep(
+            selection=(context.lookup(d.rule_label),)
+            + tuple(normalize_statement(cnl.render_atom(p)) for p in d.premises),
+            inference=normalize_statement(cnl.render_atom(d.head)),
+        )
+        assert is_step_correct(step), step
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([1, 2, 3, 5]),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=6),
+)
+def test_closure_agrees_with_entailment(seed, depth, rules, facts):
+    try:
+        gen = generate_problem(
+            seed=seed, depth=depth, n_distractor_rules=rules, n_distractor_facts=facts
+        )
+    except GenerationFailure:
+        assume(False)
+    _assert_closure_agrees_with_entailment(gen.context)
+
+
+def test_closure_agrees_with_entailment_on_golden_contexts(pw_problems, pw_worst_problems):
+    for problem in list(pw_problems) + list(pw_worst_problems):
+        _assert_closure_agrees_with_entailment(problem.context)
+
+
+def test_closure_agrees_with_entailment_on_an_unbound_head():
+    # Read as a rule, this would let the closure derive "the dog likes X"
+    # for every constant X, a step that entailment cannot take.
+    _assert_closure_agrees_with_entailment(LabeledContext.from_statements([
+        "If the cat is red then the dog likes something",
+        "the cat is red",
+        "the mouse is big",
+    ]))
