@@ -4,8 +4,10 @@ Submodules:
   core      trace objects, labels, normalization, structural checks
   cnl       the controlled-language parser and renderer
   symbolic  forward chaining, proof extraction, problem generation
-  models    generator roles, prompt templates, and the three backends
-  engine    the one select/infer/halt loop: value-guided beam search
+  models    generator roles, prompt templates, and the three backends,
+            each of which answers every role
+  engine    the one select/infer/halt loop: value-guided beam search,
+            sending every role's request to one backend
   datasets  problem files and training-pair extraction
   evalcli   metrics, probes, batch evaluation, command line
 """
@@ -25,7 +27,7 @@ from .core import (
     render_trace,
 )
 from .datasets import Problem, TrainingPair, load_problems, save_problems
-from .engine import BeamConfig, RoleBindings, beam_search, si_answer
+from .engine import BeamConfig, beam_search, si_answer
 from .models import (
     CompletionRequest,
     CompletionResponse,
@@ -47,7 +49,6 @@ __all__ = [
     "Problem",
     "ReasoningStep",
     "ReasoningTrace",
-    "RoleBindings",
     "SentenceLabel",
     "Statement",
     "TrainingPair",

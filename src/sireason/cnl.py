@@ -152,7 +152,7 @@ _NAME_RE = re.compile(r"^[A-Z][a-z]+$")
 
 class _AtomParser:
     """Parses atoms inside one statement, tracking the last subject for
-    bare-adjective continuations."""
+    bare-adjective continuations (a condition form only)."""
 
     def __init__(self, text: str):
         self.text = text
@@ -254,6 +254,8 @@ def _parse_if_rule(text: str, surface: str) -> RuleAst:
     body_text, head_text = rest.split(" then ", 1)
     parser = _AtomParser(surface)
     body = tuple(parser.parse_atom(chunk) for chunk in _split_body(body_text))
+    # The consequence is a full clause: it does not continue a condition.
+    parser.last_subject = None
     head = parser.parse_atom(head_text)
     if not head.is_ground and all(a.is_ground for a in body):
         raise ParseError("head variable not bound in body", surface, expected="bound variable")

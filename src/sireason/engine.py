@@ -39,39 +39,6 @@ class SelectionSyntaxError(Exception):
 
 
 @dataclass
-class RoleBindings:
-    """One backend per generator role."""
-
-    selection: object
-    inference: object
-    halter_ready: object
-    halter_answer: object
-    value: Optional[object] = None
-
-    @classmethod
-    def uniform(cls, backend) -> "RoleBindings":
-        return cls(backend, backend, backend, backend, backend)
-
-    def _distinct(self) -> list:
-        return list({
-            id(x): x
-            for x in (self.selection, self.inference, self.halter_ready,
-                      self.halter_answer, self.value)
-            if x is not None
-        }.values())
-
-    def reset(self) -> None:
-        for b in self._distinct():
-            if hasattr(b, "reset"):
-                b.reset()
-
-    def close(self) -> None:
-        for b in self._distinct():
-            if hasattr(b, "close"):
-                b.close()
-
-
-@dataclass
 class SolveStats:
     """Failure counters accumulated across a batch."""
 
@@ -135,19 +102,19 @@ def _halt_check(
     question: str,
     choices: Optional[Sequence[str]],
     inference: Statement,
-    bindings: RoleBindings,
+    backend,
 ) -> Optional[Answer]:
     """Ask the halter; an answer means stop, None means keep reasoning."""
     ready_prompt, answer_prompt = models.format_halter_prompts(
         question, inference.surface, choices
     )
-    ready = bindings.halter_ready.complete(
+    ready = backend.complete(
         CompletionRequest(GeneratorRole.HALTER_READY, ready_prompt)
     ).text.strip()
     if choices is not None:
         if ready.rstrip(".") != "Yes":
             return None
-        answer_text = bindings.halter_answer.complete(
+        answer_text = backend.complete(
             CompletionRequest(GeneratorRole.HALTER_ANSWER, answer_prompt)
         ).text.strip()
         return Answer.of_choice(answer_text)
@@ -176,18 +143,14 @@ class BeamConfig:
 class BeamEntry:
     trace: ReasoningTrace
     cumulative_score: float = 0.0
-    halted: bool = False
-    answer: Optional[Answer] = None
 
 
 def score_trace(entry: BeamEntry, new_step_score: float, mode: str) -> float:
-    if entry.halted:
-        return entry.cumulative_score
+    """The entry's score with one more step; `mode` is "sum" or "last"
+    (BeamConfig admits nothing else)."""
     if mode == "sum":
         return entry.cumulative_score + new_step_score
-    if mode == "last":
-        return new_step_score
-    raise ValueError(f"unknown score mode {mode!r}")
+    return new_step_score
 
 
 def _value_score(problem, trace: ReasoningTrace, backend) -> float:
@@ -211,7 +174,7 @@ def _rank_key(entry: BeamEntry) -> tuple:
 
 def beam_search(
     problem,
-    bindings: RoleBindings,
+    backend,
     cfg: BeamConfig = BeamConfig(),
     stats: Optional[SolveStats] = None,
 ) -> tuple[Answer, ReasoningTrace, list[BeamEntry]]:
@@ -224,21 +187,19 @@ def beam_search(
     nothing to rank, so its steps keep no value score.  Halted entries keep
     competing with frozen scores until every entry has halted or the step
     cap is reached.  A step whose backend call fails is dropped and counted
-    in `stats`.
+    in `stats`.  Every role's request goes to `backend`.
     """
     # One proposal per trace leaves nothing to deduplicate or to rank.
     ranked = cfg.proposals_per_trace > 1
-    if ranked and bindings.value is None:
-        raise ValueError("beam search with several proposals needs a value backend")
     if stats is None:
         stats = SolveStats()
     entries: list[BeamEntry] = [BeamEntry(ReasoningTrace(base_context=problem.context))]
     for _ in range(cfg.max_steps):
-        if all(e.halted for e in entries):
+        if all(e.trace.halted for e in entries):
             break
-        pool: list[BeamEntry] = [e for e in entries if e.halted]
+        pool: list[BeamEntry] = [e for e in entries if e.trace.halted]
         for entry in entries:
-            if entry.halted:
+            if entry.trace.halted:
                 continue
             context = entry.trace.full_context
             candidates: list[ReasoningStep] = []
@@ -246,7 +207,7 @@ def beam_search(
             for _ in range(cfg.proposals_per_trace):
                 try:
                     selection, labels = selection_step(
-                        problem.question, context, bindings.selection, stats
+                        problem.question, context, backend, stats
                     )
                 except SelectionSyntaxError:
                     continue
@@ -254,7 +215,7 @@ def beam_search(
                     stats.backend_failure(f"{problem.id}: selection backend: {exc}")
                     continue
                 try:
-                    inference = _infer(selection, bindings.inference)
+                    inference = _infer(selection, backend)
                 except models.BackendError as exc:
                     stats.backend_failure(f"{problem.id}: backend: {exc}")
                     continue
@@ -279,38 +240,30 @@ def beam_search(
                 try:
                     if ranked:
                         value = _value_score(
-                            problem, entry.trace.extended(step), bindings.value
+                            problem, entry.trace.extended(step), backend
                         )
                         step = replace(step, value_score=value)
                         score = score_trace(entry, value, cfg.score_mode)
                     maybe = _halt_check(
-                        problem.question, problem.choices, step.inference, bindings
+                        problem.question, problem.choices, step.inference, backend
                     )
                 except models.BackendError as exc:
                     stats.backend_failure(f"{problem.id}: backend: {exc}")
                     continue
                 new_trace = entry.trace.extended(step)
                 if maybe is not None:
-                    pool.append(
-                        BeamEntry(
-                            trace=replace(new_trace, halted=True, answer=maybe),
-                            cumulative_score=score,
-                            halted=True,
-                            answer=maybe,
-                        )
-                    )
-                else:
-                    pool.append(BeamEntry(trace=new_trace, cumulative_score=score))
+                    new_trace = replace(new_trace, halted=True, answer=maybe)
+                pool.append(BeamEntry(trace=new_trace, cumulative_score=score))
         if not pool:
             break
         if len(pool) > 1:
             pool.sort(key=_rank_key)
         entries = pool[: cfg.beam_width]
     # `entries` is in rank order: the start entry, or a prefix of a sorted pool.
-    halted = [e for e in entries if e.halted]
+    halted = [e for e in entries if e.trace.halted]
     if halted:
-        best = halted[0]
-        return best.answer or Answer.UNKNOWN, best.trace, entries
+        best = halted[0].trace
+        return best.answer, best, entries
     # Nothing halted with an answer before the step cap.
     trace = entries[0].trace if entries else ReasoningTrace(base_context=problem.context)
     return Answer.UNKNOWN, replace(trace, halted=True, answer=Answer.UNKNOWN), entries
@@ -318,7 +271,7 @@ def beam_search(
 
 def si_answer(
     problem,
-    bindings: RoleBindings,
+    backend,
     max_steps: int = 10,
     stats: Optional[SolveStats] = None,
 ) -> tuple[Answer, ReasoningTrace]:
@@ -327,5 +280,5 @@ def si_answer(
     Returns the first halter answer, or Unknown once `max_steps` passes
     (or a step fails) without one.  The value role is never called.
     """
-    answer, trace, _ = beam_search(problem, bindings, BeamConfig(1, 1, max_steps), stats)
+    answer, trace, _ = beam_search(problem, backend, BeamConfig(1, 1, max_steps), stats)
     return answer, trace

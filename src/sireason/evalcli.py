@@ -197,7 +197,7 @@ class SolverConfig:
         return self.endpoint or os.environ.get(REMOTE_ENDPOINT_ENV)
 
     def check_backend(self) -> None:
-        """Raises ValueError on a backend setting no bindings can be made
+        """Raises ValueError on a backend setting no backend can be made
         from; starts nothing."""
         if self.backend == "scripted" and not 0.0 <= self.noise_rate <= 1.0:
             raise ValueError(f"noise rate must be within [0, 1], got {self.noise_rate}")
@@ -205,47 +205,45 @@ class SolverConfig:
             raise ValueError(f"remote backend needs --endpoint or ${REMOTE_ENDPOINT_ENV}")
 
 
-def make_bindings(cfg: SolverConfig) -> engine.RoleBindings:
+def make_backend(cfg: SolverConfig):
+    """The one backend that answers every role for the whole run."""
     cfg.check_backend()
     if cfg.backend == "oracle":
-        return engine.RoleBindings.uniform(models.oracle_backend())
+        return models.oracle_backend()
     if cfg.backend == "scripted":
-        oracle = models.oracle_backend()
-        noisy = models.scripted_backend(
-            base=oracle, noise_rate=cfg.noise_rate, seed=cfg.seed * 1000003
-        )
-        return engine.RoleBindings(
-            selection=noisy, inference=oracle, halter_ready=oracle,
-            halter_answer=oracle, value=oracle,
+        # Noise replaces selections only; the oracle base answers the rest.
+        return models.scripted_backend(
+            base=models.oracle_backend(), noise_rate=cfg.noise_rate,
+            seed=cfg.seed * 1000003,
         )
     if cfg.backend == "remote":
-        return engine.RoleBindings.uniform(models.remote_backend(cfg.remote_endpoint()))
+        return models.remote_backend(cfg.remote_endpoint())
     raise ValueError(f"unknown backend {cfg.backend!r}")
 
 
 def make_solver(cfg: SolverConfig, stats: Optional[engine.SolveStats] = None) -> Solver:
-    """A beam-search solver over one set of bindings for the whole run.
+    """A beam-search solver over one backend for the whole run.
 
-    Every backend is reset before each problem (the oracle forgets its
+    The backend is reset before each problem (the oracle forgets its
     proposal cursors, the scripted backend reseeds its noise, a remote
     server gets the reset document) and closed once the solver is gone (or
     at interpreter exit).  A bad search setting raises ValueError here,
-    before any bindings are made.
+    before the backend is made.
     """
     beam_cfg = cfg.beam_config()
-    bindings = make_bindings(cfg)
+    backend = make_backend(cfg)
     if stats is None:
         stats = engine.SolveStats()
 
     def solve(problem: Problem) -> tuple[Answer, ReasoningTrace]:
         try:
-            bindings.reset()
+            backend.reset()
         except models.BackendError as exc:
             stats.backend_failure(f"{problem.id}: reset: {exc}")
-        answer, trace, _ = engine.beam_search(problem, bindings, beam_cfg, stats)
+        answer, trace, _ = engine.beam_search(problem, backend, beam_cfg, stats)
         return answer, trace
 
-    weakref.finalize(solve, bindings.close)
+    weakref.finalize(solve, backend.close)
     return solve
 
 
@@ -538,10 +536,18 @@ def _solver_config(args) -> SolverConfig:
     return cfg
 
 
+def _report_failures(stats: engine.SolveStats) -> int:
+    """Print each backend failure on stderr; the exit code they make."""
+    for note in stats.notes:
+        print(f"failure: {note}", file=sys.stderr)
+    return 1 if stats.notes else 0
+
+
 def _cmd_solve(args) -> int:
     cfg = _solver_config(args)
     problems = datasets.load_problems(args.problems, args.dataset)
-    solver = make_solver(cfg)
+    stats = engine.SolveStats()
+    solver = make_solver(cfg, stats)
     for problem in problems:
         answer, trace = solver(problem)
         text = render_trace(trace)
@@ -554,7 +560,7 @@ def _cmd_solve(args) -> int:
             "gold": problem.gold_answer.render(),
             "steps": len(trace.steps),
         }, sort_keys=True))
-    return 0
+    return _report_failures(stats)
 
 
 def _cmd_eval(args) -> int:
@@ -588,7 +594,8 @@ def _cmd_eval(args) -> int:
 def _cmd_probe(args) -> int:
     cfg = _solver_config(args)
     problems = datasets.load_problems(args.problems, args.dataset)
-    solver = make_solver(cfg)
+    stats = engine.SolveStats()
+    solver = make_solver(cfg, stats)
     if args.kind == "random":
         probe = probe_random_context(problems, solver, args.seed)
         doc = {
@@ -612,7 +619,7 @@ def _cmd_probe(args) -> int:
     else:
         for k, v in doc.items():
             print(f"{k}: {v}")
-    return 0
+    return _report_failures(stats)
 
 
 def _cmd_validate(args) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import math
 import subprocess
 import sys
 import threading
@@ -280,6 +281,9 @@ class OracleBackend:
         with self._lock:
             self._selection_cursor.clear()
 
+    def close(self) -> None:
+        pass
+
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         handler = getattr(self, f"_complete_{GeneratorRole(request.role).value}")
         try:
@@ -504,9 +508,10 @@ class ScriptedBackend:
     """Replays queued responses and/or perturbs a base backend.
 
     `script` maps a role to a FIFO list of response texts.  Roles without a
-    script entry fall through to `base`.  With noise rate ε, selection
-    outputs are replaced (with probability ε, seeded) by a uniformly random
-    well-formed label sentence over the prompt's sentence range.  The k-th
+    script entry fall through to `base`, so one scripted backend answers
+    every role.  With noise rate ε, selection outputs are replaced (with
+    probability ε, seeded) by a uniformly random well-formed label sentence
+    over the prompt's sentence range.  The k-th
     `reset()` reseeds the noise with `seed + k`, so each problem of a run
     draws its own reproducible noise.
     """
@@ -534,11 +539,17 @@ class ScriptedBackend:
         with self._lock:
             self._rng.seed(("scripted", self._seed + self._resets).__repr__())
             self._resets += 1
-        if self._base is not None and hasattr(self._base, "reset"):
+        if self._base is not None:
             self._base.reset()
+
+    def close(self) -> None:
+        if self._base is not None:
+            self._base.close()
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         role = GeneratorRole(request.role)
+        # The lock guards only this backend's own state (the noise draw and
+        # the queues); a forwarded call runs outside it.
         with self._lock:
             # Noise pre-empts the underlying generator: the call itself is
             # replaced, so repeated proposals stay independent draws.
@@ -550,9 +561,9 @@ class ScriptedBackend:
                 if not queue:
                     raise ScriptExhausted(f"no scripted responses left for {role.value}")
                 return CompletionResponse(text=queue.pop(0))
-            if self._base is None:
-                raise ScriptExhausted(f"no script and no base backend for {role.value}")
-            return self._base.complete(request)
+        if self._base is None:
+            raise ScriptExhausted(f"no script and no base backend for {role.value}")
+        return self._base.complete(request)
 
     def _random_selection(self, prompt: str) -> str:
         try:
@@ -648,19 +659,30 @@ def _load_reply(data: bytes):
     return doc
 
 
+def _logprob(value) -> float:
+    """A finite number as a float; anything else (a bool, NaN, an infinity,
+    a string) raises."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"logprob {value!r} is not a number")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"logprob {value!r} is not finite")
+    return value
+
+
 def decode_response(data: bytes) -> CompletionResponse:
     doc = _load_reply(data)
     try:
-        logprobs = doc["continuation_logprobs"]
-        return CompletionResponse(
-            text=doc["text"],
-            continuation_logprobs=(
-                {k: float(v) for k, v in logprobs.items()}
-                if logprobs is not None
-                else None
-            ),
-        )
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        text, logprobs = doc["text"], doc["continuation_logprobs"]
+        if not isinstance(text, str):
+            raise TypeError(f"text {text!r} is not a string")
+        if logprobs is not None:
+            if not isinstance(logprobs, dict):
+                raise TypeError(f"continuation_logprobs {logprobs!r} is not an object")
+            # JSON object keys are always strings.
+            logprobs = {k: _logprob(v) for k, v in logprobs.items()}
+        return CompletionResponse(text=text, continuation_logprobs=logprobs)
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise RemoteError(f"bad response document: {exc}") from exc
 
 

@@ -1,3 +1,4 @@
+import os
 import pathlib
 
 import pytest
@@ -5,6 +6,13 @@ import pytest
 from sireason import datasets
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# `pytest` puts src/ on this process's path (pyproject.toml); the servers the
+# tests start (`python -m sireason.models`) import the package from there too.
+_SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ import time
 from sireason import datasets, evalcli, symbolic
 from sireason.core import is_valid
 from sireason.datasets import ValueExtractionReport, generate_problem_set
-from sireason.engine import RoleBindings, SolveStats, si_answer
+from sireason.engine import SolveStats, si_answer
 from sireason.evalcli import SolverConfig
 from sireason.models import (
     CORRECT,
@@ -24,9 +24,7 @@ from sireason.models import (
 def _oracle_accuracy(problems, stats=None, collect=None):
     correct = 0
     for problem in problems:
-        answer, trace = si_answer(
-            problem, RoleBindings.uniform(OracleBackend()), stats=stats
-        )
+        answer, trace = si_answer(problem, OracleBackend(), stats=stats)
         if collect is not None:
             collect.append(trace)
         if answer == problem.gold_answer:
@@ -151,9 +149,7 @@ def test_golden_fixture_answers(pw_problems):
     assert datasets.validate_problems(pw_problems) == []
     reproduced = 0
     for problem in pw_problems:
-        answer, trace = si_answer(
-            problem, RoleBindings.uniform(OracleBackend())
-        )
+        answer, trace = si_answer(problem, OracleBackend())
         assert answer == problem.gold_answer, problem.id
         assert is_valid(trace, symbolic.is_step_correct).valid, problem.id
         reproduced += 1

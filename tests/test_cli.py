@@ -1,5 +1,6 @@
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -129,6 +130,32 @@ def test_eval_eb_through_the_oracle_counts_backend_failures(capsys):
     assert len(doc["failures"]) == 3
     assert all("selection backend: oracle cannot read the prompt" in f
                for f in doc["failures"])
+
+
+@pytest.mark.parametrize("command, count", [
+    (["solve"], 1),
+    (["probe", "--kind", "incomplete"], 1),
+    (["probe", "--kind", "random"], 2),  # a derangement needs two problems
+], ids=["solve", "probe-incomplete", "probe-random"])
+def test_solve_and_probe_report_backend_failures(tmp_path, capsys, command, count):
+    """A server that exits at once fails every request: each failure is
+    printed on stderr and the command exits 1; stdout is the usual report."""
+    fixture = pathlib.Path(__file__).parent / "fixtures" / "golden_pw.jsonl"
+    path = tmp_path / "problems.jsonl"
+    path.write_text("".join(fixture.read_text().splitlines(keepends=True)[:count]))
+    rc = main(command + ["--problems", str(path), "--backend", "remote",
+                         "--endpoint", f"pipe:{sys.executable} -c pass"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    failures = err.splitlines()
+    assert failures and all(
+        line.startswith("failure: ") and "retry budget exhausted" in line
+        for line in failures
+    )
+    if command == ["solve"]:
+        assert out.count("Answer: Unknown") == count
+    else:
+        assert "delta: 0.0" in out
 
 
 def test_eval_reports_known_only_accuracy_below_accuracy(tmp_path, capsys):

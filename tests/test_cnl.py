@@ -98,6 +98,13 @@ def test_negated_bare_adjective_continuation():
     assert parsed.body[1].negated
 
 
+def test_a_bare_adjective_consequence_is_outside_the_grammar():
+    for surface in ("If someone is red then kind", "If the cat is red then not big"):
+        assert isinstance(parse_statement(surface), Opaque), surface
+        with pytest.raises(ParseError):
+            parse_statement(surface, strict=True)
+
+
 def test_adjective_class_rules():
     for surface in (
         "All cold things are nice",

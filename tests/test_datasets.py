@@ -281,21 +281,16 @@ def _replay(problem, pairs, search: str):
         role: [p.target for p in pairs if p.role is role for _ in range(copies)]
         for role in (GeneratorRole.SELECTION, GeneratorRole.INFERENCE)
     }
-    scripted = ScriptedBackend(script=script)
-    oracle = OracleBackend()
     # The oracle's value role judges only True/False/Unknown proofs.
-    value = oracle
     if problem.choices is not None:
-        value = ScriptedBackend(script={GeneratorRole.VALUE: [CORRECT] * len(problem.gold_proof.steps)})
+        script[GeneratorRole.VALUE] = [CORRECT] * len(problem.gold_proof.steps)
     sent: dict = {}
-    bindings = engine.RoleBindings(
-        *(_Recorder(b, sent) for b in (scripted, scripted, oracle, oracle, value))
-    )
+    backend = _Recorder(ScriptedBackend(base=OracleBackend(), script=script), sent)
     if search == "greedy":
-        answer, trace = engine.si_answer(problem, bindings)
+        answer, trace = engine.si_answer(problem, backend)
     else:
         cfg = engine.BeamConfig(beam_width=1, proposals_per_trace=2)
-        answer, trace, _ = engine.beam_search(problem, bindings, cfg)
+        answer, trace, _ = engine.beam_search(problem, backend, cfg)
     assert answer == problem.gold_answer, problem.id
     return trace, sent
 

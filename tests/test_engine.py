@@ -5,7 +5,6 @@ from sireason.core import Answer, LabeledContext, Statement, is_valid
 from sireason.engine import (
     BeamConfig,
     BeamEntry,
-    RoleBindings,
     SelectionSyntaxError,
     SolveStats,
     beam_search,
@@ -76,7 +75,7 @@ def test_selection_step_rejects_malformed_output(bad):
 
 
 def test_si_answer_oracle_solves_and_traces():
-    answer, trace = si_answer(WORST_1, RoleBindings.uniform(OracleBackend()))
+    answer, trace = si_answer(WORST_1, OracleBackend())
     assert answer == Answer.TRUE
     assert trace.halted
     assert trace.answer == Answer.TRUE
@@ -93,7 +92,7 @@ def test_si_answer_halts_early_on_single_step():
         'Does it imply that the statement "The bald eagle is kind" is True?',
         "False",
     )
-    answer, trace = si_answer(problem, RoleBindings.uniform(OracleBackend()))
+    answer, trace = si_answer(problem, OracleBackend())
     assert answer == Answer.FALSE
     assert len(trace.steps) == 1
 
@@ -104,13 +103,7 @@ def test_si_answer_unknown_on_selection_garbage():
         base=OracleBackend(),
         script={GeneratorRole.SELECTION: ["complete nonsense"]},
     )
-    bindings = RoleBindings(
-        selection=backend,
-        inference=OracleBackend(),
-        halter_ready=OracleBackend(),
-        halter_answer=OracleBackend(),
-    )
-    answer, trace = si_answer(WORST_1, bindings, stats=stats)
+    answer, trace = si_answer(WORST_1, backend, stats=stats)
     assert answer.is_unknown
     assert trace.halted
     assert trace.steps == ()
@@ -118,9 +111,7 @@ def test_si_answer_unknown_on_selection_garbage():
 
 
 def test_si_answer_unknown_when_out_of_steps():
-    answer, trace = si_answer(
-        WORST_1, RoleBindings.uniform(OracleBackend()), max_steps=2
-    )
+    answer, trace = si_answer(WORST_1, OracleBackend(), max_steps=2)
     assert answer.is_unknown
     assert len(trace.steps) == 2
 
@@ -131,31 +122,28 @@ def test_si_answer_multi_choice(eb_problems):
         GeneratorRole.SELECTION: [" sent 1. We know that sent 2."],
         GeneratorRole.INFERENCE: [" an ice cube is solid in its physical state."],
     }
-    # one scripted backend holds both queues; the two roles share it
-    shared = ScriptedBackend(script=script)
-    bindings = RoleBindings(
-        selection=shared,
-        inference=shared,
-        halter_ready=OracleBackend(),
-        halter_answer=OracleBackend(),
-    )
-    answer, trace = si_answer(ice, bindings)
+    # the scripted queues answer selection and inference, the oracle halts
+    backend = ScriptedBackend(base=OracleBackend(), script=script)
+    answer, trace = si_answer(ice, backend)
     assert answer == Answer.of_choice("solid")
     assert len(trace.steps) == 1
 
 
 class _FailingBackend:
+    """Fails the halter roles and passes the rest on to `base`."""
+
+    def __init__(self, base) -> None:
+        self._base = base
+
     def complete(self, request):
-        raise models.BackendError(f"{request.role.value} down")
+        if request.role in (GeneratorRole.HALTER_READY, GeneratorRole.HALTER_ANSWER):
+            raise models.BackendError(f"{request.role.value} down")
+        return self._base.complete(request)
 
 
 def test_si_answer_drops_a_step_whose_halter_call_failed():
-    oracle = OracleBackend()
-    failing = _FailingBackend()
     stats = SolveStats()
-    answer, trace = si_answer(
-        WORST_1, RoleBindings(oracle, oracle, failing, failing), stats=stats
-    )
+    answer, trace = si_answer(WORST_1, _FailingBackend(OracleBackend()), stats=stats)
     assert answer.is_unknown
     assert trace.halted and trace.steps == ()
     assert stats.backend_failures == 1
@@ -179,19 +167,12 @@ def test_score_trace_modes():
     )
     assert score_trace(entry, -2.0, "sum") == -3.0
     assert score_trace(entry, -2.0, "last") == -2.0
-    halted = BeamEntry(
-        trace=ReasoningTrace(base_context=WORST_1.context),
-        cumulative_score=-1.0,
-        halted=True,
-    )
-    assert score_trace(halted, -2.0, "sum") == -1.0
 
 
 def test_beam_search_matches_oracle_greedy(pw_problems):
     cfg = BeamConfig(beam_width=2, proposals_per_trace=2, max_steps=10)
     for problem in pw_problems[:4]:
-        bindings = RoleBindings.uniform(OracleBackend())
-        answer, trace, entries = beam_search(problem, bindings, cfg)
+        answer, trace, entries = beam_search(problem, OracleBackend(), cfg)
         assert answer == problem.gold_answer
         assert trace.halted
         assert is_valid(trace, symbolic.is_step_correct).valid
@@ -199,62 +180,48 @@ def test_beam_search_matches_oracle_greedy(pw_problems):
 
 
 def test_beam_search_scores_steps_with_value_function():
-    bindings = RoleBindings.uniform(OracleBackend())
     cfg = BeamConfig(beam_width=2, proposals_per_trace=2)
-    answer, trace, _ = beam_search(WORST_1, bindings, cfg)
+    answer, trace, _ = beam_search(WORST_1, OracleBackend(), cfg)
     assert answer == Answer.TRUE
     assert all(step.value_score is not None for step in trace.steps)
     # on-path steps score as certainly correct
     assert all(step.value_score == models.CERTAIN_GOOD for step in trace.steps)
 
 
-def test_beam_search_recovers_from_noise():
+@pytest.mark.parametrize("score_mode", ["sum", "last"])
+def test_beam_search_recovers_from_noise(score_mode):
     # with noise rate 0.5 the greedy run goes off-path for this seed while
     # the beam finds the proof; both are deterministic given the seed
     noisy = lambda: ScriptedBackend(base=OracleBackend(), noise_rate=0.5, seed=3)
-
-    def bindings():
-        oracle = OracleBackend()
-        return RoleBindings(
-            selection=noisy(),
-            inference=oracle,
-            halter_ready=oracle,
-            halter_answer=oracle,
-            value=oracle,
-        )
-
-    cfg = BeamConfig(beam_width=4, proposals_per_trace=4, max_steps=4)
-    answer, trace, _ = beam_search(WORST_1, bindings(), cfg)
+    cfg = BeamConfig(
+        beam_width=4, proposals_per_trace=4, max_steps=4, score_mode=score_mode
+    )
+    answer, trace, _ = beam_search(WORST_1, noisy(), cfg)
     assert answer == Answer.TRUE
-    again, _, _ = beam_search(WORST_1, bindings(), cfg)
+    again, _, _ = beam_search(WORST_1, noisy(), cfg)
     assert again == answer
 
 
 def test_beam_search_unknown_when_nothing_halts():
     # a selection script that immediately exhausts leaves nothing to expand
-    shared = ScriptedBackend(script={GeneratorRole.SELECTION: ["", "", "", ""]})
-    oracle = OracleBackend()
-    bindings = RoleBindings(
-        selection=shared,
-        inference=oracle,
-        halter_ready=oracle,
-        halter_answer=oracle,
-        value=oracle,
+    backend = ScriptedBackend(
+        base=OracleBackend(), script={GeneratorRole.SELECTION: ["", "", "", ""]}
     )
     cfg = BeamConfig(beam_width=2, proposals_per_trace=2, max_steps=3)
-    answer, trace, _ = beam_search(WORST_1, bindings, cfg)
+    answer, trace, _ = beam_search(WORST_1, backend, cfg)
     assert answer.is_unknown
     assert trace.halted
 
 
 @pytest.mark.parametrize("completion", [" .", " 123.", " ..."])
 def test_an_inference_without_letters_means_nothing_follows(pw_problems, completion):
-    oracle = OracleBackend()
-    inference = ScriptedBackend(script={GeneratorRole.INFERENCE: [completion]})
+    backend = ScriptedBackend(
+        base=OracleBackend(), script={GeneratorRole.INFERENCE: [completion]}
+    )
     stats = SolveStats()
     answer, trace, _ = beam_search(
         pw_problems[0],
-        RoleBindings(oracle, inference, oracle, oracle, oracle),
+        backend,
         BeamConfig(beam_width=1, proposals_per_trace=1, max_steps=1),
         stats,
     )
@@ -264,13 +231,13 @@ def test_an_inference_without_letters_means_nothing_follows(pw_problems, complet
 
 
 # ---------------------------------------------------------------------------
-# Solvers: one set of bindings per run.
+# Solvers: one backend per run.
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("width", [1, 2])
 def test_scripted_solver_noise_is_per_problem(width):
     """One scripted solver, reset before each problem, draws the same noise
-    as fresh bindings seeded `seed * 1000003 + i` for the i-th problem of
+    as a fresh backend seeded `seed * 1000003 + i` for the i-th problem of
     the run, also across a second pass over the same problems."""
     problems = generate_problem_set(4, {2: 5, 3: 5})
     cfg = evalcli.SolverConfig(
@@ -283,10 +250,8 @@ def test_scripted_solver_noise_is_per_problem(width):
     def reference(seed_of):
         out = []
         for i, problem in enumerate(problems + problems):
-            oracle = OracleBackend()
-            noisy = ScriptedBackend(base=oracle, noise_rate=0.3, seed=seed_of(i))
-            bindings = RoleBindings(noisy, oracle, oracle, oracle, oracle)
-            answer, trace, _ = beam_search(problem, bindings, cfg.beam_config())
+            noisy = ScriptedBackend(base=OracleBackend(), noise_rate=0.3, seed=seed_of(i))
+            answer, trace, _ = beam_search(problem, noisy, cfg.beam_config())
             out.append((answer, trace))
         return out
 
@@ -303,6 +268,9 @@ class _CountingBackend:
     def reset(self) -> None:
         self._base.reset()
 
+    def close(self) -> None:
+        self._base.close()
+
     def complete(self, request):
         self.roles.append(request.role)
         return self._base.complete(request)
@@ -310,7 +278,7 @@ class _CountingBackend:
 
 def test_greedy_solve_sends_no_value_request(pw_problems, monkeypatch):
     counting = _CountingBackend(OracleBackend())
-    traces = [si_answer(p, RoleBindings.uniform(counting))[1] for p in pw_problems]
+    traces = [si_answer(p, counting)[1] for p in pw_problems]
     monkeypatch.setattr(models, "oracle_backend", lambda: counting)
     solver = evalcli.make_solver(evalcli.SolverConfig())
     traces += [solver(p)[1] for p in pw_problems]

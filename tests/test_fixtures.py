@@ -5,7 +5,7 @@ import pytest
 from sireason import engine, models, symbolic
 from sireason.core import Answer, is_valid
 from sireason.datasets import validate_problems
-from sireason.engine import RoleBindings, si_answer
+from sireason.engine import si_answer
 from sireason.models import (
     CompletionRequest,
     GeneratorRole,
@@ -29,9 +29,7 @@ def test_pw_fixture_proofs_validate(pw_problems, pw_worst_problems):
 def test_pw_fixture_oracle_reproduces_answers(pw_problems):
     solved = 0
     for problem in pw_problems:
-        answer, trace = si_answer(
-            problem, RoleBindings.uniform(OracleBackend())
-        )
+        answer, trace = si_answer(problem, OracleBackend())
         assert answer == problem.gold_answer, problem.id
         assert is_valid(trace, symbolic.is_step_correct).valid, problem.id
         solved += 1
@@ -41,9 +39,7 @@ def test_pw_fixture_oracle_reproduces_answers(pw_problems):
 def test_pw_worst_fixture_oracle_reproduces_answers(pw_worst_problems):
     assert len(pw_worst_problems) == 5
     for problem in pw_worst_problems:
-        answer, trace = si_answer(
-            problem, RoleBindings.uniform(OracleBackend())
-        )
+        answer, trace = si_answer(problem, OracleBackend())
         assert answer == problem.gold_answer, problem.id
         assert is_valid(trace, symbolic.is_step_correct).valid, problem.id
 
@@ -51,9 +47,7 @@ def test_pw_worst_fixture_oracle_reproduces_answers(pw_worst_problems):
 def test_pw_fixture_beam_search_agrees(pw_problems):
     cfg = engine.BeamConfig(beam_width=2, proposals_per_trace=2)
     for problem in pw_problems:
-        answer, _, _ = engine.beam_search(
-            problem, RoleBindings.uniform(OracleBackend()), cfg
-        )
+        answer, _, _ = engine.beam_search(problem, OracleBackend(), cfg)
         assert answer == problem.gold_answer, problem.id
 
 
@@ -70,8 +64,8 @@ def test_mirrored_questions_share_the_proof(pw_problems):
     """Opposite questions over one context reuse the same reasoning."""
     seven = next(p for p in pw_problems if p.id == "pw-top-7")
     eight = next(p for p in pw_problems if p.id == "pw-top-8")
-    _, trace7 = si_answer(seven, RoleBindings.uniform(OracleBackend()))
-    _, trace8 = si_answer(eight, RoleBindings.uniform(OracleBackend()))
+    _, trace7 = si_answer(seven, OracleBackend())
+    _, trace8 = si_answer(eight, OracleBackend())
     assert [s.inference for s in trace7.steps] == [
         s.inference for s in trace8.steps
     ]
@@ -106,15 +100,8 @@ def test_eb_fixture_scripted_end_to_end(eb_problems, pid):
         labels = [l.index for l in step.selection_labels]
         script[GeneratorRole.SELECTION].append(models.render_selection(labels))
         script[GeneratorRole.INFERENCE].append(f" {step.inference.surface}.")
-    shared = ScriptedBackend(script=script)
-    oracle = OracleBackend()
-    bindings = RoleBindings(
-        selection=shared,
-        inference=shared,
-        halter_ready=oracle,
-        halter_answer=oracle,
-    )
-    answer, trace = si_answer(problem, bindings)
+    backend = ScriptedBackend(base=OracleBackend(), script=script)
+    answer, trace = si_answer(problem, backend)
     assert answer == problem.gold_answer
     # the choice matcher may already recognise an intermediate inference,
     # so halting can come at or before the gold proof length

@@ -460,6 +460,50 @@ def test_remote_backend_retries_then_gives_up():
         backend.complete(req)
 
 
+class _CorruptingTransport:
+    """Answers through the oracle, except that each request of one role gets
+    a fixed raw reply."""
+
+    def __init__(self, role, reply: bytes):
+        self.local = _LocalTransport(OracleBackend())
+        self.role = role
+        self.reply = reply
+
+    def exchange(self, payload):
+        if decode_request(payload).role is self.role:
+            return self.reply
+        return self.local.exchange(payload)
+
+    def close(self):
+        pass
+
+
+@pytest.mark.parametrize("role, reply", [
+    (GeneratorRole.SELECTION, b'{"text": 5, "continuation_logprobs": null}'),
+    (GeneratorRole.INFERENCE, b'{"text": ["a"], "continuation_logprobs": null}'),
+    (GeneratorRole.VALUE, b'{"text": "", "continuation_logprobs": [0.0]}'),
+    (GeneratorRole.VALUE, b'{"text": "", "continuation_logprobs": '
+                          b'{" correct": NaN, " incorrect": 0.0}}'),
+    (GeneratorRole.VALUE, b'{"text": "", "continuation_logprobs": '
+                          b'{" correct": Infinity, " incorrect": 0.0}}'),
+    (GeneratorRole.VALUE, b'{"text": "", "continuation_logprobs": '
+                          b'{" correct": -Infinity, " incorrect": 0.0}}'),
+    (GeneratorRole.VALUE, b'{"text": "", "continuation_logprobs": '
+                          b'{" correct": true, " incorrect": 0.0}}'),
+    (GeneratorRole.VALUE, b'{"text": "", "continuation_logprobs": '
+                          b'{" correct": "0", " incorrect": 0.0}}'),
+], ids=["text-int", "text-list", "logprobs-list", "nan", "infinity",
+        "minus-infinity", "bool", "string"])
+def test_a_mistyped_reply_is_a_counted_backend_failure(pw_problems, role, reply):
+    backend = RemoteBackend(_CorruptingTransport(role, reply + b"\n"))
+    stats = engine.SolveStats()
+    cfg = engine.BeamConfig(beam_width=2, proposals_per_trace=2)
+    answer, _, _ = engine.beam_search(pw_problems[0], backend, cfg, stats)
+    assert answer.is_unknown
+    assert stats.backend_failures > 0
+    assert all("bad response document" in note for note in stats.notes)
+
+
 def test_pipe_backend_end_to_end():
     backend = RemoteBackend(PipeTransport())
     try:
@@ -490,12 +534,8 @@ def test_remote_backend_matches_local_oracle(pw_problems):
     problem = pw_problems[6]  # single-step problem
     remote = RemoteBackend(PipeTransport())
     try:
-        local_answer, local_trace = engine.si_answer(
-            problem, engine.RoleBindings.uniform(OracleBackend())
-        )
-        remote_answer, remote_trace = engine.si_answer(
-            problem, engine.RoleBindings.uniform(remote)
-        )
+        local_answer, local_trace = engine.si_answer(problem, OracleBackend())
+        remote_answer, remote_trace = engine.si_answer(problem, remote)
     finally:
         remote.close()
     assert remote_answer == local_answer
