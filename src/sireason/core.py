@@ -69,9 +69,6 @@ def normalize_statement(raw: str) -> Statement:
     return Statement(surface)
 
 
-_LABEL_RE = re.compile(r"^sent (\d+)$")
-
-
 @dataclass(frozen=True, order=True)
 class SentenceLabel:
     index: int
@@ -82,13 +79,6 @@ class SentenceLabel:
 
     def render(self) -> str:
         return f"sent {self.index}"
-
-    @classmethod
-    def parse(cls, text: str) -> "SentenceLabel":
-        m = _LABEL_RE.match(text.strip())
-        if not m:
-            raise ValueError(f"not a sentence label: {text!r}")
-        return cls(int(m.group(1)))
 
 
 class LabeledContext:

@@ -305,25 +305,10 @@ class ValueExtractionReport:
     collisions: int = 0
 
 
-def _oracle_inference(selection: Sequence[Statement]) -> Statement:
-    try:
-        return symbolic.entail_step(selection)
-    except (symbolic.NoEntailment, symbolic.MalformedSelection):
-        return normalize_statement(symbolic.NOTHING_FOLLOWS)
-
-
-def _is_on_gold_path(step: ReasoningStep, gold_keys: set[str]) -> bool:
-    return (
-        symbolic.is_step_correct(step)
-        and normalize_key(step.inference.surface) in gold_keys
-    )
-
-
 def extract_value_pairs(
     problem: Problem,
     seed: int,
     report: Optional[ValueExtractionReport] = None,
-    infer=None,
 ) -> list[TrainingPair]:
     """Positive/negative value pairs per proof prefix.
 
@@ -334,8 +319,6 @@ def extract_value_pairs(
     """
     if problem.gold_proof is None:
         return []
-    if infer is None:
-        infer = _oracle_inference
     rng = random.Random(("value-pairs", problem.id, seed).__repr__())
     trace = problem.gold_proof
     gold_keys = {normalize_key(s.inference.surface) for s in trace.steps}
@@ -370,12 +353,12 @@ def extract_value_pairs(
         replacement = rng.choice(alternatives)
         corrupted_selection = list(step.selection)
         corrupted_selection[slot] = replacement
-        corrupted_inference = infer(corrupted_selection)
+        corrupted_inference = symbolic.infer(corrupted_selection)
         corrupted_step = ReasoningStep(
             selection=tuple(corrupted_selection),
             inference=corrupted_inference,
         )
-        if _is_on_gold_path(corrupted_step, gold_keys):
+        if symbolic.is_proof_step(corrupted_step, gold_keys):
             if report is not None:
                 report.collisions += 1
             continue

@@ -27,7 +27,7 @@ from .core import (
     Statement,
     normalize_key,
     normalize_statement,
-    render_trace,
+    render_step,
 )
 from .models import CompletionRequest, GeneratorRole
 
@@ -143,6 +143,8 @@ class BeamConfig:
 class BeamEntry:
     trace: ReasoningTrace
     cumulative_score: float = 0.0
+    # render_trace(trace), written one step at a time as the trace grows.
+    text: str = ""
 
 
 def score_trace(entry: BeamEntry, new_step_score: float, mode: str) -> float:
@@ -153,10 +155,8 @@ def score_trace(entry: BeamEntry, new_step_score: float, mode: str) -> float:
     return new_step_score
 
 
-def _value_score(problem, trace: ReasoningTrace, backend) -> float:
-    prompt = models.format_value_prompt(
-        problem.context, problem.question, render_trace(trace)
-    )
+def _value_score(problem, text: str, backend) -> float:
+    prompt = models.format_value_prompt(problem.context, problem.question, text)
     response = backend.complete(
         CompletionRequest(
             GeneratorRole.VALUE,
@@ -169,7 +169,7 @@ def _value_score(problem, trace: ReasoningTrace, backend) -> float:
 
 
 def _rank_key(entry: BeamEntry) -> tuple:
-    return (-entry.cumulative_score, len(entry.trace.steps), render_trace(entry.trace))
+    return (-entry.cumulative_score, len(entry.trace.steps), entry.text)
 
 
 def beam_search(
@@ -237,11 +237,12 @@ def beam_search(
             # A dead branch (no expansion survived) drops out of the beam.
             for step in candidates:
                 score = entry.cumulative_score
+                text = render_step(step)
+                if entry.text:
+                    text = f"{entry.text}\n{text}"
                 try:
                     if ranked:
-                        value = _value_score(
-                            problem, entry.trace.extended(step), backend
-                        )
+                        value = _value_score(problem, text, backend)
                         step = replace(step, value_score=value)
                         score = score_trace(entry, value, cfg.score_mode)
                     maybe = _halt_check(
@@ -253,7 +254,7 @@ def beam_search(
                 new_trace = entry.trace.extended(step)
                 if maybe is not None:
                     new_trace = replace(new_trace, halted=True, answer=maybe)
-                pool.append(BeamEntry(trace=new_trace, cumulative_score=score))
+                pool.append(BeamEntry(new_trace, score, text))
         if not pool:
             break
         if len(pool) > 1:

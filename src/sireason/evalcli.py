@@ -309,8 +309,8 @@ class RandomContextProbe:
 def probe_random_context(
     problems: Sequence[Problem], solver: Solver, seed: int
 ) -> RandomContextProbe:
-    acc_correct, _, _ = _accuracy(problems, solver)
     perm = derangement(len(problems), seed)
+    acc_correct, _, _ = _accuracy(problems, solver)
     from dataclasses import replace as _replace
 
     swapped = [
@@ -594,6 +594,9 @@ def _cmd_eval(args) -> int:
 def _cmd_probe(args) -> int:
     cfg = _solver_config(args)
     problems = datasets.load_problems(args.problems, args.dataset)
+    if args.kind == "random" and len(problems) < 2:
+        # Each problem borrows another's context: one problem has no other.
+        args.parser_error("--kind random needs at least 2 problems")
     stats = engine.SolveStats()
     solver = make_solver(cfg, stats)
     if args.kind == "random":

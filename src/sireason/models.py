@@ -307,11 +307,7 @@ class OracleBackend:
 
     def _complete_inference(self, request: CompletionRequest) -> CompletionResponse:
         selection = _read_inference_prompt(request.prompt)
-        try:
-            inferred = symbolic.entail_step(selection).surface
-        except (symbolic.NoEntailment, symbolic.MalformedSelection):
-            inferred = symbolic.NOTHING_FOLLOWS
-        return CompletionResponse(text=render_inference(inferred))
+        return CompletionResponse(text=render_inference(symbolic.infer(selection).surface))
 
     # -- halting ------------------------------------------------------------
 
@@ -340,7 +336,9 @@ class OracleBackend:
         if request.scored_continuations is None:
             raise BackendError("value request without scored continuations")
         surfaces, question, reason = _read_value_prompt(request.prompt)
-        good = _judge_steps(tuple(surfaces), question, reason)
+        # Each earlier step was judged when it was the newest, so the
+        # oracle reads only the newest line.
+        good = _judge_steps(tuple(surfaces), question, reason.rpartition("\n")[2])
         logprobs = {
             CORRECT: CERTAIN_GOOD if good else CERTAIN_BAD,
             INCORRECT: CERTAIN_BAD if good else CERTAIN_GOOD,
@@ -475,25 +473,21 @@ def _firing_combos(rule, fact_atoms):
 
 
 @lru_cache(maxsize=8192)
-def _judge_steps(surfaces: tuple[str, ...], question: str, reason: str) -> bool:
-    """Decide whether the newest rendered step is valid and on a shortest proof."""
+def _judge_steps(surfaces: tuple[str, ...], question: str, line: str) -> bool:
+    """Decide whether one rendered step is correct and a step of a shortest
+    proof."""
     ctx, _ = _world_for(surfaces)
     parsed_q = cnl.parse_question(question)
     if not isinstance(parsed_q, cnl.Hypothesis):
         raise BackendError("value oracle needs a hypothesis question")
     try:
-        trace = parse_trace_text(reason, ctx)
+        trace = parse_trace_text(line, ctx)
     except TraceParseError:
         return False
     if not trace.steps:
         return False
-    step = trace.steps[-1]
-    if normalize_key(step.inference.surface) == normalize_key(symbolic.NOTHING_FOLLOWS):
-        return False
-    if not symbolic.is_step_correct(step):
-        return False
-    inferred = normalize_key(step.inference.surface)
-    return any(key == inferred for key, _ in _gold_steps(surfaces, question))
+    proof_keys = {key for key, _ in _gold_steps(surfaces, question)}
+    return symbolic.is_proof_step(trace.steps[-1], proof_keys)
 
 
 def oracle_backend() -> OracleBackend:

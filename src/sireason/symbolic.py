@@ -1,7 +1,8 @@
 """Deterministic forward-chaining reasoner over the parsed rule language.
 
-Provides single-step entailment (the reference inference model), exhaustive
-closure with provenance and minimal proof sizes, hypothesis evaluation under
+Provides the reference inference `infer` (single-step entailment, or
+"nothing follows"), the proof-step judge `is_proof_step`, exhaustive closure
+with provenance and minimal proof sizes, hypothesis evaluation under
 open-world semantics, shortest-proof extraction, and a seeded random problem
 generator.
 """
@@ -12,7 +13,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import AbstractSet, Iterable, Optional
 
 from .cnl import (
     Atom,
@@ -131,16 +132,24 @@ def entail_step(selection: Iterable[Statement]) -> Statement:
     return normalize_statement(render_atom(head))
 
 
-def is_step_correct(step: ReasoningStep) -> bool:
-    """True iff the inference equals what the rule and facts entail.
-
-    A selection that entails nothing is faithfully reported by the
-    "nothing follows" inference, which therefore also counts as correct.
-    """
+def infer(selection: Iterable[Statement]) -> Statement:
+    """The reference inference: what the selection entails, or "nothing
+    follows" when it entails nothing (the faithful report of that)."""
     try:
-        return entail_step(step.selection) == step.inference
+        return entail_step(selection)
     except (MalformedSelection, NoEntailment):
-        return step.inference == normalize_statement(NOTHING_FOLLOWS)
+        return normalize_statement(NOTHING_FOLLOWS)
+
+
+def is_step_correct(step: ReasoningStep) -> bool:
+    """True iff the inference is the reference inference of the selection."""
+    return infer(step.selection) == step.inference
+
+
+def is_proof_step(step: ReasoningStep, proof_keys: AbstractSet[str]) -> bool:
+    """True iff the step is correct and its inference is a step of the
+    proof whose inference keys are `proof_keys`."""
+    return step.inference.key in proof_keys and is_step_correct(step)
 
 
 @dataclass(frozen=True)

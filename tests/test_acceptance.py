@@ -95,19 +95,22 @@ def test_search_lift_on_noisy_selection():
 
 
 def test_value_oracle_ranks_gold_above_corrupted():
-    """score(gold prefix) > score(corrupted sibling) in all emitted pairs."""
+    """score(gold prefix) > score(corrupted sibling) in all emitted pairs,
+    and the oracle's reply to each pair's input is the pair's target."""
     problems = generate_problem_set(29, {2: 120, 3: 120})
     backend = OracleBackend()
 
-    def score(prompt):
-        resp = backend.complete(
+    def reply(prompt):
+        return backend.complete(
             CompletionRequest(
                 role=GeneratorRole.VALUE,
                 prompt=prompt,
                 scored_continuations=(CORRECT, INCORRECT),
             )
         )
-        return resp.continuation_logprobs[CORRECT]
+
+    def score(prompt):
+        return reply(prompt).continuation_logprobs[CORRECT]
 
     compared = 0
     for problem in problems:
@@ -115,6 +118,7 @@ def test_value_oracle_ranks_gold_above_corrupted():
         pairs = datasets.extract_value_pairs(problem, seed=7, report=report)
         by_prefix = {}
         for pair in pairs:
+            assert reply(pair.input).text == pair.target, (problem.id, pair.step_index)
             by_prefix.setdefault(pair.step_index, {})[pair.target] = pair.input
         for targets in by_prefix.values():
             if CORRECT in targets and INCORRECT in targets:

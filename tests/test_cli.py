@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from sireason import datasets
+from sireason import datasets, evalcli
 from sireason.evalcli import REMOTE_ENDPOINT_ENV, build_parser, main
 
 
@@ -158,6 +158,21 @@ def test_solve_and_probe_report_backend_failures(tmp_path, capsys, command, coun
         assert "delta: 0.0" in out
 
 
+def test_random_probe_on_one_problem_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    """One problem has no other context to borrow: exit 2 before anything
+    is solved, with nothing on stdout."""
+    fixture = pathlib.Path(__file__).parent / "fixtures" / "golden_pw.jsonl"
+    path = tmp_path / "one.jsonl"
+    path.write_text(fixture.read_text().splitlines(keepends=True)[0])
+    monkeypatch.setattr(evalcli, "make_solver", None)  # never reached
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", "--kind", "random", "--problems", str(path)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: --kind random needs at least 2 problems" in err
+
+
 def test_eval_reports_known_only_accuracy_below_accuracy(tmp_path, capsys):
     """An Unknown gold answered Unknown is correct but not known, so the
     known-only accuracy may fall below the accuracy."""
@@ -220,3 +235,43 @@ def test_bad_backend_setting_stops_before_any_problem(
     assert out == ""
     assert "error: bad backend setting: " in err and message in err
     assert pipe_spawns == []
+
+
+REPORTS = pathlib.Path(__file__).parent / "fixtures" / "reports"
+_MODES = {
+    "oracle": [],
+    "scripted": ["--backend", "scripted", "--noise", "0.3", "--seed", "11",
+                 "--beam", "4", "--proposals", "4"],
+    "remote": ["--backend", "remote", "--endpoint", "pipe:",
+               "--beam", "4", "--proposals", "4"],
+}
+
+
+@pytest.fixture(scope="module")
+def report_set(tmp_path_factory):
+    path = tmp_path_factory.mktemp("reports") / "set.jsonl"
+    datasets.save_problems(
+        datasets.generate_problem_set(7, {1: 10, 2: 10, 3: 10, 5: 10}), path
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("mode", list(_MODES))
+@pytest.mark.parametrize("command, recorded", [
+    (["eval", "--report", "json"], "eval-{}.json"),
+    (["solve"], "solve-{}.txt"),
+], ids=["eval", "solve"])
+def test_output_is_byte_identical_to_the_recorded_reports(
+    report_set, capsys, mode, command, recorded
+):
+    """`eval --report json` and `solve` print exactly the recorded bytes.
+
+    The set is `gen-problems --seed 7 --count 10 --depths 1,2,3,5`.  A
+    change that alters output on purpose records the files again, e.g.
+    `sireason eval --problems set.jsonl --report json > eval-oracle.json`,
+    and says why.
+    """
+    rc = main(command + ["--problems", report_set] + _MODES[mode])
+    assert rc == 0
+    expected = (REPORTS / recorded.format(mode)).read_bytes()
+    assert capsys.readouterr().out.encode() == expected

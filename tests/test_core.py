@@ -48,17 +48,8 @@ def test_normalize_statement_rejects_empty():
 def test_sentence_label_roundtrip():
     label = SentenceLabel(7)
     assert label.render() == "sent 7"
-    assert SentenceLabel.parse("sent 7") == label
-    with pytest.raises(ValueError):
-        SentenceLabel.parse("sentence 7")
     with pytest.raises(ValueError):
         SentenceLabel(0)
-
-
-@given(st.integers(min_value=1, max_value=10**6))
-def test_sentence_label_parse_render_roundtrip(index):
-    label = SentenceLabel(index)
-    assert SentenceLabel.parse(label.render()) == label
 
 
 def test_labeled_context_basics():

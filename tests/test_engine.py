@@ -1,7 +1,7 @@
 import pytest
 
 from sireason import evalcli, models, symbolic
-from sireason.core import Answer, LabeledContext, Statement, is_valid
+from sireason.core import Answer, LabeledContext, Statement, is_valid, render_trace
 from sireason.engine import (
     BeamConfig,
     BeamEntry,
@@ -200,6 +200,23 @@ def test_beam_search_recovers_from_noise(score_mode):
     assert answer == Answer.TRUE
     again, _, _ = beam_search(WORST_1, noisy(), cfg)
     assert again == answer
+
+
+@pytest.mark.parametrize("cfg, noise", [
+    (BeamConfig(1, 1), 0.0),
+    (BeamConfig(4, 4), 0.3),
+], ids=["greedy", "noisy-4x4"])
+def test_beam_entries_carry_their_rendered_text(pw_problems, cfg, noise):
+    """Each entry's text, written one step at a time, is its trace rendered."""
+    steps = 0
+    for problem in pw_problems:
+        backend = ScriptedBackend(base=OracleBackend(), noise_rate=noise, seed=11)
+        _, _, entries = beam_search(problem, backend, cfg)
+        assert entries
+        for entry in entries:
+            assert entry.text == render_trace(entry.trace)
+            steps += len(entry.trace.steps)
+    assert steps > len(pw_problems)
 
 
 def test_beam_search_unknown_when_nothing_halts():

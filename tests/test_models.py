@@ -303,6 +303,39 @@ def test_oracle_value_scores():
         assert resp.continuation_logprobs[other] == CERTAIN_BAD
 
 
+_GOOD = ("If something is kind then it likes the cow. "
+         "We know that the tiger is kind. Therefore, the tiger likes the cow.")
+_BAD = ("If something is kind then it likes the cow. "
+        "We know that the cow is big. Therefore, the tiger likes the cow.")
+_NOTHING = ("If something is kind then it likes the cow. "
+            "We know that the cow is big. Therefore, nothing follows.")
+# Two "Therefore," clauses: the line does not read back as a step.
+_UNREADABLE = "the cow is big. Therefore, it is big. Therefore, the tiger is kind."
+
+
+@pytest.mark.parametrize("lines, expected", [
+    ((_BAD, _GOOD), CORRECT),
+    ((_GOOD, _BAD), INCORRECT),
+    ((_GOOD, _NOTHING), INCORRECT),
+    ((_UNREADABLE, _GOOD), CORRECT),
+], ids=["bad-good", "good-bad", "good-nothing", "unreadable-good"])
+def test_value_verdict_is_the_verdict_on_the_newest_line(lines, expected):
+    """The value oracle judges the newest step alone: correct, and a step
+    of a shortest proof; earlier lines, readable or not, do not count."""
+    backend = OracleBackend()
+
+    def verdict(reason):
+        return backend.complete(
+            CompletionRequest(
+                role=GeneratorRole.VALUE,
+                prompt=format_value_prompt(CTX, QUESTION, reason),
+                scored_continuations=(CORRECT, INCORRECT),
+            )
+        ).text
+
+    assert verdict("\n".join(lines)) == verdict(lines[-1]) == expected
+
+
 def test_value_request_requires_continuations():
     backend = OracleBackend()
     prompt = format_value_prompt(CTX, QUESTION, "the cow is big. Therefore, x.")
