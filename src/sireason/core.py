@@ -335,6 +335,12 @@ def render_trace(trace: ReasoningTrace) -> str:
     return "\n".join(render_step(step) for step in trace.steps)
 
 
+def append_step_text(text: str, step: ReasoningStep) -> str:
+    """`render_trace` of the trace that `text` renders, plus `step`."""
+    line = render_step(step)
+    return f"{text}\n{line}" if text else line
+
+
 _THEREFORE = re.compile(r"\s*Therefore,\s*")
 
 

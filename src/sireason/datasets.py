@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import models, symbolic
@@ -26,10 +26,10 @@ from .core import (
     ReasoningTrace,
     SentenceLabel,
     Statement,
+    append_step_text,
     is_valid,
     normalize_key,
     normalize_statement,
-    render_trace,
 )
 from .models import GeneratorRole
 
@@ -323,15 +323,13 @@ def extract_value_pairs(
     trace = problem.gold_proof
     gold_keys = {normalize_key(s.inference.surface) for s in trace.steps}
     pairs: list[TrainingPair] = []
-    for n in range(1, len(trace.steps) + 1):
-        prefix = ReasoningTrace(base_context=trace.base_context, steps=trace.steps[:n])
-        positive = models.format_value_prompt(
-            problem.context, problem.question, render_trace(prefix)
-        )
+    text = ""
+    for n, step in enumerate(trace.steps, start=1):
+        before, text = text, append_step_text(text, step)
         pairs.append(
             TrainingPair(
                 role=GeneratorRole.VALUE,
-                input=positive,
+                input=models.format_value_prompt(problem.context, problem.question, text),
                 target=models.CORRECT,
                 source_problem_id=problem.id,
                 step_index=n - 1,
@@ -339,7 +337,6 @@ def extract_value_pairs(
         )
         if report is not None:
             report.pairs_emitted += 1
-        step = trace.steps[n - 1]
         context_n = trace.context_before(n - 1)
         selection_keys = {s.key for s in step.selection}
         alternatives = [
@@ -362,14 +359,13 @@ def extract_value_pairs(
             if report is not None:
                 report.collisions += 1
             continue
-        corrupted_prefix = replace(
-            prefix, steps=prefix.steps[:-1] + (corrupted_step,)
-        )
         pairs.append(
             TrainingPair(
                 role=GeneratorRole.VALUE,
                 input=models.format_value_prompt(
-                    problem.context, problem.question, render_trace(corrupted_prefix)
+                    problem.context,
+                    problem.question,
+                    append_step_text(before, corrupted_step),
                 ),
                 target=models.INCORRECT,
                 source_problem_id=problem.id,

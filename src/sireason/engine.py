@@ -25,9 +25,9 @@ from .core import (
     ReasoningTrace,
     SentenceLabel,
     Statement,
+    append_step_text,
     normalize_key,
     normalize_statement,
-    render_step,
 )
 from .models import CompletionRequest, GeneratorRole
 
@@ -237,9 +237,7 @@ def beam_search(
             # A dead branch (no expansion survived) drops out of the beam.
             for step in candidates:
                 score = entry.cumulative_score
-                text = render_step(step)
-                if entry.text:
-                    text = f"{entry.text}\n{text}"
+                text = append_step_text(entry.text, step)
                 try:
                     if ranked:
                         value = _value_score(problem, text, backend)

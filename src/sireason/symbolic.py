@@ -2,14 +2,13 @@
 
 Provides the reference inference `infer` (single-step entailment, or
 "nothing follows"), the proof-step judge `is_proof_step`, exhaustive closure
-with provenance and minimal proof sizes, hypothesis evaluation under
+with provenance and proof depths, hypothesis evaluation under
 open-world semantics, shortest-proof extraction, and a seeded random problem
 generator.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -164,7 +163,6 @@ class Derivation:
 @dataclass(frozen=True)
 class AtomProof:
     depth: int
-    steps: frozenset[Derivation]
     derivation: Optional[Derivation]  # None for base facts
 
 
@@ -211,29 +209,19 @@ def parse_context(context: LabeledContext):
 
 
 def closure(context: LabeledContext) -> WorldClosure:
-    """Least fixed point of rule application, with one minimal proof per atom.
+    """Least fixed point of rule application, with one proof per atom.
 
-    Proof size counts distinct rule applications (shared sub-proofs counted
-    once). Ties break on the lowest rule label, then on premise atoms, for
-    deterministic provenance.
-
-    The fixpoint is the naive loop's, in the naive loop's order: passes over
-    the rule instances (rule by rule in label order, then constant by
-    constant) until a pass changes nothing, each instance seeing the proofs
-    that the instances before it just wrote.  An instance is evaluated
-    again only once one of its premises has a new proof, since with the
-    same premises it would reach the same verdict (the proof of its head
-    only ever improves).  A premise that changes at instance i queues each
-    later instance using it for the current pass, and each earlier one, or
-    i itself, for the next.  Every tie-break therefore falls as it would in
-    the naive loop.  An instance is ground when one of its premises first
-    has a proof: those no proof reaches are never built.
+    An atom's depth is its proof's height: 0 for a context fact, else 1 +
+    its deepest premise.  Level h settles every atom of depth h: it tries
+    the instances using an atom first reached at level h - 1, and each new
+    head takes the one with the lowest rule label, then premise atoms.  An
+    instance is ground when one of its premises first has a proof: those no
+    proof reaches are never built.
     """
     fact_labels, rules, opaque = parse_context(context)
 
     derived: dict[Atom, AtomProof] = {
-        atom: AtomProof(depth=0, steps=frozenset(), derivation=None)
-        for atom in fact_labels
+        atom: AtomProof(depth=0, derivation=None) for atom in fact_labels
     }
 
     constants = set()
@@ -286,38 +274,23 @@ def closure(context: LabeledContext) -> WorldClosure:
             grounded[key] = (label, premises, rule.head.substitute(binding))
         return grounded[key]
 
-    # Instances left in the current pass (a heap) and queued for the next.
-    current = sorted({key for atom in derived for key in users(atom)})
-    queued = set(current)
-    next_pass: set[tuple[int, int]] = set()
-    while current:
-        while current:
-            key = heapq.heappop(current)
-            queued.discard(key)
+    frontier = list(derived)
+    depth = 0
+    while frontier:
+        depth += 1
+        level: dict[Atom, Derivation] = {}
+        for key in {key for atom in frontier for key in users(atom)}:
             label, premises, head = ground(key)
-            if any(p not in derived for p in premises):
+            if head in derived or any(p not in derived for p in premises):
                 continue
-            step = Derivation(rule_label=label, premises=premises, head=head)
-            steps = frozenset().union(*(derived[p].steps for p in premises)) | {step}
-            cost = len(steps)
-            best = derived.get(head)
-            # Every cost is at least 1, so a base fact keeps its depth-0 proof.
-            if best is not None and (
-                best.depth < cost
-                or best.depth == cost
-                and _candidate_key(best.derivation.rule_label, best.derivation.premises)
-                <= _candidate_key(label, premises)
+            best = level.get(head)
+            if best is None or _candidate_key(label, premises) < _candidate_key(
+                best.rule_label, best.premises
             ):
-                continue
-            derived[head] = AtomProof(depth=cost, steps=steps, derivation=step)
-            for user in users(head):
-                if user <= key:
-                    next_pass.add(user)
-                elif user not in queued:
-                    queued.add(user)
-                    heapq.heappush(current, user)
-        current = sorted(next_pass)
-        queued, next_pass = next_pass, set()
+                level[head] = Derivation(rule_label=label, premises=premises, head=head)
+        for head, step in level.items():
+            derived[head] = AtomProof(depth=depth, derivation=step)
+        frontier = list(level)
 
     return WorldClosure(
         context=context,
@@ -352,27 +325,8 @@ def proof_target(world: WorldClosure, hypothesis: Hypothesis) -> Atom:
     raise NoProof(f"hypothesis is Unknown: {hypothesis.surface!r}")
 
 
-def _ordered_derivations(world: WorldClosure, steps: frozenset[Derivation]) -> list[Derivation]:
-    """Topological order (premises before use) with deterministic tie-breaks."""
-    remaining = sorted(
-        steps, key=lambda d: (world.derived[d.head].depth, _candidate_key(d.rule_label, d.premises))
-    )
-    available = set(world.fact_labels)
-    ordered: list[Derivation] = []
-    while remaining:
-        for i, d in enumerate(remaining):
-            if all(p in available for p in d.premises):
-                ordered.append(d)
-                available.add(d.head)
-                del remaining[i]
-                break
-        else:  # pragma: no cover - closure provenance is always well-founded
-            raise NoProof("cyclic provenance")
-    return ordered
-
-
 def shortest_proof(world: WorldClosure, hypothesis: Hypothesis) -> ReasoningTrace:
-    """A minimal valid trace deriving the hypothesis (or its negation)."""
+    """A valid trace of least depth deriving the hypothesis (or its negation)."""
     target = proof_target(world, hypothesis)
     proof = world.derived[target]
     answer = evaluate_hypothesis(world, hypothesis)
@@ -380,7 +334,19 @@ def shortest_proof(world: WorldClosure, hypothesis: Hypothesis) -> ReasoningTrac
         # The target is a base statement; there is no derivation to show.
         raise NoProof(f"hypothesis is settled by the context: {hypothesis.surface!r}")
 
-    ordered = _ordered_derivations(world, proof.steps)
+    # The steps the target rests on, each once.  A premise is shallower than
+    # the step that uses it, so sorting by depth puts premises first.
+    needed: dict[Atom, Derivation] = {}
+    pending = [target]
+    while pending:
+        d = world.derived[pending.pop()].derivation
+        if d is not None and d.head not in needed:
+            needed[d.head] = d
+            pending.extend(d.premises)
+    ordered = sorted(
+        needed.values(),
+        key=lambda d: (world.derived[d.head].depth, _candidate_key(d.rule_label, d.premises)),
+    )
     context = world.context
     inference_labels: dict[Atom, SentenceLabel] = {}
     steps: list[ReasoningStep] = []
@@ -388,9 +354,7 @@ def shortest_proof(world: WorldClosure, hypothesis: Hypothesis) -> ReasoningTrac
         rule_stmt = context.lookup(d.rule_label)
         premise_entries = []
         for p in d.premises:
-            label = world.fact_labels.get(p) or inference_labels.get(p)
-            if label is None:  # pragma: no cover
-                raise NoProof(f"premise without provenance: {render_atom(p)}")
+            label = world.fact_labels.get(p) or inference_labels[p]
             premise_entries.append((label, context.lookup(label)))
         premise_entries.sort(key=lambda e: e[0].index)
         inference = normalize_statement(render_atom(d.head))
@@ -563,7 +527,9 @@ def _generate_once(rng, seed, depth, n_distractor_rules, n_distractor_facts):
         f'Does it imply that the statement "{hyp_surface[0].upper()}{hyp_surface[1:]}" is True?'
     )
     gold_proof = shortest_proof(world, hypothesis)
-    if len(gold_proof.steps) != depth:  # pragma: no cover - guarded by depth check
+    # A proof of height `depth` may have more steps; the chain built above
+    # has one per level, since its other premises are context facts.
+    if len(gold_proof.steps) != depth:  # pragma: no cover
         raise _RetryGeneration("proof length mismatch")
     return GeneratedProblem(
         context=context,

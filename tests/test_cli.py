@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import sys
@@ -275,3 +276,20 @@ def test_output_is_byte_identical_to_the_recorded_reports(
     assert rc == 0
     expected = (REPORTS / recorded.format(mode)).read_bytes()
     assert capsys.readouterr().out.encode() == expected
+
+
+def test_gold_proofs_and_training_pairs_are_the_recorded_ones(
+    report_set, tmp_path, capsys
+):
+    """The generated set is byte-equal to `set.jsonl`, and its training
+    pairs (`extract-training --roles sel,inf,halt,value --seed 0`) hash to
+    `extract-training.sha256`: every gold proof and every pair the rest of
+    the system trains on stays as recorded."""
+    assert pathlib.Path(report_set).read_bytes() == (REPORTS / "set.jsonl").read_bytes()
+    out = tmp_path / "pairs.jsonl"
+    rc = main(["extract-training", "--problems", report_set,
+               "--roles", "sel,inf,halt,value", "--seed", "0", "--out", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == (REPORTS / "extract-training.sha256").read_text().strip()

@@ -1,8 +1,12 @@
 """Solver runs over the remote backend: one `pipe:` server per run, reset
-before each problem, closed when the run ends, and a server that dies
-mid-run costs counted failures rather than a hang."""
+before each problem, closed when the run ends, a server that dies mid-run
+costs counted failures rather than a hang, and an HTTP endpoint answers as
+the `pipe:` server does."""
 
+import http.server
+import io
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -107,3 +111,48 @@ def test_cli_runs_start_one_server_and_close_it(argv, pipe_spawns, capsys):
     assert code == 0
     assert len(pipe_spawns) == 1
     assert pipe_spawns[0].returncode is not None
+
+
+class _ServeOverHttp(http.server.BaseHTTPRequestHandler):
+    """Answers each POSTed document as `models.serve` answers a line."""
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        out = io.BytesIO()
+        models.serve(self.server.backend, io.BytesIO(body), out)
+        reply = out.getvalue()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def http_endpoint(monkeypatch):
+    """An oracle server on a loopback port, for `HttpTransport`."""
+    monkeypatch.setenv("no_proxy", "*")
+    server = http.server.HTTPServer(("127.0.0.1", 0), _ServeOverHttp)
+    server.backend = models.oracle_backend()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}/"
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+@pytest.mark.parametrize("search", [[], ["--beam", "4", "--proposals", "4"]],
+                         ids=["greedy", "beam"])
+def test_http_endpoint_reports_what_pipe_reports(http_endpoint, search, capsys):
+    reports = []
+    for endpoint in (http_endpoint, "pipe:"):
+        code = evalcli.main(
+            ["eval", "--report", "json", "--problems", str(FIXTURES / "golden_pw.jsonl"),
+             "--backend", "remote", "--endpoint", endpoint] + search
+        )
+        assert code == 0
+        reports.append(capsys.readouterr())
+    assert reports[0] == reports[1]

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -185,12 +186,10 @@ def test_generated_problems_are_sound(seed, depth):
 
 def _naive_derived(context):
     """The reference fixpoint: every rule under every constant, pass after
-    pass in the same order, until a pass changes nothing."""
+    pass, until a pass changes nothing.  A proof costs its height, 1 + the
+    deepest premise, with ties on the candidate key."""
     fact_labels, rules, _ = symbolic.parse_context(context)
-    derived = {
-        atom: AtomProof(depth=0, steps=frozenset(), derivation=None)
-        for atom in fact_labels
-    }
+    derived = {atom: AtomProof(depth=0, derivation=None) for atom in fact_labels}
     constants = set()
     for atom in fact_labels:
         constants.add(atom.subject)
@@ -223,39 +222,35 @@ def _naive_derived(context):
                 head = rule.head.substitute(binding)
                 if not head.is_ground:
                     continue
-                step = Derivation(rule_label=label, premises=premises, head=head)
-                steps = frozenset().union(*(derived[p].steps for p in premises)) | {step}
-                cost = len(steps)
+                cost = 1 + max(derived[p].depth for p in premises)
                 current = derived.get(head)
                 if current is not None and current.depth < cost:
                     continue
                 if (
                     current is not None
                     and current.depth == cost
-                    and current.derivation is not None
                     and symbolic._candidate_key(
                         current.derivation.rule_label, current.derivation.premises
                     )
                     <= symbolic._candidate_key(label, premises)
                 ):
                     continue
-                if current is not None and current.depth == 0:
-                    continue
-                derived[head] = AtomProof(depth=cost, steps=steps, derivation=step)
+                step = Derivation(rule_label=label, premises=premises, head=head)
+                derived[head] = AtomProof(depth=cost, derivation=step)
                 changed = True
     return derived
 
 
 def _assert_closure_is_naive(context):
-    """closure() gives every atom the naive loop's depth, steps and
-    derivation; returns the closure."""
+    """closure() gives every atom the naive loop's depth and derivation;
+    returns the closure."""
     world = closure(context)
     expected = _naive_derived(context)
     assert world.derived.keys() == expected.keys()
     for atom, proof in expected.items():
         got = world.derived[atom]
-        assert (got.depth, got.steps, got.derivation) == (
-            proof.depth, proof.steps, proof.derivation
+        assert (got.depth, got.derivation) == (
+            proof.depth, proof.derivation
         ), cnl.render_atom(atom)
     return world
 
@@ -303,13 +298,13 @@ def test_closure_matches_naive_fixpoint_on_golden_contexts(pw_problems, pw_worst
             _assert_closure_is_naive(context)
 
 
-def test_closure_keeps_the_naive_pass_order():
-    # "kind" is first proved through young and big (3 steps), which "nice"
-    # shares, so "happy" costs 5; later in the same pass "kind" gets a
-    # 2-step proof through round, and "happy" re-costed on it would be 6.
-    # The naive loop keeps 5; a fixpoint that deferred "big"'s later users
-    # to the next pass would find the 2-step "kind" first and say 6.
-    context = LabeledContext.from_statements([
+def test_closure_depth_does_not_depend_on_rule_order():
+    # "kind" has a proof of height 2 through round and one of height 3
+    # through young and big, which "nice" needs, so "happy" has height 4 in
+    # every rule order.  A cost that counted shared steps once would give 5
+    # or 6 here, depending on which proof of "kind" the rule order met first.
+    # Height takes the shallower "kind", so the proof has 6 steps, not 5.
+    rules = [
         "If something is cold then it is young",
         "If something is young then it is big",
         "If something is big then it is kind",
@@ -317,19 +312,22 @@ def test_closure_keeps_the_naive_pass_order():
         "If something is kind and it is nice then it is happy",
         "If something is cold then it is round",
         "If something is round then it is kind",
-        "the cat is cold",
-    ])
-    world = _assert_closure_is_naive(context)
+    ]
+    happy = cnl.parse_statement("the cat is happy").atom
+    for order in itertools.permutations(rules):
+        context = LabeledContext.from_statements(list(order) + ["the cat is cold"])
+        assert closure(context).depth(happy) == 4, order
+    world = _assert_closure_is_naive(LabeledContext.from_statements(rules + ["the cat is cold"]))
     assert world.depth(cnl.parse_statement("the cat is kind").atom) == 2
-    assert world.depth(cnl.parse_statement("the cat is happy").atom) == 5
+    assert len(shortest_proof(world, _hyp("the cat is happy")).steps) == 6
 
 
 def test_closure_matches_naive_fixpoint_on_every_rule_shape():
     # The variable as object only, twice in one atom, beside a variable-free
     # body atom, a body atom repeated, and no variable at all.  "the dog is
-    # red" is proved only in the second pass, after both instances of the
-    # first rule were tried without it, so it must wake every constant's
-    # instance.  A variable only in the head is outside the grammar.
+    # red" is proved only at level 2, where both instances of the first rule
+    # are tried without it, so it must wake every constant's instance.  A
+    # variable only in the head is outside the grammar.
     context = LabeledContext.from_statements([
         "If the dog is red and something is big then it is happy",
         "If the cat eats something then it is big",
@@ -349,7 +347,7 @@ def test_closure_matches_naive_fixpoint_on_every_rule_shape():
     for surface, depth in [
         ("the mouse is big", 1), ("Gary is kind", 2), ("Gary is nice", 3),
         ("the dog is round", 1), ("the dog is red", 2),
-        ("Gary is happy", 4), ("the mouse is happy", 4),
+        ("Gary is happy", 3), ("the mouse is happy", 3),
     ]:
         assert world.depth(cnl.parse_statement(surface).atom) == depth, surface
 
