@@ -111,8 +111,12 @@ class LabeledContext:
         return cls(entries)
 
     def extended(self, statement: Statement) -> "LabeledContext":
+        # The entries are already checked and the new label is the next
+        # one, so `__init__`'s walk over every label is skipped.
         label = SentenceLabel(len(self.entries) + 1)
-        return LabeledContext(self.entries + ((label, statement),))
+        child = object.__new__(LabeledContext)
+        object.__setattr__(child, "entries", self.entries + ((label, statement),))
+        return child
 
     def statements(self) -> tuple[Statement, ...]:
         return tuple(s for _, s in self.entries)

@@ -20,6 +20,7 @@ import threading
 import traceback
 import urllib.error
 import urllib.request
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -245,10 +246,65 @@ def _read_value_prompt(prompt: str) -> tuple[list[str], str, str]:
 # Oracle backend.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4096)
+class _LRU:
+    """A bounded map that drops its least recently used entry, with the
+    `cache_clear` and `cache_parameters` of an `lru_cache`.  Unlike one, it
+    can be asked for a key without computing the value."""
+
+    def __init__(self, maxsize: int) -> None:
+        self._maxsize = maxsize
+        self._data: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            value = self._data.get(key)
+            if value is not None:
+                self._data.move_to_end(key)
+            return value
+
+    def put(self, key, value) -> None:
+        with self._lock:
+            self._data[key] = value
+            self._data.move_to_end(key)
+            if len(self._data) > self._maxsize:
+                self._data.popitem(last=False)
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._data.clear()
+
+    def cache_parameters(self) -> dict:
+        return {"maxsize": self._maxsize, "typed": False}
+
+
+# (context, closure, firings) by the context's sentence surfaces.
+_WORLDS = _LRU(maxsize=4096)
+
+
 def _world_for(surfaces: tuple[str, ...]):
-    ctx = LabeledContext.from_statements(surfaces)
-    return ctx, symbolic.closure(ctx)
+    """The context the surfaces label, its closure, and every rule firing
+    over its facts (`_firings`).
+
+    A search step appends one sentence to a context it has seen, so when
+    the context less its last sentence is cached, its world is extended by
+    that sentence rather than closed afresh.
+    """
+    world = _WORLDS.get(surfaces)
+    if world is not None:
+        return world
+    parent = _WORLDS.get(surfaces[:-1])
+    if parent is None:
+        ctx = LabeledContext.from_statements(surfaces)
+        closed = symbolic.closure(ctx)
+        world = ctx, closed, _firings(closed)
+    else:
+        parent_ctx, parent_closed, parent_firings = parent
+        ctx = parent_ctx.extended(normalize_statement(surfaces[-1]))
+        closed = symbolic.extend(parent_closed, ctx)
+        world = ctx, closed, parent_firings + _firings(closed, newest=len(ctx))
+    _WORLDS.put(surfaces, world)
+    return world
 
 
 def _overlap_score(choice: str, inference: str) -> float:
@@ -391,7 +447,7 @@ def _gold_steps(
 
     Selection and value calls on one context share it, and it keeps keys
     and label numbers only, not the proof."""
-    _, world = _world_for(surfaces)
+    _, world, _ = _world_for(surfaces)
     parsed_q = cnl.parse_question(question)
     if not isinstance(parsed_q, cnl.Hypothesis):
         return ()
@@ -415,7 +471,7 @@ def _selection_candidates(prompt: str) -> tuple[str, ...]:
     only the prompts of the problem it is solving, so a small cache serves.
     """
     question, surfaces = _read_selection_prompt(prompt)
-    ctx, world = _world_for(surfaces)
+    ctx, _, world_firings = _world_for(surfaces)
     present = {stmt.key for _, stmt in ctx}
 
     on_path: Optional[tuple[int, ...]] = None
@@ -424,24 +480,10 @@ def _selection_candidates(prompt: str) -> tuple[str, ...]:
             on_path = labels
             break
 
-    fact_atoms = sorted(
-        ((label, atom) for atom, label in world.fact_labels.items()),
-        key=lambda p: p[0].index,
-    )
-    firings: list[tuple[int, ...]] = []
-    seen: set[tuple[int, frozenset[int]]] = set()
-    for rule_label, rule in world.rule_entries:
-        for combo in _firing_combos(rule, fact_atoms):
-            head_key = combo[0]
-            labels = combo[1]
-            if head_key in present:
-                continue
-            sig = (rule_label.index, frozenset(l.index for l in labels))
-            if sig in seen:
-                continue
-            seen.add(sig)
-            firings.append((rule_label.index,) + tuple(l.index for l in labels))
-    firings.sort()
+    firings = sorted({
+        (rule,) + labels for rule, labels, head_key in world_firings
+        if head_key not in present
+    })
 
     ordered: list[tuple[int, ...]] = []
     if on_path is not None:
@@ -453,17 +495,48 @@ def _selection_candidates(prompt: str) -> tuple[str, ...]:
     return tuple(render_selection(labels) for labels in ordered)
 
 
-def _firing_combos(rule, fact_atoms):
-    """Yield (head key, premise labels) for every way the rule body matches.
+def _firings(world, newest: Optional[int] = None) -> tuple:
+    """(rule label, premise labels, head key) of every rule firing over the
+    world's facts, or with `newest`, the label of the context's last
+    sentence, only those that use that sentence."""
+    fact_atoms = sorted(
+        ((label, atom) for atom, label in world.fact_labels.items()),
+        key=lambda p: p[0].index,
+    )
+    newest_is_fact = bool(fact_atoms) and fact_atoms[-1][0].index == newest
+    firings = []
+    for rule_label, rule in world.rule_entries:
+        if newest is None or rule_label.index == newest:
+            combos = _firing_combos(rule, fact_atoms)
+        elif newest_is_fact:
+            combos = _firing_combos(rule, fact_atoms, newest_only=True)
+        else:
+            continue
+        for head_key, labels in combos:
+            firings.append((rule_label.index, tuple(l.index for l in labels), head_key))
+    return tuple(firings)
+
+
+def _firing_combos(rule, fact_atoms, newest_only: bool = False):
+    """Yield (head key, premise labels) for every way the rule body matches,
+    or with `newest_only`, every way that uses the last fact.
 
     A fact that is an instance of no body atom is in no match, so it is
     dropped before the combinations are formed.
     """
-    usable = [
-        (label, atom) for label, atom in fact_atoms
-        if any(symbolic._binding(pattern, atom) is not False for pattern in rule.body)
-    ]
-    for combo in itertools.combinations(usable, len(rule.body)):
+    def usable(atom) -> bool:
+        return any(symbolic._binding(pattern, atom) is not False for pattern in rule.body)
+
+    size = len(rule.body)
+    if not newest_only:
+        combos = itertools.combinations([f for f in fact_atoms if usable(f[1])], size)
+    elif usable(fact_atoms[-1][1]):
+        newest = fact_atoms[-1]
+        older = [f for f in fact_atoms[:-1] if usable(f[1])]
+        combos = (c + (newest,) for c in itertools.combinations(older, size - 1))
+    else:
+        return
+    for combo in combos:
         try:
             head = symbolic.apply_rule(rule, [atom for _, atom in combo])
         except symbolic.NoEntailment:
@@ -476,7 +549,7 @@ def _firing_combos(rule, fact_atoms):
 def _judge_steps(surfaces: tuple[str, ...], question: str, line: str) -> bool:
     """Decide whether one rendered step is correct and a step of a shortest
     proof."""
-    ctx, _ = _world_for(surfaces)
+    ctx, _, _ = _world_for(surfaces)
     parsed_q = cnl.parse_question(question)
     if not isinstance(parsed_q, cnl.Hypothesis):
         raise BackendError("value oracle needs a hypothesis question")
@@ -690,12 +763,17 @@ class PipeTransport:
     one exchange at a time.
 
     The server is started on the first exchange.  If it dies, the failing
-    exchange reaps it and raises, and the next exchange starts a new one.
+    exchange reaps it and raises, and the next exchange starts a new one,
+    unless the server died before its first answer: one that cannot come
+    back would cost a process start per attempt, so every later exchange
+    raises at once.
     """
 
     def __init__(self, argv: Optional[Sequence[str]] = None) -> None:
         self._argv = list(argv) if argv else [sys.executable, "-m", "sireason.models"]
         self._proc: Optional[subprocess.Popen] = None
+        self._answered = False  # whether the running server has answered
+        self._gave_up: Optional[str] = None
         self._lock = threading.Lock()
 
     def _ensure(self) -> subprocess.Popen:
@@ -707,24 +785,35 @@ class PipeTransport:
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
             )
+            self._answered = False
         return self._proc
 
     def exchange(self, payload: bytes) -> bytes:
         # One lock over the write and the read: a reply belongs to the
         # request written just before it.
         with self._lock:
+            if self._gave_up is not None:
+                raise RemoteError(self._gave_up)
             proc = self._ensure()
             try:
                 proc.stdin.write(payload)
                 proc.stdin.flush()
                 line = proc.stdout.readline()
             except OSError as exc:
-                self._stop()
-                raise RemoteError(f"pipe transport failed: {exc}") from exc
+                raise self._lost(f"pipe transport failed: {exc}") from exc
             if not line:
-                self._stop()
-                raise RemoteError("pipe transport: server closed the stream")
+                raise self._lost("pipe transport: server closed the stream")
+            self._answered = True
             return line
+
+    def _lost(self, reason: str) -> RemoteError:
+        """Reap the dead server and return the error to raise.  A server
+        that never answered is not started again."""
+        if not self._answered:
+            self._gave_up = f"{reason} before its first answer; not restarted"
+            reason = self._gave_up
+        self._stop()
+        return RemoteError(reason)
 
     def close(self) -> None:
         """Stop the server; closing twice is harmless."""

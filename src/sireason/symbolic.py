@@ -2,7 +2,8 @@
 
 Provides the reference inference `infer` (single-step entailment, or
 "nothing follows"), the proof-step judge `is_proof_step`, exhaustive closure
-with provenance and proof depths, hypothesis evaluation under
+with provenance and proof depths (`closure`, and `extend` for a context
+that is a closed one plus one statement), hypothesis evaluation under
 open-world semantics, shortest-proof extraction, and a seeded random problem
 generator.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import AbstractSet, Iterable, Optional
 
 from .cnl import (
@@ -166,12 +167,76 @@ class AtomProof:
     derivation: Optional[Derivation]  # None for base facts
 
 
+class RuleIndex:
+    """A context's rules, indexed for settling proofs: the constants in
+    order, the body atoms by predicate, whether each rule has a variable
+    (one instance per constant) or not (a single instance), and each
+    instance (rule, constant) once grounded.  A context that only gains
+    facts over constants it already has keeps its index."""
+
+    def __init__(self, rules: list[tuple[SentenceLabel, RuleAst]], facts: Iterable[Atom]):
+        constants = set()
+        for atom in facts:
+            constants.add(atom.subject)
+            if atom.obj:
+                constants.add(atom.obj)
+        for _, rule in rules:
+            for a in rule.body + (rule.head,):
+                for t in (a.subject, a.obj):
+                    if t is not None and not t.is_variable:
+                        constants.add(t)
+        self.rules = rules
+        self.constants = sorted(constants, key=lambda t: (t.name, t.proper))
+        self.position = {t: k for k, t in enumerate(self.constants)}
+        self.patterns: dict[str, list[tuple[int, Atom]]] = {}
+        self.uses_var = []
+        for r, (_, rule) in enumerate(rules):
+            for a in rule.body:
+                self.patterns.setdefault(a.predicate, []).append((r, a))
+            self.uses_var.append(any(
+                a.subject.is_variable or (a.obj and a.obj.is_variable)
+                for a in rule.body + (rule.head,)
+            ))
+        self.grounded: dict[tuple[int, int], tuple[SentenceLabel, tuple[Atom, ...], Atom]] = {}
+
+    def knows(self, atom: Atom) -> bool:
+        """Whether every constant of `atom` is one of the index's."""
+        return atom.subject in self.position and (
+            atom.obj is None or atom.obj in self.position
+        )
+
+    def users(self, atom: Atom):
+        """The instances (rule, constant) with `atom` among their premises."""
+        for r, pattern in self.patterns.get(atom.predicate, ()):
+            binding = _binding(pattern, atom)
+            if binding is False:
+                continue
+            if not self.uses_var[r]:
+                yield r, 0
+            elif binding is None:
+                for k in range(len(self.constants)):
+                    yield r, k
+            else:
+                yield r, self.position[binding]
+
+    def ground(self, key: tuple[int, int]) -> tuple[SentenceLabel, tuple[Atom, ...], Atom]:
+        """(rule label, premises, head) of the instance `key`."""
+        if key not in self.grounded:
+            r, k = key
+            label, rule = self.rules[r]
+            binding = self.constants[k] if self.uses_var[r] else None
+            premises = tuple(a.substitute(binding) for a in rule.body)
+            self.grounded[key] = (label, premises, rule.head.substitute(binding))
+        return self.grounded[key]
+
+
 @dataclass
 class WorldClosure:
     context: LabeledContext
     derived: dict[Atom, AtomProof]
     fact_labels: dict[Atom, SentenceLabel]
     rule_entries: list[tuple[SentenceLabel, RuleAst]]
+    index: RuleIndex = field(compare=False, repr=False)
     opaque_labels: list[SentenceLabel] = field(default_factory=list)
 
     def depth(self, atom: Atom) -> Optional[int]:
@@ -208,97 +273,95 @@ def parse_context(context: LabeledContext):
     return fact_labels, rules, opaque
 
 
-def closure(context: LabeledContext) -> WorldClosure:
-    """Least fixed point of rule application, with one proof per atom.
+def _settle(derived: dict[Atom, AtomProof], index: RuleIndex, lowered: Iterable[Atom]) -> None:
+    """Settle, in increasing depth, every proof that the new proofs of
+    `lowered` can lower, in place.
 
     An atom's depth is its proof's height: 0 for a context fact, else 1 +
-    its deepest premise.  Level h settles every atom of depth h: it tries
-    the instances using an atom first reached at level h - 1, and each new
-    head takes the one with the lowest rule label, then premise atoms.  An
-    instance is ground when one of its premises first has a proof: those no
-    proof reaches are never built.
+    its deepest premise.  Each instance with a lowered premise and every
+    premise proved offers its head a proof of that height.  The head takes
+    the lower height, and at equal height the lower rule label, then
+    premise atoms; a context fact is never replaced.  An offer is at least
+    one deeper than the atom that made it, so an atom's depth is final when
+    its level is reached, and an instance is ground when one of its
+    premises first has a proof: those no proof reaches are never built.
     """
-    fact_labels, rules, opaque = parse_context(context)
-
-    derived: dict[Atom, AtomProof] = {
-        atom: AtomProof(depth=0, derivation=None) for atom in fact_labels
-    }
-
-    constants = set()
-    for atom in fact_labels:
-        constants.add(atom.subject)
-        if atom.obj:
-            constants.add(atom.obj)
-    for _, rule in rules:
-        for a in rule.body + (rule.head,):
-            for t in (a.subject, a.obj):
-                if t is not None and not t.is_variable:
-                    constants.add(t)
-    constants = sorted(constants, key=lambda t: (t.name, t.proper))
-    position = {t: k for k, t in enumerate(constants)}
-
-    # Body atoms by predicate, and whether each rule has a variable (one
-    # instance per constant) or not (a single instance).
-    patterns: dict[str, list[tuple[int, Atom]]] = {}
-    uses_var = []
-    for r, (_, rule) in enumerate(rules):
-        for a in rule.body:
-            patterns.setdefault(a.predicate, []).append((r, a))
-        uses_var.append(any(
-            a.subject.is_variable or (a.obj and a.obj.is_variable)
-            for a in rule.body + (rule.head,)
-        ))
-
-    def users(atom: Atom):
-        """The instances (rule, constant) with `atom` among their premises."""
-        for r, pattern in patterns.get(atom.predicate, ()):
-            binding = _binding(pattern, atom)
-            if binding is False:
+    levels: dict[int, list[Atom]] = {}
+    for atom in lowered:
+        levels.setdefault(derived[atom].depth, []).append(atom)
+    depth = min(levels, default=0)
+    while levels:
+        # An atom lowered again since it was queued is settled at its
+        # lower level.
+        settled = [a for a in levels.pop(depth, ()) if derived[a].depth == depth]
+        for key in {key for atom in settled for key in index.users(atom)}:
+            label, premises, head = index.ground(key)
+            if any(p not in derived for p in premises):
                 continue
-            if not uses_var[r]:
-                yield r, 0
-            elif binding is None:
-                for k in range(len(constants)):
-                    yield r, k
-            else:
-                yield r, position[binding]
-
-    grounded: dict[tuple[int, int], tuple[SentenceLabel, tuple[Atom, ...], Atom]] = {}
-
-    def ground(key: tuple[int, int]) -> tuple[SentenceLabel, tuple[Atom, ...], Atom]:
-        if key not in grounded:
-            r, k = key
-            label, rule = rules[r]
-            binding = constants[k] if uses_var[r] else None
-            premises = tuple(a.substitute(binding) for a in rule.body)
-            grounded[key] = (label, premises, rule.head.substitute(binding))
-        return grounded[key]
-
-    frontier = list(derived)
-    depth = 0
-    while frontier:
-        depth += 1
-        level: dict[Atom, Derivation] = {}
-        for key in {key for atom in frontier for key in users(atom)}:
-            label, premises, head = ground(key)
-            if head in derived or any(p not in derived for p in premises):
-                continue
-            best = level.get(head)
-            if best is None or _candidate_key(label, premises) < _candidate_key(
-                best.rule_label, best.premises
+            height = 1 + max(derived[p].depth for p in premises)
+            old = derived.get(head)
+            if old is not None and (
+                old.depth < height
+                or old.depth == height
+                and _candidate_key(old.derivation.rule_label, old.derivation.premises)
+                <= _candidate_key(label, premises)
             ):
-                level[head] = Derivation(rule_label=label, premises=premises, head=head)
-        for head, step in level.items():
-            derived[head] = AtomProof(depth=depth, derivation=step)
-        frontier = list(level)
+                continue
+            derived[head] = AtomProof(
+                depth=height, derivation=Derivation(rule_label=label, premises=premises, head=head)
+            )
+            if old is None or height < old.depth:
+                levels.setdefault(height, []).append(head)
+        depth += 1
 
+
+def closure(context: LabeledContext) -> WorldClosure:
+    """Least fixed point of rule application, with one proof per atom: the
+    context facts at depth 0, and what they settle (`_settle`)."""
+    fact_labels, rules, opaque = parse_context(context)
+    derived = {atom: AtomProof(depth=0, derivation=None) for atom in fact_labels}
+    index = RuleIndex(rules, fact_labels)
+    _settle(derived, index, fact_labels)
     return WorldClosure(
         context=context,
         derived=derived,
         fact_labels=fact_labels,
         rule_entries=rules,
+        index=index,
         opaque_labels=opaque,
     )
+
+
+def extend(world: WorldClosure, context: LabeledContext) -> WorldClosure:
+    """The closure of `context`, which is `world.context` plus one appended
+    statement, settled from `world` instead of from scratch.
+
+    A new fact takes depth 0 and settles only what it lowers; a fact the
+    context already has keeps its first label and changes nothing, and a
+    sentence outside the grammar (such as "nothing follows") changes only
+    the opaque labels.  An appended rule, or a fact with a constant the
+    world does not know, changes the rule index, so `context` is closed
+    afresh.  `world` itself is left as it was.
+    """
+    if context.entries[:-1] != world.context.entries:
+        raise ValueError("context is not the world's context plus one statement")
+    label, stmt = context.entries[-1]
+    parsed = parse_statement(stmt.surface)
+    if isinstance(parsed, Fact) and parsed.atom in world.fact_labels:
+        return replace(world, context=context)
+    if isinstance(parsed, Fact) and world.index.knows(parsed.atom):
+        derived = dict(world.derived)
+        derived[parsed.atom] = AtomProof(depth=0, derivation=None)
+        _settle(derived, world.index, [parsed.atom])
+        return replace(
+            world,
+            context=context,
+            derived=derived,
+            fact_labels={**world.fact_labels, parsed.atom: label},
+        )
+    if isinstance(parsed, (Fact, RuleAst)):
+        return closure(context)
+    return replace(world, context=context, opaque_labels=world.opaque_labels + [label])
 
 
 def evaluate_hypothesis(world: WorldClosure, hypothesis: Hypothesis) -> Answer:

@@ -64,6 +64,11 @@ def test_labeled_context_basics():
     assert extended.label_of(Statement("c is green")) == SentenceLabel(3)
     # the original is untouched
     assert len(ctx) == 2
+    # the same context as one built from all three statements
+    assert extended == LabeledContext.from_statements(["a is red", "b is blue", "c is green"])
+    assert [label.index for label, _ in extended] == [1, 2, 3]
+    with pytest.raises(AttributeError):
+        extended.entries = ()
 
 
 def test_answer_parse_render():

@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from sireason import engine, models
-from sireason.core import LabeledContext, Statement
+from sireason.core import LabeledContext, SentenceLabel, Statement
 from sireason.models import (
     CERTAIN_BAD,
     CERTAIN_GOOD,
@@ -129,7 +129,8 @@ def test_oracle_selection_walks_candidates():
 
 
 def _sireason_caches() -> dict:
-    """Every `functools.lru_cache` in the sireason modules, by name."""
+    """Every cache in the sireason modules, by name: each module-level
+    object (not a class) with the `cache_clear` of a `functools.lru_cache`."""
     import importlib
     import pkgutil
 
@@ -141,6 +142,8 @@ def _sireason_caches() -> dict:
             continue
         module = importlib.import_module(f"sireason.{info.name}")
         for name, obj in vars(module).items():
+            if isinstance(obj, type):
+                continue
             if callable(getattr(obj, "cache_clear", None)) and getattr(
                 obj, "__module__", None
             ) == module.__name__:
@@ -151,7 +154,8 @@ def _sireason_caches() -> dict:
 def test_every_cache_is_bounded():
     caches = _sireason_caches()
     assert {"sireason.core.normalize_key", "sireason.cnl.parse_statement",
-            "sireason.models._selection_candidates"} <= set(caches)
+            "sireason.models._selection_candidates",
+            "sireason.models._WORLDS"} <= set(caches)
     for name, cache in caches.items():
         assert cache.cache_parameters()["maxsize"] is not None, name
 
@@ -182,6 +186,45 @@ def test_selection_walk_is_the_same_with_cold_and_warm_caches():
     _clear_caches()
     assert walk() == warm == cold
     assert len(cold) > 2
+
+
+def test_extended_worlds_fire_as_rebuilt_ones(monkeypatch):
+    """A context that extends a cached one gets its world and firing list by
+    extension; each equals a rebuild, the firing list as a set."""
+    from sireason import cnl, datasets, symbolic
+
+    problem = datasets.generate_problem_set(30, {5: 1})[0]
+    world = symbolic.closure(problem.context)
+    appended = sorted(
+        (cnl.render_atom(a) for a, p in world.derived.items() if p.depth > 0), reverse=True
+    )
+    appended[1:1] = [
+        "If something is big then it is quiet",
+        problem.context.lookup(max(world.fact_labels.values())).surface,
+        symbolic.NOTHING_FOLLOWS,
+        "the zebra is big",
+    ]
+    surfaces = tuple(stmt.surface for stmt in problem.context.statements())
+    _clear_caches()
+    models._world_for(surfaces)
+    closure = symbolic.closure
+    closed = []
+
+    def counting(ctx):
+        closed.append(ctx.lookup(SentenceLabel(len(ctx))).surface)
+        return closure(ctx)
+
+    monkeypatch.setattr(symbolic, "closure", counting)
+    for surface in appended:
+        surfaces += (surface,)
+        ctx, got, firings = models._world_for(surfaces)
+        rebuilt = closure(LabeledContext.from_statements(surfaces))
+        assert ctx == rebuilt.context
+        assert got.derived == rebuilt.derived
+        assert set(firings) == set(models._firings(rebuilt)), surface
+    # Only a new rule and a new constant close the context afresh.
+    assert closed == ["If something is big then it is quiet", "the zebra is big"]
+    _clear_caches()
 
 
 @pytest.mark.parametrize("settings", [
@@ -727,6 +770,18 @@ def test_pipe_transport_respawns_after_the_server_exits(tmp_path, pipe_spawns):
     finally:
         backend.close()
     assert len(pipe_spawns) == 2
+
+
+def test_pipe_transport_gives_up_on_a_server_that_never_answers(tmp_path, pipe_spawns):
+    transport = PipeTransport(_stub_server(tmp_path, "import sys\n"))
+    backend = RemoteBackend(transport, retries=2)
+    try:
+        for _ in range(3):
+            with pytest.raises(RemoteError, match="before its first answer"):
+                backend.complete(_inference_request("red"))
+    finally:
+        backend.close()
+    assert len(pipe_spawns) == 1
 
 
 def test_pipe_transport_close_kills_a_server_that_does_not_exit(

@@ -398,3 +398,127 @@ def test_closure_agrees_with_entailment_on_an_unbound_head():
         "the cat is red",
         "the mouse is big",
     ]))
+
+
+def _assert_extend_is_closure(world, context):
+    """`extend(world, context)` is what `closure(context)` gives, and
+    `world` is left as it was; returns the extended world."""
+    before = (dict(world.derived), dict(world.fact_labels), list(world.opaque_labels))
+    extended = symbolic.extend(world, context)
+    expected = closure(context)
+    assert extended.context == context
+    assert extended.derived == expected.derived
+    assert extended.fact_labels == expected.fact_labels
+    assert list(extended.fact_labels.values()) == list(expected.fact_labels.values())
+    assert extended.opaque_labels == expected.opaque_labels
+    assert (world.derived, world.fact_labels, world.opaque_labels) == before
+    return extended
+
+
+def _append_all(context, surfaces):
+    """Extend the closure of `context` by each surface in turn, checking
+    every step against a full closure; returns the last world."""
+    world = closure(context)
+    for surface in surfaces:
+        context = context.extended(normalize_statement(surface))
+        world = _assert_extend_is_closure(world, context)
+    return world
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([1, 2, 3, 5]),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=6),
+    st.randoms(use_true_random=False),
+)
+def test_extend_matches_closure(seed, depth, rules, facts, rng):
+    try:
+        gen = generate_problem(
+            seed=seed, depth=depth, n_distractor_rules=rules, n_distractor_facts=facts
+        )
+    except GenerationFailure:
+        assume(False)
+    world = closure(gen.context)
+    # Derivable atoms, each of which can lower what rests on it, plus a
+    # repeated fact, "nothing follows", a fact with a constant the context
+    # does not have, and a rule, all in random order.
+    surfaces = [cnl.render_atom(a) for a, p in world.derived.items() if p.depth > 0]
+    surfaces += [cnl.render_atom(rng.choice(sorted(world.fact_labels, key=cnl.render_atom)))]
+    surfaces += [NOTHING_FOLLOWS, "the zebra is big"]
+    body = rng.choice(sorted(world.derived, key=cnl.render_atom))
+    surfaces += [cnl.render_rule(
+        (cnl.Atom(body.predicate, cnl.VAR, obj=body.obj, negated=body.negated),),
+        cnl.Atom("quiet", cnl.VAR),
+        "something",
+    )]
+    rng.shuffle(surfaces)
+    _append_all(gen.context, surfaces)
+
+
+# Each cold thing is young, round, red, big and kind in turn, one level
+# per rule; "the cat is cold" is the only fact about the cat.
+_CHAIN = [
+    "If something is cold then it is young",
+    "If something is young then it is round",
+    "If something is round then it is red",
+    "If something is red then it is big",
+    "If something is big then it is kind",
+    "the cat is cold",
+]
+
+
+def test_extend_lowers_a_descendant_two_levels_down():
+    kind = cnl.parse_statement("the cat is kind").atom
+    assert closure(LabeledContext.from_statements(_CHAIN)).depth(kind) == 5
+    world = _append_all(LabeledContext.from_statements(_CHAIN), ["the cat is red"])
+    assert world.depth(kind) == 2
+    assert world.derived[kind].derivation.premises == (
+        cnl.parse_statement("the cat is big").atom,
+    )
+
+
+def test_extend_switches_to_a_lower_key_proof_of_equal_height():
+    # "happy" has height 2 through green (sent 2) and, once "the cat is
+    # wet" is a fact, height 2 through blue too: sent 1 is the lower key.
+    context = LabeledContext.from_statements([
+        "If something is blue then it is happy",
+        "If something is green then it is happy",
+        "If something is cold then it is green",
+        "If something is wet then it is blue",
+        "If something is cold then it is wet",
+        "the cat is cold",
+    ])
+    happy = cnl.parse_statement("the cat is happy").atom
+    before = closure(context).derived[happy]
+    assert (before.depth, before.derivation.rule_label.index) == (2, 2)
+    after = _append_all(context, ["the cat is wet"]).derived[happy]
+    assert (after.depth, after.derivation.rule_label.index) == (2, 1)
+
+
+def test_extend_by_a_fact_already_in_the_context_changes_nothing():
+    context = LabeledContext.from_statements(_CHAIN)
+    world = closure(context)
+    extended = _append_all(context, ["The cat is cold."])
+    cold = cnl.parse_statement("the cat is cold").atom
+    assert extended.fact_labels[cold].index == 6
+    assert extended.derived == world.derived
+
+
+def test_extend_falls_back_to_closure_for_a_rule_or_a_new_constant():
+    context = LabeledContext.from_statements(_CHAIN)
+    world = _append_all(context, [
+        "If something is kind then it is nice",
+        "the dog is red",
+        NOTHING_FOLLOWS,
+    ])
+    assert world.depth(cnl.parse_statement("the cat is nice").atom) == 6
+    assert world.depth(cnl.parse_statement("the dog is kind").atom) == 2
+    assert [label.index for label in world.opaque_labels] == [9]
+
+
+def test_extend_needs_the_worlds_context_plus_one_statement():
+    world = closure(LabeledContext.from_statements(_CHAIN))
+    with pytest.raises(ValueError):
+        symbolic.extend(world, LabeledContext.from_statements(_CHAIN[1:] + ["the cat is red"]))
