@@ -10,59 +10,54 @@ Submodules:
             sending every role's request to one backend
   datasets  problem files and training-pair extraction
   evalcli   metrics, probes, batch evaluation, command line
+
+The exports below, and the submodules, load lazily, on first use: importing
+`sireason.models` alone (as a `pipe:` server does) loads only `core`, `cnl`,
+`symbolic` and `models`.
 """
 
-from .core import (
-    Answer,
-    LabeledContext,
-    ReasoningStep,
-    ReasoningTrace,
-    SentenceLabel,
-    Statement,
-    is_connected,
-    is_valid,
-    normalize_key,
-    normalize_statement,
-    parse_trace_text,
-    render_trace,
-)
-from .datasets import Problem, TrainingPair, load_problems, save_problems
-from .engine import BeamConfig, beam_search, si_answer
-from .models import (
-    CompletionRequest,
-    CompletionResponse,
-    GeneratorRole,
-    oracle_backend,
-    remote_backend,
-    scripted_backend,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Answer",
-    "BeamConfig",
-    "CompletionRequest",
-    "CompletionResponse",
-    "GeneratorRole",
-    "LabeledContext",
-    "Problem",
-    "ReasoningStep",
-    "ReasoningTrace",
-    "SentenceLabel",
-    "Statement",
-    "TrainingPair",
-    "beam_search",
-    "is_connected",
-    "is_valid",
-    "load_problems",
-    "normalize_key",
-    "normalize_statement",
-    "oracle_backend",
-    "parse_trace_text",
-    "remote_backend",
-    "render_trace",
-    "save_problems",
-    "scripted_backend",
-    "si_answer",
-]
+# Each export by the submodule that defines it.
+_EXPORTS = {
+    "Answer": "core",
+    "LabeledContext": "core",
+    "ReasoningStep": "core",
+    "ReasoningTrace": "core",
+    "SentenceLabel": "core",
+    "Statement": "core",
+    "is_connected": "core",
+    "is_valid": "core",
+    "normalize_key": "core",
+    "normalize_statement": "core",
+    "parse_trace_text": "core",
+    "render_trace": "core",
+    "Problem": "datasets",
+    "TrainingPair": "datasets",
+    "load_problems": "datasets",
+    "save_problems": "datasets",
+    "BeamConfig": "engine",
+    "beam_search": "engine",
+    "si_answer": "engine",
+    "CompletionRequest": "models",
+    "CompletionResponse": "models",
+    "GeneratorRole": "models",
+    "oracle_backend": "models",
+    "remote_backend": "models",
+    "scripted_backend": "models",
+}
+_SUBMODULES = ("core", "cnl", "symbolic", "models", "engine", "datasets", "evalcli")
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    # Looked up afresh on each access, so a name patched in its submodule
+    # reads the same here.
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

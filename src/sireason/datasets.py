@@ -38,6 +38,7 @@ class SchemaError(ValueError):
     """A problem file line that does not match the schema."""
 
     def __init__(self, message: str, line_number: Optional[int] = None) -> None:
+        self.reason = message
         if line_number is not None:
             message = f"line {line_number}: {message}"
         super().__init__(message)
@@ -71,6 +72,14 @@ class TrainingPair:
     step_index: Optional[int] = None
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def _proof_from_indices(
     context: LabeledContext, proof_doc: Sequence[dict]
 ) -> ReasoningTrace:
@@ -80,11 +89,13 @@ def _proof_from_indices(
     steps: list[ReasoningStep] = []
     for step_no, doc in enumerate(proof_doc, start=1):
         indices = doc["selection"]
+        if not isinstance(doc["inference"], str):
+            raise SchemaError(f"step {step_no}: inference {doc['inference']!r} is not a string")
         inference = normalize_statement(doc["inference"])
         selection: list[Statement] = []
         labels: list[SentenceLabel] = []
         for idx in indices:
-            if not isinstance(idx, int) or idx < 1:
+            if not _is_int(idx) or idx < 1:
                 raise SchemaError(f"step {step_no}: bad selection index {idx!r}")
             if idx <= base_len:
                 stmt = context.lookup(SentenceLabel(idx))
@@ -111,26 +122,41 @@ def _proof_from_indices(
 
 def problem_from_doc(doc: dict, tag: str = "pw") -> Problem:
     try:
+        if not isinstance(doc, dict):
+            raise SchemaError(f"a problem is a JSON object, not {doc!r}")
+        ident, question = doc["id"], doc["question"]
+        choices, depth = doc.get("choices"), doc.get("depth")
+        if not (isinstance(ident, str) or _is_int(ident)):
+            raise SchemaError(f"id {ident!r} is not a string or an integer")
+        if not _is_str_list(doc["context"]):
+            raise SchemaError(f"context {doc['context']!r} is not a list of strings")
+        if not isinstance(question, str):
+            raise SchemaError(f"question {question!r} is not a string")
+        if choices is not None and not _is_str_list(choices):
+            raise SchemaError(f"choices {choices!r} is not a list of strings")
+        if depth is not None and not _is_int(depth):
+            raise SchemaError(f"depth {depth!r} is not an integer")
         context = LabeledContext.from_statements(doc["context"])
-        choices = tuple(doc["choices"]) if doc.get("choices") else None
         proof = (
             _proof_from_indices(context, doc["proof"])
             if doc.get("proof") is not None
             else None
         )
         return Problem(
-            id=str(doc["id"]),
+            id=str(ident),
             context=context,
-            question=doc["question"],
-            choices=choices,
+            question=question,
+            choices=tuple(choices) if choices else None,
             gold_answer=Answer.parse(str(doc["answer"])),
             gold_proof=proof,
-            depth=doc.get("depth"),
+            depth=depth,
             dataset_tag=tag,
         )
     except SchemaError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise SchemaError(f"missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise SchemaError(str(exc)) from exc
 
 
@@ -157,19 +183,32 @@ def problem_to_doc(problem: Problem) -> dict:
 
 
 def load_problems(path, tag: str = "pw") -> list[Problem]:
+    """The problems of a file; a line that breaks the schema, or repeats
+    an earlier problem's id, raises SchemaError with its line number."""
     problems: list[Problem] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    id_lines: dict[str, int] = {}
+    # Read as bytes and decode line by line, so that a byte that is not
+    # UTF-8 is charged to its own line.
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                doc = json.loads(line)
+                doc = json.loads(line.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"not UTF-8: {exc}", line_no) from exc
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"not valid JSON: {exc}", line_no) from exc
             try:
-                problems.append(problem_from_doc(doc, tag))
+                problem = problem_from_doc(doc, tag)
             except SchemaError as exc:
-                raise SchemaError(str(exc), line_no) from exc
+                raise SchemaError(exc.reason, line_no) from exc
+            first = id_lines.setdefault(problem.id, line_no)
+            if first != line_no:
+                raise SchemaError(
+                    f"id {problem.id!r} repeats the id on line {first}", line_no
+                )
+            problems.append(problem)
     return problems
 
 

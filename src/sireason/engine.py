@@ -4,11 +4,12 @@ There is one search loop, `beam_search`.  Greedy selection-inference
 (`si_answer`) is a beam of one trace with one proposal per step, which has
 nothing to rank and so never calls the value role.
 
-Selections are made purely by sentence label.  The raw generator output is
-scanned for "sent N" tokens, out-of-range labels are dropped, and the
-surviving labels are substituted back into statements.  A selected
-statement therefore always comes from the context, which is what rules out
-made-up facts structurally.
+Selections are made purely by sentence label.  Each sample of the raw
+generator output is scanned for "sent N" tokens; a sample with none, or
+with one out of range, is dropped, and the labels of the others are
+substituted back into statements.  A selected statement therefore always
+comes from the context, which is what rules out made-up facts
+structurally.
 """
 
 from __future__ import annotations
@@ -34,16 +35,16 @@ from .models import CompletionRequest, GeneratorRole
 _LABEL_TOKEN = re.compile(r"sent (\d+)")
 
 
-class SelectionSyntaxError(Exception):
-    """The selection output contained no usable in-range sentence label."""
-
-
 @dataclass
 class SolveStats:
     """Failure counters accumulated across a batch."""
 
     selection_syntax_errors: int = 0
+    # Selection requests, one per live trace per step.
     selection_calls: int = 0
+    # Samples asked for and not given: the generator had no more proposals.
+    # Not in the report.
+    selection_exhausted: int = 0
     backend_failures: int = 0
     notes: list[str] = field(default_factory=list)
 
@@ -52,36 +53,53 @@ class SolveStats:
         self.notes.append(note)
 
 
-def selection_step(
-    question: str, context: LabeledContext, backend, stats: Optional[SolveStats] = None
-) -> tuple[list[Statement], list[SentenceLabel]]:
-    if len(context) == 0:
-        raise ValueError("selection needs a non-empty context")
-    prompt = models.format_selection_prompt(question, context)
-    raw = backend.complete(
-        CompletionRequest(GeneratorRole.SELECTION, prompt)
-    ).text
-    if stats is not None:
-        stats.selection_calls += 1
+def _read_labels(raw: str, size: int) -> Optional[list[SentenceLabel]]:
+    """The distinct labels of one selection sample, in order; None if it
+    has none, or one outside a context of `size` sentences."""
     labels: list[SentenceLabel] = []
     seen: set[int] = set()
     for token in _LABEL_TOKEN.findall(raw):
         index = int(token)
-        if not 1 <= index <= len(context):
+        if not 1 <= index <= size:
+            return None
+        if index not in seen:
+            seen.add(index)
+            labels.append(SentenceLabel(index))
+    return labels or None
+
+
+def selection_step(
+    question: str,
+    context: LabeledContext,
+    backend,
+    stats: Optional[SolveStats] = None,
+    n: int = 1,
+) -> list[tuple[list[Statement], list[SentenceLabel]]]:
+    """(selection, labels) of every usable sample of one selection request
+    for `n` samples, in sample order.
+
+    A sample with no usable in-range label is a syntax error and is
+    dropped; fewer samples than `n` means the generator ran out.  A
+    BackendError propagates.
+    """
+    if len(context) == 0:
+        raise ValueError("selection needs a non-empty context")
+    prompt = models.format_selection_prompt(question, context)
+    samples = backend.complete(
+        CompletionRequest(GeneratorRole.SELECTION, prompt, n=n)
+    ).all_samples()
+    proposals = []
+    for raw in samples:
+        labels = _read_labels(raw, len(context))
+        if labels is None:
             if stats is not None:
                 stats.selection_syntax_errors += 1
-            raise SelectionSyntaxError(
-                f"label sent {index} outside context of {len(context)} in {raw!r}"
-            )
-        if index in seen:
             continue
-        seen.add(index)
-        labels.append(SentenceLabel(index))
-    if not labels:
-        if stats is not None:
-            stats.selection_syntax_errors += 1
-        raise SelectionSyntaxError(f"no in-range labels in output {raw!r}")
-    return [context.lookup(label) for label in labels], labels
+        proposals.append(([context.lookup(label) for label in labels], labels))
+    if stats is not None:
+        stats.selection_calls += 1
+        stats.selection_exhausted += max(0, n - len(samples))
+    return proposals
 
 
 def _infer(selection: Sequence[Statement], backend) -> Statement:
@@ -180,14 +198,16 @@ def beam_search(
 ) -> tuple[Answer, ReasoningTrace, list[BeamEntry]]:
     """Value-guided search over reasoning traces.
 
-    Each live trace proposes up to `proposals_per_trace` next steps
-    (deduplicated by selection set plus inference), and the best
+    Each live trace asks one selection request for `proposals_per_trace`
+    samples, which give up to that many next steps (deduplicated by
+    selection set plus inference), and the best
     `beam_width` extensions survive.  With more than one proposal per trace
     every extension is scored by the value generator; a single proposal has
     nothing to rank, so its steps keep no value score.  Halted entries keep
     competing with frozen scores until every entry has halted or the step
     cap is reached.  A step whose backend call fails is dropped and counted
-    in `stats`.  Every role's request goes to `backend`.
+    in `stats`, and a failed selection request drops every step its trace
+    would have proposed.  Every role's request goes to `backend`.
     """
     # One proposal per trace leaves nothing to deduplicate or to rank.
     ranked = cfg.proposals_per_trace > 1
@@ -201,19 +221,17 @@ def beam_search(
         for entry in entries:
             if entry.trace.halted:
                 continue
-            context = entry.trace.full_context
+            try:
+                proposals = selection_step(
+                    problem.question, entry.trace.full_context, backend, stats,
+                    cfg.proposals_per_trace,
+                )
+            except models.BackendError as exc:
+                stats.backend_failure(f"{problem.id}: selection backend: {exc}")
+                proposals = []
             candidates: list[ReasoningStep] = []
             seen: set[tuple] = set()
-            for _ in range(cfg.proposals_per_trace):
-                try:
-                    selection, labels = selection_step(
-                        problem.question, context, backend, stats
-                    )
-                except SelectionSyntaxError:
-                    continue
-                except models.BackendError as exc:
-                    stats.backend_failure(f"{problem.id}: selection backend: {exc}")
-                    continue
+            for selection, labels in proposals:
                 try:
                     inference = _infer(selection, backend)
                 except models.BackendError as exc:

@@ -536,6 +536,19 @@ def _solver_config(args) -> SolverConfig:
     return cfg
 
 
+def _load_problems(path, tag: str) -> list[Problem]:
+    """The problems of a file.  One that cannot be read, or that breaks the
+    schema, stops the command (exit 2, `file:line: message` on stderr)
+    before any solver or server starts."""
+    try:
+        return datasets.load_problems(path, tag)
+    except datasets.SchemaError as exc:
+        print(f"{path}:{exc.line_number}: {exc.reason}", file=sys.stderr)
+    except OSError as exc:
+        print(f"{path}: {exc.strerror or exc}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _report_failures(stats: engine.SolveStats) -> int:
     """Print each backend failure on stderr; the exit code they make."""
     for note in stats.notes:
@@ -545,7 +558,7 @@ def _report_failures(stats: engine.SolveStats) -> int:
 
 def _cmd_solve(args) -> int:
     cfg = _solver_config(args)
-    problems = datasets.load_problems(args.problems, args.dataset)
+    problems = _load_problems(args.problems, args.dataset)
     stats = engine.SolveStats()
     solver = make_solver(cfg, stats)
     for problem in problems:
@@ -565,7 +578,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _solver_config(args)
-    problems = datasets.load_problems(args.problems, args.dataset)
+    problems = _load_problems(args.problems, args.dataset)
     report = evaluate(problems, cfg)
     if args.report == "json":
         print(json.dumps(report.to_doc(), sort_keys=True, indent=2))
@@ -593,7 +606,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_probe(args) -> int:
     cfg = _solver_config(args)
-    problems = datasets.load_problems(args.problems, args.dataset)
+    problems = _load_problems(args.problems, args.dataset)
     if args.kind == "random" and len(problems) < 2:
         # Each problem borrows another's context: one problem has no other.
         args.parser_error("--kind random needs at least 2 problems")
@@ -626,7 +639,7 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    problems = datasets.load_problems(args.problems, args.dataset)
+    problems = _load_problems(args.problems, args.dataset)
     findings = datasets.validate_problems(problems)
     for f in findings:
         print(f)
@@ -644,7 +657,7 @@ def _cmd_gen_problems(args) -> int:
 
 
 def _cmd_extract_training(args) -> int:
-    problems = datasets.load_problems(args.problems, args.mode)
+    problems = _load_problems(args.problems, args.mode)
     roles = set(args.roles.split(","))
     bad = roles - {"sel", "inf", "halt", "value"}
     if bad:

@@ -14,14 +14,15 @@ import contextlib
 import itertools
 import json
 import math
+import os
+import select
 import subprocess
 import sys
 import threading
+import time
 import traceback
-import urllib.error
-import urllib.request
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
@@ -58,12 +59,31 @@ class CompletionRequest:
     role: GeneratorRole
     prompt: str
     scored_continuations: Optional[tuple[str, ...]] = None
+    # Completions wanted for the prompt; a selection request asks for one
+    # per proposal.
+    n: int = 1
 
 
 @dataclass(frozen=True)
 class CompletionResponse:
     text: str
     continuation_logprobs: Optional[Mapping[str, float]] = None
+    # Every completion, at most the request's `n`, set only when n != 1.
+    # Fewer than `n` means the generator had no more to give.
+    samples: Optional[tuple[str, ...]] = None
+
+    def all_samples(self) -> tuple[str, ...]:
+        """`samples` if set, else the one `text`."""
+        return self.samples if self.samples is not None else (self.text,)
+
+
+def sampled(request: CompletionRequest, samples: Sequence[str]) -> CompletionResponse:
+    """The response to `request` made of `samples`: `text` is the first, or
+    "" when there is none, and `samples` is set only when n != 1."""
+    text = samples[0] if samples else ""
+    if request.n == 1:
+        return CompletionResponse(text=text)
+    return CompletionResponse(text=text, samples=tuple(samples))
 
 
 class BackendError(Exception):
@@ -325,8 +345,9 @@ class OracleBackend:
 
     Selection enumerates candidate steps for each distinct prompt: the step
     that advances the shortest proof first, then every other rule firing in
-    label order.  Repeated calls with the same prompt walk down that list,
-    which is how beam search obtains distinct proposals.
+    label order.  A request for n samples takes the next n of that list, or
+    what is left of it, so beam search obtains distinct proposals, and
+    repeated requests with the same prompt walk on down the list.
     """
 
     def __init__(self) -> None:
@@ -354,10 +375,8 @@ class OracleBackend:
         candidates = _selection_candidates(request.prompt)
         with self._lock:
             cursor = self._selection_cursor.get(request.prompt, 0)
-            self._selection_cursor[request.prompt] = cursor + 1
-        if cursor >= len(candidates):
-            return CompletionResponse(text="")
-        return CompletionResponse(text=candidates[cursor])
+            self._selection_cursor[request.prompt] = cursor + request.n
+        return sampled(request, candidates[cursor:cursor + request.n])
 
     # -- inference ----------------------------------------------------------
 
@@ -576,11 +595,12 @@ class ScriptedBackend:
 
     `script` maps a role to a FIFO list of response texts.  Roles without a
     script entry fall through to `base`, so one scripted backend answers
-    every role.  With noise rate ε, selection outputs are replaced (with
-    probability ε, seeded) by a uniformly random well-formed label sentence
-    over the prompt's sentence range.  The k-th
-    `reset()` reseeds the noise with `seed + k`, so each problem of a run
-    draws its own reproducible noise.
+    every role, and a queue gives up to n items to a request for n.  With
+    noise rate ε, each selection sample is replaced (with probability ε,
+    seeded) by a uniformly random well-formed label sentence over the
+    prompt's sentence range; the samples left are asked of the script or
+    the base in one request.  The k-th `reset()` reseeds the noise with
+    `seed + k`, so each problem of a run draws its own reproducible noise.
     """
 
     def __init__(
@@ -615,22 +635,42 @@ class ScriptedBackend:
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         role = GeneratorRole(request.role)
-        # The lock guards only this backend's own state (the noise draw and
+        # None marks a sample that noise leaves to the script or the base.
+        samples: list[Optional[str]] = [None] * request.n
+        # The lock guards only this backend's own state (the noise draws and
         # the queues); a forwarded call runs outside it.
         with self._lock:
-            # Noise pre-empts the underlying generator: the call itself is
-            # replaced, so repeated proposals stay independent draws.
+            # Noise pre-empts the underlying generator sample by sample, so
+            # the proposals of one request stay independent draws.
             if role is GeneratorRole.SELECTION and self._noise_rate > 0.0:
-                if self._rng.random() < self._noise_rate:
-                    return CompletionResponse(text=self._random_selection(request.prompt))
+                for i in range(request.n):
+                    if self._rng.random() < self._noise_rate:
+                        samples[i] = self._random_selection(request.prompt)
+            wanted = samples.count(None)
+            if wanted == 0:
+                return sampled(request, samples)
             if role in self._script:
                 queue = self._script[role]
                 if not queue:
                     raise ScriptExhausted(f"no scripted responses left for {role.value}")
-                return CompletionResponse(text=queue.pop(0))
-        if self._base is None:
-            raise ScriptExhausted(f"no script and no base backend for {role.value}")
-        return self._base.complete(request)
+                rest: Sequence[str] = queue[:wanted]
+                del queue[:wanted]
+        if role not in self._script:
+            if self._base is None:
+                raise ScriptExhausted(f"no script and no base backend for {role.value}")
+            if wanted == request.n:
+                # Nothing replaced: the base answers the request as it is.
+                return self._base.complete(request)
+            response = self._base.complete(replace(request, n=wanted))
+            # A reply to one sample says it has none with an empty text, as
+            # the oracle does once its list runs out.
+            rest = response.samples if response.samples is not None else (
+                (response.text,) if response.text else ())
+        # The samples left fill the unset ones in order; any past the end of
+        # `rest` are dropped.
+        filled = iter(rest)
+        merged = [s if s is not None else next(filled, None) for s in samples]
+        return sampled(request, [s for s in merged if s is not None])
 
     def _random_selection(self, prompt: str) -> str:
         try:
@@ -657,8 +697,9 @@ def scripted_backend(
 # ---------------------------------------------------------------------------
 # Remote backend: one JSON document per line, one reply per document.
 #
-#   request   {"role", "prompt", "scored_continuations"}
-#             answered by {"text", "continuation_logprobs"}
+#   request   {"role", "prompt", "scored_continuations"}, plus "n" when n != 1
+#             answered by {"text", "continuation_logprobs"}, plus "samples"
+#             (a list of at most n strings) when n != 1
 #   reset     {"reset": true}, sent before each problem: the server calls
 #             backend.reset() and answers with the same document
 #   error     {"error": "..."}, the server's answer to a line it could not
@@ -679,6 +720,8 @@ def encode_request(request: CompletionRequest) -> bytes:
             else None
         ),
     }
+    if request.n != 1:
+        doc["n"] = request.n
     return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
 
 
@@ -689,10 +732,15 @@ def decode_request(data: bytes) -> Optional[CompletionRequest]:
         if doc == _RESET:
             return None
         cont = doc["scored_continuations"]
+        n = doc.get("n", 1)
+        # A bool is an int to Python, but not a count.
+        if type(n) is not int or n < 1:
+            raise ValueError(f"n {n!r} is not a positive integer")
         return CompletionRequest(
             role=GeneratorRole(doc["role"]),
             prompt=doc["prompt"],
             scored_continuations=tuple(cont) if cont is not None else None,
+            n=n,
         )
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         raise RemoteError(f"bad request document: {exc}") from exc
@@ -707,6 +755,8 @@ def encode_response(response: CompletionResponse) -> bytes:
             else None
         ),
     }
+    if response.samples is not None:
+        doc["samples"] = list(response.samples)
     return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
 
 
@@ -748,7 +798,14 @@ def decode_response(data: bytes) -> CompletionResponse:
                 raise TypeError(f"continuation_logprobs {logprobs!r} is not an object")
             # JSON object keys are always strings.
             logprobs = {k: _logprob(v) for k, v in logprobs.items()}
-        return CompletionResponse(text=text, continuation_logprobs=logprobs)
+        samples = doc.get("samples")
+        if samples is not None:
+            if not (isinstance(samples, list) and all(isinstance(s, str) for s in samples)):
+                raise TypeError(f"samples {samples!r} is not a list of strings")
+            samples = tuple(samples)
+        return CompletionResponse(
+            text=text, continuation_logprobs=logprobs, samples=samples
+        )
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise RemoteError(f"bad response document: {exc}") from exc
 
@@ -756,17 +813,21 @@ def decode_response(data: bytes) -> CompletionResponse:
 # Seconds `PipeTransport` waits for a server to exit once its input is
 # closed, before killing it.
 CLOSE_WAIT_S = 10.0
+# Seconds `PipeTransport` waits for a reply, from the request written to the
+# end of the reply line, before it kills the server.
+REPLY_WAIT_S = 60.0
 
 
 class PipeTransport:
     """Runs a server subprocess and exchanges newline-delimited documents,
     one exchange at a time.
 
-    The server is started on the first exchange.  If it dies, the failing
-    exchange reaps it and raises, and the next exchange starts a new one,
-    unless the server died before its first answer: one that cannot come
-    back would cost a process start per attempt, so every later exchange
-    raises at once.
+    The server is started on the first exchange.  If it dies, or does not
+    finish a reply within REPLY_WAIT_S, the failing exchange kills and reaps
+    it and raises, and the next exchange starts a new one, unless the
+    server failed before its first answer: one that cannot come back would
+    cost a process start (and perhaps a full wait) per attempt, so every
+    later exchange raises at once.
     """
 
     def __init__(self, argv: Optional[Sequence[str]] = None) -> None:
@@ -774,6 +835,8 @@ class PipeTransport:
         self._proc: Optional[subprocess.Popen] = None
         self._answered = False  # whether the running server has answered
         self._gave_up: Optional[str] = None
+        # Bytes the server wrote past the last reply line read.
+        self._pending = b""
         self._lock = threading.Lock()
 
     def _ensure(self) -> subprocess.Popen:
@@ -786,6 +849,7 @@ class PipeTransport:
                 stdout=subprocess.PIPE,
             )
             self._answered = False
+            self._pending = b""
         return self._proc
 
     def exchange(self, payload: bytes) -> bytes:
@@ -798,21 +862,41 @@ class PipeTransport:
             try:
                 proc.stdin.write(payload)
                 proc.stdin.flush()
-                line = proc.stdout.readline()
+                line = self._read_line(proc.stdout.fileno())
             except OSError as exc:
                 raise self._lost(f"pipe transport failed: {exc}") from exc
+            if line is None:
+                raise self._lost(f"pipe transport: no reply within {REPLY_WAIT_S} s")
             if not line:
                 raise self._lost("pipe transport: server closed the stream")
             self._answered = True
             return line
 
+    def _read_line(self, fd: int) -> Optional[bytes]:
+        """The next line the server writes; b"" if it closes the stream
+        first, None if REPLY_WAIT_S passes first.  Reads the pipe as bytes
+        arrive, so a partial line never blocks past the deadline."""
+        deadline = time.monotonic() + REPLY_WAIT_S
+        while True:
+            end = self._pending.find(b"\n") + 1
+            if end:
+                line, self._pending = self._pending[:end], self._pending[end:]
+                return line
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+                return None
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                return b""
+            self._pending += chunk
+
     def _lost(self, reason: str) -> RemoteError:
-        """Reap the dead server and return the error to raise.  A server
+        """Kill and reap the server and return the error to raise.  A server
         that never answered is not started again."""
         if not self._answered:
             self._gave_up = f"{reason} before its first answer; not restarted"
             reason = self._gave_up
-        self._stop()
+        self._stop(kill=True)
         return RemoteError(reason)
 
     def close(self) -> None:
@@ -820,12 +904,14 @@ class PipeTransport:
         with self._lock:
             self._stop()
 
-    def _stop(self) -> None:
-        """Close the server's input, wait for it to exit (kill it after
-        CLOSE_WAIT_S) and forget it."""
+    def _stop(self, kill: bool = False) -> None:
+        """Close the server's input, wait for it to exit (kill it at once
+        with `kill`, else after CLOSE_WAIT_S) and forget it."""
         proc, self._proc = self._proc, None
         if proc is None:
             return
+        if kill:
+            proc.kill()
         with contextlib.suppress(OSError):
             proc.stdin.close()
         try:
@@ -844,6 +930,11 @@ class HttpTransport:
         self._timeout = timeout
 
     def exchange(self, payload: bytes) -> bytes:
+        # Imported here, the only place that needs it: a `pipe:` server
+        # would otherwise load `http`, `email` and `ssl` on every start.
+        import urllib.error
+        import urllib.request
+
         req = urllib.request.Request(
             self._endpoint,
             data=payload,
@@ -880,6 +971,10 @@ class RemoteBackend:
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         response = decode_response(self._exchange(encode_request(request)))
+        if response.samples is not None and len(response.samples) > request.n:
+            raise RemoteError(
+                f"{len(response.samples)} samples in reply to a request for {request.n}"
+            )
         if request.scored_continuations is not None:
             lp = response.continuation_logprobs or {}
             missing = [c for c in request.scored_continuations if c not in lp]

@@ -293,3 +293,40 @@ def test_gold_proofs_and_training_pairs_are_the_recorded_ones(
     capsys.readouterr()
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == (REPORTS / "extract-training.sha256").read_text().strip()
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--backend", "remote", "--endpoint", "pipe:"],
+    ["eval", "--backend", "remote", "--endpoint", "pipe:"],
+    ["probe", "--kind", "random", "--backend", "remote", "--endpoint", "pipe:"],
+    ["validate"],
+    ["extract-training", "--out", "pairs.jsonl"],
+], ids=["solve", "eval", "probe", "validate", "extract-training"])
+@pytest.mark.parametrize("fault, message", [
+    ("no-question", "missing key 'question'"),
+    ("repeated-id", "repeats the id on line 1"),
+    ("context-string", "context 'the cat is big' is not a list of strings"),
+])
+def test_a_bad_problem_file_is_a_usage_error(
+    tmp_path, monkeypatch, capsys, pipe_spawns, command, fault, message
+):
+    """Exit 2 with `file:line: message` on stderr and nothing on stdout,
+    before any server starts."""
+    docs = [datasets.problem_to_doc(p) for p in datasets.generate_problem_set(9, {1: 2})]
+    if fault == "no-question":
+        del docs[1]["question"]
+    elif fault == "repeated-id":
+        docs[1]["id"] = docs[0]["id"]
+    else:
+        docs[1]["context"] = "the cat is big"
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--problems", str(path)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"{path}:2: ") and message in err
+    assert pipe_spawns == []
+    assert not (tmp_path / "pairs.jsonl").exists()

@@ -99,6 +99,99 @@ def test_load_problems_reports_line_numbers(tmp_path):
     assert err.value.line_number == 2
 
 
+def test_a_line_that_is_not_utf8_is_a_schema_error_on_that_line(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(json.dumps(_doc()).encode() + b"\n\xff\xfe\n")
+    with pytest.raises(SchemaError, match="not UTF-8") as err:
+        load_problems(path)
+    assert err.value.line_number == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("context", "abc"),
+    ("context", [5]),
+    ("context", ["the cat is big", None]),
+    ("id", 1.5),
+    ("id", True),
+    ("id", None),
+    ("question", 5),
+    ("choices", "red OR blue"),
+    ("choices", [1, 2]),
+    ("depth", "3"),
+    ("depth", True),
+])
+def test_mistyped_fields_raise_schema_errors(key, value):
+    doc = _doc()
+    doc[key] = value
+    with pytest.raises(SchemaError, match=f"^{key} "):
+        problem_from_doc(doc)
+
+
+def test_mistyped_proof_steps_raise_schema_errors():
+    for step in ({"selection": [1, 2], "inference": 5},
+                 {"selection": [True, 2], "inference": "the bald eagle is not kind"},
+                 {"selection": "12", "inference": "the bald eagle is not kind"}):
+        doc = _doc()
+        doc["proof"] = [step]
+        with pytest.raises(SchemaError, match="^step 1: "):
+            problem_from_doc(doc)
+
+
+def test_integer_ids_and_absent_options_load():
+    doc = _doc()
+    doc["id"] = 7
+    del doc["depth"], doc["proof"]
+    problem = problem_from_doc(doc)
+    assert (problem.id, problem.depth, problem.gold_proof) == ("7", None, None)
+
+
+def test_load_problems_rejects_a_repeated_id_naming_both_lines(tmp_path):
+    path = tmp_path / "dup.jsonl"
+    first, other = json.dumps(_doc()), json.dumps(dict(_doc(), id="p2"))
+    path.write_text(f"{first}\n{other}\n\n{first}\n")
+    with pytest.raises(SchemaError) as err:
+        load_problems(path)
+    assert err.value.line_number == 4
+    assert str(err.value) == "line 4: id 'p1' repeats the id on line 1"
+
+
+_MUTATION_SET = generate_problem_set(5, {1: 2, 2: 2, 3: 2})
+_MUTANT_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False),
+    st.text(max_size=5), st.lists(st.integers(0, 3), max_size=3),
+    st.lists(st.text(max_size=5), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_problem_files_fail_only_with_schema_errors(tmp_path_factory, data):
+    """Drop a key, retype a value or repeat an id on one line of a generated
+    set: the file loads, or SchemaError names that line."""
+    docs = [datasets.problem_to_doc(p) for p in _MUTATION_SET]
+    line = data.draw(st.integers(0, len(docs) - 1), label="line")
+    doc = docs[line]
+    mutation = data.draw(st.sampled_from(["drop", "retype", "repeat-id"]), label="mutation")
+    if mutation == "repeat-id":
+        line = data.draw(st.integers(1, len(docs) - 1), label="line")
+        docs[line]["id"] = docs[data.draw(st.integers(0, line - 1), label="first")]["id"]
+    else:
+        key = data.draw(st.sampled_from(sorted(doc)), label="key")
+        if mutation == "drop":
+            del doc[key]
+        else:
+            doc[key] = data.draw(_MUTANT_VALUES, label="value")
+    path = tmp_path_factory.mktemp("mutants") / "set.jsonl"
+    path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+    try:
+        load_problems(path)
+    except SchemaError as exc:
+        assert exc.line_number == line + 1, str(exc)
+    else:
+        assert mutation != "repeat-id"
+
+
 def test_save_load_round_trip(tmp_path, pw_problems):
     path = tmp_path / "round.jsonl"
     save_problems(pw_problems, path)

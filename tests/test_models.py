@@ -1,7 +1,11 @@
 import io
 import json
+import random
+import subprocess
 import sys
 import threading
+import time
+from dataclasses import replace
 
 import pytest
 
@@ -126,6 +130,30 @@ def test_oracle_selection_walks_candidates():
     assert len(seen) >= 1
     backend.reset()
     assert backend.complete(req).text == first
+
+
+def test_one_request_for_n_samples_walks_as_n_requests_for_one():
+    context = LabeledContext.from_statements([
+        "If something is kind then it is red", "If something is big then it is round",
+        "the cat is kind", "the dog is kind", "the cow is big", "the mouse is big",
+    ])
+    question = 'Does it imply that the statement "The cow is round" is True?'
+    one = CompletionRequest(GeneratorRole.SELECTION, format_selection_prompt(question, context))
+    walk = OracleBackend()
+    texts = [walk.complete(one).text]
+    while texts[-1]:
+        texts.append(walk.complete(one).text)
+    listed = texts[:-1]
+    assert len(listed) >= 4
+    backend = OracleBackend()
+    first = backend.complete(replace(one, n=2))
+    assert first.samples == tuple(listed[:2]) and first.text == listed[0]
+    assert backend.complete(one).text == listed[2]
+    rest = backend.complete(replace(one, n=len(listed)))
+    assert rest.samples == tuple(listed[3:])
+    assert backend.complete(replace(one, n=3)) == CompletionResponse(text="", samples=())
+    # A request for one sample keeps the one-text reply.
+    assert backend.complete(one) == CompletionResponse(text="")
 
 
 def _sireason_caches() -> dict:
@@ -430,6 +458,79 @@ def test_scripted_noise_is_seeded_and_well_formed():
         assert text.startswith(" sent ")
 
 
+def test_scripted_queue_gives_up_to_n_items_per_request():
+    backend = ScriptedBackend(script={GeneratorRole.SELECTION: ["a", "b", "c"]})
+    req = CompletionRequest(role=GeneratorRole.SELECTION, prompt="p", n=2)
+    assert backend.complete(req).samples == ("a", "b")
+    assert backend.complete(req).samples == ("c",)
+    with pytest.raises(ScriptExhausted):
+        backend.complete(req)
+
+
+class _OneRequestPerProposal:
+    """The scripted noise stream as it was when each proposal was its own
+    request: per proposal, one draw decides between a random label sentence
+    over the prompt's sentences and the oracle's next candidate."""
+
+    def __init__(self, seed: int, noise_rate: float) -> None:
+        self.seed, self.noise_rate, self.resets = seed, noise_rate, 0
+        self.rng = random.Random()
+        self.oracle = OracleBackend()
+
+    def reset(self) -> None:
+        self.rng.seed(repr(("scripted", self.seed + self.resets)))
+        self.resets += 1
+        self.oracle.reset()
+
+    def propose(self, request: CompletionRequest) -> str:
+        if self.rng.random() >= self.noise_rate:
+            return self.oracle.complete(replace(request, n=1)).text
+        size = len(request.prompt.split("\n")) - 2
+        if size < 2:
+            return ""
+        rule = self.rng.randint(1, size)
+        premises = [self.rng.randint(1, size) for _ in range(self.rng.choice([1, 2]))]
+        return models.render_selection([rule] + premises)
+
+
+def test_noisy_scripted_beam_proposes_what_one_request_per_proposal_did():
+    """Under noise 0.3, each batched selection request of a beam gives the
+    proposals, in order, that the old stream gave for the same number of
+    one-proposal requests."""
+    from sireason import datasets, evalcli
+
+    problems = datasets.generate_problem_set(21, {1: 2, 2: 3, 3: 3, 5: 2})
+    cfg = evalcli.SolverConfig(backend="scripted", noise_rate=0.3, seed=11)
+    log: list = []
+
+    class Recording:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def complete(self, request):
+            response = self.inner.complete(request)
+            if request.role is GeneratorRole.SELECTION:
+                log.append((request, response.all_samples()))
+            return response
+
+    backend = evalcli.make_backend(cfg)
+    reference = _OneRequestPerProposal(cfg.seed * 1000003, cfg.noise_rate)
+    exhausted = 0
+    for problem in problems:
+        backend.reset()
+        reference.reset()
+        del log[:]
+        engine.beam_search(problem, Recording(backend), engine.BeamConfig(4, 4))
+        assert log and all(request.n == 4 for request, _ in log)
+        for request, samples in log:
+            texts = [reference.propose(request) for _ in range(request.n)]
+            # An exhausted oracle answered each request with "", and now
+            # gives fewer samples.
+            assert [t for t in texts if t] == [t for t in samples if t]
+            exhausted += len(samples) < request.n
+    assert exhausted > 0
+
+
 def test_scripted_rejects_bad_noise_rate():
     with pytest.raises(ValueError):
         ScriptedBackend(noise_rate=1.5)
@@ -465,6 +566,45 @@ def test_response_wire_format_is_stable():
         b'"text": " True"}\n'
     )
     assert decode_response(data) == resp
+
+
+def test_samples_ride_the_wire_only_when_n_is_not_one():
+    req = CompletionRequest(role=GeneratorRole.SELECTION, prompt="p", n=3)
+    data = encode_request(req)
+    assert data == b'{"n": 3, "prompt": "p", "role": "selection", "scored_continuations": null}\n'
+    assert decode_request(data) == req
+    assert b'"n"' not in encode_request(replace(req, n=1))
+    resp = CompletionResponse(text=" a", samples=(" a", " b"))
+    data = encode_response(resp)
+    assert data == b'{"continuation_logprobs": null, "samples": [" a", " b"], "text": " a"}\n'
+    assert decode_response(data) == resp
+    assert decode_response(encode_response(CompletionResponse(text="", samples=()))).samples == ()
+    assert b"samples" not in encode_response(CompletionResponse(text=" a"))
+
+
+@pytest.mark.parametrize("n", [0, -1, True, "2", 1.0, None])
+def test_decode_request_refuses_a_bad_n(n):
+    doc = {"role": "selection", "prompt": "p", "scored_continuations": None, "n": n}
+    with pytest.raises(RemoteError, match="bad request document"):
+        decode_request(json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("reply, match", [
+    (b'{"text": "a", "continuation_logprobs": null, "samples": ["a", "b", "c"]}',
+     "3 samples in reply to a request for 2"),
+    (b'{"text": "a", "continuation_logprobs": null, "samples": ["a", 5]}',
+     "bad response document"),
+    (b'{"text": "a", "continuation_logprobs": null, "samples": "ab"}',
+     "bad response document"),
+], ids=["too-many", "not-strings", "not-a-list"])
+def test_remote_backend_refuses_bad_samples(reply, match):
+    class Fixed:
+        def exchange(self, payload):
+            return reply + b"\n"
+
+    request = CompletionRequest(role=GeneratorRole.SELECTION, prompt="p", n=2)
+    with pytest.raises(RemoteError, match=match):
+        RemoteBackend(Fixed()).complete(request)
 
 
 def test_decode_request_rejects_garbage():
@@ -794,3 +934,110 @@ def test_pipe_transport_close_kills_a_server_that_does_not_exit(
     assert pipe_spawns[0].returncode is not None
     transport.close()
     assert len(pipe_spawns) == 1
+
+
+SILENT = """import sys, time
+sys.stdin.buffer.readline()
+time.sleep(60)
+"""
+
+
+PARTIAL_LINE = """import sys, time
+sys.stdin.buffer.readline()
+sys.stdout.buffer.write(b'{"text": ')
+sys.stdout.buffer.flush()
+time.sleep(60)
+"""
+
+
+@pytest.mark.parametrize("body", [SILENT, PARTIAL_LINE], ids=["silent", "partial-line"])
+def test_a_server_that_never_replies_in_time_is_killed_once(
+    tmp_path, monkeypatch, pipe_spawns, body
+):
+    """A missed deadline kills the server and raises, with no hang; a
+    server that never answered is not started again."""
+    monkeypatch.setattr(models, "REPLY_WAIT_S", 0.3)
+    backend = RemoteBackend(PipeTransport(_stub_server(tmp_path, body)), retries=2)
+    start = time.monotonic()
+    try:
+        for _ in range(3):
+            with pytest.raises(RemoteError, match="no reply within 0.3 s"):
+                backend.complete(_inference_request("red"))
+    finally:
+        backend.close()
+    assert time.monotonic() - start < 10
+    assert len(pipe_spawns) == 1
+    assert pipe_spawns[0].returncode is not None
+
+
+def test_a_server_that_stops_replying_is_replaced(tmp_path, monkeypatch, pipe_spawns):
+    monkeypatch.setattr(models, "REPLY_WAIT_S", 0.3)
+    monkeypatch.setattr(models, "CLOSE_WAIT_S", 0.2)
+    body = ONE_REPLY + "time.sleep(60)\n"
+    backend = RemoteBackend(PipeTransport(_stub_server(tmp_path, body)), retries=0)
+    try:
+        assert backend.complete(_inference_request("red")).text == " ok"
+        with pytest.raises(RemoteError, match="no reply within 0.3 s"):
+            backend.complete(_inference_request("red"))
+        assert pipe_spawns[0].returncode is not None
+        assert backend.complete(_inference_request("red")).text == " ok"
+    finally:
+        backend.close()
+    assert len(pipe_spawns) == 2
+
+
+def test_a_silent_server_is_a_counted_backend_failure(
+    pw_problems, tmp_path, monkeypatch, pipe_spawns
+):
+    monkeypatch.setattr(models, "REPLY_WAIT_S", 0.3)
+    backend = RemoteBackend(PipeTransport(_stub_server(tmp_path, SILENT)))
+    stats = engine.SolveStats()
+    try:
+        answer, _, _ = engine.beam_search(
+            pw_problems[0], backend, engine.BeamConfig(2, 2), stats
+        )
+    finally:
+        backend.close()
+    assert answer.is_unknown
+    assert stats.backend_failures == 1
+    assert "no reply within 0.3 s before its first answer" in stats.notes[0]
+    assert len(pipe_spawns) == 1
+
+
+# ---------------------------------------------------------------------------
+# What a server loads.
+# ---------------------------------------------------------------------------
+
+def test_the_server_module_loads_only_what_it_serves():
+    code = (
+        "import sys, sireason.models\n"
+        "print(' '.join(sorted(sys.modules)))"
+    )
+    loaded = set(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, timeout=60, check=True).stdout.split())
+    assert {m for m in loaded if m.startswith("sireason")} == {
+        "sireason", "sireason.cnl", "sireason.core", "sireason.models", "sireason.symbolic"}
+    assert not loaded & {"urllib.request", "http.client", "email", "ssl"}
+
+
+def test_a_pipe_server_starts_without_warnings(capfd):
+    backend = RemoteBackend(PipeTransport())
+    try:
+        assert backend.complete(_inference_request("red")).text == " the tiger is red."
+    finally:
+        backend.close()
+    assert capfd.readouterr().err == ""
+
+
+def test_package_exports_resolve():
+    import sireason
+    from sireason import Answer, BeamConfig, load_problems, remote_backend
+
+    assert (Answer, BeamConfig, load_problems, remote_backend) == (
+        sireason.core.Answer, sireason.engine.BeamConfig,
+        sireason.datasets.load_problems, models.remote_backend,
+    )
+    for name in sireason.__all__:
+        assert getattr(sireason, name) is not None, name
+    with pytest.raises(AttributeError):
+        sireason.no_such_name
