@@ -247,33 +247,6 @@ def make_solver(cfg: SolverConfig, stats: Optional[engine.SolveStats] = None) ->
     return solve
 
 
-def question_shortcut_solver(problem: Problem) -> tuple[Answer, ReasoningTrace]:
-    """Test double that answers from rule heads without reasoning.
-
-    It looks for a rule whose head predicate matches the hypothesis and
-    answers from the polarity alone.  Used by the probes to show what a
-    context-shortcut looks like.
-    """
-    # The empty, unhalted trace marks that no actual reasoning happened.
-    trace = ReasoningTrace(base_context=problem.context)
-    parsed = cnl.parse_question(problem.question)
-    if not isinstance(parsed, cnl.Hypothesis):
-        return Answer.UNKNOWN, trace
-    hyp = parsed.atom
-    for stmt in problem.context.statements():
-        s = cnl.parse_statement(stmt.surface)
-        if not isinstance(s, cnl.RuleAst):
-            continue
-        head = s.head
-        if head.predicate != hyp.predicate:
-            continue
-        if (head.obj is None) != (hyp.obj is None):
-            continue
-        answer = Answer.TRUE if head.negated == hyp.negated else Answer.FALSE
-        return answer, trace
-    return Answer.UNKNOWN, trace
-
-
 # ---------------------------------------------------------------------------
 # Probes.
 # ---------------------------------------------------------------------------

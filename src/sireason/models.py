@@ -11,7 +11,6 @@ swapped without touching the engine.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -298,13 +297,12 @@ class _LRU:
         return {"maxsize": self._maxsize, "typed": False}
 
 
-# (context, closure, firings) by the context's sentence surfaces.
+# (context, closure) by the context's sentence surfaces.
 _WORLDS = _LRU(maxsize=4096)
 
 
 def _world_for(surfaces: tuple[str, ...]):
-    """The context the surfaces label, its closure, and every rule firing
-    over its facts (`_firings`).
+    """The context the surfaces label and its closure.
 
     A search step appends one sentence to a context it has seen, so when
     the context less its last sentence is cached, its world is extended by
@@ -316,13 +314,11 @@ def _world_for(surfaces: tuple[str, ...]):
     parent = _WORLDS.get(surfaces[:-1])
     if parent is None:
         ctx = LabeledContext.from_statements(surfaces)
-        closed = symbolic.closure(ctx)
-        world = ctx, closed, _firings(closed)
+        world = ctx, symbolic.closure(ctx)
     else:
-        parent_ctx, parent_closed, parent_firings = parent
+        parent_ctx, parent_closed = parent
         ctx = parent_ctx.extended(normalize_statement(surfaces[-1]))
-        closed = symbolic.extend(parent_closed, ctx)
-        world = ctx, closed, parent_firings + _firings(closed, newest=len(ctx))
+        world = ctx, symbolic.extend(parent_closed, ctx)
     _WORLDS.put(surfaces, world)
     return world
 
@@ -344,10 +340,12 @@ class OracleBackend:
     """Symbolic stand-in for the fine-tuned generators.
 
     Selection enumerates candidate steps for each distinct prompt: the step
-    that advances the shortest proof first, then every other rule firing in
-    label order.  A request for n samples takes the next n of that list, or
-    what is left of it, so beam search obtains distinct proposals, and
-    repeated requests with the same prompt walk on down the list.
+    that advances the shortest proof first, then every other rule instance
+    of the closure whose premises are distinct context facts and whose
+    head is new, in label order.  A request for n samples takes the next n
+    of that list, or what is left of it, so beam search obtains distinct
+    proposals, and repeated requests with the same prompt walk on down the
+    list.
     """
 
     def __init__(self) -> None:
@@ -466,18 +464,17 @@ def _gold_steps(
 
     Selection and value calls on one context share it, and it keeps keys
     and label numbers only, not the proof."""
-    _, world, _ = _world_for(surfaces)
+    _, world = _world_for(surfaces)
     parsed_q = cnl.parse_question(question)
     if not isinstance(parsed_q, cnl.Hypothesis):
         return ()
     try:
-        proof = symbolic.shortest_proof(world, parsed_q)
+        target = symbolic.proof_target(world, parsed_q)
     except symbolic.NoProof:
         return ()
     return tuple(
-        (normalize_key(step.inference.surface),
-         tuple(label.index for label in step.selection_labels))
-        for step in proof.steps
+        (normalize_key(cnl.render_atom(d.head)), tuple(label.index for label in labels))
+        for d, labels in symbolic.proof_steps(world, target)
     )
 
 
@@ -490,7 +487,7 @@ def _selection_candidates(prompt: str) -> tuple[str, ...]:
     only the prompts of the problem it is solving, so a small cache serves.
     """
     question, surfaces = _read_selection_prompt(prompt)
-    ctx, _, world_firings = _world_for(surfaces)
+    ctx, world = _world_for(surfaces)
     present = {stmt.key for _, stmt in ctx}
 
     on_path: Optional[tuple[int, ...]] = None
@@ -499,9 +496,16 @@ def _selection_candidates(prompt: str) -> tuple[str, ...]:
             on_path = labels
             break
 
+    # Worlds extended from one closure share its rule index, so the index
+    # also holds instances grounded by this world's extensions: only those
+    # over this world's facts count.  Another thread may be grounding more.
+    facts = world.fact_labels
     firings = sorted({
-        (rule,) + labels for rule, labels, head_key in world_firings
-        if head_key not in present
+        (rule.index,) + tuple(sorted(facts[p].index for p in premises))
+        for rule, premises, head in list(world.index.grounded.values())
+        if all(p in facts for p in premises)
+        and len(set(premises)) == len(premises)
+        and normalize_key(cnl.render_atom(head)) not in present
     })
 
     ordered: list[tuple[int, ...]] = []
@@ -514,61 +518,11 @@ def _selection_candidates(prompt: str) -> tuple[str, ...]:
     return tuple(render_selection(labels) for labels in ordered)
 
 
-def _firings(world, newest: Optional[int] = None) -> tuple:
-    """(rule label, premise labels, head key) of every rule firing over the
-    world's facts, or with `newest`, the label of the context's last
-    sentence, only those that use that sentence."""
-    fact_atoms = sorted(
-        ((label, atom) for atom, label in world.fact_labels.items()),
-        key=lambda p: p[0].index,
-    )
-    newest_is_fact = bool(fact_atoms) and fact_atoms[-1][0].index == newest
-    firings = []
-    for rule_label, rule in world.rule_entries:
-        if newest is None or rule_label.index == newest:
-            combos = _firing_combos(rule, fact_atoms)
-        elif newest_is_fact:
-            combos = _firing_combos(rule, fact_atoms, newest_only=True)
-        else:
-            continue
-        for head_key, labels in combos:
-            firings.append((rule_label.index, tuple(l.index for l in labels), head_key))
-    return tuple(firings)
-
-
-def _firing_combos(rule, fact_atoms, newest_only: bool = False):
-    """Yield (head key, premise labels) for every way the rule body matches,
-    or with `newest_only`, every way that uses the last fact.
-
-    A fact that is an instance of no body atom is in no match, so it is
-    dropped before the combinations are formed.
-    """
-    def usable(atom) -> bool:
-        return any(symbolic._binding(pattern, atom) is not False for pattern in rule.body)
-
-    size = len(rule.body)
-    if not newest_only:
-        combos = itertools.combinations([f for f in fact_atoms if usable(f[1])], size)
-    elif usable(fact_atoms[-1][1]):
-        newest = fact_atoms[-1]
-        older = [f for f in fact_atoms[:-1] if usable(f[1])]
-        combos = (c + (newest,) for c in itertools.combinations(older, size - 1))
-    else:
-        return
-    for combo in combos:
-        try:
-            head = symbolic.apply_rule(rule, [atom for _, atom in combo])
-        except symbolic.NoEntailment:
-            continue
-        labels = sorted((label for label, _ in combo), key=lambda l: l.index)
-        yield normalize_key(cnl.render_atom(head)), labels
-
-
 @lru_cache(maxsize=8192)
 def _judge_steps(surfaces: tuple[str, ...], question: str, line: str) -> bool:
     """Decide whether one rendered step is correct and a step of a shortest
     proof."""
-    ctx, _, _ = _world_for(surfaces)
+    ctx, _ = _world_for(surfaces)
     parsed_q = cnl.parse_question(question)
     if not isinstance(parsed_q, cnl.Hypothesis):
         raise BackendError("value oracle needs a hypothesis question")

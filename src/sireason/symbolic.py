@@ -388,17 +388,13 @@ def proof_target(world: WorldClosure, hypothesis: Hypothesis) -> Atom:
     raise NoProof(f"hypothesis is Unknown: {hypothesis.surface!r}")
 
 
-def shortest_proof(world: WorldClosure, hypothesis: Hypothesis) -> ReasoningTrace:
-    """A valid trace of least depth deriving the hypothesis (or its negation)."""
-    target = proof_target(world, hypothesis)
-    proof = world.derived[target]
-    answer = evaluate_hypothesis(world, hypothesis)
-    if proof.depth == 0:
-        # The target is a base statement; there is no derivation to show.
-        raise NoProof(f"hypothesis is settled by the context: {hypothesis.surface!r}")
-
-    # The steps the target rests on, each once.  A premise is shallower than
-    # the step that uses it, so sorting by depth puts premises first.
+def proof_steps(
+    world: WorldClosure, target: Atom
+) -> list[tuple[Derivation, tuple[SentenceLabel, ...]]]:
+    """The derivations the proof of `target` rests on, each once, in proof
+    order, with their selection labels: the rule, then the premises in
+    label order.  The k-th inference takes label `len(world.context) + k`;
+    a context fact has no steps."""
     needed: dict[Atom, Derivation] = {}
     pending = [target]
     while pending:
@@ -406,31 +402,41 @@ def shortest_proof(world: WorldClosure, hypothesis: Hypothesis) -> ReasoningTrac
         if d is not None and d.head not in needed:
             needed[d.head] = d
             pending.extend(d.premises)
+    # A premise is shallower than the step that uses it, so sorting by
+    # depth puts premises first.
     ordered = sorted(
         needed.values(),
         key=lambda d: (world.derived[d.head].depth, _candidate_key(d.rule_label, d.premises)),
     )
+    inferred = {d.head: SentenceLabel(k) for k, d in enumerate(ordered, len(world.context) + 1)}
+    return [
+        (d, (d.rule_label,) + tuple(sorted(
+            (world.fact_labels.get(p) or inferred[p] for p in d.premises),
+            key=lambda label: label.index,
+        )))
+        for d in ordered
+    ]
+
+
+def shortest_proof(world: WorldClosure, hypothesis: Hypothesis) -> ReasoningTrace:
+    """A valid trace of least depth deriving the hypothesis (or its negation)."""
+    target = proof_target(world, hypothesis)
+    if world.derived[target].depth == 0:
+        # The target is a base statement; there is no derivation to show.
+        raise NoProof(f"hypothesis is settled by the context: {hypothesis.surface!r}")
     context = world.context
-    inference_labels: dict[Atom, SentenceLabel] = {}
     steps: list[ReasoningStep] = []
-    for d in ordered:
-        rule_stmt = context.lookup(d.rule_label)
-        premise_entries = []
-        for p in d.premises:
-            label = world.fact_labels.get(p) or inference_labels[p]
-            premise_entries.append((label, context.lookup(label)))
-        premise_entries.sort(key=lambda e: e[0].index)
+    for d, labels in proof_steps(world, target):
         inference = normalize_statement(render_atom(d.head))
-        labels = (d.rule_label,) + tuple(l for l, _ in premise_entries)
         steps.append(
             ReasoningStep(
-                selection=(rule_stmt,) + tuple(s for _, s in premise_entries),
+                selection=tuple(context.lookup(label) for label in labels),
                 inference=inference,
                 selection_labels=labels,
             )
         )
         context = context.extended(inference)
-        inference_labels.setdefault(d.head, SentenceLabel(len(context)))
+    answer = evaluate_hypothesis(world, hypothesis)
     return ReasoningTrace(
         base_context=world.context, steps=tuple(steps), halted=True, answer=answer
     )

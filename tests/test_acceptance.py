@@ -7,9 +7,9 @@ reproducible run to run.  Budgets are asserted where a criterion has one.
 import json
 import time
 
-from sireason import datasets, evalcli, symbolic
-from sireason.core import is_valid
-from sireason.datasets import ValueExtractionReport, generate_problem_set
+from sireason import cnl, datasets, evalcli, symbolic
+from sireason.core import Answer, ReasoningTrace, is_valid
+from sireason.datasets import Problem, ValueExtractionReport, generate_problem_set
 from sireason.engine import SolveStats, si_answer
 from sireason.evalcli import SolverConfig
 from sireason.models import (
@@ -127,6 +127,33 @@ def test_value_oracle_ranks_gold_above_corrupted():
     assert compared >= 500, f"only {compared} comparable pairs"
 
 
+def question_shortcut_solver(problem: Problem) -> tuple[Answer, ReasoningTrace]:
+    """Test double that answers from rule heads without reasoning.
+
+    It looks for a rule whose head predicate matches the hypothesis and
+    answers from the polarity alone.  Used with the probes to show what a
+    context-shortcut looks like.
+    """
+    # The empty, unhalted trace marks that no actual reasoning happened.
+    trace = ReasoningTrace(base_context=problem.context)
+    parsed = cnl.parse_question(problem.question)
+    if not isinstance(parsed, cnl.Hypothesis):
+        return Answer.UNKNOWN, trace
+    hyp = parsed.atom
+    for stmt in problem.context.statements():
+        s = cnl.parse_statement(stmt.surface)
+        if not isinstance(s, cnl.RuleAst):
+            continue
+        head = s.head
+        if head.predicate != hyp.predicate:
+            continue
+        if (head.obj is None) != (hyp.obj is None):
+            continue
+        answer = Answer.TRUE if head.negated == hyp.negated else Answer.FALSE
+        return answer, trace
+    return Answer.UNKNOWN, trace
+
+
 def test_probes_separate_reasoning_from_shortcuts():
     """Incomplete context: all Unknown.  Random context: <=1% accuracy.
     A question-shortcut double is unaffected by fact removal; the oracle is.
@@ -143,7 +170,7 @@ def test_probes_separate_reasoning_from_shortcuts():
     assert random_ctx.accuracy_random <= 0.01
 
     shortcut = evalcli.probe_incomplete_context(
-        problems, evalcli.question_shortcut_solver
+        problems, question_shortcut_solver
     )
     assert abs(shortcut.delta) * 100 <= 5.0
 

@@ -1,6 +1,8 @@
 import io
+import itertools
 import json
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -9,8 +11,8 @@ from dataclasses import replace
 
 import pytest
 
-from sireason import engine, models
-from sireason.core import LabeledContext, SentenceLabel, Statement
+from sireason import cnl, datasets, engine, models, symbolic
+from sireason.core import LabeledContext, SentenceLabel, Statement, normalize_key
 from sireason.models import (
     CERTAIN_BAD,
     CERTAIN_GOOD,
@@ -216,11 +218,36 @@ def test_selection_walk_is_the_same_with_cold_and_warm_caches():
     assert len(cold) > 2
 
 
-def test_extended_worlds_fire_as_rebuilt_ones(monkeypatch):
-    """A context that extends a cached one gets its world and firing list by
-    extension; each equals a rebuild, the firing list as a set."""
-    from sireason import cnl, datasets, symbolic
+def _reference_firings(world: symbolic.WorldClosure) -> set[tuple[int, ...]]:
+    """(rule label, premise labels) of every way a rule fires on distinct
+    context facts with a head the context lacks: each combination of facts
+    tried against each rule with `apply_rule`."""
+    present = {stmt.key for stmt in world.context.statements()}
+    facts = sorted((label.index, atom) for atom, label in world.fact_labels.items())
+    firings = set()
+    for rule_label, rule in world.rule_entries:
+        for combo in itertools.combinations(facts, len(rule.body)):
+            try:
+                head = symbolic.apply_rule(rule, [atom for _, atom in combo])
+            except symbolic.NoEntailment:
+                continue
+            if normalize_key(cnl.render_atom(head)) not in present:
+                firings.add((rule_label.index,) + tuple(index for index, _ in combo))
+    return firings
 
+
+def _candidate_labels(question: str, ctx: LabeledContext) -> list[tuple[int, ...]]:
+    prompt = format_selection_prompt(question, ctx)
+    return [
+        tuple(int(n) for n in re.findall(r"sent (\d+)", text))
+        for text in models._selection_candidates(prompt)
+    ]
+
+
+def test_extended_worlds_fire_as_rebuilt_ones(monkeypatch):
+    """A context that extends a cached one gets its world by extension; it
+    equals a rebuild, and its selection candidates are the proof's next
+    step, then every firing of `_reference_firings` in label order."""
     problem = datasets.generate_problem_set(30, {5: 1})[0]
     world = symbolic.closure(problem.context)
     appended = sorted(
@@ -231,6 +258,9 @@ def test_extended_worlds_fire_as_rebuilt_ones(monkeypatch):
         problem.context.lookup(max(world.fact_labels.values())).surface,
         symbolic.NOTHING_FOLLOWS,
         "the zebra is big",
+        # Grounded for the wolf, its two premises are one fact.
+        "If the wolf is big and something is big then it is kind",
+        "the wolf is big",
     ]
     surfaces = tuple(stmt.surface for stmt in problem.context.statements())
     _clear_caches()
@@ -245,14 +275,66 @@ def test_extended_worlds_fire_as_rebuilt_ones(monkeypatch):
     monkeypatch.setattr(symbolic, "closure", counting)
     for surface in appended:
         surfaces += (surface,)
-        ctx, got, firings = models._world_for(surfaces)
+        ctx, got = models._world_for(surfaces)
         rebuilt = closure(LabeledContext.from_statements(surfaces))
         assert ctx == rebuilt.context
         assert got.derived == rebuilt.derived
-        assert set(firings) == set(models._firings(rebuilt)), surface
+        present = {stmt.key for stmt in ctx.statements()}
+        on_path = [
+            labels for key, labels in models._gold_steps(surfaces, problem.question)
+            if key not in present
+        ][:1]
+        expected = on_path + sorted(
+            f for f in _reference_firings(rebuilt)
+            if not on_path or frozenset(f) != frozenset(on_path[0])
+        )
+        assert _candidate_labels(problem.question, ctx) == expected, surface
     # Only a new rule and a new constant close the context afresh.
-    assert closed == ["If something is big then it is quiet", "the zebra is big"]
+    assert closed == [
+        "If something is big then it is quiet",
+        "the zebra is big",
+        "If the wolf is big and something is big then it is kind",
+    ]
     _clear_caches()
+
+
+def test_extending_a_world_leaves_its_parents_candidates():
+    """A child world grounds new rule instances in the index it shares with
+    its parent; the parent's candidates still range over its own facts."""
+    problem = datasets.generate_problem_set(30, {5: 1})[0]
+    surfaces = tuple(stmt.surface for stmt in problem.context.statements())
+    _clear_caches()
+    cold = _candidate_labels(problem.question, problem.context)
+    _, parent = models._world_for(surfaces)
+    grounded = len(parent.index.grounded)
+    _, child = models._world_for(surfaces + ("the lion is smart",))
+    assert child.index is parent.index
+    assert len(parent.index.grounded) > grounded
+    models._selection_candidates.cache_clear()
+    assert _candidate_labels(problem.question, problem.context) == cold
+    _clear_caches()
+
+
+def test_gold_steps_are_the_shortest_proofs_steps(pw_problems, pw_worst_problems):
+    """The oracle's gold steps are the keys and labels of `shortest_proof`'s
+    steps: both read one walk, `symbolic.proof_steps`."""
+    generated = datasets.generate_problem_set(23, {1: 4, 2: 4, 3: 4, 5: 4})
+    proved = 0
+    for problem in generated + list(pw_problems) + list(pw_worst_problems):
+        surfaces = tuple(stmt.surface for stmt in problem.context.statements())
+        hypothesis = cnl.parse_question(problem.question)
+        try:
+            proof = symbolic.shortest_proof(symbolic.closure(problem.context), hypothesis)
+        except symbolic.NoProof:
+            expected = ()
+        else:
+            expected = tuple(
+                (step.inference.key, tuple(label.index for label in step.selection_labels))
+                for step in proof.steps
+            )
+            proved += 1
+        assert models._gold_steps(surfaces, problem.question) == expected, problem.id
+    assert proved >= 16
 
 
 @pytest.mark.parametrize("settings", [
