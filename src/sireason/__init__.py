@@ -44,9 +44,10 @@ _EXPORTS = {
     "CompletionRequest": "models",
     "CompletionResponse": "models",
     "GeneratorRole": "models",
+    "OracleBackend": "models",
+    "ScriptedBackend": "models",
     "oracle_backend": "models",
     "remote_backend": "models",
-    "scripted_backend": "models",
 }
 _SUBMODULES = ("core", "cnl", "symbolic", "models", "engine", "datasets", "evalcli")
 

@@ -13,7 +13,8 @@ import os
 import random
 import sys
 import weakref
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 from . import cnl, datasets, engine, models
@@ -86,8 +87,6 @@ def _f1(overlap: float, plen: int, glen: int) -> float:
 
 
 def rouge1(predicted: str, gold: str) -> float:
-    from collections import Counter
-
     p = Counter(rouge_tokenize(predicted))
     g = Counter(rouge_tokenize(gold))
     overlap = sum(min(p[t], g[t]) for t in p)
@@ -212,7 +211,7 @@ def make_backend(cfg: SolverConfig):
         return models.oracle_backend()
     if cfg.backend == "scripted":
         # Noise replaces selections only; the oracle base answers the rest.
-        return models.scripted_backend(
+        return models.ScriptedBackend(
             base=models.oracle_backend(), noise_rate=cfg.noise_rate,
             seed=cfg.seed * 1000003,
         )
@@ -224,11 +223,11 @@ def make_backend(cfg: SolverConfig):
 def make_solver(cfg: SolverConfig, stats: Optional[engine.SolveStats] = None) -> Solver:
     """A beam-search solver over one backend for the whole run.
 
-    The backend is reset before each problem (the oracle forgets its
-    proposal cursors, the scripted backend reseeds its noise, a remote
-    server gets the reset document) and closed once the solver is gone (or
-    at interpreter exit).  A bad search setting raises ValueError here,
-    before the backend is made.
+    The backend is reset before each problem (the oracle forgets the
+    worlds, gold steps and selection walks of the last one, the scripted
+    backend reseeds its noise, a remote server gets the reset document) and
+    closed once the solver is gone (or at interpreter exit).  A bad search
+    setting raises ValueError here, before the backend is made.
     """
     beam_cfg = cfg.beam_config()
     backend = make_backend(cfg)
@@ -284,10 +283,8 @@ def probe_random_context(
 ) -> RandomContextProbe:
     perm = derangement(len(problems), seed)
     acc_correct, _, _ = _accuracy(problems, solver)
-    from dataclasses import replace as _replace
-
     swapped = [
-        _replace(p, context=problems[perm[i]].context, gold_proof=None)
+        replace(p, context=problems[perm[i]].context, gold_proof=None)
         for i, p in enumerate(problems)
     ]
     acc_random, unk, _ = _accuracy(swapped, solver)
@@ -320,10 +317,8 @@ def probe_incomplete_context(
     problems: Sequence[Problem], solver: Solver
 ) -> IncompleteContextProbe:
     acc_complete, _, _ = _accuracy(problems, solver)
-    from dataclasses import replace as _replace
-
     stripped = [
-        _replace(p, context=strip_facts(p.context), gold_proof=None)
+        replace(p, context=strip_facts(p.context), gold_proof=None)
         for p in problems
     ]
     acc_inc, unk, _ = _accuracy(stripped, solver)
@@ -587,22 +582,9 @@ def _cmd_probe(args) -> int:
     solver = make_solver(cfg, stats)
     if args.kind == "random":
         probe = probe_random_context(problems, solver, args.seed)
-        doc = {
-            "kind": "random",
-            "accuracy_random": probe.accuracy_random,
-            "accuracy_correct": probe.accuracy_correct,
-            "delta": probe.delta,
-            "unknown_rate_random": probe.unknown_rate_random,
-        }
     else:
         probe = probe_incomplete_context(problems, solver)
-        doc = {
-            "kind": "incomplete",
-            "accuracy_incomplete": probe.accuracy_incomplete,
-            "accuracy_complete": probe.accuracy_complete,
-            "delta": probe.delta,
-            "unknown_rate": probe.unknown_rate,
-        }
+    doc = {"kind": args.kind, **asdict(probe)}
     if args.report == "json":
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:

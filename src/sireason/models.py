@@ -14,16 +14,15 @@ import contextlib
 import json
 import math
 import os
+import random
 import select
 import subprocess
 import sys
 import threading
 import time
 import traceback
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 from . import cnl, symbolic
@@ -265,64 +264,6 @@ def _read_value_prompt(prompt: str) -> tuple[list[str], str, str]:
 # Oracle backend.
 # ---------------------------------------------------------------------------
 
-class _LRU:
-    """A bounded map that drops its least recently used entry, with the
-    `cache_clear` and `cache_parameters` of an `lru_cache`.  Unlike one, it
-    can be asked for a key without computing the value."""
-
-    def __init__(self, maxsize: int) -> None:
-        self._maxsize = maxsize
-        self._data: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        with self._lock:
-            value = self._data.get(key)
-            if value is not None:
-                self._data.move_to_end(key)
-            return value
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            if len(self._data) > self._maxsize:
-                self._data.popitem(last=False)
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-    def cache_parameters(self) -> dict:
-        return {"maxsize": self._maxsize, "typed": False}
-
-
-# (context, closure) by the context's sentence surfaces.
-_WORLDS = _LRU(maxsize=4096)
-
-
-def _world_for(surfaces: tuple[str, ...]):
-    """The context the surfaces label and its closure.
-
-    A search step appends one sentence to a context it has seen, so when
-    the context less its last sentence is cached, its world is extended by
-    that sentence rather than closed afresh.
-    """
-    world = _WORLDS.get(surfaces)
-    if world is not None:
-        return world
-    parent = _WORLDS.get(surfaces[:-1])
-    if parent is None:
-        ctx = LabeledContext.from_statements(surfaces)
-        world = ctx, symbolic.closure(ctx)
-    else:
-        parent_ctx, parent_closed = parent
-        ctx = parent_ctx.extended(normalize_statement(surfaces[-1]))
-        world = ctx, symbolic.extend(parent_closed, ctx)
-    _WORLDS.put(surfaces, world)
-    return world
-
-
 def _overlap_score(choice: str, inference: str) -> float:
     choice_tokens = [t for t in cnl_tokenize(choice) if t]
     inf_tokens = set(cnl_tokenize(inference))
@@ -346,15 +287,29 @@ class OracleBackend:
     of that list, or what is left of it, so beam search obtains distinct
     proposals, and repeated requests with the same prompt walk on down the
     list.
+
+    The oracle answers one problem at a time: the worlds it closes, the gold
+    steps of each question and each prompt's selection walk last until
+    `reset()`, which forgets them all.  Each request holds the lock whole,
+    since worlds extended from one closure share its rule index and ground
+    into it.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._selection_cursor: dict[str, int] = {}
+        # (context, closure) by the context's sentence surfaces.
+        self._worlds: dict[tuple[str, ...], tuple[LabeledContext, symbolic.WorldClosure]] = {}
+        # Gold steps by (surfaces, question).
+        self._gold: dict[tuple[tuple[str, ...], str], tuple[tuple[str, tuple[int, ...]], ...]] = {}
+        # [candidates, cursor] by selection prompt: the next proposal is
+        # candidates[cursor].
+        self._selections: dict[str, list] = {}
 
     def reset(self) -> None:
         with self._lock:
-            self._selection_cursor.clear()
+            self._worlds.clear()
+            self._gold.clear()
+            self._selections.clear()
 
     def close(self) -> None:
         pass
@@ -362,18 +317,122 @@ class OracleBackend:
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         handler = getattr(self, f"_complete_{GeneratorRole(request.role).value}")
         try:
-            return handler(request)
+            with self._lock:
+                return handler(request)
         except (cnl.ParseError, EmptyStatement) as exc:
             # Text outside the grammar, such as a free-text (EB) question.
             raise BackendError(f"oracle cannot read the prompt: {exc}") from exc
 
+    # -- the problem in hand ------------------------------------------------
+
+    def _world_for(self, surfaces: tuple[str, ...]):
+        """The context the surfaces label and its closure.
+
+        A search step appends one sentence to a context it has seen, so when
+        the context less its last sentence is known, its world is extended
+        by that sentence rather than closed afresh.
+        """
+        world = self._worlds.get(surfaces)
+        if world is not None:
+            return world
+        parent = self._worlds.get(surfaces[:-1])
+        if parent is None:
+            ctx = LabeledContext.from_statements(surfaces)
+            world = ctx, symbolic.closure(ctx)
+        else:
+            parent_ctx, parent_closed = parent
+            ctx = parent_ctx.extended(normalize_statement(surfaces[-1]))
+            world = ctx, symbolic.extend(parent_closed, ctx)
+        self._worlds[surfaces] = world
+        return world
+
+    def _gold_steps(
+        self, surfaces: tuple[str, ...], question: str
+    ) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """(inference key, selection labels) of each step of the shortest
+        proof of a hypothesis question; none if it has no proof or is no
+        hypothesis.
+
+        Selection and value calls on one context share it, and it keeps keys
+        and label numbers only, not the proof."""
+        steps = self._gold.get((surfaces, question))
+        if steps is not None:
+            return steps
+        _, world = self._world_for(surfaces)
+        parsed_q = cnl.parse_question(question)
+        steps = ()
+        if isinstance(parsed_q, cnl.Hypothesis):
+            try:
+                target = symbolic.proof_target(world, parsed_q)
+            except symbolic.NoProof:
+                pass
+            else:
+                steps = tuple(
+                    (normalize_key(cnl.render_atom(d.head)),
+                     tuple(label.index for label in labels))
+                    for d, labels in symbolic.proof_steps(world, target)
+                )
+        self._gold[surfaces, question] = steps
+        return steps
+
+    def _selection_candidates(self, prompt: str) -> tuple[str, ...]:
+        """Ordered selection completions for one prompt, best candidate first."""
+        question, surfaces = _read_selection_prompt(prompt)
+        ctx, world = self._world_for(surfaces)
+        present = {stmt.key for _, stmt in ctx}
+
+        on_path: Optional[tuple[int, ...]] = None
+        for key, labels in self._gold_steps(surfaces, question):
+            if key not in present:
+                on_path = labels
+                break
+
+        # Worlds extended from one closure share its rule index, so the index
+        # also holds instances grounded by this world's extensions: only those
+        # over this world's facts count.
+        facts = world.fact_labels
+        firings = sorted({
+            (rule.index,) + tuple(sorted(facts[p].index for p in premises))
+            for rule, premises, head in world.index.grounded.values()
+            if all(p in facts for p in premises)
+            and len(set(premises)) == len(premises)
+            and normalize_key(cnl.render_atom(head)) not in present
+        })
+
+        ordered: list[tuple[int, ...]] = []
+        if on_path is not None:
+            ordered.append(on_path)
+        for f in firings:
+            if on_path is not None and frozenset(f) == frozenset(on_path):
+                continue
+            ordered.append(f)
+        return tuple(render_selection(labels) for labels in ordered)
+
+    def _judge_steps(self, surfaces: tuple[str, ...], question: str, line: str) -> bool:
+        """Decide whether one rendered step is correct and a step of a
+        shortest proof."""
+        ctx, _ = self._world_for(surfaces)
+        parsed_q = cnl.parse_question(question)
+        if not isinstance(parsed_q, cnl.Hypothesis):
+            raise BackendError("value oracle needs a hypothesis question")
+        try:
+            trace = parse_trace_text(line, ctx)
+        except TraceParseError:
+            return False
+        if not trace.steps:
+            return False
+        proof_keys = {key for key, _ in self._gold_steps(surfaces, question)}
+        return symbolic.is_proof_step(trace.steps[-1], proof_keys)
+
     # -- selection ----------------------------------------------------------
 
     def _complete_selection(self, request: CompletionRequest) -> CompletionResponse:
-        candidates = _selection_candidates(request.prompt)
-        with self._lock:
-            cursor = self._selection_cursor.get(request.prompt, 0)
-            self._selection_cursor[request.prompt] = cursor + request.n
+        walk = self._selections.get(request.prompt)
+        if walk is None:
+            walk = self._selections[request.prompt] = [
+                self._selection_candidates(request.prompt), 0]
+        candidates, cursor = walk
+        walk[1] = cursor + request.n
         return sampled(request, candidates[cursor:cursor + request.n])
 
     # -- inference ----------------------------------------------------------
@@ -411,7 +470,7 @@ class OracleBackend:
         surfaces, question, reason = _read_value_prompt(request.prompt)
         # Each earlier step was judged when it was the newest, so the
         # oracle reads only the newest line.
-        good = _judge_steps(tuple(surfaces), question, reason.rpartition("\n")[2])
+        good = self._judge_steps(tuple(surfaces), question, reason.rpartition("\n")[2])
         logprobs = {
             CORRECT: CERTAIN_GOOD if good else CERTAIN_BAD,
             INCORRECT: CERTAIN_BAD if good else CERTAIN_GOOD,
@@ -455,87 +514,6 @@ def _matched_choice(choices: Sequence[str], inference: str) -> Optional[str]:
     return scored[0][1]
 
 
-@lru_cache(maxsize=1024)
-def _gold_steps(
-    surfaces: tuple[str, ...], question: str
-) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    """(inference key, selection labels) of each step of the shortest proof
-    of a hypothesis question; none if it has no proof or is no hypothesis.
-
-    Selection and value calls on one context share it, and it keeps keys
-    and label numbers only, not the proof."""
-    _, world = _world_for(surfaces)
-    parsed_q = cnl.parse_question(question)
-    if not isinstance(parsed_q, cnl.Hypothesis):
-        return ()
-    try:
-        target = symbolic.proof_target(world, parsed_q)
-    except symbolic.NoProof:
-        return ()
-    return tuple(
-        (normalize_key(cnl.render_atom(d.head)), tuple(label.index for label in labels))
-        for d, labels in symbolic.proof_steps(world, target)
-    )
-
-
-@lru_cache(maxsize=1024)
-def _selection_candidates(prompt: str) -> tuple[str, ...]:
-    """Ordered selection completions for one prompt, best candidate first.
-
-    Keyed by the prompt itself: each further proposal for a prompt already
-    seen is a cache hit, with no prompt to read back.  A search repeats
-    only the prompts of the problem it is solving, so a small cache serves.
-    """
-    question, surfaces = _read_selection_prompt(prompt)
-    ctx, world = _world_for(surfaces)
-    present = {stmt.key for _, stmt in ctx}
-
-    on_path: Optional[tuple[int, ...]] = None
-    for key, labels in _gold_steps(surfaces, question):
-        if key not in present:
-            on_path = labels
-            break
-
-    # Worlds extended from one closure share its rule index, so the index
-    # also holds instances grounded by this world's extensions: only those
-    # over this world's facts count.  Another thread may be grounding more.
-    facts = world.fact_labels
-    firings = sorted({
-        (rule.index,) + tuple(sorted(facts[p].index for p in premises))
-        for rule, premises, head in list(world.index.grounded.values())
-        if all(p in facts for p in premises)
-        and len(set(premises)) == len(premises)
-        and normalize_key(cnl.render_atom(head)) not in present
-    })
-
-    ordered: list[tuple[int, ...]] = []
-    if on_path is not None:
-        ordered.append(on_path)
-    for f in firings:
-        if on_path is not None and frozenset(f) == frozenset(on_path):
-            continue
-        ordered.append(f)
-    return tuple(render_selection(labels) for labels in ordered)
-
-
-@lru_cache(maxsize=8192)
-def _judge_steps(surfaces: tuple[str, ...], question: str, line: str) -> bool:
-    """Decide whether one rendered step is correct and a step of a shortest
-    proof."""
-    ctx, _ = _world_for(surfaces)
-    parsed_q = cnl.parse_question(question)
-    if not isinstance(parsed_q, cnl.Hypothesis):
-        raise BackendError("value oracle needs a hypothesis question")
-    try:
-        trace = parse_trace_text(line, ctx)
-    except TraceParseError:
-        return False
-    if not trace.steps:
-        return False
-    proof_keys = {key for key, _ in _gold_steps(surfaces, question)}
-    return symbolic.is_proof_step(trace.steps[-1], proof_keys)
-
-
 def oracle_backend() -> OracleBackend:
     return OracleBackend()
 
@@ -573,7 +551,7 @@ class ScriptedBackend:
         self._noise_rate = noise_rate
         self._seed = seed
         self._resets = 0
-        self._rng = __import__("random").Random(("scripted", seed).__repr__())
+        self._rng = random.Random(("scripted", seed).__repr__())
         self._lock = threading.Lock()
 
     def reset(self) -> None:
@@ -637,15 +615,6 @@ class ScriptedBackend:
         n_premises = self._rng.choice([1, 2])
         premises = [self._rng.randint(1, n) for _ in range(n_premises)]
         return render_selection([rule] + premises)
-
-
-def scripted_backend(
-    base=None,
-    script: Optional[Mapping[GeneratorRole, Sequence[str]]] = None,
-    noise_rate: float = 0.0,
-    seed: int = 0,
-) -> ScriptedBackend:
-    return ScriptedBackend(base=base, script=script, noise_rate=noise_rate, seed=seed)
 
 
 # ---------------------------------------------------------------------------

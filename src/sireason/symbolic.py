@@ -235,7 +235,6 @@ class WorldClosure:
     context: LabeledContext
     derived: dict[Atom, AtomProof]
     fact_labels: dict[Atom, SentenceLabel]
-    rule_entries: list[tuple[SentenceLabel, RuleAst]]
     index: RuleIndex = field(compare=False, repr=False)
     opaque_labels: list[SentenceLabel] = field(default_factory=list)
 
@@ -326,7 +325,6 @@ def closure(context: LabeledContext) -> WorldClosure:
         context=context,
         derived=derived,
         fact_labels=fact_labels,
-        rule_entries=rules,
         index=index,
         opaque_labels=opaque,
     )

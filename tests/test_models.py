@@ -183,11 +183,21 @@ def _sireason_caches() -> dict:
 
 def test_every_cache_is_bounded():
     caches = _sireason_caches()
-    assert {"sireason.core.normalize_key", "sireason.cnl.parse_statement",
-            "sireason.models._selection_candidates",
-            "sireason.models._WORLDS"} <= set(caches)
+    assert {"sireason.core.normalize_key", "sireason.cnl.parse_statement"} <= set(caches)
     for name, cache in caches.items():
         assert cache.cache_parameters()["maxsize"] is not None, name
+
+
+def test_the_oracle_keeps_no_module_state():
+    """What the oracle remembers lives on the backend: `sireason.models`
+    defines no cache, and no dict, list or set but its upper-case constants."""
+    caches = [name for name in _sireason_caches() if name.startswith("sireason.models.")]
+    held = [
+        name for name, obj in vars(models).items()
+        if isinstance(obj, (dict, list, set)) and not name.startswith("__")
+        and name != name.upper()
+    ]
+    assert caches == held == []
 
 
 def _clear_caches() -> None:
@@ -195,27 +205,132 @@ def _clear_caches() -> None:
         cache.cache_clear()
 
 
-def test_selection_walk_is_the_same_with_cold_and_warm_caches():
-    from sireason import datasets
+def _oracle_tables(backend: OracleBackend) -> dict:
+    """Every table of an oracle's memory, by attribute name."""
+    return {name: v for name, v in vars(backend).items() if isinstance(v, dict)}
 
+
+def _walk(backend: OracleBackend, req: CompletionRequest) -> list[str]:
+    """The replies to `req`, repeated up to and with the first empty one."""
+    texts = [backend.complete(req).text]
+    while texts[-1]:
+        texts.append(backend.complete(req).text)
+    return texts
+
+
+def test_selection_walk_is_the_same_on_a_fresh_and_a_reset_backend():
     problem = datasets.generate_problem_set(30, {3: 1})[0]
     req = CompletionRequest(
         GeneratorRole.SELECTION, format_selection_prompt(problem.question, problem.context)
     )
+    fresh = _walk(OracleBackend(), req)
+    backend = OracleBackend()
+    first = _walk(backend, req)
+    # The walk is remembered until the reset.
+    assert _walk(backend, req) == [""]
+    backend.reset()
+    assert _walk(backend, req) == first == fresh
+    assert len(fresh) > 2
 
-    def walk():
-        backend = OracleBackend()
-        texts = [backend.complete(req).text]
-        while texts[-1]:
-            texts.append(backend.complete(req).text)
-        return texts
 
-    _clear_caches()
-    cold = walk()
-    warm = walk()
-    _clear_caches()
-    assert walk() == warm == cold
-    assert len(cold) > 2
+def test_reset_empties_every_oracle_table():
+    problem = datasets.generate_problem_set(30, {3: 1})[0]
+    backend = OracleBackend()
+    engine.beam_search(problem, backend, engine.BeamConfig(beam_width=2, proposals_per_trace=2))
+    tables = _oracle_tables(backend)
+    assert set(tables) == {"_worlds", "_gold", "_selections"}
+    assert all(tables.values())
+    backend.reset()
+    assert not any(_oracle_tables(backend).values())
+
+
+def test_two_oracles_share_no_state():
+    problem = datasets.generate_problem_set(30, {3: 1})[0]
+    req = CompletionRequest(
+        GeneratorRole.SELECTION, format_selection_prompt(problem.question, problem.context)
+    )
+    one, other = OracleBackend(), OracleBackend()
+    walked = _walk(one, req)
+    assert other.complete(req).text == walked[0]
+    surfaces = tuple(stmt.surface for stmt in problem.context.statements())
+    assert one._worlds[surfaces][1] is not other._worlds[surfaces][1]
+    for name, table in _oracle_tables(one).items():
+        assert table is not getattr(other, name)
+    one.reset()
+    assert other.complete(req).text == walked[1]
+
+
+def test_a_solver_run_leaves_only_the_last_problems_worlds(monkeypatch):
+    from sireason import evalcli
+
+    problems = datasets.generate_problem_set(7, {1: 10, 2: 10, 3: 10, 5: 10})
+    backend = OracleBackend()
+    monkeypatch.setattr(models, "oracle_backend", lambda: backend)
+    solver = evalcli.make_solver(evalcli.SolverConfig())
+    for problem in problems:
+        solver(problem)
+    last = tuple(stmt.surface for stmt in problems[-1].context.statements())
+    assert last in backend._worlds
+    assert all(surfaces[:len(last)] == last for surfaces in backend._worlds)
+    assert all(surfaces[:len(last)] == last for surfaces, _ in backend._gold)
+    assert all(
+        models._read_selection_prompt(prompt)[1][:len(last)] == last
+        for prompt in backend._selections
+    )
+
+
+def test_threads_on_one_oracle_get_the_single_threaded_walks():
+    """Contexts extended from one closure share its rule index, and each
+    new fact grounds instances into it; eight threads walking such
+    selection prompts on one backend raise nothing and get the walks one
+    thread gets."""
+    problem = datasets.generate_problem_set(30, {5: 1})[0]
+    world = symbolic.closure(problem.context)
+    derived = {cnl.render_atom(a) for a in world.derived}
+    new_facts = sorted({
+        cnl.render_atom(replace(atom, subject=c))
+        for atom in world.derived for c in world.index.constants
+    } - derived)
+    surfaces = [stmt.surface for stmt in problem.context.statements()]
+
+    def request(extra):
+        ctx = LabeledContext.from_statements(surfaces + extra)
+        return CompletionRequest(
+            GeneratorRole.SELECTION, format_selection_prompt(problem.question, ctx), n=2)
+
+    requests = [request([fact]) for fact in new_facts]
+    assert len(requests) >= 40
+    alone = OracleBackend()
+    expected = [_walk(alone, req) for req in requests]
+    backend = OracleBackend()
+    n_threads = 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            backend.reset()
+            # Every extended world grows from this one's closure.
+            _walk(backend, request([]))
+            got: list = [None] * len(requests)
+            errors: list = []
+
+            def run(i):
+                try:
+                    for k in range(i, len(requests), n_threads):
+                        got[k] = _walk(backend, requests[k])
+                except Exception as exc:  # reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert got == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _reference_firings(world: symbolic.WorldClosure) -> set[tuple[int, ...]]:
@@ -225,7 +340,7 @@ def _reference_firings(world: symbolic.WorldClosure) -> set[tuple[int, ...]]:
     present = {stmt.key for stmt in world.context.statements()}
     facts = sorted((label.index, atom) for atom, label in world.fact_labels.items())
     firings = set()
-    for rule_label, rule in world.rule_entries:
+    for rule_label, rule in world.index.rules:
         for combo in itertools.combinations(facts, len(rule.body)):
             try:
                 head = symbolic.apply_rule(rule, [atom for _, atom in combo])
@@ -236,16 +351,18 @@ def _reference_firings(world: symbolic.WorldClosure) -> set[tuple[int, ...]]:
     return firings
 
 
-def _candidate_labels(question: str, ctx: LabeledContext) -> list[tuple[int, ...]]:
+def _candidate_labels(
+    backend: OracleBackend, question: str, ctx: LabeledContext
+) -> list[tuple[int, ...]]:
     prompt = format_selection_prompt(question, ctx)
     return [
         tuple(int(n) for n in re.findall(r"sent (\d+)", text))
-        for text in models._selection_candidates(prompt)
+        for text in backend._selection_candidates(prompt)
     ]
 
 
 def test_extended_worlds_fire_as_rebuilt_ones(monkeypatch):
-    """A context that extends a cached one gets its world by extension; it
+    """A context that extends a known one gets its world by extension; it
     equals a rebuild, and its selection candidates are the proof's next
     step, then every firing of `_reference_firings` in label order."""
     problem = datasets.generate_problem_set(30, {5: 1})[0]
@@ -263,8 +380,8 @@ def test_extended_worlds_fire_as_rebuilt_ones(monkeypatch):
         "the wolf is big",
     ]
     surfaces = tuple(stmt.surface for stmt in problem.context.statements())
-    _clear_caches()
-    models._world_for(surfaces)
+    backend = OracleBackend()
+    backend._world_for(surfaces)
     closure = symbolic.closure
     closed = []
 
@@ -275,27 +392,26 @@ def test_extended_worlds_fire_as_rebuilt_ones(monkeypatch):
     monkeypatch.setattr(symbolic, "closure", counting)
     for surface in appended:
         surfaces += (surface,)
-        ctx, got = models._world_for(surfaces)
+        ctx, got = backend._world_for(surfaces)
         rebuilt = closure(LabeledContext.from_statements(surfaces))
         assert ctx == rebuilt.context
         assert got.derived == rebuilt.derived
         present = {stmt.key for stmt in ctx.statements()}
         on_path = [
-            labels for key, labels in models._gold_steps(surfaces, problem.question)
+            labels for key, labels in backend._gold_steps(surfaces, problem.question)
             if key not in present
         ][:1]
         expected = on_path + sorted(
             f for f in _reference_firings(rebuilt)
             if not on_path or frozenset(f) != frozenset(on_path[0])
         )
-        assert _candidate_labels(problem.question, ctx) == expected, surface
+        assert _candidate_labels(backend, problem.question, ctx) == expected, surface
     # Only a new rule and a new constant close the context afresh.
     assert closed == [
         "If something is big then it is quiet",
         "the zebra is big",
         "If the wolf is big and something is big then it is kind",
     ]
-    _clear_caches()
 
 
 def test_extending_a_world_leaves_its_parents_candidates():
@@ -303,22 +419,21 @@ def test_extending_a_world_leaves_its_parents_candidates():
     its parent; the parent's candidates still range over its own facts."""
     problem = datasets.generate_problem_set(30, {5: 1})[0]
     surfaces = tuple(stmt.surface for stmt in problem.context.statements())
-    _clear_caches()
-    cold = _candidate_labels(problem.question, problem.context)
-    _, parent = models._world_for(surfaces)
+    backend = OracleBackend()
+    cold = _candidate_labels(backend, problem.question, problem.context)
+    _, parent = backend._world_for(surfaces)
     grounded = len(parent.index.grounded)
-    _, child = models._world_for(surfaces + ("the lion is smart",))
+    _, child = backend._world_for(surfaces + ("the lion is smart",))
     assert child.index is parent.index
     assert len(parent.index.grounded) > grounded
-    models._selection_candidates.cache_clear()
-    assert _candidate_labels(problem.question, problem.context) == cold
-    _clear_caches()
+    assert _candidate_labels(backend, problem.question, problem.context) == cold
 
 
 def test_gold_steps_are_the_shortest_proofs_steps(pw_problems, pw_worst_problems):
     """The oracle's gold steps are the keys and labels of `shortest_proof`'s
     steps: both read one walk, `symbolic.proof_steps`."""
     generated = datasets.generate_problem_set(23, {1: 4, 2: 4, 3: 4, 5: 4})
+    backend = OracleBackend()
     proved = 0
     for problem in generated + list(pw_problems) + list(pw_worst_problems):
         surfaces = tuple(stmt.surface for stmt in problem.context.statements())
@@ -333,7 +448,7 @@ def test_gold_steps_are_the_shortest_proofs_steps(pw_problems, pw_worst_problems
                 for step in proof.steps
             )
             proved += 1
-        assert models._gold_steps(surfaces, problem.question) == expected, problem.id
+        assert backend._gold_steps(surfaces, problem.question) == expected, problem.id
     assert proved >= 16
 
 
