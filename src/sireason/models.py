@@ -10,20 +10,16 @@ swapped without touching the engine.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
 import random
-import select
-import subprocess
 import sys
 import threading
 import time
-import traceback
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from . import cnl, symbolic
 from .core import (
@@ -38,6 +34,10 @@ from .core import (
     render_premises,
     split_premises,
 )
+
+if TYPE_CHECKING:
+    # Only the client starts servers; it imports `subprocess` when it does.
+    import subprocess
 
 # Finite stand-in for certainty about a wrong step; keeps score sums total.
 CERTAIN_GOOD = 0.0
@@ -282,11 +282,11 @@ class OracleBackend:
 
     Selection enumerates candidate steps for each distinct prompt: the step
     that advances the shortest proof first, then every other rule instance
-    of the closure whose premises are distinct context facts and whose
-    head is new, in label order.  A request for n samples takes the next n
-    of that list, or what is left of it, so beam search obtains distinct
-    proposals, and repeated requests with the same prompt walk on down the
-    list.
+    of the closure whose premises are context facts and whose head is new,
+    in label order, each fact selected once.  A request for n samples takes
+    the next n of that list, or what is left of it, so beam search obtains
+    distinct proposals, and repeated requests with the same prompt walk on
+    down the list.
 
     The oracle answers one problem at a time: the worlds it closes, the gold
     steps of each question and each prompt's selection walk last until
@@ -391,11 +391,11 @@ class OracleBackend:
         # also holds instances grounded by this world's extensions: only those
         # over this world's facts count.
         facts = world.fact_labels
+        # A fact that is two of an instance's premises is selected once.
         firings = sorted({
-            (rule.index,) + tuple(sorted(facts[p].index for p in premises))
+            (rule.index,) + tuple(sorted({facts[p].index for p in premises}))
             for rule, premises, head in world.index.grounded.values()
             if all(p in facts for p in premises)
-            and len(set(premises)) == len(premises)
             and normalize_key(cnl.render_atom(head)) not in present
         })
 
@@ -733,12 +733,41 @@ def decode_response(data: bytes) -> CompletionResponse:
         raise RemoteError(f"bad response document: {exc}") from exc
 
 
-# Seconds `PipeTransport` waits for a server to exit once its input is
-# closed, before killing it.
+# Seconds `PipeTransport` waits for a server to end its output once its
+# input is closed, before killing it.
 CLOSE_WAIT_S = 10.0
 # Seconds `PipeTransport` waits for a reply, from the request written to the
 # end of the reply line, before it kills the server.
 REPLY_WAIT_S = 60.0
+# Servers `PipeTransport` starts after its first one.  Once they are used
+# up, a transport whose servers keep dying fails every exchange at once.
+RESPAWN_LIMIT = 3
+
+# The bundled server's command.  `-S` skips `site`, whose `.pth` hooks can
+# cost a start tens of ms; the server needs nothing from site-packages.  The
+# bootstrap appends the directory this package was imported from to
+# `sys.path`, after the stdlib, so the server runs the client's `sireason`
+# with or without PYTHONPATH.
+_SERVER_BOOTSTRAP = (
+    "import sys; sys.path.append(sys.argv.pop()); "
+    "from sireason.models import _main; _main()"
+)
+
+
+def _server_argv() -> list[str]:
+    package_parent = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return [sys.executable, "-S", "-c", _SERVER_BOOTSTRAP, package_parent]
+
+
+def _read_some(fd: int, deadline: float) -> Optional[bytes]:
+    """The next bytes the server writes, as they arrive; b"" at the end of
+    the stream, None if `deadline` (on `time.monotonic`) passes first."""
+    import select
+
+    remaining = deadline - time.monotonic()
+    if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+        return None
+    return os.read(fd, 65536)
 
 
 class PipeTransport:
@@ -747,15 +776,16 @@ class PipeTransport:
 
     The server is started on the first exchange.  If it dies, or does not
     finish a reply within REPLY_WAIT_S, the failing exchange kills and reaps
-    it and raises, and the next exchange starts a new one, unless the
-    server failed before its first answer: one that cannot come back would
-    cost a process start (and perhaps a full wait) per attempt, so every
-    later exchange raises at once.
+    it and raises, and the next exchange starts a new one, up to
+    RESPAWN_LIMIT times, unless the server failed before its first answer:
+    one that cannot come back would cost a process start (and perhaps a
+    full wait) per attempt, so every later exchange raises at once.
     """
 
     def __init__(self, argv: Optional[Sequence[str]] = None) -> None:
-        self._argv = list(argv) if argv else [sys.executable, "-m", "sireason.models"]
+        self._argv = list(argv) if argv else _server_argv()
         self._proc: Optional[subprocess.Popen] = None
+        self._spawns = 0
         self._answered = False  # whether the running server has answered
         self._gave_up: Optional[str] = None
         # Bytes the server wrote past the last reply line read.
@@ -763,14 +793,21 @@ class PipeTransport:
         self._lock = threading.Lock()
 
     def _ensure(self) -> subprocess.Popen:
+        import subprocess
+
         if self._proc is not None and self._proc.poll() is not None:
             self._stop()
         if self._proc is None:
+            if self._spawns > RESPAWN_LIMIT:
+                self._gave_up = (f"pipe transport: server restarted {RESPAWN_LIMIT}"
+                                 " times already; not restarted again")
+                raise RemoteError(self._gave_up)
             self._proc = subprocess.Popen(
                 self._argv,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
             )
+            self._spawns += 1
             self._answered = False
             self._pending = b""
         return self._proc
@@ -805,12 +842,9 @@ class PipeTransport:
             if end:
                 line, self._pending = self._pending[:end], self._pending[end:]
                 return line
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
-                return None
-            chunk = os.read(fd, 65536)
-            if not chunk:
-                return b""
+            chunk = _read_some(fd, deadline)
+            if not chunk:  # None past the deadline, b"" at the end
+                return chunk
             self._pending += chunk
 
     def _lost(self, reason: str) -> RemoteError:
@@ -828,20 +862,27 @@ class PipeTransport:
             self._stop()
 
     def _stop(self, kill: bool = False) -> None:
-        """Close the server's input, wait for it to exit (kill it at once
-        with `kill`, else after CLOSE_WAIT_S) and forget it."""
+        """Close the server's input, reap the server and forget it.  With
+        `kill` it is killed at once; otherwise its output is read to the
+        end, and it is killed if CLOSE_WAIT_S passes first.  Nothing here
+        sleeps or polls: the bundled server exits as soon as its input ends,
+        and its exit ends the stream.  (A server that ends its output and
+        goes on running would hold up the wait.)"""
         proc, self._proc = self._proc, None
         if proc is None:
             return
+        try:
+            proc.stdin.close()
+        except OSError:
+            pass
+        if not kill:
+            deadline = time.monotonic() + CLOSE_WAIT_S
+            while chunk := _read_some(proc.stdout.fileno(), deadline):
+                pass
+            kill = chunk is None
         if kill:
             proc.kill()
-        with contextlib.suppress(OSError):
-            proc.stdin.close()
-        try:
-            proc.wait(timeout=CLOSE_WAIT_S)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
+        proc.wait()
         proc.stdout.close()
 
 
@@ -943,6 +984,8 @@ def serve(backend, rfile, wfile) -> None:
                 reply = encode_response(backend.complete(request))
         except Exception as exc:  # the server outlives any one request
             if not isinstance(exc, BackendError):
+                import traceback
+
                 traceback.print_exc(file=sys.stderr)
             reply = encode_error(exc)
         wfile.write(reply)
@@ -951,6 +994,11 @@ def serve(backend, rfile, wfile) -> None:
 
 def _main() -> None:
     serve(oracle_backend(), sys.stdin.buffer, sys.stdout.buffer)
+    # Every reply is written; the interpreter's teardown would only keep the
+    # client waiting for the exit.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(0)
 
 
 if __name__ == "__main__":

@@ -81,18 +81,22 @@ def _binding(pattern: Atom, atom: Atom):
 
 
 def _match_body(body: tuple[Atom, ...], facts: list[Atom]) -> Optional[Term]:
-    """The binding under which `facts` cover `body` one-to-one: some order
-    of the facts in which each is an instance of its body atom and at most
-    one constant stands for the variable (None for variable-free rules).
-    Raises NoEntailment when there is no such order."""
-    if len(body) != len(facts):
+    """The binding under which `facts` cover `body`: some choice of a fact
+    for each body atom, using every fact, in which each fact is an instance
+    of its body atom and at most one constant stands for the variable (None
+    for variable-free rules).  As in `closure`, one fact may be chosen for
+    every body atom it instantiates.  Raises NoEntailment when there is no
+    such choice."""
+    if not facts or len(facts) > len(body):
         raise NoEntailment(
             f"rule body has {len(body)} atoms but {len(facts)} facts were selected"
         )
-    for perm in itertools.permutations(facts):
+    for choice in itertools.product(range(len(facts)), repeat=len(body)):
+        if len(set(choice)) < len(facts):
+            continue  # a selected fact left unused
         bound = set()
-        for pattern, fact in zip(body, perm):
-            binding = _binding(pattern, fact)
+        for pattern, j in zip(body, choice):
+            binding = _binding(pattern, facts[j])
             if binding is False:
                 break
             if binding is not None:
@@ -390,9 +394,9 @@ def proof_steps(
     world: WorldClosure, target: Atom
 ) -> list[tuple[Derivation, tuple[SentenceLabel, ...]]]:
     """The derivations the proof of `target` rests on, each once, in proof
-    order, with their selection labels: the rule, then the premises in
-    label order.  The k-th inference takes label `len(world.context) + k`;
-    a context fact has no steps."""
+    order, with their selection labels: the rule, then the distinct
+    premises in label order.  The k-th inference takes label
+    `len(world.context) + k`; a context fact has no steps."""
     needed: dict[Atom, Derivation] = {}
     pending = [target]
     while pending:
@@ -409,7 +413,8 @@ def proof_steps(
     inferred = {d.head: SentenceLabel(k) for k, d in enumerate(ordered, len(world.context) + 1)}
     return [
         (d, (d.rule_label,) + tuple(sorted(
-            (world.fact_labels.get(p) or inferred[p] for p in d.premises),
+            # A fact that is two of the rule's premises is selected once.
+            {world.fact_labels.get(p) or inferred[p] for p in d.premises},
             key=lambda label: label.index,
         )))
         for d in ordered

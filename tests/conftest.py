@@ -7,8 +7,9 @@ from sireason import datasets
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
-# `pytest` puts src/ on this process's path (pyproject.toml); the servers the
-# tests start (`python -m sireason.models`) import the package from there too.
+# `pytest` puts src/ on this process's path (pyproject.toml); the processes
+# the tests start find the package there too.  (The bundled `pipe:` server
+# would find it without this.)
 _SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (_SRC, os.environ.get("PYTHONPATH")) if p

@@ -1,7 +1,14 @@
 import pytest
 
-from sireason import evalcli, models, symbolic
-from sireason.core import Answer, LabeledContext, Statement, is_valid, render_trace
+from sireason import cnl, evalcli, models, symbolic
+from sireason.core import (
+    Answer,
+    LabeledContext,
+    SentenceLabel,
+    Statement,
+    is_valid,
+    render_trace,
+)
 from sireason.engine import (
     BeamConfig,
     BeamEntry,
@@ -93,6 +100,37 @@ def test_si_answer_halts_early_on_single_step():
     answer, trace = si_answer(problem, OracleBackend())
     assert answer == Answer.FALSE
     assert len(trace.steps) == 1
+
+
+def test_one_fact_covers_a_repeated_condition():
+    """Grounded for the wolf, the rule's two conditions are one fact: the
+    closure, the proof, the oracle's selection and the reference inference
+    all read that fact once."""
+    problem = _problem(
+        ["the wolf is big", "If the wolf is big and something is big then it is kind"],
+        'Does it imply that the statement "The wolf is kind" is True?',
+    )
+    fact, rule = problem.context.statements()
+    kind = Statement("the wolf is kind")
+    world = symbolic.closure(problem.context)
+    proof = symbolic.shortest_proof(world, cnl.parse_question(problem.question))
+    assert [(s.selection_labels, s.inference) for s in proof.steps] == [
+        ((SentenceLabel(2), SentenceLabel(1)), kind)
+    ]
+    prompt = models.format_selection_prompt(problem.question, problem.context)
+    assert OracleBackend()._selection_candidates(prompt) == (" sent 2. We know that sent 1.",)
+    assert symbolic.entail_step([rule, fact]) == kind
+    # Naming the fact once per condition reads the same; more facts than
+    # conditions are no instance.
+    assert symbolic.entail_step([rule, fact, fact]) == kind
+    with pytest.raises(symbolic.NoEntailment):
+        symbolic.entail_step([Statement("If something is big then it is kind"), fact, fact])
+
+    stats = SolveStats()
+    answer, trace = si_answer(problem, OracleBackend(), stats=stats)
+    assert answer == Answer.TRUE == problem.gold_answer
+    assert [s.inference for s in trace.steps] == [kind]
+    assert is_valid(trace, symbolic.is_step_correct).valid
 
 
 def test_si_answer_unknown_on_selection_garbage():

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -335,13 +336,16 @@ def test_threads_on_one_oracle_get_the_single_threaded_walks():
 
 def _reference_firings(world: symbolic.WorldClosure) -> set[tuple[int, ...]]:
     """(rule label, premise labels) of every way a rule fires on distinct
-    context facts with a head the context lacks: each combination of facts
-    tried against each rule with `apply_rule`."""
+    context facts with a head the context lacks: each combination of at most
+    as many facts as the rule has conditions tried against each rule with
+    `apply_rule`."""
     present = {stmt.key for stmt in world.context.statements()}
     facts = sorted((label.index, atom) for atom, label in world.fact_labels.items())
     firings = set()
     for rule_label, rule in world.index.rules:
-        for combo in itertools.combinations(facts, len(rule.body)):
+        for combo in itertools.chain.from_iterable(
+            itertools.combinations(facts, size) for size in range(1, len(rule.body) + 1)
+        ):
             try:
                 head = symbolic.apply_rule(rule, [atom for _, atom in combo])
             except symbolic.NoEntailment:
@@ -1201,20 +1205,122 @@ def test_a_silent_server_is_a_counted_backend_failure(
     assert len(pipe_spawns) == 1
 
 
+def test_a_server_that_keeps_dying_is_restarted_a_bounded_number_of_times(
+    pw_problems, tmp_path, pipe_spawns
+):
+    """Every server answers once and dies: the transport starts at most
+    1 + RESPAWN_LIMIT of them, then fails each exchange at once, and the
+    engine counts that as a backend failure."""
+    body = ONE_REPLY + "import os\nos._exit(3)\n"
+    backend = RemoteBackend(PipeTransport(_stub_server(tmp_path, body)), retries=2)
+    outcomes = []
+    start = time.monotonic()
+    try:
+        for _ in range(2 * (models.RESPAWN_LIMIT + 1)):
+            try:
+                outcomes.append(backend.complete(_inference_request("red")).text)
+            except RemoteError as exc:
+                outcomes.append(str(exc))
+        stats = engine.SolveStats()
+        answer, _, _ = engine.beam_search(
+            pw_problems[0], backend, engine.BeamConfig(2, 2), stats
+        )
+    finally:
+        backend.close()
+    assert time.monotonic() - start < 10
+    answered = models.RESPAWN_LIMIT + 1
+    assert outcomes[:answered] == [" ok"] * answered
+    assert all(f"restarted {models.RESPAWN_LIMIT} times already" in o
+               for o in outcomes[answered:])
+    assert len(pipe_spawns) == answered
+    assert all(proc.returncode is not None for proc in pipe_spawns)
+    assert answer.is_unknown
+    assert stats.backend_failures == 1
+    assert "not restarted" in stats.notes[0]
+
+
+def test_close_reaps_a_server_that_writes_past_its_last_reply(tmp_path, pipe_spawns):
+    """More bytes than a pipe holds after the last reply: `close()` reads
+    them away, so the server finishes and exits by itself."""
+    body = ONE_REPLY + 'sys.stdin.buffer.read()\nsys.stdout.buffer.write(b"stray" * 40000)\n'
+    transport = PipeTransport(_stub_server(tmp_path, body))
+    assert decode_response(transport.exchange(b"{}\n")).text == " ok"
+    transport.close()
+    assert pipe_spawns[0].returncode == 0
+
+
+def test_close_kills_a_server_that_ignores_the_end_of_its_input(
+    tmp_path, monkeypatch, pipe_spawns
+):
+    monkeypatch.setattr(models, "CLOSE_WAIT_S", 0.2)
+    body = ONE_REPLY + "sys.stdin.buffer.read()\ntime.sleep(60)\n"
+    transport = PipeTransport(_stub_server(tmp_path, body))
+    assert decode_response(transport.exchange(b"{}\n")).text == " ok"
+    start = time.monotonic()
+    transport.close()
+    assert time.monotonic() - start < 5
+    assert pipe_spawns[0].returncode == -signal.SIGKILL
+
+
+def test_closing_the_bundled_server_never_sleeps(monkeypatch, pipe_spawns):
+    """The server exits as soon as its input ends, and `close()` waits for
+    the end of its output, not on a polling timer."""
+    transport = PipeTransport()
+    transport.exchange(encode_request(_inference_request("red")))
+
+    def no_sleep(seconds):
+        raise AssertionError(f"slept {seconds} s")
+
+    monkeypatch.setattr(time, "sleep", no_sleep)
+    transport.close()
+    assert pipe_spawns[0].returncode == 0
+
+
 # ---------------------------------------------------------------------------
 # What a server loads.
 # ---------------------------------------------------------------------------
 
-def test_the_server_module_loads_only_what_it_serves():
-    code = (
-        "import sys, sireason.models\n"
-        "print(' '.join(sorted(sys.modules)))"
-    )
-    loaded = set(subprocess.run([sys.executable, "-c", code], capture_output=True,
-                                text=True, timeout=60, check=True).stdout.split())
-    assert {m for m in loaded if m.startswith("sireason")} == {
-        "sireason", "sireason.cnl", "sireason.core", "sireason.models", "sireason.symbolic"}
-    assert not loaded & {"urllib.request", "http.client", "email", "ssl"}
+def test_the_server_module_loads_only_what_it_serves(tmp_path, monkeypatch, capfd):
+    """The server as `PipeTransport` starts it, in its environment, with
+    PYTHONPATH set and unset (the package is then reachable only through the
+    directory the client imported it from): it loads the four modules it
+    serves, and neither `site`, the client's `subprocess` and `select`, the
+    error path's `traceback`, nor an HTTP client."""
+    argv = PipeTransport()._argv
+    assert argv[:3] == [sys.executable, "-S", "-c"]
+    # The same start, with the bootstrap's last call, which would serve,
+    # replaced by a print of what is loaded by then.
+    assert argv[3].endswith("_main()")
+    probe = argv[:3] + [argv[3][:-len("_main()")] + "print(' '.join(sorted(sys.modules)))"]
+    unwanted = {"site", "subprocess", "select", "traceback",
+                "urllib.request", "http.client", "email", "ssl"}
+    monkeypatch.chdir(tmp_path)
+    # Every import the served session makes, on stderr.
+    monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")
+
+    def check():
+        loaded = set(subprocess.run(probe + argv[4:], capture_output=True, text=True,
+                                    timeout=60, check=True).stdout.split())
+        assert {m for m in loaded if m.startswith("sireason")} == {
+            "sireason", "sireason.cnl", "sireason.core", "sireason.models",
+            "sireason.symbolic"}
+        assert not loaded & unwanted
+        backend = RemoteBackend(PipeTransport())
+        try:
+            assert backend.complete(_inference_request("red")).text == " the tiger is red."
+            with pytest.raises(RemoteError, match="bad request document"):
+                backend.complete(replace(_inference_request("red"), n=0))
+        finally:
+            backend.close()
+        imported = {line.rpartition("|")[2].strip()
+                    for line in capfd.readouterr().err.splitlines()
+                    if line.startswith("import time:")}
+        assert "sireason.core" in imported
+        assert not imported & unwanted
+
+    check()
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    check()
 
 
 def test_a_pipe_server_starts_without_warnings(capfd):
