@@ -29,7 +29,6 @@ _EXPORTS = {
     "SentenceLabel": "core",
     "Statement": "core",
     "is_connected": "core",
-    "is_valid": "core",
     "normalize_key": "core",
     "normalize_statement": "core",
     "parse_trace_text": "core",
@@ -48,6 +47,7 @@ _EXPORTS = {
     "ScriptedBackend": "models",
     "oracle_backend": "models",
     "remote_backend": "models",
+    "trace_faults": "symbolic",
 }
 _SUBMODULES = ("core", "cnl", "symbolic", "models", "engine", "datasets", "evalcli")
 

@@ -1,8 +1,8 @@
-"""Formal reasoning-trace objects and the structural checks over them.
+"""Formal reasoning-trace objects and the structural check over them.
 
 A trace is a base context plus a sequence of (selection, inference) steps.
-Connectedness and validity are decided here; logical step correctness is
-delegated to a caller-supplied oracle.
+Connectedness is decided here; whether a step's inference follows from its
+selection is the reasoner's to judge (`symbolic.trace_faults`).
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class EmptyStatement(ValueError):
@@ -21,15 +21,20 @@ class TraceParseError(ValueError):
     """Raised when trace text cannot be read back into steps."""
 
 
-_NON_ALPHA = re.compile(r"[^a-z]+")
+_WORD = re.compile(r"[a-z]+")
+
+
+def tokenize(text: str) -> list[str]:
+    """The words of `text`: its lowercased runs of the letters a-z."""
+    return _WORD.findall(text.lower())
 
 
 # Statements are hashed and compared by key, so the same few thousand
 # surfaces are keyed over and over during a search.
 @lru_cache(maxsize=4096)
 def normalize_key(raw: str) -> str:
-    """Equality key: lowercase with every non-alphabetic character removed."""
-    return _NON_ALPHA.sub("", raw.lower())
+    """Equality key: the words of `raw`, joined together."""
+    return "".join(tokenize(raw))
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,20 +256,6 @@ class ConnectivityReport:
     offenders: tuple[tuple[int, Statement], ...] = ()
 
 
-@dataclass(frozen=True)
-class StepVerdict:
-    index: int
-    status: str  # "ok" | "bad" | "undecidable"
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    valid: bool
-    connectivity: ConnectivityReport
-    step_verdicts: tuple[StepVerdict, ...] = ()
-
-
 def is_connected(trace: ReasoningTrace) -> ConnectivityReport:
     """Every selected statement must be a context member or a prior inference."""
     known = set(trace.base_context.statements())
@@ -275,33 +266,6 @@ def is_connected(trace: ReasoningTrace) -> ConnectivityReport:
                 offenders.append((k, q))
         known.add(step.inference)
     return ConnectivityReport(connected=not offenders, offenders=tuple(offenders))
-
-
-def is_valid(
-    trace: ReasoningTrace,
-    step_oracle: Callable[[ReasoningStep], bool],
-) -> ValidityReport:
-    """Connected and every step accepted by the oracle.
-
-    Oracle exceptions mark the step "undecidable" rather than aborting; an
-    undecidable step makes the trace invalid.
-    """
-    connectivity = is_connected(trace)
-    verdicts = []
-    ok = connectivity.connected
-    for k, step in enumerate(trace.steps):
-        try:
-            accepted = step_oracle(step)
-        except Exception as exc:  # noqa: BLE001 - oracle failures demoted to verdicts
-            verdicts.append(StepVerdict(k, "undecidable", str(exc)))
-            ok = False
-            continue
-        if accepted:
-            verdicts.append(StepVerdict(k, "ok"))
-        else:
-            verdicts.append(StepVerdict(k, "bad"))
-            ok = False
-    return ValidityReport(valid=ok, connectivity=connectivity, step_verdicts=tuple(verdicts))
 
 
 _WE_KNOW = ". We know that "

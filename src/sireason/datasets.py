@@ -6,9 +6,11 @@ Problem files are line-delimited JSON documents:
      "answer": ..., "proof": [{"selection": [indices], "inference": str}]?,
      "depth": int?}
 
-Proof selections refer to context sentences by 1-based index; an index
-past the end of the context refers to the j-th inference of the proof
-itself (index len(context) + j), which keeps gold proofs label-stable.
+A problem with `choices` (at least two) is multiple choice; one without
+asks whether a hypothesis is True, False or Unknown.  Proof selections
+refer to context sentences by 1-based index; an index past the end of the
+context refers to the j-th inference of the proof itself (index
+len(context) + j), which keeps gold proofs label-stable.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from . import models, symbolic
+from . import cnl, models, symbolic
 from .core import (
     Answer,
     LabeledContext,
@@ -27,7 +29,6 @@ from .core import (
     SentenceLabel,
     Statement,
     append_step_text,
-    is_valid,
     normalize_key,
     normalize_statement,
 )
@@ -54,13 +55,6 @@ class Problem:
     gold_answer: Answer
     gold_proof: Optional[ReasoningTrace] = None
     depth: Optional[int] = None
-    dataset_tag: str = "pw"
-
-    def __post_init__(self) -> None:
-        if self.dataset_tag not in ("pw", "eb"):
-            raise ValueError(f"bad dataset tag: {self.dataset_tag}")
-        if self.dataset_tag == "eb" and (self.choices is None or len(self.choices) < 2):
-            raise ValueError("multiple-choice problems need at least 2 choices")
 
 
 @dataclass(frozen=True)
@@ -120,7 +114,7 @@ def _proof_from_indices(
     return ReasoningTrace(base_context=context, steps=tuple(steps))
 
 
-def problem_from_doc(doc: dict, tag: str = "pw") -> Problem:
+def problem_from_doc(doc: dict) -> Problem:
     try:
         if not isinstance(doc, dict):
             raise SchemaError(f"a problem is a JSON object, not {doc!r}")
@@ -132,8 +126,8 @@ def problem_from_doc(doc: dict, tag: str = "pw") -> Problem:
             raise SchemaError(f"context {doc['context']!r} is not a list of strings")
         if not isinstance(question, str):
             raise SchemaError(f"question {question!r} is not a string")
-        if choices is not None and not _is_str_list(choices):
-            raise SchemaError(f"choices {choices!r} is not a list of strings")
+        if choices is not None and not (_is_str_list(choices) and len(choices) >= 2):
+            raise SchemaError(f"choices {choices!r} is not a list of at least 2 strings")
         if depth is not None and not _is_int(depth):
             raise SchemaError(f"depth {depth!r} is not an integer")
         context = LabeledContext.from_statements(doc["context"])
@@ -150,7 +144,6 @@ def problem_from_doc(doc: dict, tag: str = "pw") -> Problem:
             gold_answer=Answer.parse(str(doc["answer"])),
             gold_proof=proof,
             depth=depth,
-            dataset_tag=tag,
         )
     except SchemaError:
         raise
@@ -182,7 +175,7 @@ def problem_to_doc(problem: Problem) -> dict:
     return doc
 
 
-def load_problems(path, tag: str = "pw") -> list[Problem]:
+def load_problems(path) -> list[Problem]:
     """The problems of a file; a line that breaks the schema, or repeats
     an earlier problem's id, raises SchemaError with its line number."""
     problems: list[Problem] = []
@@ -200,7 +193,7 @@ def load_problems(path, tag: str = "pw") -> list[Problem]:
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"not valid JSON: {exc}", line_no) from exc
             try:
-                problem = problem_from_doc(doc, tag)
+                problem = problem_from_doc(doc)
             except SchemaError as exc:
                 raise SchemaError(exc.reason, line_no) from exc
             first = id_lines.setdefault(problem.id, line_no)
@@ -218,24 +211,46 @@ def save_problems(problems: Iterable[Problem], path) -> None:
             fh.write(json.dumps(problem_to_doc(p), sort_keys=True) + "\n")
 
 
+def _reading_faults(problem: Problem) -> list[str]:
+    """Where a True/False/Unknown problem does not read as the reasoner
+    reads it: a context sentence or the question outside the grammar, or a
+    gold proof whose last inference is not what the gold answer claims (the
+    hypothesis for True, its negation for False)."""
+    faults = [
+        f"{label.render()} is outside the grammar: {stmt.surface!r}"
+        for label, stmt in problem.context
+        if isinstance(cnl.parse_statement(stmt.surface), cnl.Opaque)
+    ]
+    try:
+        question = cnl.parse_question(problem.question)
+    except cnl.ParseError:
+        question = None
+    if not isinstance(question, cnl.Hypothesis):
+        return faults + ["question is outside the grammar"]
+    proof, answer = problem.gold_proof, problem.gold_answer
+    if proof is None or not proof.steps or answer not in (Answer.TRUE, Answer.FALSE):
+        return faults
+    claim = question.atom if answer == Answer.TRUE else cnl.negate(question.atom)
+    last = cnl.parse_statement(proof.steps[-1].inference.surface)
+    if not (isinstance(last, cnl.Fact) and last.atom == claim):
+        faults.append(
+            f"gold answer {answer.render()} claims {cnl.render_atom(claim)!r}, "
+            f"but the gold proof ends in {last.surface!r}"
+        )
+    return faults
+
+
 def validate_problems(problems: Iterable[Problem]) -> list[str]:
-    """Lint gold proofs: connectivity plus step-by-step entailment."""
+    """Lint a problem set, one "id: fault" line per fault.  Multiple-choice
+    problems are free text and are not checked here.  For the others, the
+    gold proof must replay (`symbolic.trace_faults`) and the problem must
+    read as the reasoner reads it (`_reading_faults`)."""
     findings: list[str] = []
     for p in problems:
-        if p.gold_proof is None:
+        if p.choices is not None:
             continue
-        if p.dataset_tag != "pw":
-            continue
-        report = is_valid(p.gold_proof, symbolic.is_step_correct)
-        if not report.valid:
-            for verdict in report.step_verdicts:
-                if verdict.status != "ok":
-                    findings.append(
-                        f"{p.id}: step {verdict.index + 1} {verdict.status}: "
-                        f"{verdict.detail}"
-                    )
-            if not report.connectivity.connected:
-                findings.append(f"{p.id}: trace is not connected")
+        faults = symbolic.trace_faults(p.gold_proof) if p.gold_proof is not None else []
+        findings.extend(f"{p.id}: {fault}" for fault in faults + _reading_faults(p))
     return findings
 
 
@@ -248,7 +263,6 @@ def generated_problem_to_problem(gen: symbolic.GeneratedProblem, ident: str) -> 
         gold_answer=gen.gold_answer,
         gold_proof=gen.gold_proof,
         depth=gen.depth,
-        dataset_tag="pw",
     )
 
 

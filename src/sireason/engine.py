@@ -42,9 +42,6 @@ class SolveStats:
     selection_syntax_errors: int = 0
     # Selection requests, one per live trace per step.
     selection_calls: int = 0
-    # Samples asked for and not given: the generator had no more proposals.
-    # Not in the report.
-    selection_exhausted: int = 0
     backend_failures: int = 0
     notes: list[str] = field(default_factory=list)
 
@@ -98,7 +95,6 @@ def selection_step(
         proposals.append(([context.lookup(label) for label in labels], labels))
     if stats is not None:
         stats.selection_calls += 1
-        stats.selection_exhausted += max(0, n - len(samples))
     return proposals
 
 

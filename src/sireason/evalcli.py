@@ -25,6 +25,7 @@ from .core import (
     is_connected,
     normalize_key,
     render_trace,
+    tokenize,
 )
 from .datasets import Problem
 
@@ -74,10 +75,6 @@ def jaccard_metrics(
     )
 
 
-def rouge_tokenize(text: str) -> list[str]:
-    return [t.strip(".,;:!?\"'") for t in text.lower().split() if t.strip(".,;:!?\"'")]
-
-
 def _f1(overlap: float, plen: int, glen: int) -> float:
     if plen == 0 or glen == 0 or overlap == 0:
         return 0.0
@@ -87,8 +84,8 @@ def _f1(overlap: float, plen: int, glen: int) -> float:
 
 
 def rouge1(predicted: str, gold: str) -> float:
-    p = Counter(rouge_tokenize(predicted))
-    g = Counter(rouge_tokenize(gold))
+    p = Counter(tokenize(predicted))
+    g = Counter(tokenize(gold))
     overlap = sum(min(p[t], g[t]) for t in p)
     return _f1(overlap, sum(p.values()), sum(g.values()))
 
@@ -104,40 +101,32 @@ def _lcs_len(a: Sequence[str], b: Sequence[str]) -> int:
 
 
 def rougeL(predicted: str, gold: str) -> float:
-    p = rouge_tokenize(predicted)
-    g = rouge_tokenize(gold)
+    p = tokenize(predicted)
+    g = tokenize(gold)
     return _f1(_lcs_len(p, g), len(p), len(g))
 
 
-def rouge_scores(
-    predicted: Sequence[str], gold: Sequence[str], ordered: bool = False
-) -> tuple[float, float]:
-    """Average (rouge1, rougeL) over aligned sentence pairs.
-
-    Ordered mode aligns by position.  Unordered mode aligns greedily by
-    best rouge1 match.  Unmatched sentences on either side count as 0.
+def rouge_scores(predicted: Sequence[str], gold: Sequence[str]) -> tuple[float, float]:
+    """Average (rouge1, rougeL) over sentence pairs aligned greedily by best
+    rouge1 match, in any order.  Unmatched sentences on either side count
+    as 0.
     """
     n = max(len(predicted), len(gold))
     if n == 0:
         return 1.0, 1.0
     pairs: list[tuple[str, str]] = []
-    if ordered:
-        pairs = [
-            (predicted[i], gold[i]) for i in range(min(len(predicted), len(gold)))
-        ]
-    else:
-        remaining_p = list(range(len(predicted)))
-        remaining_g = list(range(len(gold)))
-        while remaining_p and remaining_g:
-            best = max(
-                ((rouge1(predicted[i], gold[j]), -i, -j) for i in remaining_p
-                 for j in remaining_g),
-            )
-            _, ni, nj = best
-            i, j = -ni, -nj
-            pairs.append((predicted[i], gold[j]))
-            remaining_p.remove(i)
-            remaining_g.remove(j)
+    remaining_p = list(range(len(predicted)))
+    remaining_g = list(range(len(gold)))
+    while remaining_p and remaining_g:
+        best = max(
+            ((rouge1(predicted[i], gold[j]), -i, -j) for i in remaining_p
+             for j in remaining_g),
+        )
+        _, ni, nj = best
+        i, j = -ni, -nj
+        pairs.append((predicted[i], gold[j]))
+        remaining_p.remove(i)
+        remaining_g.remove(j)
     r1 = sum(rouge1(p, g) for p, g in pairs) / n
     rl = sum(rougeL(p, g) for p, g in pairs) / n
     return r1, rl
@@ -147,22 +136,11 @@ def exact_match(predicted: ReasoningTrace, gold: ReasoningTrace) -> bool:
     return normalize_key(render_trace(predicted)) == normalize_key(render_trace(gold))
 
 
-def made_up_fact_rate(
-    traces: Sequence[ReasoningTrace],
-) -> tuple[float, int]:
-    """(fraction of traces selecting out-of-context statements, unreadable count)."""
+def made_up_fact_rate(traces: Sequence[ReasoningTrace]) -> float:
+    """The fraction of traces that select an out-of-context statement."""
     if not traces:
-        return 0.0, 0
-    flagged = 0
-    unreadable = 0
-    for trace in traces:
-        if trace is None:
-            unreadable += 1
-            continue
-        if not is_connected(trace).connected:
-            flagged += 1
-    denom = len(traces) - unreadable
-    return (flagged / denom if denom else 0.0), unreadable
+        return 0.0
+    return sum(not is_connected(trace).connected for trace in traces) / len(traces)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +431,7 @@ def evaluate(problems: Sequence[Problem], cfg: SolverConfig) -> EvalReport:
         report.rouge1_intermediates = r_sums[0] / gold_compared
         report.rougeL_intermediates = r_sums[1] / gold_compared
         report.exact_match_rate = exact / gold_compared
-    rate, _ = made_up_fact_rate(traces)
-    report.made_up_fact_rate = rate
+    report.made_up_fact_rate = made_up_fact_rate(traces)
     report.selection_syntax_errors = stats.selection_syntax_errors
     report.selection_calls = stats.selection_calls
     report.failures.extend(stats.notes)
@@ -504,12 +481,12 @@ def _solver_config(args) -> SolverConfig:
     return cfg
 
 
-def _load_problems(path, tag: str) -> list[Problem]:
+def _load_problems(path) -> list[Problem]:
     """The problems of a file.  One that cannot be read, or that breaks the
     schema, stops the command (exit 2, `file:line: message` on stderr)
     before any solver or server starts."""
     try:
-        return datasets.load_problems(path, tag)
+        return datasets.load_problems(path)
     except datasets.SchemaError as exc:
         print(f"{path}:{exc.line_number}: {exc.reason}", file=sys.stderr)
     except OSError as exc:
@@ -526,7 +503,7 @@ def _report_failures(stats: engine.SolveStats) -> int:
 
 def _cmd_solve(args) -> int:
     cfg = _solver_config(args)
-    problems = _load_problems(args.problems, args.dataset)
+    problems = _load_problems(args.problems)
     stats = engine.SolveStats()
     solver = make_solver(cfg, stats)
     for problem in problems:
@@ -546,7 +523,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _solver_config(args)
-    problems = _load_problems(args.problems, args.dataset)
+    problems = _load_problems(args.problems)
     report = evaluate(problems, cfg)
     if args.report == "json":
         print(json.dumps(report.to_doc(), sort_keys=True, indent=2))
@@ -574,7 +551,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_probe(args) -> int:
     cfg = _solver_config(args)
-    problems = _load_problems(args.problems, args.dataset)
+    problems = _load_problems(args.problems)
     if args.kind == "random" and len(problems) < 2:
         # Each problem borrows another's context: one problem has no other.
         args.parser_error("--kind random needs at least 2 problems")
@@ -594,7 +571,7 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    problems = _load_problems(args.problems, args.dataset)
+    problems = _load_problems(args.problems)
     findings = datasets.validate_problems(problems)
     for f in findings:
         print(f)
@@ -612,7 +589,7 @@ def _cmd_gen_problems(args) -> int:
 
 
 def _cmd_extract_training(args) -> int:
-    problems = _load_problems(args.problems, args.mode)
+    problems = _load_problems(args.problems)
     roles = set(args.roles.split(","))
     bad = roles - {"sel", "inf", "halt", "value"}
     if bad:
@@ -649,13 +626,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve problems and print traces")
     p.add_argument("--problems", required=True)
-    p.add_argument("--dataset", choices=["pw", "eb"], default="pw")
     _add_solver_args(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("eval", help="batch evaluation with the metric suite")
     p.add_argument("--problems", required=True)
-    p.add_argument("--dataset", choices=["pw", "eb"], default="pw")
     p.add_argument("--report", choices=["json", "text"], default="text")
     _add_solver_args(p)
     p.set_defaults(func=_cmd_eval)
@@ -663,14 +638,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="faithfulness probes")
     p.add_argument("--kind", choices=["random", "incomplete"], required=True)
     p.add_argument("--problems", required=True)
-    p.add_argument("--dataset", choices=["pw", "eb"], default="pw")
     p.add_argument("--report", choices=["json", "text"], default="text")
     _add_solver_args(p)
     p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("validate", help="lint gold proofs in a problem file")
     p.add_argument("--problems", required=True)
-    p.add_argument("--dataset", choices=["pw", "eb"], default="pw")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("gen-problems", help="generate seeded problems")
@@ -683,7 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract-training", help="extract training pairs")
     p.add_argument("--problems", required=True)
     p.add_argument("--roles", default="sel,inf,halt,value")
-    p.add_argument("--mode", choices=["pw", "eb"], default="pw")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_extract_training)

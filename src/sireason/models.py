@@ -33,6 +33,7 @@ from .core import (
     parse_trace_text,
     render_premises,
     split_premises,
+    tokenize,
 )
 
 if TYPE_CHECKING:
@@ -265,16 +266,12 @@ def _read_value_prompt(prompt: str) -> tuple[list[str], str, str]:
 # ---------------------------------------------------------------------------
 
 def _overlap_score(choice: str, inference: str) -> float:
-    choice_tokens = [t for t in cnl_tokenize(choice) if t]
-    inf_tokens = set(cnl_tokenize(inference))
+    choice_tokens = tokenize(choice)
+    inf_tokens = set(tokenize(inference))
     if not choice_tokens:
         return 0.0
     hit = sum(1 for t in choice_tokens if t in inf_tokens)
     return hit / len(choice_tokens)
-
-
-def cnl_tokenize(text: str) -> list[str]:
-    return [t for t in "".join(c if c.isalpha() else " " for c in text.lower()).split() if t]
 
 
 class OracleBackend:

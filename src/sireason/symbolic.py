@@ -1,7 +1,8 @@
 """Deterministic forward-chaining reasoner over the parsed rule language.
 
 Provides the reference inference `infer` (single-step entailment, or
-"nothing follows"), the proof-step judge `is_proof_step`, exhaustive closure
+"nothing follows"), the step judges `is_step_correct` and `is_proof_step`,
+the trace judge `trace_faults`, exhaustive closure
 with provenance and proof depths (`closure`, and `extend` for a context
 that is a closed one plus one statement), hypothesis evaluation under
 open-world semantics, shortest-proof extraction, and a seeded random problem
@@ -36,6 +37,7 @@ from .core import (
     ReasoningTrace,
     SentenceLabel,
     Statement,
+    is_connected,
     normalize_statement,
 )
 
@@ -156,6 +158,21 @@ def is_proof_step(step: ReasoningStep, proof_keys: AbstractSet[str]) -> bool:
     return step.inference.key in proof_keys and is_step_correct(step)
 
 
+def trace_faults(trace: ReasoningTrace) -> list[str]:
+    """What is wrong with a trace: "step N bad: " for each step whose
+    inference is not the reference inference of its selection, then "trace
+    is not connected" if a step selects a statement that is neither in the
+    context nor an earlier inference.  Empty for a valid trace."""
+    faults = [
+        f"step {n} bad: "
+        for n, step in enumerate(trace.steps, start=1)
+        if not is_step_correct(step)
+    ]
+    if not is_connected(trace).connected:
+        faults.append("trace is not connected")
+    return faults
+
+
 @dataclass(frozen=True)
 class Derivation:
     """One rule application: premises (ground atoms) to head."""
@@ -240,7 +257,6 @@ class WorldClosure:
     derived: dict[Atom, AtomProof]
     fact_labels: dict[Atom, SentenceLabel]
     index: RuleIndex = field(compare=False, repr=False)
-    opaque_labels: list[SentenceLabel] = field(default_factory=list)
 
     def depth(self, atom: Atom) -> Optional[int]:
         proof = self.derived.get(atom)
@@ -261,19 +277,17 @@ def _candidate_key(rule_label: SentenceLabel, premises: tuple[Atom, ...]) -> tup
 
 
 def parse_context(context: LabeledContext):
-    """Split a labeled context into fact atoms, rules, and opaque labels."""
+    """Split a labeled context into fact atoms and rules; a sentence
+    outside the grammar is neither."""
     fact_labels: dict[Atom, SentenceLabel] = {}
     rules: list[tuple[SentenceLabel, RuleAst]] = []
-    opaque: list[SentenceLabel] = []
     for label, stmt in context:
         parsed = parse_statement(stmt.surface)
         if isinstance(parsed, Fact):
             fact_labels.setdefault(parsed.atom, label)
         elif isinstance(parsed, RuleAst):
             rules.append((label, parsed))
-        else:
-            opaque.append(label)
-    return fact_labels, rules, opaque
+    return fact_labels, rules
 
 
 def _settle(derived: dict[Atom, AtomProof], index: RuleIndex, lowered: Iterable[Atom]) -> None:
@@ -321,49 +335,43 @@ def _settle(derived: dict[Atom, AtomProof], index: RuleIndex, lowered: Iterable[
 def closure(context: LabeledContext) -> WorldClosure:
     """Least fixed point of rule application, with one proof per atom: the
     context facts at depth 0, and what they settle (`_settle`)."""
-    fact_labels, rules, opaque = parse_context(context)
+    fact_labels, rules = parse_context(context)
     derived = {atom: AtomProof(depth=0, derivation=None) for atom in fact_labels}
     index = RuleIndex(rules, fact_labels)
     _settle(derived, index, fact_labels)
-    return WorldClosure(
-        context=context,
-        derived=derived,
-        fact_labels=fact_labels,
-        index=index,
-        opaque_labels=opaque,
-    )
+    return WorldClosure(context=context, derived=derived, fact_labels=fact_labels, index=index)
 
 
 def extend(world: WorldClosure, context: LabeledContext) -> WorldClosure:
     """The closure of `context`, which is `world.context` plus one appended
     statement, settled from `world` instead of from scratch.
 
-    A new fact takes depth 0 and settles only what it lowers; a fact the
-    context already has keeps its first label and changes nothing, and a
-    sentence outside the grammar (such as "nothing follows") changes only
-    the opaque labels.  An appended rule, or a fact with a constant the
-    world does not know, changes the rule index, so `context` is closed
-    afresh.  `world` itself is left as it was.
+    A new fact takes depth 0 and settles only what it lowers.  A fact the
+    context already has (it keeps its first label) and a sentence outside
+    the grammar (such as "nothing follows") change nothing.  An appended
+    rule, or a fact with a constant the world does not know,
+    changes the rule index, so `context` is closed afresh.  `world` itself
+    is left as it was.
     """
     if context.entries[:-1] != world.context.entries:
         raise ValueError("context is not the world's context plus one statement")
     label, stmt = context.entries[-1]
     parsed = parse_statement(stmt.surface)
-    if isinstance(parsed, Fact) and parsed.atom in world.fact_labels:
-        return replace(world, context=context)
-    if isinstance(parsed, Fact) and world.index.knows(parsed.atom):
-        derived = dict(world.derived)
-        derived[parsed.atom] = AtomProof(depth=0, derivation=None)
-        _settle(derived, world.index, [parsed.atom])
-        return replace(
-            world,
-            context=context,
-            derived=derived,
-            fact_labels={**world.fact_labels, parsed.atom: label},
-        )
-    if isinstance(parsed, (Fact, RuleAst)):
+    if isinstance(parsed, RuleAst):
         return closure(context)
-    return replace(world, context=context, opaque_labels=world.opaque_labels + [label])
+    if not isinstance(parsed, Fact) or parsed.atom in world.fact_labels:
+        return replace(world, context=context)
+    if not world.index.knows(parsed.atom):
+        return closure(context)
+    derived = dict(world.derived)
+    derived[parsed.atom] = AtomProof(depth=0, derivation=None)
+    _settle(derived, world.index, [parsed.atom])
+    return replace(
+        world,
+        context=context,
+        derived=derived,
+        fact_labels={**world.fact_labels, parsed.atom: label},
+    )
 
 
 def evaluate_hypothesis(world: WorldClosure, hypothesis: Hypothesis) -> Answer:

@@ -18,17 +18,17 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 @pytest.fixture(scope="session")
 def pw_problems():
-    return datasets.load_problems(FIXTURES / "golden_pw.jsonl", "pw")
+    return datasets.load_problems(FIXTURES / "golden_pw.jsonl")
 
 
 @pytest.fixture(scope="session")
 def pw_worst_problems():
-    return datasets.load_problems(FIXTURES / "golden_pw_hard.jsonl", "pw")
+    return datasets.load_problems(FIXTURES / "golden_pw_hard.jsonl")
 
 
 @pytest.fixture(scope="session")
 def eb_problems():
-    return datasets.load_problems(FIXTURES / "golden_eb.jsonl", "eb")
+    return datasets.load_problems(FIXTURES / "golden_eb.jsonl")
 
 
 @pytest.fixture

@@ -50,6 +50,34 @@ def test_validate_fails_on_broken_proof(tmp_path, capsys):
     assert "broken" in capsys.readouterr().out
 
 
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def test_validate_names_a_gold_answer_that_its_proof_contradicts(tmp_path, capsys):
+    """pw-top-8's proof ends in "the bald eagle is not kind"; with its gold
+    answer set to True, every step still replays, but the answer does not
+    follow."""
+    docs = [json.loads(line) for line in (FIXTURES / "golden_pw.jsonl").read_text().splitlines()]
+    (flipped,) = [doc for doc in docs if doc["id"] == "pw-top-8"]
+    assert flipped["answer"] == "False"
+    flipped["answer"] = "True"
+    path = tmp_path / "flipped.jsonl"
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    assert main(["validate", "--problems", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "pw-top-8: gold answer True claims 'the bald eagle is kind', "
+        "but the gold proof ends in 'the bald eagle is not kind'",
+        "10 problems, 1 findings",
+    ]
+
+
+def test_validate_reads_multiple_choice_from_the_file(capsys):
+    """The EB fixture's problems have `choices`, so their free-text proofs
+    are not judged by the rule language."""
+    assert main(["validate", "--problems", str(FIXTURES / "golden_eb.jsonl")]) == 0
+    assert capsys.readouterr().out == "3 problems, 0 findings\n"
+
+
 def test_solve_prints_traces_and_answers(problem_file, capsys):
     rc = main(["solve", "--problems", problem_file])
     assert rc == 0
@@ -123,8 +151,7 @@ def test_eval_eb_through_the_oracle_counts_backend_failures(capsys):
     """The oracle cannot read free-text (EB) questions: each problem is
     counted, its failure is listed, and `eval` exits 1."""
     fixture = pathlib.Path(__file__).parent / "fixtures" / "golden_eb.jsonl"
-    rc = main(["eval", "--problems", str(fixture), "--dataset", "eb",
-               "--report", "json"])
+    rc = main(["eval", "--problems", str(fixture), "--report", "json"])
     doc = json.loads(capsys.readouterr().out)
     assert rc == 1
     assert doc["overall"]["count"] == 3

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sireason import datasets, engine
+from sireason import cnl, datasets, engine, symbolic
 from sireason.core import Answer, Statement
 from sireason.datasets import (
     SchemaError,
@@ -84,10 +84,15 @@ def test_missing_fields_raise_schema_errors():
 
 
 def test_eb_problems_require_choices():
+    """A problem with `choices` is multiple choice, so it needs two."""
     doc = _doc()
     doc["answer"] = "solid"
-    with pytest.raises((SchemaError, ValueError)):
-        problem_from_doc(doc, tag="eb")
+    for choices in ([], ["solid"]):
+        doc["choices"] = choices
+        with pytest.raises(SchemaError, match="at least 2 strings"):
+            problem_from_doc(doc)
+    doc["choices"] = ["solid", "gas"]
+    assert problem_from_doc(doc).choices == ("solid", "gas")
 
 
 def test_load_problems_reports_line_numbers(tmp_path):
@@ -210,6 +215,57 @@ def test_validate_problems_flags_broken_proofs():
     findings = validate_problems([problem])
     assert findings
     assert "p1" in findings[0]
+
+
+def test_validate_problems_flags_text_outside_the_grammar():
+    doc = _doc()
+    doc["context"].append("colourless green ideas sleep furiously")
+    doc["question"] = "Is the bald eagle kind?"
+    assert validate_problems([problem_from_doc(doc)]) == [
+        "p1: sent 3 is outside the grammar: 'colourless green ideas sleep furiously'",
+        "p1: question is outside the grammar",
+    ]
+    doc["choices"] = ["kind", "not kind"]
+    assert validate_problems([problem_from_doc(doc)]) == []
+
+
+_TERMS = st.sampled_from(symbolic._ENTITIES).map(cnl.const)
+_GROUND_ATOMS = st.one_of(
+    st.builds(cnl.Atom, st.sampled_from(symbolic._ADJECTIVES), _TERMS, st.none(), st.booleans()),
+    st.builds(cnl.Atom, st.sampled_from(tuple(cnl.VERBS)), _TERMS, _TERMS, st.booleans()),
+)
+_RULE_ATOMS = _GROUND_ATOMS.map(lambda a: cnl.Atom(a.predicate, cnl.VAR, a.obj, a.negated))
+_INFERENCES = st.one_of(
+    _GROUND_ATOMS.map(cnl.render_atom),
+    st.builds(
+        lambda body, head: cnl.render_rule((body,), head, "something"), _RULE_ATOMS, _RULE_ATOMS
+    ),
+    st.just(symbolic.NOTHING_FOLLOWS),
+    # Free text with at least one letter, so that it is a statement.
+    st.tuples(st.text(max_size=20), st.from_regex(r"[A-Za-z]+", fullmatch=True),
+              st.text(max_size=20)).map("".join),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_judging_a_mutated_proof_never_raises(data):
+    """Any in-range selection and any inference, in or out of the grammar,
+    under any gold answer: `validate_problems` lists findings and raises
+    nothing."""
+    doc = datasets.problem_to_doc(data.draw(st.sampled_from(_MUTATION_SET), label="problem"))
+    size = len(doc["context"])
+    for k, step in enumerate(doc["proof"]):
+        if data.draw(st.booleans()):
+            step["selection"] = data.draw(
+                st.lists(st.integers(1, size + k), min_size=1, max_size=3), label="selection"
+            )
+        if data.draw(st.booleans()):
+            step["inference"] = data.draw(_INFERENCES, label="inference")
+    doc["answer"] = data.draw(st.sampled_from(["True", "False", "Unknown"]), label="answer")
+    findings = validate_problems([problem_from_doc(doc)])
+    assert isinstance(findings, list)
+    assert all(isinstance(f, str) and f.startswith("gen-") for f in findings)
 
 
 def test_generate_problem_set_is_deterministic():

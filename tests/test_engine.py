@@ -6,7 +6,6 @@ from sireason.core import (
     LabeledContext,
     SentenceLabel,
     Statement,
-    is_valid,
     render_trace,
 )
 from sireason.engine import (
@@ -23,14 +22,13 @@ from sireason.datasets import Problem, generate_problem_set
 
 
 
-def _problem(context, question, answer="True", choices=None, tag="pw"):
+def _problem(context, question, answer="True", choices=None):
     return Problem(
         id="test",
         context=LabeledContext.from_statements(context),
         question=question,
         choices=choices,
         gold_answer=Answer.parse(answer) if choices is None else Answer.of_choice(answer),
-        dataset_tag=tag,
     )
 
 
@@ -85,7 +83,7 @@ def test_si_answer_oracle_solves_and_traces():
     assert trace.halted
     assert trace.answer == Answer.TRUE
     assert len(trace.steps) == 3
-    assert is_valid(trace, symbolic.is_step_correct).valid
+    assert symbolic.trace_faults(trace) == []
 
 
 def test_si_answer_halts_early_on_single_step():
@@ -130,7 +128,7 @@ def test_one_fact_covers_a_repeated_condition():
     answer, trace = si_answer(problem, OracleBackend(), stats=stats)
     assert answer == Answer.TRUE == problem.gold_answer
     assert [s.inference for s in trace.steps] == [kind]
-    assert is_valid(trace, symbolic.is_step_correct).valid
+    assert symbolic.trace_faults(trace) == []
 
 
 def test_si_answer_unknown_on_selection_garbage():
@@ -211,7 +209,7 @@ def test_beam_search_matches_oracle_greedy(pw_problems):
         answer, trace, entries = beam_search(problem, OracleBackend(), cfg)
         assert answer == problem.gold_answer
         assert trace.halted
-        assert is_valid(trace, symbolic.is_step_correct).valid
+        assert symbolic.trace_faults(trace) == []
         assert entries  # the returned pool is never empty on success
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from sireason import engine, models, symbolic
-from sireason.core import Answer, is_valid
+from sireason.core import Answer
 from sireason.datasets import validate_problems
 from sireason.engine import si_answer
 from sireason.models import (
@@ -31,7 +31,7 @@ def test_pw_fixture_oracle_reproduces_answers(pw_problems):
     for problem in pw_problems:
         answer, trace = si_answer(problem, OracleBackend())
         assert answer == problem.gold_answer, problem.id
-        assert is_valid(trace, symbolic.is_step_correct).valid, problem.id
+        assert symbolic.trace_faults(trace) == [], problem.id
         solved += 1
     assert solved == 10
 
@@ -41,7 +41,7 @@ def test_pw_worst_fixture_oracle_reproduces_answers(pw_worst_problems):
     for problem in pw_worst_problems:
         answer, trace = si_answer(problem, OracleBackend())
         assert answer == problem.gold_answer, problem.id
-        assert is_valid(trace, symbolic.is_step_correct).valid, problem.id
+        assert symbolic.trace_faults(trace) == [], problem.id
 
 
 def test_pw_fixture_beam_search_agrees(pw_problems):

@@ -9,6 +9,8 @@ from sireason.core import (
     ReasoningTrace,
     Statement,
 )
+# ROUGE reads words as statement keys do.
+from sireason.core import tokenize as rouge_tokenize
 from sireason.evalcli import (
     exact_match,
     jaccard_metrics,
@@ -16,7 +18,6 @@ from sireason.evalcli import (
     rouge1,
     rougeL,
     rouge_scores,
-    rouge_tokenize,
 )
 
 
@@ -140,9 +141,7 @@ def test_rouge_scores_empty_cases():
 def test_rouge_scores_unordered_alignment():
     pred = ["the cow is kind", "the tiger likes the cow"]
     gold = ["the tiger likes the cow", "the cow is kind"]
-    assert rouge_scores(pred, gold, ordered=False) == (1.0, 1.0)
-    r1_ordered, _ = rouge_scores(pred, gold, ordered=True)
-    assert r1_ordered < 1.0
+    assert rouge_scores(pred, gold) == (1.0, 1.0)
 
 
 def test_rouge_scores_averages_over_longer_side():
@@ -163,8 +162,6 @@ def test_exact_match_normalizes_surfaces():
 def test_made_up_fact_rate():
     good = _trace(CONTEXT, [(["rule one", "fact a"], "derived x")])
     bad = _trace(CONTEXT, [(["made up premise"], "derived z")])
-    rate, unreadable = made_up_fact_rate([good, bad, None])
-    assert rate == 0.5
-    assert unreadable == 1
-    rate, unreadable = made_up_fact_rate([good])
-    assert rate == 0.0 and unreadable == 0
+    assert made_up_fact_rate([good, bad]) == 0.5
+    assert made_up_fact_rate([good]) == 0.0
+    assert made_up_fact_rate([]) == 0.0
