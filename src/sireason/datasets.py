@@ -254,29 +254,21 @@ def validate_problems(problems: Iterable[Problem]) -> list[str]:
     return findings
 
 
-def generated_problem_to_problem(gen: symbolic.GeneratedProblem, ident: str) -> Problem:
-    return Problem(
-        id=ident,
-        context=gen.context,
-        question=gen.question,
-        choices=None,
-        gold_answer=gen.gold_answer,
-        gold_proof=gen.gold_proof,
-        depth=gen.depth,
-    )
-
-
-def generate_problem_set(
-    seed: int, counts: dict[int, int], **kwargs
-) -> list[Problem]:
+def generate_problem_set(seed: int, counts: dict[int, int]) -> list[Problem]:
     """A batch of generated problems, `counts` mapping depth -> how many."""
     problems: list[Problem] = []
     for depth in sorted(counts):
         for i in range(counts[depth]):
-            gen = symbolic.generate_problem(seed=seed * 100003 + i, depth=depth, **kwargs)
-            problems.append(
-                generated_problem_to_problem(gen, f"gen-d{depth}-s{seed}-{i}")
-            )
+            gen = symbolic.generate_problem(seed=seed * 100003 + i, depth=depth)
+            problems.append(Problem(
+                id=f"gen-d{depth}-s{seed}-{i}",
+                context=gen.context,
+                question=gen.question,
+                choices=None,
+                gold_answer=gen.gold_answer,
+                gold_proof=gen.gold_proof,
+                depth=depth,
+            ))
     return problems
 
 

@@ -72,8 +72,11 @@ class CompletionResponse:
     samples: Optional[tuple[str, ...]] = None
 
     def all_samples(self) -> tuple[str, ...]:
-        """`samples` if set, else the one `text`."""
-        return self.samples if self.samples is not None else (self.text,)
+        """`samples` if set, else the one `text`; none if that is empty, as
+        the oracle says once its walk runs out."""
+        if self.samples is not None:
+            return self.samples
+        return (self.text,) if self.text else ()
 
 
 def sampled(request: CompletionRequest, samples: Sequence[str]) -> CompletionResponse:
@@ -590,11 +593,7 @@ class ScriptedBackend:
             if wanted == request.n:
                 # Nothing replaced: the base answers the request as it is.
                 return self._base.complete(request)
-            response = self._base.complete(replace(request, n=wanted))
-            # A reply to one sample says it has none with an empty text, as
-            # the oracle does once its list runs out.
-            rest = response.samples if response.samples is not None else (
-                (response.text,) if response.text else ())
+            rest = self._base.complete(replace(request, n=wanted)).all_samples()
         # The samples left fill the unset ones in order; any past the end of
         # `rest` are dropped.
         filled = iter(rest)
@@ -733,9 +732,12 @@ def decode_response(data: bytes) -> CompletionResponse:
 # Seconds `PipeTransport` waits for a server to end its output once its
 # input is closed, before killing it.
 CLOSE_WAIT_S = 10.0
-# Seconds `PipeTransport` waits for a reply, from the request written to the
-# end of the reply line, before it kills the server.
+# Seconds a transport waits for a reply: `PipeTransport` from the request
+# written to the end of the reply line, before it kills the server;
+# `HttpTransport` for the connection and for each read of the reply.
 REPLY_WAIT_S = 60.0
+# Times `RemoteBackend` repeats an exchange whose transport failed.
+RETRIES = 2
 # Servers `PipeTransport` starts after its first one.  Once they are used
 # up, a transport whose servers keep dying fails every exchange at once.
 RESPAWN_LIMIT = 3
@@ -886,13 +888,13 @@ class PipeTransport:
 class HttpTransport:
     """POSTs each document to an HTTP endpoint and reads the reply body."""
 
-    def __init__(self, endpoint: str, timeout: float = 30.0) -> None:
+    def __init__(self, endpoint: str) -> None:
         self._endpoint = endpoint
-        self._timeout = timeout
 
     def exchange(self, payload: bytes) -> bytes:
         # Imported here, the only place that needs it: a `pipe:` server
         # would otherwise load `http`, `email` and `ssl` on every start.
+        import http.client
         import urllib.error
         import urllib.request
 
@@ -902,10 +904,11 @@ class HttpTransport:
             headers={"Content-Type": "application/json"},
             method="POST",
         )
+        # A reply cut short raises an `HTTPException`, which is no `OSError`.
         try:
-            with urllib.request.urlopen(req, timeout=self._timeout) as resp:
+            with urllib.request.urlopen(req, timeout=REPLY_WAIT_S) as resp:
                 return resp.read()
-        except (urllib.error.URLError, OSError) as exc:
+        except (urllib.error.URLError, OSError, http.client.HTTPException) as exc:
             raise RemoteError(f"http transport failed: {exc}") from exc
 
     def close(self) -> None:
@@ -913,17 +916,16 @@ class HttpTransport:
 
 
 class RemoteBackend:
-    """Client side of the wire protocol with a retry budget."""
+    """Client side of the wire protocol, with a budget of RETRIES."""
 
-    def __init__(self, transport, retries: int = 2) -> None:
+    def __init__(self, transport) -> None:
         self._transport = transport
-        self._retries = retries
 
     def _exchange(self, payload: bytes) -> bytes:
         # Only transport failures are retried: a server that answered, even
         # with an error document, would answer the same again.
         last: Optional[Exception] = None
-        for _ in range(self._retries + 1):
+        for _ in range(RETRIES + 1):
             try:
                 return self._transport.exchange(payload)
             except RemoteError as exc:
@@ -952,14 +954,14 @@ class RemoteBackend:
         self._transport.close()
 
 
-def remote_backend(endpoint: str, retries: int = 2) -> RemoteBackend:
+def remote_backend(endpoint: str) -> RemoteBackend:
     """Connect to a server.  `pipe:` endpoints spawn a subprocess, others POST."""
     if endpoint.startswith("pipe:"):
         argv = endpoint[len("pipe:"):]
         transport = PipeTransport(argv.split() if argv else None)
     else:
         transport = HttpTransport(endpoint)
-    return RemoteBackend(transport, retries=retries)
+    return RemoteBackend(transport)
 
 
 def serve(backend, rfile, wfile) -> None:

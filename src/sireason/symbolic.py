@@ -461,11 +461,9 @@ def shortest_proof(world: WorldClosure, hypothesis: Hypothesis) -> ReasoningTrac
 class GeneratedProblem:
     context: LabeledContext
     question: str
-    hypothesis: Hypothesis
     gold_answer: Answer
     gold_proof: ReasoningTrace
     depth: int
-    seed: int
 
 
 _ENTITIES = [
@@ -614,9 +612,7 @@ def _generate_once(rng, seed, depth, n_distractor_rules, n_distractor_facts):
     return GeneratedProblem(
         context=context,
         question=question_text,
-        hypothesis=hypothesis,
         gold_answer=gold_answer,
         gold_proof=gold_proof,
         depth=depth,
-        seed=seed,
     )

@@ -33,7 +33,8 @@ def eb_problems():
 
 @pytest.fixture
 def pipe_spawns(monkeypatch):
-    """Every process started while the test runs, in start order."""
+    """Every process started while the test runs, in start order.  A test
+    that leaves one of them unreaped fails at teardown."""
     import subprocess
 
     procs = []
@@ -44,4 +45,10 @@ def pipe_spawns(monkeypatch):
             procs.append(self)
 
     monkeypatch.setattr(subprocess, "Popen", Recording)
-    return procs
+    yield procs
+    leaked = [p for p in procs if p.returncode is None]
+    for p in leaked:
+        p.kill()
+        p.wait()
+    if leaked:
+        pytest.fail(f"processes left unreaped: {[p.args for p in leaked]}")

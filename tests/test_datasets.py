@@ -20,6 +20,7 @@ from sireason.datasets import (
 from sireason.models import (
     CORRECT,
     INCORRECT,
+    CompletionRequest,
     GeneratorRole,
     OracleBackend,
     ScriptedBackend,
@@ -466,6 +467,21 @@ def _assert_pairs_match_engine_prompts(problem):
                 assert pair.input == sent[key], (problem.id, search, key)
             else:  # the engine halted before this step
                 assert pair.step_index >= len(trace.steps), (problem.id, search, key)
+    # The oracle's halter answers each halter pair's input with its target,
+    # but for one step.  A multiple-choice ready target says " No." until
+    # the gold proof's last step, while the oracle is ready as soon as one
+    # choice overlaps the inference best: on eb-d2-runway, the first of two
+    # steps.  The prompt does not carry the proof's length, so no reader of
+    # it can give both.
+    oracle = OracleBackend()
+    disagree = [
+        (pair.step_index, pair.target, answer)
+        for pair in pairs
+        if pair.role in (GeneratorRole.HALTER_READY, GeneratorRole.HALTER_ANSWER)
+        and (answer := oracle.complete(CompletionRequest(pair.role, pair.input)).text)
+        != pair.target
+    ]
+    assert disagree == ([(0, " No.", " Yes.")] if problem.id == "eb-d2-runway" else [])
 
 
 @settings(max_examples=30, deadline=None)

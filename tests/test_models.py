@@ -3,7 +3,6 @@ import itertools
 import json
 import random
 import re
-import signal
 import subprocess
 import sys
 import threading
@@ -832,96 +831,7 @@ def test_serve_round_trip_in_memory():
     assert resp.text == " the tiger likes the cow."
 
 
-class _FlakyTransport:
-    def __init__(self, inner, fail_times):
-        self.inner = inner
-        self.fail_times = fail_times
-        self.calls = 0
-
-    def exchange(self, payload):
-        self.calls += 1
-        if self.calls <= self.fail_times:
-            raise RemoteError("synthetic transport failure")
-        return self.inner.exchange(payload)
-
-    def close(self):
-        self.inner.close()
-
-
-class _LocalTransport:
-    """In-process transport wrapping a backend, for retry tests."""
-
-    def __init__(self, backend):
-        self.backend = backend
-
-    def exchange(self, payload):
-        return encode_response(self.backend.complete(decode_request(payload)))
-
-    def close(self):
-        pass
-
-
-def test_remote_backend_retries_then_gives_up():
-    req = CompletionRequest(
-        role=GeneratorRole.HALTER_READY,
-        prompt=f"Given the tiger likes the cow. {QUESTION}",
-    )
-    flaky = _FlakyTransport(_LocalTransport(OracleBackend()), fail_times=2)
-    backend = RemoteBackend(flaky, retries=2)
-    assert backend.complete(req).text == " True"
-    assert flaky.calls == 3
-
-    hopeless = _FlakyTransport(_LocalTransport(OracleBackend()), fail_times=99)
-    backend = RemoteBackend(hopeless, retries=1)
-    with pytest.raises(RemoteError):
-        backend.complete(req)
-
-
-class _CorruptingTransport:
-    """Answers through the oracle, except that each request of one role gets
-    a fixed raw reply."""
-
-    def __init__(self, role, reply: bytes):
-        self.local = _LocalTransport(OracleBackend())
-        self.role = role
-        self.reply = reply
-
-    def exchange(self, payload):
-        if decode_request(payload).role is self.role:
-            return self.reply
-        return self.local.exchange(payload)
-
-    def close(self):
-        pass
-
-
-@pytest.mark.parametrize("role, reply", [
-    (GeneratorRole.SELECTION, b'{"text": 5, "continuation_logprobs": null}'),
-    (GeneratorRole.INFERENCE, b'{"text": ["a"], "continuation_logprobs": null}'),
-    (GeneratorRole.VALUE, b'{"text": "", "continuation_logprobs": [0.0]}'),
-    (GeneratorRole.VALUE, b'{"text": "", "continuation_logprobs": '
-                          b'{" correct": NaN, " incorrect": 0.0}}'),
-    (GeneratorRole.VALUE, b'{"text": "", "continuation_logprobs": '
-                          b'{" correct": Infinity, " incorrect": 0.0}}'),
-    (GeneratorRole.VALUE, b'{"text": "", "continuation_logprobs": '
-                          b'{" correct": -Infinity, " incorrect": 0.0}}'),
-    (GeneratorRole.VALUE, b'{"text": "", "continuation_logprobs": '
-                          b'{" correct": true, " incorrect": 0.0}}'),
-    (GeneratorRole.VALUE, b'{"text": "", "continuation_logprobs": '
-                          b'{" correct": "0", " incorrect": 0.0}}'),
-], ids=["text-int", "text-list", "logprobs-list", "nan", "infinity",
-        "minus-infinity", "bool", "string"])
-def test_a_mistyped_reply_is_a_counted_backend_failure(pw_problems, role, reply):
-    backend = RemoteBackend(_CorruptingTransport(role, reply + b"\n"))
-    stats = engine.SolveStats()
-    cfg = engine.BeamConfig(beam_width=2, proposals_per_trace=2)
-    answer, _, _ = engine.beam_search(pw_problems[0], backend, cfg, stats)
-    assert answer.is_unknown
-    assert stats.backend_failures > 0
-    assert all("bad response document" in note for note in stats.notes)
-
-
-def test_pipe_backend_end_to_end():
+def test_pipe_backend_end_to_end(pipe_spawns):
     backend = RemoteBackend(PipeTransport())
     try:
         prompt = format_selection_prompt(QUESTION, CTX)
@@ -945,9 +855,11 @@ def test_pipe_backend_end_to_end():
         assert resp.continuation_logprobs[CORRECT] == CERTAIN_GOOD
     finally:
         backend.close()
+    backend.close()  # closing twice is harmless
+    assert pipe_spawns[0].returncode == 0
 
 
-def test_remote_backend_matches_local_oracle(pw_problems):
+def test_remote_backend_matches_local_oracle(pw_problems, pipe_spawns):
     problem = pw_problems[6]  # single-step problem
     remote = RemoteBackend(PipeTransport())
     try:
@@ -1051,7 +963,7 @@ def test_remote_reset_restarts_the_selection_walk(pipe_spawns):
     assert len(pipe_spawns) == 1
 
 
-def test_pipe_transport_one_exchange_at_a_time():
+def test_pipe_transport_one_exchange_at_a_time(pipe_spawns):
     """More threads than cores share one pipe; each gets its own replies."""
     adjectives = ["red", "blue", "green", "big", "small", "round", "young", "cold"]
     oracle = OracleBackend()
@@ -1081,185 +993,6 @@ def test_pipe_transport_one_exchange_at_a_time():
         transport.close()
     assert not any(t.is_alive() for t in threads)
     assert mismatches == []
-
-
-def _stub_server(tmp_path, body: str) -> list:
-    script = tmp_path / "stub_server.py"
-    script.write_text(body, encoding="utf-8")
-    return [sys.executable, str(script)]
-
-
-ONE_REPLY = """import sys, time
-sys.stdin.buffer.readline()
-sys.stdout.buffer.write(b'{"continuation_logprobs": null, "text": " ok"}\\n')
-sys.stdout.buffer.flush()
-"""
-
-
-def test_pipe_transport_respawns_after_the_server_exits(tmp_path, pipe_spawns):
-    transport = PipeTransport(_stub_server(tmp_path, ONE_REPLY))
-    backend = RemoteBackend(transport, retries=0)
-    request = _inference_request("red")
-    try:
-        assert backend.complete(request).text == " ok"
-        with pytest.raises(RemoteError):
-            backend.complete(request)
-        # The dead server was reaped, so the next exchange starts a new one
-        # rather than writing into a closed pipe.
-        assert pipe_spawns[0].returncode is not None
-        assert backend.complete(request).text == " ok"
-    finally:
-        backend.close()
-    assert len(pipe_spawns) == 2
-
-
-def test_pipe_transport_gives_up_on_a_server_that_never_answers(tmp_path, pipe_spawns):
-    transport = PipeTransport(_stub_server(tmp_path, "import sys\n"))
-    backend = RemoteBackend(transport, retries=2)
-    try:
-        for _ in range(3):
-            with pytest.raises(RemoteError, match="before its first answer"):
-                backend.complete(_inference_request("red"))
-    finally:
-        backend.close()
-    assert len(pipe_spawns) == 1
-
-
-def test_pipe_transport_close_kills_a_server_that_does_not_exit(
-    tmp_path, monkeypatch, pipe_spawns
-):
-    monkeypatch.setattr(models, "CLOSE_WAIT_S", 0.2)
-    transport = PipeTransport(_stub_server(tmp_path, ONE_REPLY + "time.sleep(60)\n"))
-    assert decode_response(transport.exchange(b"{}\n")).text == " ok"
-    transport.close()
-    assert pipe_spawns[0].returncode is not None
-    transport.close()
-    assert len(pipe_spawns) == 1
-
-
-SILENT = """import sys, time
-sys.stdin.buffer.readline()
-time.sleep(60)
-"""
-
-
-PARTIAL_LINE = """import sys, time
-sys.stdin.buffer.readline()
-sys.stdout.buffer.write(b'{"text": ')
-sys.stdout.buffer.flush()
-time.sleep(60)
-"""
-
-
-@pytest.mark.parametrize("body", [SILENT, PARTIAL_LINE], ids=["silent", "partial-line"])
-def test_a_server_that_never_replies_in_time_is_killed_once(
-    tmp_path, monkeypatch, pipe_spawns, body
-):
-    """A missed deadline kills the server and raises, with no hang; a
-    server that never answered is not started again."""
-    monkeypatch.setattr(models, "REPLY_WAIT_S", 0.3)
-    backend = RemoteBackend(PipeTransport(_stub_server(tmp_path, body)), retries=2)
-    start = time.monotonic()
-    try:
-        for _ in range(3):
-            with pytest.raises(RemoteError, match="no reply within 0.3 s"):
-                backend.complete(_inference_request("red"))
-    finally:
-        backend.close()
-    assert time.monotonic() - start < 10
-    assert len(pipe_spawns) == 1
-    assert pipe_spawns[0].returncode is not None
-
-
-def test_a_server_that_stops_replying_is_replaced(tmp_path, monkeypatch, pipe_spawns):
-    monkeypatch.setattr(models, "REPLY_WAIT_S", 0.3)
-    monkeypatch.setattr(models, "CLOSE_WAIT_S", 0.2)
-    body = ONE_REPLY + "time.sleep(60)\n"
-    backend = RemoteBackend(PipeTransport(_stub_server(tmp_path, body)), retries=0)
-    try:
-        assert backend.complete(_inference_request("red")).text == " ok"
-        with pytest.raises(RemoteError, match="no reply within 0.3 s"):
-            backend.complete(_inference_request("red"))
-        assert pipe_spawns[0].returncode is not None
-        assert backend.complete(_inference_request("red")).text == " ok"
-    finally:
-        backend.close()
-    assert len(pipe_spawns) == 2
-
-
-def test_a_silent_server_is_a_counted_backend_failure(
-    pw_problems, tmp_path, monkeypatch, pipe_spawns
-):
-    monkeypatch.setattr(models, "REPLY_WAIT_S", 0.3)
-    backend = RemoteBackend(PipeTransport(_stub_server(tmp_path, SILENT)))
-    stats = engine.SolveStats()
-    try:
-        answer, _, _ = engine.beam_search(
-            pw_problems[0], backend, engine.BeamConfig(2, 2), stats
-        )
-    finally:
-        backend.close()
-    assert answer.is_unknown
-    assert stats.backend_failures == 1
-    assert "no reply within 0.3 s before its first answer" in stats.notes[0]
-    assert len(pipe_spawns) == 1
-
-
-def test_a_server_that_keeps_dying_is_restarted_a_bounded_number_of_times(
-    pw_problems, tmp_path, pipe_spawns
-):
-    """Every server answers once and dies: the transport starts at most
-    1 + RESPAWN_LIMIT of them, then fails each exchange at once, and the
-    engine counts that as a backend failure."""
-    body = ONE_REPLY + "import os\nos._exit(3)\n"
-    backend = RemoteBackend(PipeTransport(_stub_server(tmp_path, body)), retries=2)
-    outcomes = []
-    start = time.monotonic()
-    try:
-        for _ in range(2 * (models.RESPAWN_LIMIT + 1)):
-            try:
-                outcomes.append(backend.complete(_inference_request("red")).text)
-            except RemoteError as exc:
-                outcomes.append(str(exc))
-        stats = engine.SolveStats()
-        answer, _, _ = engine.beam_search(
-            pw_problems[0], backend, engine.BeamConfig(2, 2), stats
-        )
-    finally:
-        backend.close()
-    assert time.monotonic() - start < 10
-    answered = models.RESPAWN_LIMIT + 1
-    assert outcomes[:answered] == [" ok"] * answered
-    assert all(f"restarted {models.RESPAWN_LIMIT} times already" in o
-               for o in outcomes[answered:])
-    assert len(pipe_spawns) == answered
-    assert all(proc.returncode is not None for proc in pipe_spawns)
-    assert answer.is_unknown
-    assert stats.backend_failures == 1
-    assert "not restarted" in stats.notes[0]
-
-
-def test_close_reaps_a_server_that_writes_past_its_last_reply(tmp_path, pipe_spawns):
-    """More bytes than a pipe holds after the last reply: `close()` reads
-    them away, so the server finishes and exits by itself."""
-    body = ONE_REPLY + 'sys.stdin.buffer.read()\nsys.stdout.buffer.write(b"stray" * 40000)\n'
-    transport = PipeTransport(_stub_server(tmp_path, body))
-    assert decode_response(transport.exchange(b"{}\n")).text == " ok"
-    transport.close()
-    assert pipe_spawns[0].returncode == 0
-
-
-def test_close_kills_a_server_that_ignores_the_end_of_its_input(
-    tmp_path, monkeypatch, pipe_spawns
-):
-    monkeypatch.setattr(models, "CLOSE_WAIT_S", 0.2)
-    body = ONE_REPLY + "sys.stdin.buffer.read()\ntime.sleep(60)\n"
-    transport = PipeTransport(_stub_server(tmp_path, body))
-    assert decode_response(transport.exchange(b"{}\n")).text == " ok"
-    start = time.monotonic()
-    transport.close()
-    assert time.monotonic() - start < 5
-    assert pipe_spawns[0].returncode == -signal.SIGKILL
 
 
 def test_closing_the_bundled_server_never_sleeps(monkeypatch, pipe_spawns):
