@@ -54,6 +54,12 @@ MISTYPED = {
 SILENCE_S = 10
 
 
+def argv(fault: str, starts) -> list:
+    """The command of a `pipe:` fault server that counts its starts in the
+    file `starts`."""
+    return [sys.executable, "-S", __file__, fault, str(starts)]
+
+
 def answer(fault: str, backend, line: bytes):
     """The bytes written in reply to `line`, None if the server ends instead.
     A reply that does not end its line is followed by silence, or by the end

@@ -3,12 +3,14 @@ import itertools
 import json
 import random
 import re
+import signal
 import subprocess
 import sys
 import threading
 import time
 from dataclasses import replace
 
+import faults
 import pytest
 
 from sireason import cnl, datasets, engine, models, symbolic
@@ -993,6 +995,156 @@ def test_pipe_transport_one_exchange_at_a_time(pipe_spawns):
         transport.close()
     assert not any(t.is_alive() for t in threads)
     assert mismatches == []
+
+
+# ---------------------------------------------------------------------------
+# The transport and the backend against the servers of `faults.py`; the
+# fault matrix of `test_remote_runs.py` runs the same faults through a solver.
+# ---------------------------------------------------------------------------
+
+def _fault_backend(fault: str, tmp_path) -> RemoteBackend:
+    return RemoteBackend(PipeTransport(faults.argv(fault, tmp_path / "starts")))
+
+
+def _request_of(role: str) -> CompletionRequest:
+    if role == "inference":
+        return _inference_request("red")
+    if role == "selection":
+        return CompletionRequest(
+            role=GeneratorRole.SELECTION, prompt=format_selection_prompt(QUESTION, CTX)
+        )
+    return CompletionRequest(
+        role=GeneratorRole.VALUE,
+        prompt=format_value_prompt(CTX, QUESTION, "We know that the tiger is kind."),
+        scored_continuations=(CORRECT, INCORRECT),
+    )
+
+
+@pytest.mark.parametrize("fault", list(faults.MISTYPED))
+def test_a_mistyped_reply_is_a_counted_backend_failure(tmp_path, pipe_spawns, fault):
+    """A mistyped reply raises, is not retried, and the server answers on."""
+    backend = _fault_backend(fault, tmp_path)
+    try:
+        for role in ("selection", "inference", "value"):
+            if role == faults.MISTYPED[fault][0]:
+                with pytest.raises(RemoteError, match="bad response document"):
+                    backend.complete(_request_of(role))
+            else:
+                backend.complete(_request_of(role))
+    finally:
+        backend.close()
+    assert len(pipe_spawns) == 1
+    assert pipe_spawns[0].returncode == 0
+
+
+def test_remote_backend_retries_then_gives_up(tmp_path, monkeypatch, pipe_spawns):
+    """Each server answers once and dies on the next request: one retry
+    starts the next server, until the transport gives up."""
+    monkeypatch.setattr(models, "RETRIES", 1)
+    backend = _fault_backend("exit:1", tmp_path)
+    try:
+        for _ in range(1 + models.RESPAWN_LIMIT):
+            assert backend.complete(_inference_request("red")).text == " the tiger is red."
+        with pytest.raises(RemoteError, match="retry budget exhausted: .* not restarted"):
+            backend.complete(_inference_request("red"))
+    finally:
+        backend.close()
+    assert len(pipe_spawns) == 1 + models.RESPAWN_LIMIT
+
+
+@pytest.mark.parametrize("fault", ["silent", "partial-line"])
+def test_a_server_that_never_replies_in_time_is_killed_once(
+    tmp_path, monkeypatch, pipe_spawns, fault
+):
+    """A missed deadline kills the server and raises, with no hang; a
+    server that never answered is not started again."""
+    monkeypatch.setattr(models, "REPLY_WAIT_S", 0.3)
+    backend = _fault_backend(fault, tmp_path)
+    start = time.monotonic()
+    try:
+        for _ in range(3):
+            with pytest.raises(RemoteError, match="no reply within 0.3 s"):
+                backend.complete(_inference_request("red"))
+    finally:
+        backend.close()
+    assert time.monotonic() - start < 5
+    assert len(pipe_spawns) == 1
+    assert pipe_spawns[0].returncode == -signal.SIGKILL
+
+
+def test_a_silent_server_is_a_counted_backend_failure(
+    pw_problems, tmp_path, monkeypatch, pipe_spawns
+):
+    monkeypatch.setattr(models, "REPLY_WAIT_S", 0.3)
+    backend = _fault_backend("silent", tmp_path)
+    stats = engine.SolveStats()
+    try:
+        answer, _, _ = engine.beam_search(
+            pw_problems[0], backend, engine.BeamConfig(2, 2), stats
+        )
+    finally:
+        backend.close()
+    assert answer.is_unknown
+    assert stats.backend_failures == 1
+    assert "no reply within 0.3 s before its first answer" in stats.notes[0]
+    assert len(pipe_spawns) == 1
+
+
+def test_a_server_that_keeps_dying_is_restarted_a_bounded_number_of_times(
+    pw_problems, tmp_path, pipe_spawns
+):
+    """Every server answers once and dies: the transport starts at most
+    1 + RESPAWN_LIMIT of them, then fails each exchange at once, and the
+    engine counts that as a backend failure."""
+    backend = _fault_backend("exit:1", tmp_path)
+    outcomes = []
+    start = time.monotonic()
+    try:
+        for _ in range(2 * (models.RESPAWN_LIMIT + 1)):
+            try:
+                outcomes.append(backend.complete(_inference_request("red")).text)
+            except RemoteError as exc:
+                outcomes.append(str(exc))
+        stats = engine.SolveStats()
+        answer, _, _ = engine.beam_search(
+            pw_problems[0], backend, engine.BeamConfig(2, 2), stats
+        )
+    finally:
+        backend.close()
+    assert time.monotonic() - start < 10
+    answered = models.RESPAWN_LIMIT + 1
+    assert outcomes[:answered] == [" the tiger is red."] * answered
+    assert all(f"restarted {models.RESPAWN_LIMIT} times already" in o
+               for o in outcomes[answered:])
+    assert len(pipe_spawns) == answered
+    assert answer.is_unknown
+    assert stats.backend_failures == 1
+    assert "not restarted" in stats.notes[0]
+
+
+def test_pipe_transport_close_kills_a_server_that_does_not_exit(
+    tmp_path, monkeypatch, pipe_spawns
+):
+    monkeypatch.setattr(models, "CLOSE_WAIT_S", 0.2)
+    transport = PipeTransport(faults.argv("ignore-eof", tmp_path / "starts"))
+    reply = transport.exchange(encode_request(_inference_request("red")))
+    assert decode_response(reply).text == " the tiger is red."
+    transport.close()
+    assert pipe_spawns[0].returncode is not None
+    transport.close()
+    assert len(pipe_spawns) == 1
+
+
+def test_close_kills_a_server_that_ignores_the_end_of_its_input(
+    tmp_path, monkeypatch, pipe_spawns
+):
+    monkeypatch.setattr(models, "CLOSE_WAIT_S", 0.2)
+    backend = _fault_backend("ignore-eof", tmp_path)
+    assert backend.complete(_inference_request("red")).text == " the tiger is red."
+    start = time.monotonic()
+    backend.close()
+    assert time.monotonic() - start < 5
+    assert pipe_spawns[0].returncode == -signal.SIGKILL
 
 
 def test_closing_the_bundled_server_never_sleeps(monkeypatch, pipe_spawns):

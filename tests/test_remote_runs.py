@@ -5,7 +5,6 @@ that dies mid-run, costs counted failures rather than a hang."""
 
 import http.server
 import signal
-import sys
 import threading
 import time
 from pathlib import Path
@@ -24,7 +23,7 @@ BEAM = dict(beam_width=4, proposals_per_trace=4)
 def _fault_server(fault: str, tmp_path) -> str:
     """The `pipe:` endpoint of a fault server; its starts are counted in
     `tmp_path`."""
-    return f"pipe:{sys.executable} -S {faults.__file__} {fault} {tmp_path / 'starts'}"
+    return "pipe:" + " ".join(faults.argv(fault, tmp_path / "starts"))
 
 
 def test_repeated_problems_solve_alike_over_one_server(pw_problems, pipe_spawns):
