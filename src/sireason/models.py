@@ -10,6 +10,7 @@ swapped without touching the engine.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -742,48 +743,106 @@ RETRIES = 2
 # up, a transport whose servers keep dying fails every exchange at once.
 RESPAWN_LIMIT = 3
 
-# The bundled server's command.  `-S` skips `site`, whose `.pth` hooks can
-# cost a start tens of ms; the server needs nothing from site-packages.  The
-# bootstrap appends the directory this package was imported from to
-# `sys.path`, after the stdlib, so the server runs the client's `sireason`
-# with or without PYTHONPATH.
-_SERVER_BOOTSTRAP = (
-    "import sys; sys.path.append(sys.argv.pop()); "
-    "from sireason.models import _main; _main()"
-)
+class _ForkedServer:
+    """The bundled server: `serve` over a fresh `OracleBackend`, in a fork of
+    this process, so it starts with every module the client has loaded and
+    no interpreter start.  Its stdin and stdout are pipes to this process.
+    The parent's side has the part of `subprocess.Popen` that
+    `PipeTransport` uses."""
+
+    def __init__(self) -> None:
+        server_in, self_out = os.pipe()
+        self_in, server_out = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (server_in, self_out, self_in, server_out):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            _serve_forked(server_in, server_out)
+        os.close(server_in)
+        os.close(server_out)
+        self.args = f"fork of {os.getpid()}: models.serve"
+        self.returncode: Optional[int] = None
+        self.stdin = open(self_out, "wb")
+        self.stdout = open(self_in, "rb")
+
+    def _reap(self, flags: int) -> Optional[int]:
+        if self.returncode is None:
+            pid, status = os.waitpid(self.pid, flags)
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def poll(self) -> Optional[int]:
+        return self._reap(os.WNOHANG)
+
+    def wait(self) -> int:
+        return self._reap(0)
+
+    def kill(self) -> None:
+        import signal
+
+        if self.poll() is None:
+            os.kill(self.pid, signal.SIGKILL)
 
 
-def _server_argv() -> list[str]:
-    package_parent = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    return [sys.executable, "-S", "-c", _SERVER_BOOTSTRAP, package_parent]
+def _serve_forked(stdin_fd: int, stdout_fd: int) -> None:
+    """The forked child: serve on the two pipes as fds 0 and 1, then leave
+    with `os._exit`, never returning into the client's code.  It imports
+    nothing, and leaves alone what the client owns: buffered text in its
+    `sys.stdout` or `sys.stderr`, atexit hooks and `weakref.finalize`
+    callbacks.  `gc.freeze()` keeps the client's objects out of the child's
+    collections, so the finalizer of some client garbage never runs here,
+    and their pages stay shared."""
+    code = 1
+    try:
+        gc.freeze()
+        os.dup2(stdin_fd, 0)
+        os.dup2(stdout_fd, 1)
+        # The client's other files, such as its ends of other servers'
+        # pipes: a copy held here would keep those servers from seeing the
+        # end of their input.
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        # A traceback of `serve`'s goes to fd 2 without the client's text.
+        sys.stderr = open(2, "w", buffering=1, encoding="utf-8",
+                          errors="backslashreplace", closefd=False)
+        serve(OracleBackend(), open(0, "rb"), open(1, "wb"))
+        code = 0
+    finally:
+        os._exit(code)
 
 
-def _read_some(fd: int, deadline: float) -> Optional[bytes]:
+def _read_some(fd: int, timeout: float) -> Optional[bytes]:
     """The next bytes the server writes, as they arrive; b"" at the end of
-    the stream, None if `deadline` (on `time.monotonic`) passes first."""
+    the stream, None if none arrive within `timeout` seconds (with 0, if
+    none are waiting)."""
     import select
 
-    remaining = deadline - time.monotonic()
-    if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+    if timeout < 0 or not select.select([fd], [], [], timeout)[0]:
         return None
     return os.read(fd, 65536)
 
 
 class PipeTransport:
-    """Runs a server subprocess and exchanges newline-delimited documents,
+    """Runs a server process and exchanges newline-delimited documents,
     one exchange at a time.
 
-    The server is started on the first exchange.  If it dies, or does not
-    finish a reply within REPLY_WAIT_S, the failing exchange kills and reaps
-    it and raises, and the next exchange starts a new one, up to
-    RESPAWN_LIMIT times, unless the server failed before its first answer:
-    one that cannot come back would cost a process start (and perhaps a
-    full wait) per attempt, so every later exchange raises at once.
+    With no `argv` the server is the bundled one, forked from this process
+    (`_ForkedServer`); otherwise `argv` is run.  The server is started on
+    the first exchange.  If it dies, or does not finish a reply within
+    REPLY_WAIT_S, the failing exchange kills and reaps it and raises, and
+    the next exchange starts a new one, up to RESPAWN_LIMIT times, unless
+    the server failed before its first answer: one that cannot come back
+    would cost a process start (and perhaps a full wait) per attempt, so
+    every later exchange raises at once.  A server found out of step, with
+    reply bytes waiting before a request is written, is killed the same way.
     """
 
     def __init__(self, argv: Optional[Sequence[str]] = None) -> None:
-        self._argv = list(argv) if argv else _server_argv()
-        self._proc: Optional[subprocess.Popen] = None
+        self._argv = list(argv) if argv else None
+        self._proc: Optional[subprocess.Popen | _ForkedServer] = None
         self._spawns = 0
         self._answered = False  # whether the running server has answered
         self._gave_up: Optional[str] = None
@@ -791,9 +850,7 @@ class PipeTransport:
         self._pending = b""
         self._lock = threading.Lock()
 
-    def _ensure(self) -> subprocess.Popen:
-        import subprocess
-
+    def _ensure(self) -> subprocess.Popen | _ForkedServer:
         if self._proc is not None and self._proc.poll() is not None:
             self._stop()
         if self._proc is None:
@@ -801,11 +858,16 @@ class PipeTransport:
                 self._gave_up = (f"pipe transport: server restarted {RESPAWN_LIMIT}"
                                  " times already; not restarted again")
                 raise RemoteError(self._gave_up)
-            self._proc = subprocess.Popen(
-                self._argv,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-            )
+            if self._argv is None:
+                self._proc = _ForkedServer()
+            else:
+                import subprocess
+
+                self._proc = subprocess.Popen(
+                    self._argv,
+                    stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE,
+                )
             self._spawns += 1
             self._answered = False
             self._pending = b""
@@ -818,10 +880,21 @@ class PipeTransport:
             if self._gave_up is not None:
                 raise RemoteError(self._gave_up)
             proc = self._ensure()
+            fd = proc.stdout.fileno()
             try:
-                proc.stdin.write(payload)
-                proc.stdin.flush()
-                line = self._read_line(proc.stdout.fileno())
+                # Bytes that wait before the request is written answer no
+                # request: the server wrote two lines for one, and each
+                # later reply would answer the request before its own.
+                early = self._pending or _read_some(fd, 0)
+                if early is None:
+                    proc.stdin.write(payload)
+                    proc.stdin.flush()
+                    line = self._read_line(fd)
+                elif early:
+                    raise self._lost("pipe transport: reply bytes pending before"
+                                     " a request; the server is out of step")
+                else:
+                    line = b""  # the stream ended before the request
             except OSError as exc:
                 raise self._lost(f"pipe transport failed: {exc}") from exc
             if line is None:
@@ -841,7 +914,7 @@ class PipeTransport:
             if end:
                 line, self._pending = self._pending[:end], self._pending[end:]
                 return line
-            chunk = _read_some(fd, deadline)
+            chunk = _read_some(fd, deadline - time.monotonic())
             if not chunk:  # None past the deadline, b"" at the end
                 return chunk
             self._pending += chunk
@@ -876,7 +949,7 @@ class PipeTransport:
             pass
         if not kill:
             deadline = time.monotonic() + CLOSE_WAIT_S
-            while chunk := _read_some(proc.stdout.fileno(), deadline):
+            while chunk := _read_some(proc.stdout.fileno(), deadline - time.monotonic()):
                 pass
             kill = chunk is None
         if kill:
@@ -886,18 +959,27 @@ class PipeTransport:
 
 
 class HttpTransport:
-    """POSTs each document to an HTTP endpoint and reads the reply body."""
+    """POSTs each document to an HTTP endpoint and reads the reply body.
+
+    An endpoint that fails before its first answer is not tried again, as
+    `PipeTransport` does not restart a server that never answered: each
+    later exchange raises at once, rather than wait out REPLY_WAIT_S again.
+    """
 
     def __init__(self, endpoint: str) -> None:
         self._endpoint = endpoint
+        self._answered = False
+        self._gave_up: Optional[str] = None
 
     def exchange(self, payload: bytes) -> bytes:
-        # Imported here, the only place that needs it: a `pipe:` server
+        # Imported here, the only place that needs it: the standalone server
         # would otherwise load `http`, `email` and `ssl` on every start.
         import http.client
         import urllib.error
         import urllib.request
 
+        if self._gave_up is not None:
+            raise RemoteError(self._gave_up)
         req = urllib.request.Request(
             self._endpoint,
             data=payload,
@@ -907,9 +989,14 @@ class HttpTransport:
         # A reply cut short raises an `HTTPException`, which is no `OSError`.
         try:
             with urllib.request.urlopen(req, timeout=REPLY_WAIT_S) as resp:
-                return resp.read()
+                reply = resp.read()
         except (urllib.error.URLError, OSError, http.client.HTTPException) as exc:
-            raise RemoteError(f"http transport failed: {exc}") from exc
+            reason = f"http transport failed: {exc}"
+            if not self._answered:
+                self._gave_up = reason = f"{reason} before its first answer; not tried again"
+            raise RemoteError(reason) from exc
+        self._answered = True
+        return reply
 
     def close(self) -> None:
         pass
@@ -924,12 +1011,15 @@ class RemoteBackend:
     def _exchange(self, payload: bytes) -> bytes:
         # Only transport failures are retried: a server that answered, even
         # with an error document, would answer the same again.
-        last: Optional[Exception] = None
+        last = ""
         for _ in range(RETRIES + 1):
             try:
                 return self._transport.exchange(payload)
             except RemoteError as exc:
-                last = exc
+                # Its text only: the error's traceback holds this frame, so
+                # keeping the error would make a cycle that keeps the
+                # caller's solver, and its server, alive until a collection.
+                last = str(exc)
         raise RemoteError(f"retry budget exhausted: {last}")
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
@@ -955,7 +1045,8 @@ class RemoteBackend:
 
 
 def remote_backend(endpoint: str) -> RemoteBackend:
-    """Connect to a server.  `pipe:` endpoints spawn a subprocess, others POST."""
+    """Connect to a server.  `pipe:` forks the bundled server, `pipe:CMD`
+    runs CMD, and any other endpoint is POSTed to."""
     if endpoint.startswith("pipe:"):
         argv = endpoint[len("pipe:"):]
         transport = PipeTransport(argv.split() if argv else None)
@@ -983,9 +1074,9 @@ def serve(backend, rfile, wfile) -> None:
                 reply = encode_response(backend.complete(request))
         except Exception as exc:  # the server outlives any one request
             if not isinstance(exc, BackendError):
-                import traceback
-
-                traceback.print_exc(file=sys.stderr)
+                # The interpreter's own traceback printer, which imports
+                # nothing: a forked server must not.
+                sys.__excepthook__(type(exc), exc, exc.__traceback__)
             reply = encode_error(exc)
         wfile.write(reply)
         wfile.flush()

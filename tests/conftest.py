@@ -8,8 +8,7 @@ from sireason import datasets
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 # `pytest` puts src/ on this process's path (pyproject.toml); the processes
-# the tests start find the package there too.  (The bundled `pipe:` server
-# would find it without this.)
+# the tests start find the package there too.
 _SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
@@ -33,18 +32,25 @@ def eb_problems():
 
 @pytest.fixture
 def pipe_spawns(monkeypatch):
-    """Every process started while the test runs, in start order.  A test
-    that leaves one of them unreaped fails at teardown."""
+    """Every server started while the test runs, forked or run as a
+    command, in start order.  A test that leaves one of them unreaped fails
+    at teardown."""
     import subprocess
+
+    from sireason import models
 
     procs = []
 
-    class Recording(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            procs.append(self)
+    def recording(cls):
+        class Recording(cls):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                procs.append(self)
 
-    monkeypatch.setattr(subprocess, "Popen", Recording)
+        return Recording
+
+    monkeypatch.setattr(subprocess, "Popen", recording(subprocess.Popen))
+    monkeypatch.setattr(models, "_ForkedServer", recording(models._ForkedServer))
     yield procs
     leaked = [p for p in procs if p.returncode is None]
     for p in leaked:

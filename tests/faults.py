@@ -13,6 +13,7 @@ in `test_remote_runs.py` sends.  Both serve the oracle through
     cut-off       half a reply line, then the end
     exit          ends without a reply (over HTTP: closes the connection)
     reset-echo    a wrong answer to the reset document
+    double-reply  each reply line twice
     stray-bytes   200 kB more once its input ends, then exits
     ignore-eof    goes on running once its input ends
     none          no fault
@@ -76,7 +77,7 @@ def answer(fault: str, backend, line: bytes):
         return MISTYPED[fault][1] + b"\n"
     out = io.BytesIO()
     models.serve(backend, [line], out)
-    return out.getvalue()
+    return out.getvalue() * (2 if fault == "double-reply" else 1)
 
 
 def main(fault: str, starts: str) -> None:

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sireason import cnl, evalcli, models, symbolic
+from sireason.cnl import VAR, Atom, const
 from sireason.core import (
     Answer,
     LabeledContext,
@@ -339,3 +341,79 @@ def test_greedy_solve_sends_no_value_request(pw_problems, monkeypatch):
     assert GeneratorRole.SELECTION in counting.roles
     assert GeneratorRole.VALUE not in counting.roles
     assert all(step.value_score is None for t in traces for step in t.steps)
+
+
+# ---------------------------------------------------------------------------
+# The solver against the reference, on worlds the generator never makes:
+# constant and variable subjects, two-condition rules, negated facts.
+# ---------------------------------------------------------------------------
+
+_WORLD_TERMS = (const("cat"), const("dog"), const("Anne", proper=True))
+_WORLD_RELATIONS = ("like", "see")
+
+
+@st.composite
+def _worlds(draw):
+    """(facts, rules) over 3 entities, 3 adjectives and 2 verbs: 4-10 facts
+    drawn (repeats dropped), some negated, and 2-10 rules of 1-2 conditions
+    whose terms are constants or the variable.  Half the conditions are a
+    fact, its subject maybe the variable, so that rules fire."""
+
+    def atom(terms):
+        predicate = draw(st.sampled_from(("big", "red", "kind") + _WORLD_RELATIONS))
+        obj = draw(st.sampled_from(terms)) if predicate in _WORLD_RELATIONS else None
+        return Atom(predicate, draw(st.sampled_from(terms)), obj, draw(st.booleans()))
+
+    facts = list(dict.fromkeys(atom(_WORLD_TERMS)
+                               for _ in range(draw(st.integers(4, 10)))))
+    rules = []
+    for _ in range(draw(st.integers(2, 10))):
+        body = []
+        for _ in range(draw(st.integers(1, 2))):
+            if draw(st.booleans()):
+                fact = draw(st.sampled_from(facts))
+                body.append(Atom(fact.predicate, VAR, fact.obj, fact.negated)
+                            if draw(st.booleans()) else fact)
+            else:
+                body.append(atom(_WORLD_TERMS + (VAR,)))
+        # A head variable needs a condition that binds it.
+        bound = not all(a.is_ground for a in body)
+        rules.append((tuple(body), atom(_WORLD_TERMS + ((VAR,) if bound else ()))))
+    return facts, rules
+
+
+@settings(max_examples=100, deadline=None)
+@given(_worlds(), st.booleans(), st.data())
+def test_solvers_answer_as_the_reference_on_drawn_worlds(world, negated, data):
+    """Oracle greedy and oracle beam 4x4 give `evaluate_hypothesis`'s answer
+    about an atom some rule derives (or its negation), with a sound trace
+    and no backend failure.
+
+    A world that derives an atom and its negation is skipped, as the
+    problem generator skips it.  There the answer can rest on a context
+    fact: `evaluate_hypothesis` lets the shallower side win, and a context
+    fact has depth 0, which no selection-inference trace can show, since
+    each of its steps derives something."""
+    facts, rules = world
+    context = LabeledContext.from_statements(
+        [cnl.render_atom(a) for a in facts]
+        + [cnl.render_rule(body, head, "something") for body, head in rules])
+    world = symbolic.closure(context)
+    assume(not any(cnl.negate(a) in world.derived for a in world.derived))
+    derived = sorted((a for a, p in world.derived.items() if p.depth > 0),
+                     key=cnl.render_atom)
+    assume(derived)
+    atom = data.draw(st.sampled_from(derived))
+    hypothesis = cnl.negate(atom) if negated else atom
+    question = f'Does it imply that the statement "{cnl.render_atom(hypothesis)}" is True?'
+    expected = symbolic.evaluate_hypothesis(world, cnl.parse_question(question))
+    assert expected is (Answer.FALSE if negated else Answer.TRUE)
+    problem = Problem(id="drawn", context=context, question=question, choices=None,
+                      gold_answer=expected)
+    for solve in (lambda stats: si_answer(problem, OracleBackend(), stats=stats),
+                  lambda stats: beam_search(problem, OracleBackend(), BeamConfig(4, 4),
+                                            stats)[:2]):
+        stats = SolveStats()
+        answer, trace = solve(stats)
+        assert (answer, stats.notes) == (expected, [])
+        assert symbolic.trace_faults(trace) == []

@@ -1162,50 +1162,108 @@ def test_closing_the_bundled_server_never_sleeps(monkeypatch, pipe_spawns):
 
 
 # ---------------------------------------------------------------------------
+# The bundled server is a fork of the client.
+# ---------------------------------------------------------------------------
+
+def test_a_forked_server_holds_no_copy_of_another_ones_pipes(monkeypatch, pipe_spawns):
+    """With two bundled servers alive, closing the first ends its input at
+    once: the second, forked later, closed its copies of the first one's
+    pipes, so the first exits 0 without waiting out CLOSE_WAIT_S."""
+    monkeypatch.setattr(models, "CLOSE_WAIT_S", 30.0)
+    first, second = PipeTransport(), PipeTransport()
+    payload = encode_request(_inference_request("red"))
+    try:
+        first.exchange(payload)
+        second.exchange(payload)
+        start = time.monotonic()
+        first.close()
+        assert time.monotonic() - start < 5
+        assert pipe_spawns[0].returncode == 0
+        assert decode_response(second.exchange(payload)).text == " the tiger is red."
+    finally:
+        first.close()
+        second.close()
+    assert [p.returncode for p in pipe_spawns] == [0, 0]
+
+
+def test_a_fork_leaves_the_clients_buffered_output_and_exit_hooks_alone(tmp_path):
+    """Text still in the client's `sys.stdout` buffer when the server is
+    forked, and the client's atexit hook and `weakref.finalize` callback,
+    reach the client's output once, from the client, and never the reply
+    stream."""
+    client = (
+        "import atexit, sys, weakref\n"
+        "from sireason import models\n"
+        "sys.stdout.write('unflushed;')\n"
+        "atexit.register(sys.stdout.write, 'atexit;')\n"
+        "weakref.finalize(models, sys.stdout.write, 'finalize;')\n"
+        "transport = models.PipeTransport()\n"
+        "sys.stderr.write(repr(transport.exchange(models.RESET_DOCUMENT)))\n"
+        "transport.close()\n"
+    )
+    run = subprocess.run([sys.executable, "-c", client], capture_output=True,
+                         cwd=tmp_path, timeout=60, check=True)
+    assert run.stderr.decode() == repr(RESET_DOCUMENT)
+    assert run.stdout.decode() == "unflushed;finalize;atexit;"
+
+
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "exec"])
+def test_a_server_killed_after_each_answer_is_restarted_up_to_the_limit(
+    tmp_path, pipe_spawns, forked
+):
+    """A bundled server that dies is restarted under RESPAWN_LIMIT exactly
+    as a server run as a command is."""
+    transport = PipeTransport(None if forked else faults.argv("none", tmp_path / "starts"))
+    payload = encode_request(_inference_request("red"))
+    outcomes = []
+    try:
+        for _ in range(models.RESPAWN_LIMIT + 3):
+            try:
+                outcomes.append(decode_response(transport.exchange(payload)).text)
+            except RemoteError as exc:
+                outcomes.append(str(exc))
+            else:
+                pipe_spawns[-1].kill()
+                pipe_spawns[-1].wait()
+    finally:
+        transport.close()
+    answered = models.RESPAWN_LIMIT + 1
+    assert outcomes[:answered] == [" the tiger is red."] * answered
+    assert all(f"restarted {models.RESPAWN_LIMIT} times already" in o
+               for o in outcomes[answered:])
+    assert [p.returncode for p in pipe_spawns] == [-signal.SIGKILL] * answered
+
+
+# ---------------------------------------------------------------------------
 # What a server loads.
 # ---------------------------------------------------------------------------
 
-def test_the_server_module_loads_only_what_it_serves(tmp_path, monkeypatch, capfd):
-    """The server as `PipeTransport` starts it, in its environment, with
-    PYTHONPATH set and unset (the package is then reachable only through the
-    directory the client imported it from): it loads the four modules it
-    serves, and neither `site`, the client's `subprocess` and `select`, the
-    error path's `traceback`, nor an HTTP client."""
-    argv = PipeTransport()._argv
-    assert argv[:3] == [sys.executable, "-S", "-c"]
-    # The same start, with the bootstrap's last call, which would serve,
-    # replaced by a print of what is loaded by then.
-    assert argv[3].endswith("_main()")
-    probe = argv[:3] + [argv[3][:-len("_main()")] + "print(' '.join(sorted(sys.modules)))"]
-    unwanted = {"site", "subprocess", "select", "traceback",
-                "urllib.request", "http.client", "email", "ssl"}
+def test_the_server_module_loads_only_what_it_serves(tmp_path, monkeypatch):
+    """The standalone server, `python3 -S -m sireason.models` with PYTHONPATH
+    set, answers a request and a bad one, and loads the four modules it
+    serves and neither `site`, the client's `subprocess` and `select`,
+    `traceback`, nor an HTTP client."""
     monkeypatch.chdir(tmp_path)
-    # Every import the served session makes, on stderr.
-    monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")
-
-    def check():
-        loaded = set(subprocess.run(probe + argv[4:], capture_output=True, text=True,
-                                    timeout=60, check=True).stdout.split())
-        assert {m for m in loaded if m.startswith("sireason")} == {
-            "sireason", "sireason.cnl", "sireason.core", "sireason.models",
-            "sireason.symbolic"}
-        assert not loaded & unwanted
-        backend = RemoteBackend(PipeTransport())
-        try:
-            assert backend.complete(_inference_request("red")).text == " the tiger is red."
-            with pytest.raises(RemoteError, match="bad request document"):
-                backend.complete(replace(_inference_request("red"), n=0))
-        finally:
-            backend.close()
-        imported = {line.rpartition("|")[2].strip()
-                    for line in capfd.readouterr().err.splitlines()
-                    if line.startswith("import time:")}
-        assert "sireason.core" in imported
-        assert not imported & unwanted
-
-    check()
-    monkeypatch.delenv("PYTHONPATH", raising=False)
-    check()
+    # Every module the served session loads, on stderr.
+    monkeypatch.setenv("PYTHONVERBOSE", "1")
+    request = _inference_request("red")
+    run = subprocess.run(
+        [sys.executable, "-S", "-m", "sireason.models"],
+        input=encode_request(request) + encode_request(replace(request, n=0)),
+        capture_output=True, timeout=60, check=True,
+    )
+    first, second = run.stdout.splitlines(keepends=True)
+    assert decode_response(first).text == " the tiger is red."
+    with pytest.raises(RemoteError, match="bad request document"):
+        decode_response(second)
+    lines = run.stderr.decode().splitlines()
+    assert not [line for line in lines if "Warning" in line]
+    loaded = {m.group(1) for m in map(re.compile(r"import '([\w.]+)'").match, lines) if m}
+    # `-m` runs `sireason.models` as `__main__`, not under its own name.
+    assert {m for m in loaded if m.startswith("sireason")} == {
+        "sireason", "sireason.cnl", "sireason.core", "sireason.symbolic"}
+    assert not loaded & {"site", "subprocess", "select", "traceback",
+                         "urllib.request", "http.client", "email", "ssl"}
 
 
 def test_a_pipe_server_starts_without_warnings(capfd):

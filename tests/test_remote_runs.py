@@ -98,6 +98,7 @@ class _ServeOverHttp(http.server.BaseHTTPRequestHandler):
     """Answers each POSTed document as the fault server answers a line."""
 
     def do_POST(self):
+        self.server.posts += 1
         body = self.rfile.read(int(self.headers["Content-Length"]))
         reply = faults.answer(self.server.fault, self.server.backend, body)
         if reply is None:
@@ -121,20 +122,26 @@ class _ServeOverHttp(http.server.BaseHTTPRequestHandler):
         pass
 
 
+def _url(server) -> str:
+    return f"http://127.0.0.1:{server.server_port}/"
+
+
 @pytest.fixture
 def http_server(monkeypatch):
-    """Starts a loopback fault server for `HttpTransport` and gives its URL."""
+    """Starts a loopback fault server for `HttpTransport`; its `posts`
+    counts the documents POSTed to it."""
     monkeypatch.setenv("no_proxy", "*")
     servers = []
 
     def start(fault="none"):
         server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ServeOverHttp)
         server.fault, server.backend = fault, models.OracleBackend()
+        server.posts = 0
         server.closing = threading.Event()
         # A short poll interval keeps `shutdown()` from waiting half a second.
         threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
         servers.append(server)
-        return f"http://127.0.0.1:{server.server_port}/"
+        return server
 
     yield start
     for server in servers:
@@ -147,7 +154,7 @@ def http_server(monkeypatch):
                          ids=["greedy", "beam"])
 def test_http_endpoint_reports_what_pipe_reports(http_server, search, capsys):
     reports = []
-    for endpoint in (http_server(), "pipe:"):
+    for endpoint in (_url(http_server()), "pipe:"):
         code = evalcli.main(
             ["eval", "--report", "json", "--problems", str(FIXTURES / "golden_pw.jsonl"),
              "--backend", "remote", "--endpoint", endpoint] + search
@@ -164,31 +171,35 @@ def test_http_endpoint_reports_what_pipe_reports(http_server, search, capsys):
 PIPE, HTTP = "pipe", "http"
 
 
-def _row(fault, transport, note, spawns=None, ends=None, retries=2):
+def _row(fault, transport, note, spawns=None, ends=None, retries=2, posts=None):
     if spawns is None:
         spawns = 1 if transport == PIPE else 0
-    return pytest.param(fault, transport, note, spawns, ends, retries,
+    return pytest.param(fault, transport, note, spawns, ends, retries, posts,
                         id=f"{fault}-{transport}" + ("-no-retries" if retries == 0 else ""))
 
 
 # Fault, transport, the text each backend failure's note carries (None:
 # nothing fails), the servers started (by default one over a pipe, none
-# over HTTP), how the last one ended (None: not checked), and RETRIES.
+# over HTTP), how the last one ended (None: not checked), RETRIES, and the
+# documents an HTTP endpoint was sent (None: not checked).
 FAULT_TABLE = [
     *(_row(fault, PIPE, "bad response document", ends=0) for fault in faults.MISTYPED),
     *(_row(fault, HTTP, "bad response document") for fault in faults.MISTYPED),
     _row("silent", PIPE, "no reply within 0.5 s before its first answer", ends=-signal.SIGKILL),
-    _row("silent", HTTP, "timed out"),
+    # An endpoint that fails before its first answer is not tried again:
+    # the run waits out one deadline, not one per request and retry.
+    _row("silent", HTTP, "timed out before its first answer", posts=1),
     _row("partial-line", PIPE, "no reply within 0.5 s before its first answer",
          ends=-signal.SIGKILL),
-    _row("partial-line", HTTP, "timed out"),
+    _row("partial-line", HTTP, "timed out before its first answer", posts=1),
     _row("cut-off", PIPE, "server closed the stream before its first answer"),
-    _row("cut-off", HTTP, "IncompleteRead"),
+    _row("cut-off", HTTP, "IncompleteRead", posts=1),
     # A server that stops replying after its first answer is replaced.
     _row("silent:1", PIPE, "no reply within 0.5 s", spawns=2, ends=-signal.SIGKILL, retries=0),
     # A server that never answers is not started again.
     _row("exit", PIPE, "server closed the stream before its first answer"),
-    _row("exit", HTTP, "closed connection without response"),
+    _row("exit", HTTP, "closed connection without response before its first answer",
+         posts=1),
     # Each server answers once and dies: each retry starts the next one,
     # until the transport gives up.
     _row("exit:1", PIPE, f"restarted {models.RESPAWN_LIMIT} times already",
@@ -196,15 +207,22 @@ FAULT_TABLE = [
     _row("exit:1", PIPE, "server closed the stream", spawns=2, retries=0),
     _row("reset-echo", PIPE, "did not acknowledge the reset", ends=0),
     _row("reset-echo", HTTP, "did not acknowledge the reset"),
+    # The first server answers its third line twice: the next request finds
+    # the spare line waiting, and the server is killed before it is sent.
+    # A retry sends it to the next server, which answers in step.
+    _row("double-reply:2,1000", PIPE, "the server is out of step", spawns=2,
+         ends=0, retries=0),
+    _row("double-reply:2,1000", PIPE, None, spawns=2, ends=0),
+    _row("double-reply", HTTP, "bad response document"),
     # `close()` reads the stray bytes away, so the server exits by itself.
     _row("stray-bytes", PIPE, None, ends=0),
     _row("ignore-eof", PIPE, None, ends=-signal.SIGKILL),
 ]
 
 
-@pytest.mark.parametrize("fault, transport, note, spawns, ends, retries", FAULT_TABLE)
+@pytest.mark.parametrize("fault, transport, note, spawns, ends, retries, posts", FAULT_TABLE)
 def test_a_fault_costs_counted_failures_and_no_hang(
-    fault, transport, note, spawns, ends, retries,
+    fault, transport, note, spawns, ends, retries, posts,
     pw_problems, tmp_path, monkeypatch, pipe_spawns, http_server,
 ):
     """Two problems solved and the server closed, with the deadlines cut
@@ -215,7 +233,11 @@ def test_a_fault_costs_counted_failures_and_no_hang(
     monkeypatch.setattr(models, "REPLY_WAIT_S", 0.5 if transport == PIPE else 0.1)
     monkeypatch.setattr(models, "CLOSE_WAIT_S", 0.2)
     monkeypatch.setattr(models, "RETRIES", retries)
-    endpoint = _fault_server(fault, tmp_path) if transport == PIPE else http_server(fault)
+    if transport == PIPE:
+        endpoint = _fault_server(fault, tmp_path)
+    else:
+        server = http_server(fault)
+        endpoint = _url(server)
     problems = [pw_problems[6], pw_problems[7]]
     stats = engine.SolveStats()
     start = time.monotonic()
@@ -233,3 +255,5 @@ def test_a_fault_costs_counted_failures_and_no_hang(
     assert len(pipe_spawns) == spawns <= 1 + models.RESPAWN_LIMIT
     if ends is not None:
         assert pipe_spawns[-1].returncode == ends
+    if posts is not None:
+        assert server.posts == posts
