@@ -23,7 +23,6 @@ from .core import (
     LabeledContext,
     ReasoningTrace,
     is_connected,
-    normalize_key,
     render_trace,
     tokenize,
 )
@@ -43,8 +42,7 @@ def _jaccard(a: set, b: set) -> float:
     return len(a & b) / len(union)
 
 
-def _leaves(trace: ReasoningTrace) -> set[str]:
-    base = {s.key for s in trace.base_context.statements()}
+def _leaves(trace: ReasoningTrace, base: set[str]) -> set[str]:
     out: set[str] = set()
     for step in trace.steps:
         for stmt in step.selection:
@@ -67,9 +65,12 @@ def _intermediates(trace: ReasoningTrace) -> set[str]:
 def jaccard_metrics(
     predicted: ReasoningTrace, gold: ReasoningTrace
 ) -> tuple[float, float, float]:
-    """(leaves, steps, intermediates), all order-insensitive."""
+    """(leaves, steps, intermediates), all order-insensitive.  Both traces
+    answer one problem, so the leaves of each are its selected statements
+    that are in the gold trace's base context."""
+    base = {s.key for s in gold.base_context.statements()}
     return (
-        _jaccard(_leaves(predicted), _leaves(gold)),
+        _jaccard(_leaves(predicted, base), _leaves(gold, base)),
         _jaccard(_step_sigs(predicted), _step_sigs(gold)),
         _jaccard(_intermediates(predicted), _intermediates(gold)),
     )
@@ -83,13 +84,6 @@ def _f1(overlap: float, plen: int, glen: int) -> float:
     return 2 * p * r / (p + r)
 
 
-def rouge1(predicted: str, gold: str) -> float:
-    p = Counter(tokenize(predicted))
-    g = Counter(tokenize(gold))
-    overlap = sum(min(p[t], g[t]) for t in p)
-    return _f1(overlap, sum(p.values()), sum(g.values()))
-
-
 def _lcs_len(a: Sequence[str], b: Sequence[str]) -> int:
     prev = [0] * (len(b) + 1)
     for x in a:
@@ -100,40 +94,71 @@ def _lcs_len(a: Sequence[str], b: Sequence[str]) -> int:
     return prev[-1]
 
 
-def rougeL(predicted: str, gold: str) -> float:
-    p = tokenize(predicted)
-    g = tokenize(gold)
+def _rouge1_tokens(p: list[str], g: list[str], g_counts: dict[str, int]) -> float:
+    """ROUGE-1 F1 of two token lists; `g_counts` counts the tokens of `g`.
+    Equal lists score 1.0 (0.0 when empty), as a full overlap would."""
+    if p == g:
+        return 1.0 if p else 0.0
+    left = dict(g_counts)
+    overlap = 0
+    for t in p:
+        if left.get(t):
+            left[t] -= 1
+            overlap += 1
+    return _f1(overlap, len(p), len(g))
+
+
+def _rougeL_tokens(p: list[str], g: list[str]) -> float:
+    """ROUGE-L F1 of two token lists; equal lists as in `_rouge1_tokens`,
+    without the LCS."""
+    if p == g:
+        return 1.0 if p else 0.0
     return _f1(_lcs_len(p, g), len(p), len(g))
+
+
+def rouge1(predicted: str, gold: str) -> float:
+    g = tokenize(gold)
+    return _rouge1_tokens(tokenize(predicted), g, Counter(g))
+
+
+def rougeL(predicted: str, gold: str) -> float:
+    return _rougeL_tokens(tokenize(predicted), tokenize(gold))
 
 
 def rouge_scores(predicted: Sequence[str], gold: Sequence[str]) -> tuple[float, float]:
     """Average (rouge1, rougeL) over sentence pairs aligned greedily by best
-    rouge1 match, in any order.  Unmatched sentences on either side count
-    as 0.
+    rouge1 match, in any order: ties go to the lowest predicted index, then
+    the lowest gold index.  Unmatched sentences on either side count as 0.
+    Each sentence is tokenized once and each pair's rouge1 computed once;
+    rougeL is computed for the matched pairs only.
     """
     n = max(len(predicted), len(gold))
     if n == 0:
         return 1.0, 1.0
-    pairs: list[tuple[str, str]] = []
+    p_toks = [tokenize(s) for s in predicted]
+    g_toks = [tokenize(s) for s in gold]
+    g_counts = [Counter(g) for g in g_toks]
+    r1 = [[_rouge1_tokens(p, g, c) for g, c in zip(g_toks, g_counts)] for p in p_toks]
+    pairs: list[tuple[int, int]] = []
     remaining_p = list(range(len(predicted)))
     remaining_g = list(range(len(gold)))
     while remaining_p and remaining_g:
-        best = max(
-            ((rouge1(predicted[i], gold[j]), -i, -j) for i in remaining_p
-             for j in remaining_g),
-        )
-        _, ni, nj = best
+        _, ni, nj = max((r1[i][j], -i, -j) for i in remaining_p for j in remaining_g)
         i, j = -ni, -nj
-        pairs.append((predicted[i], gold[j]))
+        pairs.append((i, j))
         remaining_p.remove(i)
         remaining_g.remove(j)
-    r1 = sum(rouge1(p, g) for p, g in pairs) / n
-    rl = sum(rougeL(p, g) for p, g in pairs) / n
-    return r1, rl
+    return (
+        sum(r1[i][j] for i, j in pairs) / n,
+        sum(_rougeL_tokens(p_toks[i], g_toks[j]) for i, j in pairs) / n,
+    )
 
 
 def exact_match(predicted: ReasoningTrace, gold: ReasoningTrace) -> bool:
-    return normalize_key(render_trace(predicted)) == normalize_key(render_trace(gold))
+    # Not through `normalize_key`: a whole trace is looked up once, and in
+    # that cache it would push out statement keys the search looks up often.
+    p, g = render_trace(predicted), render_trace(gold)
+    return p == g or "".join(tokenize(p)) == "".join(tokenize(g))
 
 
 def made_up_fact_rate(traces: Sequence[ReasoningTrace]) -> float:

@@ -751,14 +751,16 @@ class _ForkedServer:
     `PipeTransport` uses."""
 
     def __init__(self) -> None:
-        server_in, self_out = os.pipe()
-        self_in, server_out = os.pipe()
+        fds: list[int] = []
         try:
+            fds += os.pipe()
+            fds += os.pipe()
             self.pid = os.fork()
         except OSError:
-            for fd in (server_in, self_out, self_in, server_out):
+            for fd in fds:
                 os.close(fd)
             raise
+        server_in, self_out, self_in, server_out = fds
         if self.pid == 0:
             _serve_forked(server_in, server_out)
         os.close(server_in)
@@ -834,10 +836,11 @@ class PipeTransport:
     the first exchange.  If it dies, or does not finish a reply within
     REPLY_WAIT_S, the failing exchange kills and reaps it and raises, and
     the next exchange starts a new one, up to RESPAWN_LIMIT times, unless
-    the server failed before its first answer: one that cannot come back
-    would cost a process start (and perhaps a full wait) per attempt, so
-    every later exchange raises at once.  A server found out of step, with
-    reply bytes waiting before a request is written, is killed the same way.
+    the server failed before its first answer or could not be started at
+    all: one that cannot come back would cost a process start (and perhaps
+    a full wait) per attempt, so every later exchange raises at once.  A
+    server found out of step, with reply bytes waiting before a request is
+    written, is killed the same way.
     """
 
     def __init__(self, argv: Optional[Sequence[str]] = None) -> None:
@@ -858,16 +861,23 @@ class PipeTransport:
                 self._gave_up = (f"pipe transport: server restarted {RESPAWN_LIMIT}"
                                  " times already; not restarted again")
                 raise RemoteError(self._gave_up)
-            if self._argv is None:
-                self._proc = _ForkedServer()
-            else:
-                import subprocess
+            try:
+                if self._argv is None:
+                    self._proc = _ForkedServer()
+                else:
+                    import subprocess
 
-                self._proc = subprocess.Popen(
-                    self._argv,
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                )
+                    self._proc = subprocess.Popen(
+                        self._argv,
+                        stdin=subprocess.PIPE,
+                        stdout=subprocess.PIPE,
+                    )
+            except OSError as exc:
+                # As a server that never answered: one that cannot start
+                # would fail again on every attempt.
+                self._gave_up = (f"pipe transport: server did not start: {exc};"
+                                 " not started again")
+                raise RemoteError(self._gave_up) from exc
             self._spawns += 1
             self._answered = False
             self._pending = b""

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 from hypothesis import given, strategies as st
 
@@ -8,6 +9,7 @@ from sireason.core import (
     ReasoningStep,
     ReasoningTrace,
     Statement,
+    normalize_key,
 )
 # ROUGE reads words as statement keys do.
 from sireason.core import tokenize as rouge_tokenize
@@ -149,6 +151,90 @@ def test_rouge_scores_averages_over_longer_side():
     gold = ["the cow is kind", "the tiger likes the cow"]
     r1, _ = rouge_scores(pred, gold)
     assert r1 == 0.5
+
+
+def _reference_rouge1(predicted, gold):
+    p = Counter(rouge_tokenize(predicted))
+    g = Counter(rouge_tokenize(gold))
+    overlap = sum(min(p[t], g[t]) for t in p)
+    return evalcli._f1(overlap, sum(p.values()), sum(g.values()))
+
+
+def _reference_rougeL(predicted, gold):
+    p = rouge_tokenize(predicted)
+    g = rouge_tokenize(gold)
+    return evalcli._f1(evalcli._lcs_len(p, g), len(p), len(g))
+
+
+def _reference_rouge_scores(predicted, gold):
+    """`rouge_scores` as first written: every round of the alignment scores
+    every remaining pair with `rouge1`, and the matched pairs are scored
+    again from their text."""
+    rouge1, rougeL = _reference_rouge1, _reference_rougeL
+    n = max(len(predicted), len(gold))
+    if n == 0:
+        return 1.0, 1.0
+    pairs = []
+    remaining_p = list(range(len(predicted)))
+    remaining_g = list(range(len(gold)))
+    while remaining_p and remaining_g:
+        best = max(
+            ((rouge1(predicted[i], gold[j]), -i, -j) for i in remaining_p
+             for j in remaining_g),
+        )
+        _, ni, nj = best
+        i, j = -ni, -nj
+        pairs.append((predicted[i], gold[j]))
+        remaining_p.remove(i)
+        remaining_g.remove(j)
+    r1 = sum(rouge1(p, g) for p, g in pairs) / n
+    rl = sum(rougeL(p, g) for p, g in pairs) / n
+    return r1, rl
+
+
+# Four words, so repeated tokens, duplicate and empty sentences, and ties
+# between pairs are common.
+_SENTENCES = st.lists(st.sampled_from(["a", "b", "c", "The"]), max_size=5).map(" ".join)
+
+
+@given(st.lists(_SENTENCES, max_size=6), st.lists(_SENTENCES, max_size=6))
+def test_rouge_scores_equal_the_reference(predicted, gold):
+    assert rouge_scores(predicted, gold) == _reference_rouge_scores(predicted, gold)
+
+
+@given(_SENTENCES, _SENTENCES)
+def test_one_pair_scores_as_rouge1_and_rougeL(p, g):
+    assert rouge_scores([p], [g]) == (rouge1(p, g), rougeL(p, g))
+    assert (rouge1(p, g), rougeL(p, g)) == (_reference_rouge1(p, g), _reference_rougeL(p, g))
+
+
+def test_rouge_scores_tokenizes_each_sentence_once(monkeypatch):
+    calls = []
+    tokenize = evalcli.tokenize
+
+    def counting(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(evalcli, "tokenize", counting)
+    cases = [
+        (["a b", "b c a", "c"], ["c b", "a", "a b", "b"]),
+        (["a a", "a a"], ["a a", "a a"]),
+        (["a"] * 6, ["b"] * 6),
+        ([""], ["a"]),
+    ]
+    for predicted, gold in cases:
+        calls.clear()
+        rouge_scores(predicted, gold)
+        assert len(calls) <= len(predicted) + len(gold)
+
+
+def test_exact_match_leaves_the_key_cache_alone():
+    a = _trace(CONTEXT, [(["rule one", "fact a"], "a trace seen once")])
+    b = _trace(CONTEXT, [(["rule one", "fact a"], "A trace seen once.")])
+    before = normalize_key.cache_info().currsize
+    assert exact_match(a, b)
+    assert normalize_key.cache_info().currsize == before
 
 
 def test_exact_match_normalizes_surfaces():

@@ -3,8 +3,13 @@ before each problem, closed when the run ends, an HTTP endpoint answers as
 the `pipe:` server does, and each fault of `faults.py`, such as a server
 that dies mid-run, costs counted failures rather than a hang."""
 
+import errno
 import http.server
+import json
+import os
+import re
 import signal
+import subprocess
 import threading
 import time
 from pathlib import Path
@@ -12,7 +17,7 @@ from pathlib import Path
 import faults
 import pytest
 
-from sireason import engine, evalcli, models
+from sireason import datasets, engine, evalcli, models
 from sireason.core import render_trace
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -92,6 +97,70 @@ def test_cli_runs_start_one_server_and_close_it(argv, pipe_spawns, capsys):
     capsys.readouterr()
     assert code == 0
     assert len(pipe_spawns) == 1
+
+
+@pytest.mark.parametrize("endpoint", ["pipe:/nonexistent/server", "pipe:"],
+                         ids=["exec", "fork"])
+def test_a_server_that_cannot_start_is_tried_once(
+    endpoint, pipe_spawns, monkeypatch, capsys
+):
+    """A command that cannot be run, or a fork that fails, costs a typed
+    note at each problem's reset and at its first request, all from one
+    start attempt for the whole run; no process is left to reap."""
+    attempts = []
+    if endpoint == "pipe:":
+        def failing_fork():
+            attempts.append("fork")
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+    else:
+        popen = subprocess.Popen
+
+        class Counting(popen):
+            def __init__(self, argv, *args, **kwargs):
+                attempts.append(argv)
+                super().__init__(argv, *args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", Counting)
+    problems = FIXTURES / "golden_pw.jsonl"
+    code = evalcli.main(["eval", "--report", "json", "--problems", str(problems),
+                         "--backend", "remote", "--endpoint", endpoint])
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert code == 1
+    assert len(attempts) == 1
+    assert pipe_spawns == []
+    ids = [p.id for p in datasets.load_problems(problems)]
+    typed = r"(reset|selection backend): retry budget exhausted: pipe transport: " \
+            r"server did not start: \[Errno \d+\] .*; not started again"
+    for note in failures:
+        assert re.fullmatch(r"[\w-]+: " + typed, note), note
+    for kind in ("reset", "selection backend"):
+        assert [n.split(": ")[0] for n in failures if f": {kind}: " in n] == ids
+
+
+def test_a_failed_fork_closes_its_pipes(monkeypatch):
+    made = []
+    pipe = os.pipe
+
+    def recording_pipe():
+        fds = pipe()
+        made.extend(fds)
+        return fds
+
+    def failing_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "pipe", recording_pipe)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    transport = models.PipeTransport()
+    for _ in range(2):
+        with pytest.raises(models.RemoteError, match="server did not start"):
+            transport.exchange(b"{}\n")
+    assert len(made) == 4  # the second exchange starts nothing
+    for fd in made:
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 class _ServeOverHttp(http.server.BaseHTTPRequestHandler):
