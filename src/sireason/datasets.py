@@ -283,11 +283,15 @@ def extract_si_pairs(problem: Problem) -> list[TrainingPair]:
     trace = problem.gold_proof
     for k, step in enumerate(trace.steps):
         context_k = trace.context_before(k)
+        # The engine's inference prompt lists the premises in the order the
+        # selection completion names them.
+        labels = models.selection_order([l.index for l in step.selection_labels])
+        selection = [context_k.lookup(SentenceLabel(i)) for i in labels]
         pairs.append(
             TrainingPair(
                 role=GeneratorRole.SELECTION,
                 input=models.format_selection_prompt(problem.question, context_k),
-                target=models.render_selection([l.index for l in step.selection_labels]),
+                target=models.render_selection(labels),
                 source_problem_id=problem.id,
                 step_index=k,
             )
@@ -295,7 +299,7 @@ def extract_si_pairs(problem: Problem) -> list[TrainingPair]:
         pairs.append(
             TrainingPair(
                 role=GeneratorRole.INFERENCE,
-                input=models.format_inference_prompt(step.selection),
+                input=models.format_inference_prompt(selection),
                 target=models.render_inference(step.inference.surface),
                 source_problem_id=problem.id,
                 step_index=k,

@@ -84,7 +84,7 @@ def selection_step(
     prompt = models.format_selection_prompt(question, context)
     samples = backend.complete(
         CompletionRequest(GeneratorRole.SELECTION, prompt, n=n)
-    ).all_samples()
+    ).samples
     proposals = []
     for raw in samples:
         labels = _read_labels(raw, len(context))

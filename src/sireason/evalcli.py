@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
-from . import cnl, datasets, engine, models
+from . import cnl, datasets, engine, models, symbolic
 from .core import (
     Answer,
     LabeledContext,
@@ -605,8 +605,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_gen_problems(args) -> int:
-    depths = [int(d) for d in args.depths.split(",")]
-    counts = {d: args.count for d in depths}
+    counts = {d: args.count for d in args.depths}
     problems = datasets.generate_problem_set(args.seed, counts)
     datasets.save_problems(problems, args.out)
     print(f"wrote {len(problems)} problems to {args.out}")
@@ -615,23 +614,19 @@ def _cmd_gen_problems(args) -> int:
 
 def _cmd_extract_training(args) -> int:
     problems = _load_problems(args.problems)
-    roles = set(args.roles.split(","))
-    bad = roles - {"sel", "inf", "halt", "value"}
-    if bad:
-        raise SystemExit(f"unknown roles: {sorted(bad)}")
     pairs: list[datasets.TrainingPair] = []
     report = datasets.ValueExtractionReport()
     for problem in problems:
-        if roles & {"sel", "inf"}:
+        if args.roles & {"sel", "inf"}:
             si = datasets.extract_si_pairs(problem)
-            if "sel" not in roles:
+            if "sel" not in args.roles:
                 si = [p for p in si if p.role is not models.GeneratorRole.SELECTION]
-            if "inf" not in roles:
+            if "inf" not in args.roles:
                 si = [p for p in si if p.role is not models.GeneratorRole.INFERENCE]
             pairs.extend(si)
-        if "halt" in roles:
+        if "halt" in args.roles:
             pairs.extend(datasets.extract_halter_pairs(problem))
-        if "value" in roles:
+        if "value" in args.roles:
             pairs.extend(datasets.extract_value_pairs(problem, args.seed, report))
     datasets.save_training_pairs(pairs, args.out)
     print(
@@ -640,6 +635,27 @@ def _cmd_extract_training(args) -> int:
         f"collisions: {report.collisions})"
     )
     return 0
+
+
+def _depths(text: str) -> list[int]:
+    """`--depths`: proof depths the generator makes, comma-separated."""
+    try:
+        depths = [int(d) for d in text.split(",")]
+    except ValueError:
+        depths = []
+    if not depths or not set(depths) <= set(symbolic.DEPTHS):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of depths from {symbolic.DEPTHS}")
+    return depths
+
+
+def _roles(text: str) -> set[str]:
+    """`--roles`: training-pair roles, comma-separated."""
+    roles = set(text.split(","))
+    bad = roles - {"sel", "inf", "halt", "value"}
+    if bad:
+        raise argparse.ArgumentTypeError(f"unknown roles: {sorted(bad)}")
+    return roles
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -673,14 +689,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-problems", help="generate seeded problems")
     p.add_argument("--count", type=int, default=100, help="problems per depth")
-    p.add_argument("--depths", default="1,2,3,5")
+    p.add_argument("--depths", type=_depths, default="1,2,3,5")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_problems)
 
     p = sub.add_parser("extract-training", help="extract training pairs")
     p.add_argument("--problems", required=True)
-    p.add_argument("--roles", default="sel,inf,halt,value")
+    p.add_argument("--roles", type=_roles, default="sel,inf,halt,value")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_extract_training)

@@ -66,27 +66,15 @@ class CompletionRequest:
 
 @dataclass(frozen=True)
 class CompletionResponse:
-    text: str
+    # The completions, at most the request's `n`; fewer means the generator
+    # had no more to give.
+    samples: tuple[str, ...]
     continuation_logprobs: Optional[Mapping[str, float]] = None
-    # Every completion, at most the request's `n`, set only when n != 1.
-    # Fewer than `n` means the generator had no more to give.
-    samples: Optional[tuple[str, ...]] = None
 
-    def all_samples(self) -> tuple[str, ...]:
-        """`samples` if set, else the one `text`; none if that is empty, as
-        the oracle says once its walk runs out."""
-        if self.samples is not None:
-            return self.samples
-        return (self.text,) if self.text else ()
-
-
-def sampled(request: CompletionRequest, samples: Sequence[str]) -> CompletionResponse:
-    """The response to `request` made of `samples`: `text` is the first, or
-    "" when there is none, and `samples` is set only when n != 1."""
-    text = samples[0] if samples else ""
-    if request.n == 1:
-        return CompletionResponse(text=text)
-    return CompletionResponse(text=text, samples=tuple(samples))
+    @property
+    def text(self) -> str:
+        """The first sample, or "" when there is none."""
+        return self.samples[0] if self.samples else ""
 
 
 class BackendError(Exception):
@@ -135,9 +123,17 @@ def _read_selection_prompt(prompt: str) -> tuple[str, tuple[str, ...]]:
     return question, tuple(surfaces)
 
 
+def selection_order(labels: Sequence[int]) -> list[int]:
+    """The labels in the order a selection completion names them: the first
+    (the rule), then the other distinct labels in ascending order."""
+    rule = labels[0]
+    return [rule, *sorted(set(labels[1:]) - {rule})]
+
+
 def render_selection(labels: Sequence[int]) -> str:
-    """The selection completion " sent 1. We know that sent 2." (rule first)."""
-    return " " + render_premises([f"sent {i}" for i in labels])
+    """The selection completion " sent 1. We know that sent 2 and sent 3.",
+    its labels in `selection_order`."""
+    return " " + render_premises([f"sent {i}" for i in selection_order(labels)])
 
 
 # -- inference --------------------------------------------------------------
@@ -204,12 +200,11 @@ def _read_ready_prompt(prompt: str) -> Optional[tuple[tuple[str, ...], str]]:
     return parsed.choices, inference.rstrip(".")
 
 
-def _read_answer_prompt(prompt: str) -> Optional[tuple[tuple[str, ...], str]]:
-    """(choices, inference) of a multiple-choice answer prompt, or None for
-    any other prompt."""
+def _read_answer_prompt(prompt: str) -> tuple[tuple[str, ...], str]:
+    """(choices, inference) of a multiple-choice answer prompt."""
     marker = ". Which of the following most closely matches: "
     if not (prompt.startswith("Given ") and marker in prompt and prompt.endswith("? Answer:")):
-        return None
+        raise BackendError("malformed answer prompt")
     inference, rest = prompt[len("Given "):].split(marker, 1)
     return tuple(rest[: -len("? Answer:")].split(" OR ")), inference
 
@@ -434,34 +429,31 @@ class OracleBackend:
                 self._selection_candidates(request.prompt), 0]
         candidates, cursor = walk
         walk[1] = cursor + request.n
-        return sampled(request, candidates[cursor:cursor + request.n])
+        return CompletionResponse(candidates[cursor:cursor + request.n])
 
     # -- inference ----------------------------------------------------------
 
     def _complete_inference(self, request: CompletionRequest) -> CompletionResponse:
         selection = _read_inference_prompt(request.prompt)
-        return CompletionResponse(text=render_inference(symbolic.infer(selection).surface))
+        return CompletionResponse((render_inference(symbolic.infer(selection).surface),))
 
     # -- halting ------------------------------------------------------------
 
     def _complete_halter_ready(self, request: CompletionRequest) -> CompletionResponse:
         read = _read_ready_prompt(request.prompt)
         if read is None:
-            return CompletionResponse(text=render_answer(_pw_halt_answer(request.prompt)))
+            return CompletionResponse((render_answer(_pw_halt_answer(request.prompt)),))
         choices, inference = read
         return CompletionResponse(
-            text=render_ready(_matched_choice(choices, inference) is not None)
+            (render_ready(_matched_choice(choices, inference) is not None),)
         )
 
     def _complete_halter_answer(self, request: CompletionRequest) -> CompletionResponse:
-        read = _read_answer_prompt(request.prompt)
-        if read is None:
-            return CompletionResponse(text=render_answer(_pw_halt_answer(request.prompt)))
-        choices, inference = read
+        choices, inference = _read_answer_prompt(request.prompt)
         best = _matched_choice(choices, inference)
         if best is None:
             best = max(choices, key=lambda c: (_overlap_score(c, inference), c))
-        return CompletionResponse(text=render_answer(Answer.of_choice(best)))
+        return CompletionResponse((render_answer(Answer.of_choice(best)),))
 
     # -- value --------------------------------------------------------------
 
@@ -480,7 +472,7 @@ class OracleBackend:
         for c in missing:
             logprobs[c] = CERTAIN_BAD
         preferred = CORRECT if good else INCORRECT
-        return CompletionResponse(text=preferred, continuation_logprobs=logprobs)
+        return CompletionResponse((preferred,), continuation_logprobs=logprobs)
 
 
 def _pw_halt_answer(prompt: str) -> Answer:
@@ -581,7 +573,7 @@ class ScriptedBackend:
                         samples[i] = self._random_selection(request.prompt)
             wanted = samples.count(None)
             if wanted == 0:
-                return sampled(request, samples)
+                return CompletionResponse(tuple(samples))
             if role in self._script:
                 queue = self._script[role]
                 if not queue:
@@ -594,12 +586,12 @@ class ScriptedBackend:
             if wanted == request.n:
                 # Nothing replaced: the base answers the request as it is.
                 return self._base.complete(request)
-            rest = self._base.complete(replace(request, n=wanted)).all_samples()
+            rest = self._base.complete(replace(request, n=wanted)).samples
         # The samples left fill the unset ones in order; any past the end of
         # `rest` are dropped.
         filled = iter(rest)
         merged = [s if s is not None else next(filled, None) for s in samples]
-        return sampled(request, [s for s in merged if s is not None])
+        return CompletionResponse(tuple(s for s in merged if s is not None))
 
     def _random_selection(self, prompt: str) -> str:
         try:
@@ -611,15 +603,16 @@ class ScriptedBackend:
         rule = self._rng.randint(1, n)
         n_premises = self._rng.choice([1, 2])
         premises = [self._rng.randint(1, n) for _ in range(n_premises)]
-        return render_selection([rule] + premises)
+        # In the order drawn, as a model's sample need not be canonical.
+        return " " + render_premises([f"sent {i}" for i in [rule] + premises])
 
 
 # ---------------------------------------------------------------------------
 # Remote backend: one JSON document per line, one reply per document.
 #
-#   request   {"role", "prompt", "scored_continuations"}, plus "n" when n != 1
-#             answered by {"text", "continuation_logprobs"}, plus "samples"
-#             (a list of at most n strings) when n != 1
+#   request   {"role", "prompt", "scored_continuations", "n"}
+#             answered by {"samples", "continuation_logprobs"}, where
+#             "samples" is a list of at most n strings
 #   reset     {"reset": true}, sent before each problem: the server calls
 #             backend.reset() and answers with the same document
 #   error     {"error": "..."}, the server's answer to a line it could not
@@ -639,9 +632,8 @@ def encode_request(request: CompletionRequest) -> bytes:
             if request.scored_continuations is not None
             else None
         ),
+        "n": request.n,
     }
-    if request.n != 1:
-        doc["n"] = request.n
     return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
 
 
@@ -651,15 +643,18 @@ def decode_request(data: bytes) -> Optional[CompletionRequest]:
         doc = json.loads(data.decode("utf-8"))
         if doc == _RESET:
             return None
-        cont = doc["scored_continuations"]
-        n = doc.get("n", 1)
+        prompt, cont, n = doc["prompt"], doc["scored_continuations"], doc["n"]
+        if not isinstance(prompt, str):
+            raise TypeError(f"prompt {prompt!r} is not a string")
+        if cont is not None:
+            cont = _strings("scored_continuations", cont)
         # A bool is an int to Python, but not a count.
         if type(n) is not int or n < 1:
             raise ValueError(f"n {n!r} is not a positive integer")
         return CompletionRequest(
             role=GeneratorRole(doc["role"]),
-            prompt=doc["prompt"],
-            scored_continuations=tuple(cont) if cont is not None else None,
+            prompt=prompt,
+            scored_continuations=cont,
             n=n,
         )
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
@@ -668,15 +663,13 @@ def decode_request(data: bytes) -> Optional[CompletionRequest]:
 
 def encode_response(response: CompletionResponse) -> bytes:
     doc = {
-        "text": response.text,
+        "samples": list(response.samples),
         "continuation_logprobs": (
             dict(response.continuation_logprobs)
             if response.continuation_logprobs is not None
             else None
         ),
     }
-    if response.samples is not None:
-        doc["samples"] = list(response.samples)
     return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
 
 
@@ -696,6 +689,13 @@ def _load_reply(data: bytes):
     return doc
 
 
+def _strings(field: str, value) -> tuple[str, ...]:
+    """A JSON list of strings as a tuple; anything else raises."""
+    if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
+        raise TypeError(f"{field} {value!r} is not a list of strings")
+    return tuple(value)
+
+
 def _logprob(value) -> float:
     """A finite number as a float; anything else (a bool, NaN, an infinity,
     a string) raises."""
@@ -710,22 +710,13 @@ def _logprob(value) -> float:
 def decode_response(data: bytes) -> CompletionResponse:
     doc = _load_reply(data)
     try:
-        text, logprobs = doc["text"], doc["continuation_logprobs"]
-        if not isinstance(text, str):
-            raise TypeError(f"text {text!r} is not a string")
+        samples, logprobs = doc["samples"], doc["continuation_logprobs"]
         if logprobs is not None:
             if not isinstance(logprobs, dict):
                 raise TypeError(f"continuation_logprobs {logprobs!r} is not an object")
             # JSON object keys are always strings.
             logprobs = {k: _logprob(v) for k, v in logprobs.items()}
-        samples = doc.get("samples")
-        if samples is not None:
-            if not (isinstance(samples, list) and all(isinstance(s, str) for s in samples)):
-                raise TypeError(f"samples {samples!r} is not a list of strings")
-            samples = tuple(samples)
-        return CompletionResponse(
-            text=text, continuation_logprobs=logprobs, samples=samples
-        )
+        return CompletionResponse(_strings("samples", samples), logprobs)
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise RemoteError(f"bad response document: {exc}") from exc
 
@@ -1034,7 +1025,7 @@ class RemoteBackend:
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         response = decode_response(self._exchange(encode_request(request)))
-        if response.samples is not None and len(response.samples) > request.n:
+        if len(response.samples) > request.n:
             raise RemoteError(
                 f"{len(response.samples)} samples in reply to a request for {request.n}"
             )

@@ -474,6 +474,10 @@ _ADJECTIVES = [
     "kind", "nice", "green", "blue", "red", "round", "rough", "cold",
     "young", "big", "quiet", "smart", "furry", "happy",
 ]
+# The proof depths `generate_problem` makes.
+DEPTHS = (1, 2, 3, 5)
+
+
 def generate_problem(
     seed: int,
     depth: int,
@@ -486,8 +490,8 @@ def generate_problem(
     The gold answer is True or False (never Unknown); distractor rules and
     facts never shorten the proof (verified by recomputing the closure).
     """
-    if depth not in (1, 2, 3, 5):
-        raise ValueError(f"depth must be one of 1, 2, 3, 5; got {depth}")
+    if depth not in DEPTHS:
+        raise ValueError(f"depth must be one of {DEPTHS}; got {depth}")
     rng = random.Random(("sireason", seed, depth).__repr__())
     last_error = "no attempt made"
     for _ in range(max_attempts):

@@ -7,7 +7,9 @@ in `test_remote_runs.py` sends.  Both serve the oracle through
 `models.serve`, except for the one FAULT they inject:
 
     text-int, text-list, logprobs-list, nan, infinity, minus-infinity, bool,
-    string    a mistyped reply (`MISTYPED`) to each request of one role
+    string    a mistyped reply (`MISTYPED`) to each request of one role:
+              a sample's text that is an int or a list, or logprobs that
+              are no object of finite numbers
     silent        no reply
     partial-line  half a reply line, then silence
     cut-off       half a reply line, then the end
@@ -34,18 +36,18 @@ import time
 from sireason import models
 
 MISTYPED = {
-    "text-int": ("selection", b'{"text": 5, "continuation_logprobs": null}'),
-    "text-list": ("inference", b'{"text": ["a"], "continuation_logprobs": null}'),
-    "logprobs-list": ("value", b'{"text": "", "continuation_logprobs": [0.0]}'),
-    "nan": ("value", b'{"text": "", "continuation_logprobs": '
+    "text-int": ("selection", b'{"samples": [5], "continuation_logprobs": null}'),
+    "text-list": ("inference", b'{"samples": [["a"]], "continuation_logprobs": null}'),
+    "logprobs-list": ("value", b'{"samples": [], "continuation_logprobs": [0.0]}'),
+    "nan": ("value", b'{"samples": [], "continuation_logprobs": '
                      b'{" correct": NaN, " incorrect": 0.0}}'),
-    "infinity": ("value", b'{"text": "", "continuation_logprobs": '
+    "infinity": ("value", b'{"samples": [], "continuation_logprobs": '
                           b'{" correct": Infinity, " incorrect": 0.0}}'),
-    "minus-infinity": ("value", b'{"text": "", "continuation_logprobs": '
+    "minus-infinity": ("value", b'{"samples": [], "continuation_logprobs": '
                                 b'{" correct": -Infinity, " incorrect": 0.0}}'),
-    "bool": ("value", b'{"text": "", "continuation_logprobs": '
+    "bool": ("value", b'{"samples": [], "continuation_logprobs": '
                       b'{" correct": true, " incorrect": 0.0}}'),
-    "string": ("value", b'{"text": "", "continuation_logprobs": '
+    "string": ("value", b'{"samples": [], "continuation_logprobs": '
                         b'{" correct": "0", " incorrect": 0.0}}'),
 }
 
@@ -70,7 +72,7 @@ def answer(fault: str, backend, line: bytes):
     if fault == "silent":
         return b""
     if fault in ("partial-line", "cut-off"):
-        return b'{"text": '
+        return b'{"samples": '
     if fault == "reset-echo" and line == models.RESET_DOCUMENT:
         return b'{"reset": false}\n'
     if fault in MISTYPED and json.loads(line).get("role") == MISTYPED[fault][0]:

@@ -130,10 +130,40 @@ def test_extract_training_pairs(tmp_path, problem_file):
     assert {"selection", "inference", "halter_ready", "value"} <= roles
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("called before the command line was checked")
+
+
 def test_extract_training_rejects_unknown_role(problem_file, tmp_path):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["extract-training", "--problems", problem_file,
               "--roles", "telepathy", "--out", str(tmp_path / "x.jsonl")])
+    assert exc.value.code == 2
+
+
+def test_extract_training_checks_roles_before_loading(
+    problem_file, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(datasets, "load_problems", _never)
+    out = tmp_path / "x.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["extract-training", "--problems", problem_file,
+              "--roles", "sel,foo", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --roles: unknown roles: ['foo']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("depths", ["4", "1,x", "", "1,,2"])
+def test_gen_problems_refuses_bad_depths(depths, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(datasets, "generate_problem_set", _never)
+    out = tmp_path / "gen.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-problems", "--depths", depths, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --depths" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_eval_deterministic_output(problem_file, capsys):
@@ -272,6 +302,11 @@ _MODES = {
                  "--beam", "4", "--proposals", "4"],
     "remote": ["--backend", "remote", "--endpoint", "pipe:",
                "--beam", "4", "--proposals", "4"],
+    # The standalone server, exec'd rather than forked, whose replies must
+    # be the recorded "remote" ones.
+    "remote-exec": ["--backend", "remote",
+                    "--endpoint", f"pipe:{sys.executable} -m sireason.models",
+                    "--beam", "4", "--proposals", "4"],
 }
 
 
@@ -301,7 +336,7 @@ def test_output_is_byte_identical_to_the_recorded_reports(
     """
     rc = main(command + ["--problems", report_set] + _MODES[mode])
     assert rc == 0
-    expected = (REPORTS / recorded.format(mode)).read_bytes()
+    expected = (REPORTS / recorded.format(mode.removesuffix("-exec"))).read_bytes()
     assert capsys.readouterr().out.encode() == expected
 
 

@@ -484,6 +484,44 @@ def _assert_pairs_match_engine_prompts(problem):
     assert disagree == ([(0, " No.", " Yes.")] if problem.id == "eb-d2-runway" else [])
 
 
+# (role, step) of the pairs whose input the greedy oracle never sends, or
+# answers otherwise, because it proves the question another way than the
+# gold proof: from the first step on pw-top-3, from the fourth on pw-worst-3.
+_ALTERNATE_PROOF = {
+    "pw-top-3": [("selection", 0), ("selection", 1), ("selection", 2),
+                 ("selection", 3), ("selection", 4), ("inference", 4),
+                 ("selection", 5)],
+    "pw-worst-3": [("selection", 3), ("selection", 4), ("inference", 4),
+                   ("selection", 5)],
+}
+
+
+@pytest.mark.parametrize("fixture", ["pw_problems", "pw_worst_problems"])
+def test_greedy_oracle_answers_each_pair_input_with_its_target(fixture, request):
+    """Each selection, inference and halter pair's input is a prompt the
+    engine sends when it solves greedily with the oracle, and the oracle
+    answers it with the pair's target: the training pairs and the oracle
+    write a selection's labels in one order."""
+    for problem in request.getfixturevalue(fixture):
+        oracle = OracleBackend()
+        answers: dict = {}
+
+        class Recording:
+            def complete(self, req):
+                response = oracle.complete(req)
+                answers.setdefault((req.role, req.prompt), response.text)
+                return response
+
+        answer, _ = engine.si_answer(problem, Recording())
+        assert answer == problem.gold_answer, problem.id
+        differ = [
+            (pair.role.value, pair.step_index)
+            for pair in extract_si_pairs(problem) + extract_halter_pairs(problem)
+            if answers.get((pair.role, pair.input)) != pair.target
+        ]
+        assert differ == _ALTERNATE_PROOF.get(problem.id, []), problem.id
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6), st.sampled_from([1, 2, 3, 5]))
 def test_training_pairs_equal_engine_prompts_pw(seed, depth):

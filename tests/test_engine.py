@@ -67,16 +67,28 @@ def test_selection_step_dedups_repeated_labels():
     assert len(selection) == 2
 
 
-@pytest.mark.parametrize("bad, errors", [
-    # A one-sample reply whose text is empty carries no sample, as the
-    # oracle's exhausted walk says: it was not given, so it is no error.
-    pytest.param("", 0, id="not-given"),
-    *(pytest.param(bad, 1, id=bad)
+class _Replies:
+    """A backend that answers every request with the same samples."""
+
+    def __init__(self, samples: tuple) -> None:
+        self.samples = samples
+
+    def complete(self, request):
+        return models.CompletionResponse(self.samples)
+
+
+@pytest.mark.parametrize("samples, errors", [
+    # A reply with fewer samples than asked, as the oracle's exhausted walk
+    # gives: the sample was not given, so it is no error.
+    pytest.param((), 0, id="not-given"),
+    # An empty string is a sample like any other, whatever `n` is.
+    pytest.param(("",), 1, id="empty"),
+    *(pytest.param((bad,), 1, id=bad)
       for bad in (" no labels here", " sent 99. We know that sent 1.", " sent zero")),
 ])
-def test_selection_step_rejects_malformed_output(bad, errors):
+def test_selection_step_rejects_malformed_output(samples, errors):
     stats = SolveStats()
-    backend = ScriptedBackend(script={GeneratorRole.SELECTION: [bad]})
+    backend = _Replies(samples)
     assert selection_step(WORST_1.question, WORST_1.context, backend, stats) == []
     assert stats.selection_syntax_errors == errors
     assert stats.selection_calls == 1

@@ -14,7 +14,7 @@ import faults
 import pytest
 
 from sireason import cnl, datasets, engine, models, symbolic
-from sireason.core import LabeledContext, SentenceLabel, Statement, normalize_key
+from sireason.core import LabeledContext, SentenceLabel, Statement, normalize_key, render_premises
 from sireason.models import (
     CERTAIN_BAD,
     CERTAIN_GOOD,
@@ -144,20 +144,21 @@ def test_one_request_for_n_samples_walks_as_n_requests_for_one():
     question = 'Does it imply that the statement "The cow is round" is True?'
     one = CompletionRequest(GeneratorRole.SELECTION, format_selection_prompt(question, context))
     walk = OracleBackend()
-    texts = [walk.complete(one).text]
-    while texts[-1]:
-        texts.append(walk.complete(one).text)
-    listed = texts[:-1]
+    listed: list = []
+    while samples := walk.complete(one).samples:
+        assert len(samples) == 1
+        listed += samples
     assert len(listed) >= 4
     backend = OracleBackend()
     first = backend.complete(replace(one, n=2))
     assert first.samples == tuple(listed[:2]) and first.text == listed[0]
-    assert backend.complete(one).text == listed[2]
+    assert backend.complete(one).samples == (listed[2],)
     rest = backend.complete(replace(one, n=len(listed)))
     assert rest.samples == tuple(listed[3:])
-    assert backend.complete(replace(one, n=3)) == CompletionResponse(text="", samples=())
-    # A request for one sample keeps the one-text reply.
-    assert backend.complete(one) == CompletionResponse(text="")
+    # Once the walk runs out, a request for any number gets no sample.
+    assert backend.complete(replace(one, n=3)) == CompletionResponse(())
+    assert backend.complete(one) == CompletionResponse(())
+    assert backend.complete(one).text == ""
 
 
 def _sireason_caches() -> dict:
@@ -482,7 +483,7 @@ def test_scripted_noise_on_a_malformed_prompt_selects_nothing():
     backend = ScriptedBackend(noise_rate=1.0, seed=3)
     for prompt in ("not a selection prompt", "sent 1: the cow is big\nQuestion: q\nSelection:"):
         req = CompletionRequest(role=GeneratorRole.SELECTION, prompt=prompt)
-        assert backend.complete(req).text == ""
+        assert backend.complete(req).samples == ("",)
 
 
 def test_oracle_inference():
@@ -549,6 +550,24 @@ def test_oracle_halter_multi_choice():
     assert backend.complete(
         CompletionRequest(role=GeneratorRole.HALTER_READY, prompt=ready)
     ).text == " No."
+
+
+def test_oracle_answer_role_reads_only_answer_prompts():
+    ready, _ = format_halter_prompts(QUESTION, "the tiger likes the cow")
+    with pytest.raises(models.BackendError, match="malformed answer prompt"):
+        OracleBackend().complete(
+            CompletionRequest(role=GeneratorRole.HALTER_ANSWER, prompt=ready)
+        )
+
+
+def test_a_selection_is_written_rule_first_then_in_label_order():
+    assert models.render_selection([3, 23, 9, 9, 3]) == " sent 3. We know that sent 9 and sent 23."
+    assert models.render_selection([4, 4]) == " sent 4."
+    # Noise writes its labels as drawn, as a model's samples may.
+    backend = ScriptedBackend(noise_rate=1.0, seed=7)
+    req = CompletionRequest(GeneratorRole.SELECTION, format_selection_prompt(QUESTION, CTX), n=50)
+    drawn = [[int(i) for i in re.findall(r"sent (\d+)", s)] for s in backend.complete(req).samples]
+    assert any(labels != models.selection_order(labels) for labels in drawn)
 
 
 def test_oracle_value_scores():
@@ -692,7 +711,7 @@ class _OneRequestPerProposal:
             return ""
         rule = self.rng.randint(1, size)
         premises = [self.rng.randint(1, size) for _ in range(self.rng.choice([1, 2]))]
-        return models.render_selection([rule] + premises)
+        return " " + render_premises([f"sent {i}" for i in [rule] + premises])
 
 
 def test_noisy_scripted_beam_proposes_what_one_request_per_proposal_did():
@@ -712,7 +731,7 @@ def test_noisy_scripted_beam_proposes_what_one_request_per_proposal_did():
         def complete(self, request):
             response = self.inner.complete(request)
             if request.role is GeneratorRole.SELECTION:
-                log.append((request, response.all_samples()))
+                log.append((request, response.samples))
             return response
 
     backend = evalcli.make_backend(cfg)
@@ -750,7 +769,8 @@ def test_request_wire_format_is_stable():
     )
     data = encode_request(req)
     assert data == (
-        b'{"prompt": "p", '
+        b'{"n": 1, '
+        b'"prompt": "p", '
         b'"role": "value", '
         b'"scored_continuations": [" correct", " incorrect"]}\n'
     )
@@ -760,28 +780,30 @@ def test_request_wire_format_is_stable():
 
 def test_response_wire_format_is_stable():
     resp = CompletionResponse(
-        text=" True", continuation_logprobs={" True": 0.0, " False": -1e9}
+        (" True",), continuation_logprobs={" True": 0.0, " False": -1e9}
     )
     data = encode_response(resp)
     assert data == (
         b'{"continuation_logprobs": {" False": -1000000000.0, " True": 0.0}, '
-        b'"text": " True"}\n'
+        b'"samples": [" True"]}\n'
     )
     assert decode_response(data) == resp
 
 
-def test_samples_ride_the_wire_only_when_n_is_not_one():
+def test_every_request_carries_n_and_every_reply_its_samples():
     req = CompletionRequest(role=GeneratorRole.SELECTION, prompt="p", n=3)
     data = encode_request(req)
     assert data == b'{"n": 3, "prompt": "p", "role": "selection", "scored_continuations": null}\n'
     assert decode_request(data) == req
-    assert b'"n"' not in encode_request(replace(req, n=1))
-    resp = CompletionResponse(text=" a", samples=(" a", " b"))
-    data = encode_response(resp)
-    assert data == b'{"continuation_logprobs": null, "samples": [" a", " b"], "text": " a"}\n'
-    assert decode_response(data) == resp
-    assert decode_response(encode_response(CompletionResponse(text="", samples=()))).samples == ()
-    assert b"samples" not in encode_response(CompletionResponse(text=" a"))
+    assert encode_response(CompletionResponse(())) == (
+        b'{"continuation_logprobs": null, "samples": []}\n'
+    )
+    for samples in [(" a", " b"), ("",), ()]:
+        resp = CompletionResponse(samples)
+        assert decode_response(encode_response(resp)) == resp
+    # `text` is the first sample, or "" when there is none.
+    assert CompletionResponse((" a", " b")).text == " a"
+    assert CompletionResponse(("",)).text == CompletionResponse(()).text == ""
 
 
 @pytest.mark.parametrize("n", [0, -1, True, "2", 1.0, None])
@@ -791,20 +813,52 @@ def test_decode_request_refuses_a_bad_n(n):
         decode_request(json.dumps(doc).encode())
 
 
-@pytest.mark.parametrize("reply, match", [
-    (b'{"text": "a", "continuation_logprobs": null, "samples": ["a", "b", "c"]}',
+@pytest.mark.parametrize("field, value", [
+    ("prompt", 5),
+    ("prompt", None),
+    ("prompt", ["p"]),
+    ("scored_continuations", "ab"),
+    ("scored_continuations", [1, 2]),
+    ("scored_continuations", {" correct": 0}),
+    ("n", "missing"),
+])
+def test_decode_request_refuses_a_mistyped_field(field, value, capfd):
+    doc = {"role": "value", "prompt": "p", "scored_continuations": None, "n": 1}
+    if value == "missing":
+        del doc[field]
+    else:
+        doc[field] = value
+    line = json.dumps(doc).encode() + b"\n"
+    with pytest.raises(RemoteError, match="bad request document"):
+        decode_request(line)
+    # The server answers it with an error document, and prints nothing.
+    out = io.BytesIO()
+    serve(OracleBackend(), [line], out)
+    assert json.loads(out.getvalue())["error"].startswith("RemoteError: bad request document")
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("reply, n, match", [
+    (b'{"continuation_logprobs": null, "samples": ["a", "b", "c"]}', 2,
      "3 samples in reply to a request for 2"),
-    (b'{"text": "a", "continuation_logprobs": null, "samples": ["a", 5]}',
+    (b'{"continuation_logprobs": null, "samples": ["a", "b"]}', 1,
+     "2 samples in reply to a request for 1"),
+    (b'{"continuation_logprobs": null, "samples": ["a", 5]}', 2,
      "bad response document"),
-    (b'{"text": "a", "continuation_logprobs": null, "samples": "ab"}',
+    (b'{"continuation_logprobs": null, "samples": "ab"}', 2,
      "bad response document"),
-], ids=["too-many", "not-strings", "not-a-list"])
-def test_remote_backend_refuses_bad_samples(reply, match):
+    (b'{"continuation_logprobs": null, "samples": null}', 2,
+     "bad response document"),
+    # The reply of an older server, with `text` and no `samples`.
+    (b'{"continuation_logprobs": null, "text": "a"}', 1,
+     "bad response document"),
+], ids=["too-many", "too-many-for-one", "not-strings", "not-a-list", "null", "old-shape"])
+def test_remote_backend_refuses_bad_samples(reply, n, match):
     class Fixed:
         def exchange(self, payload):
             return reply + b"\n"
 
-    request = CompletionRequest(role=GeneratorRole.SELECTION, prompt="p", n=2)
+    request = CompletionRequest(role=GeneratorRole.SELECTION, prompt="p", n=n)
     with pytest.raises(RemoteError, match=match):
         RemoteBackend(Fixed()).complete(request)
 
