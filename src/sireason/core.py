@@ -131,15 +131,6 @@ class LabeledContext:
             raise KeyError(f"{label.render()} out of range 1..{len(self.entries)}")
         return self.entries[label.index - 1][1]
 
-    def label_of(self, statement: Statement) -> Optional[SentenceLabel]:
-        for label, s in self.entries:
-            if s == statement:
-                return label
-        return None
-
-    def __contains__(self, statement: Statement) -> bool:
-        return self.label_of(statement) is not None
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -223,17 +214,16 @@ Answer.UNKNOWN = Answer("unknown")
 class ReasoningTrace:
     base_context: LabeledContext
     steps: tuple[ReasoningStep, ...] = ()
-    halted: bool = False
     answer: Optional[Answer] = None
 
     def __post_init__(self) -> None:
-        if (
-            self.halted
-            and self.answer is not None
-            and not self.answer.is_unknown
-            and not self.steps
-        ):
+        if self.answer is not None and not self.answer.is_unknown and not self.steps:
             raise ValueError("halted trace with a definite answer must have steps")
+
+    @property
+    def halted(self) -> bool:
+        """Whether the trace ended with an answer."""
+        return self.answer is not None
 
     def context_before(self, step_index: int) -> LabeledContext:
         """Context in force when step `step_index` was taken."""
@@ -250,22 +240,14 @@ class ReasoningTrace:
         return replace(self, steps=self.steps + (step,))
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
-    connected: bool
-    offenders: tuple[tuple[int, Statement], ...] = ()
-
-
-def is_connected(trace: ReasoningTrace) -> ConnectivityReport:
-    """Every selected statement must be a context member or a prior inference."""
+def is_connected(trace: ReasoningTrace) -> bool:
+    """Whether every selected statement is a context member or a prior inference."""
     known = set(trace.base_context.statements())
-    offenders = []
-    for k, step in enumerate(trace.steps):
-        for q in step.selection:
-            if q not in known:
-                offenders.append((k, q))
+    for step in trace.steps:
+        if not known.issuperset(step.selection):
+            return False
         known.add(step.inference)
-    return ConnectivityReport(connected=not offenders, offenders=tuple(offenders))
+    return True
 
 
 _WE_KNOW = ". We know that "
@@ -312,34 +294,15 @@ def append_step_text(text: str, step: ReasoningStep) -> str:
 _THEREFORE = re.compile(r"\s*Therefore,\s*")
 
 
-def parse_trace_text(text: str, base_context: LabeledContext) -> ReasoningTrace:
-    """Lenient reader for the step format, tolerating arbitrary surface text.
-
-    Accepts lines of the form "X. We know that Y and Z. Therefore, W." and a
-    final "Answer: ..." line.
-    """
-    steps = []
-    answer = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("Answer:"):
-            answer = Answer.parse(line[len("Answer:"):])
-            continue
-        parts = _THEREFORE.split(line)
-        if len(parts) != 2:
-            raise TraceParseError(f"line {lineno}: no 'Therefore,' clause: {line!r}")
-        premise_part, inference_part = parts
-        try:
-            selection = tuple(normalize_statement(p) for p in split_premises(premise_part))
-            inference = normalize_statement(inference_part)
-        except EmptyStatement as exc:
-            raise TraceParseError(f"line {lineno}: {exc}") from exc
-        steps.append(ReasoningStep(selection=selection, inference=inference))
-    return ReasoningTrace(
-        base_context=base_context,
-        steps=tuple(steps),
-        halted=answer is not None,
-        answer=answer,
-    )
+def parse_trace_text(line: str) -> ReasoningStep:
+    """The step that one line "X. We know that Y and Z. Therefore, W." renders."""
+    parts = _THEREFORE.split(line.strip())
+    if len(parts) != 2:
+        raise TraceParseError(f"no 'Therefore,' clause: {line!r}")
+    premise_part, inference_part = parts
+    try:
+        selection = tuple(normalize_statement(p) for p in split_premises(premise_part))
+        inference = normalize_statement(inference_part)
+    except EmptyStatement as exc:
+        raise TraceParseError(str(exc)) from exc
+    return ReasoningStep(selection=selection, inference=inference)

@@ -76,11 +76,12 @@ def selection_step(
     for `n` samples, in sample order.
 
     A sample with no usable in-range label is a syntax error and is
-    dropped; fewer samples than `n` means the generator ran out.  A
-    BackendError propagates.
+    dropped; fewer samples than `n` means the generator ran out.  An empty
+    context has nothing to select, so it sends no request.  A BackendError
+    propagates.
     """
     if len(context) == 0:
-        raise ValueError("selection needs a non-empty context")
+        return []
     prompt = models.format_selection_prompt(question, context)
     samples = backend.complete(
         CompletionRequest(GeneratorRole.SELECTION, prompt, n=n)
@@ -265,7 +266,7 @@ def beam_search(
                     continue
                 new_trace = entry.trace.extended(step)
                 if maybe is not None:
-                    new_trace = replace(new_trace, halted=True, answer=maybe)
+                    new_trace = replace(new_trace, answer=maybe)
                 pool.append(BeamEntry(new_trace, score, text))
         if not pool:
             break
@@ -279,7 +280,7 @@ def beam_search(
         return best.answer, best, entries
     # Nothing halted with an answer before the step cap.
     trace = entries[0].trace if entries else ReasoningTrace(base_context=problem.context)
-    return Answer.UNKNOWN, replace(trace, halted=True, answer=Answer.UNKNOWN), entries
+    return Answer.UNKNOWN, replace(trace, answer=Answer.UNKNOWN), entries
 
 
 def si_answer(

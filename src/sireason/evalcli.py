@@ -165,7 +165,7 @@ def made_up_fact_rate(traces: Sequence[ReasoningTrace]) -> float:
     """The fraction of traces that select an out-of-context statement."""
     if not traces:
         return 0.0
-    return sum(not is_connected(trace).connected for trace in traces) / len(traces)
+    return sum(not is_connected(trace) for trace in traces) / len(traces)
 
 
 # ---------------------------------------------------------------------------

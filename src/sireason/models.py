@@ -407,18 +407,15 @@ class OracleBackend:
     def _judge_steps(self, surfaces: tuple[str, ...], question: str, line: str) -> bool:
         """Decide whether one rendered step is correct and a step of a
         shortest proof."""
-        ctx, _ = self._world_for(surfaces)
         parsed_q = cnl.parse_question(question)
         if not isinstance(parsed_q, cnl.Hypothesis):
             raise BackendError("value oracle needs a hypothesis question")
         try:
-            trace = parse_trace_text(line, ctx)
+            step = parse_trace_text(line)
         except TraceParseError:
             return False
-        if not trace.steps:
-            return False
         proof_keys = {key for key, _ in self._gold_steps(surfaces, question)}
-        return symbolic.is_proof_step(trace.steps[-1], proof_keys)
+        return symbolic.is_proof_step(step, proof_keys)
 
     # -- selection ----------------------------------------------------------
 
@@ -452,7 +449,7 @@ class OracleBackend:
         choices, inference = _read_answer_prompt(request.prompt)
         best = _matched_choice(choices, inference)
         if best is None:
-            best = max(choices, key=lambda c: (_overlap_score(c, inference), c))
+            raise BackendError("no choice matches the inference")
         return CompletionResponse((render_answer(Answer.of_choice(best)),))
 
     # -- value --------------------------------------------------------------
@@ -657,7 +654,9 @@ def decode_request(data: bytes) -> Optional[CompletionRequest]:
             scored_continuations=cont,
             n=n,
         )
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+    except KeyError as exc:
+        raise RemoteError(f"bad request document: missing field {exc}") from exc
+    except (ValueError, TypeError) as exc:
         raise RemoteError(f"bad request document: {exc}") from exc
 
 
@@ -717,7 +716,9 @@ def decode_response(data: bytes) -> CompletionResponse:
             # JSON object keys are always strings.
             logprobs = {k: _logprob(v) for k, v in logprobs.items()}
         return CompletionResponse(_strings("samples", samples), logprobs)
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+    except KeyError as exc:
+        raise RemoteError(f"bad response document: missing field {exc}") from exc
+    except (ValueError, TypeError, OverflowError) as exc:
         raise RemoteError(f"bad response document: {exc}") from exc
 
 

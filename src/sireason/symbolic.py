@@ -168,7 +168,7 @@ def trace_faults(trace: ReasoningTrace) -> list[str]:
         for n, step in enumerate(trace.steps, start=1)
         if not is_step_correct(step)
     ]
-    if not is_connected(trace).connected:
+    if not is_connected(trace):
         faults.append("trace is not connected")
     return faults
 
@@ -449,7 +449,7 @@ def shortest_proof(world: WorldClosure, hypothesis: Hypothesis) -> ReasoningTrac
         context = context.extended(inference)
     answer = evaluate_hypothesis(world, hypothesis)
     return ReasoningTrace(
-        base_context=world.context, steps=tuple(steps), halted=True, answer=answer
+        base_context=world.context, steps=tuple(steps), answer=answer
     )
 
 
@@ -476,6 +476,8 @@ _ADJECTIVES = [
 ]
 # The proof depths `generate_problem` makes.
 DEPTHS = (1, 2, 3, 5)
+# Worlds `generate_problem` draws for one problem before it gives up.
+MAX_ATTEMPTS = 40
 
 
 def generate_problem(
@@ -483,7 +485,6 @@ def generate_problem(
     depth: int,
     n_distractor_rules: int = 2,
     n_distractor_facts: int = 4,
-    max_attempts: int = 40,
 ) -> GeneratedProblem:
     """Seeded-deterministic problem with a gold proof of exactly `depth` steps.
 
@@ -493,15 +494,12 @@ def generate_problem(
     if depth not in DEPTHS:
         raise ValueError(f"depth must be one of {DEPTHS}; got {depth}")
     rng = random.Random(("sireason", seed, depth).__repr__())
-    last_error = "no attempt made"
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         try:
-            problem = _generate_once(rng, seed, depth, n_distractor_rules, n_distractor_facts)
+            return _generate_once(rng, seed, depth, n_distractor_rules, n_distractor_facts)
         except _RetryGeneration as exc:
             last_error = str(exc)
-            continue
-        return problem
-    raise GenerationFailure(f"no problem after {max_attempts} attempts: {last_error}")
+    raise GenerationFailure(f"no problem after {MAX_ATTEMPTS} attempts: {last_error}")
 
 
 class _RetryGeneration(Exception):
@@ -511,13 +509,11 @@ class _RetryGeneration(Exception):
 def _generate_once(rng, seed, depth, n_distractor_rules, n_distractor_facts):
     entities = rng.sample(_ENTITIES, k=min(6, len(_ENTITIES)))
     adjectives = rng.sample(_ADJECTIVES, k=len(_ADJECTIVES))
+    # A chain takes at most 1 + 2 * max(DEPTHS) = 11 of the 14 adjectives.
     adj_iter = iter(adjectives)
 
     def fresh_attribute(subject: Term) -> Atom:
-        try:
-            return Atom(next(adj_iter), subject)
-        except StopIteration:
-            raise _RetryGeneration("adjective pool exhausted")
+        return Atom(next(adj_iter), subject)
 
     used_relations: set[tuple[str, str, str]] = set()
 
@@ -552,13 +548,7 @@ def _generate_once(rng, seed, depth, n_distractor_rules, n_distractor_facts):
             side_fact = side
         negated_head = level == depth - 1 and rng.random() < 0.5
         if rng.random() < 0.6:
-            head = Atom(
-                next(adj_iter, None) or "",
-                VAR,
-                negated=negated_head,
-            )
-            if not head.predicate:
-                raise _RetryGeneration("adjective pool exhausted")
+            head = Atom(next(adj_iter), VAR, negated=negated_head)
             head_ground = Atom(head.predicate, current.subject, negated=negated_head)
         else:
             rel = fresh_relation(current.subject)

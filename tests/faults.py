@@ -17,6 +17,9 @@ in `test_remote_runs.py` sends.  Both serve the oracle through
     reset-echo    a wrong answer to the reset document
     double-reply  each reply line twice
     stray-bytes   200 kB more once its input ends, then exits
+    close-stdin   closes its input before it writes its last faithful
+                  reply, then stays alive, so the next request cannot be
+                  written (use with a count of at least 1)
     ignore-eof    goes on running once its input ends
     none          no fault
 
@@ -95,6 +98,14 @@ def main(fault: str, starts: str) -> None:
     for n, line in enumerate(sys.stdin.buffer):
         reply = answer(fault if n >= faithful else "none", backend, line)
         if reply is None:
+            return
+        if fault == "close-stdin" and n + 1 == faithful:
+            # Closed before the reply is written: by the time the client
+            # reads it, there is no reader left for its next request.
+            os.close(0)
+            out.write(reply)
+            out.flush()
+            time.sleep(SILENCE_S)
             return
         out.write(reply)
         out.flush()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -134,6 +135,23 @@ def _never(*args, **kwargs):
     raise AssertionError("called before the command line was checked")
 
 
+@pytest.mark.parametrize("roles", ["inf,halt", "sel,halt"])
+def test_extract_training_keeps_only_the_asked_roles(roles, tmp_path, problem_file, capsys):
+    """Each role asked for is written as the full extraction writes it, and
+    no other."""
+    names = {"sel": "selection", "inf": "inference", "halt": "halter_ready"}
+    written = {}
+    for asked in (roles, "sel,inf,halt"):
+        out = tmp_path / f"{asked}.jsonl"
+        assert main(["extract-training", "--problems", problem_file,
+                     "--roles", asked, "--out", str(out)]) == 0
+        written[asked] = [json.loads(line) for line in out.read_text().splitlines()]
+    capsys.readouterr()
+    kept = {names[r] for r in roles.split(",")}
+    assert written[roles] == [p for p in written["sel,inf,halt"] if p["role"] in kept]
+    assert {p["role"] for p in written[roles]} == kept
+
+
 def test_extract_training_rejects_unknown_role(problem_file, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["extract-training", "--problems", problem_file,
@@ -164,6 +182,42 @@ def test_gen_problems_refuses_bad_depths(depths, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "argument --depths" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_a_context_with_nothing_to_select_answers_unknown(tmp_path, capsys):
+    """A facts-only context fires no rule, and the incomplete-context probe
+    strips it to nothing at all, as a problem file may give it: every
+    command answers Unknown, notes no failure and exits 0."""
+    question = 'Does it imply that the statement "The cat is kind" is True?'
+    docs = [
+        {"id": "facts-only", "context": ["the cat is red", "the dog is big"],
+         "question": question, "answer": "Unknown"},
+        {"id": "empty", "context": [], "question": question, "answer": "Unknown"},
+    ]
+    path = tmp_path / "facts.jsonl"
+    path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+    problems = ["--problems", str(path)]
+    assert main(["solve"] + problems) == 0
+    out, err = capsys.readouterr()
+    assert out.count("Answer: Unknown\n") == 2 and err == ""
+    assert main(["eval", "--report", "json"] + problems) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["failures"] == [] and doc["overall"]["accuracy"] == 1.0
+    assert main(["probe", "--kind", "incomplete", "--report", "json"] + problems) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["unknown_rate"] == 1.0 and err == ""
+
+
+def test_the_package_runs_as_a_module(tmp_path):
+    """`python -m sireason` is the command line."""
+    out = tmp_path / "gen.jsonl"
+    for argv in (["gen-problems", "--seed", "4", "--count", "2", "--depths", "1,3",
+                  "--out", str(out)],
+                 ["validate", "--problems", str(out)]):
+        done = subprocess.run([sys.executable, "-m", "sireason", *argv],
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+    assert done.stdout == "4 problems, 0 findings\n"
 
 
 def test_eval_deterministic_output(problem_file, capsys):

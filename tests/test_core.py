@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -63,12 +65,13 @@ def test_labeled_context_basics():
     ctx = LabeledContext.from_statements(["a is red", "b is blue"])
     assert len(ctx) == 2
     assert ctx.lookup(SentenceLabel(1)) == Statement("a is red")
-    assert ctx.label_of(Statement("b is blue")) == SentenceLabel(2)
-    assert Statement("a is red") in ctx
-    assert Statement("c is green") not in ctx
+    assert ctx.lookup(SentenceLabel(2)) == Statement("b is blue")
+    assert ctx.statements() == (Statement("a is red"), Statement("b is blue"))
+    with pytest.raises(KeyError, match="sent 3 out of range 1..2"):
+        ctx.lookup(SentenceLabel(3))
     extended = ctx.extended(Statement("c is green"))
     assert len(extended) == 3
-    assert extended.label_of(Statement("c is green")) == SentenceLabel(3)
+    assert extended.lookup(SentenceLabel(3)) == Statement("c is green")
     # the original is untouched
     assert len(ctx) == 2
     # the same context as one built from all three statements
@@ -120,10 +123,13 @@ def test_render_and_parse_trace_roundtrip():
         "If something is kind then it likes the cow. "
         "We know that the tiger is kind. Therefore, the tiger likes the cow."
     )
-    parsed = parse_trace_text(text, trace.base_context)
-    assert len(parsed.steps) == 1
-    assert parsed.steps[0].inference == trace.steps[0].inference
-    assert parsed.steps[0].selection == trace.steps[0].selection
+    parsed = parse_trace_text(text)
+    assert parsed.inference == trace.steps[0].inference
+    assert parsed.selection == trace.steps[0].selection
+    # Surrounding whitespace and a single premise read back alike.
+    single = parse_trace_text("  the cat is cold. Therefore, the cat is nice.\n")
+    assert single.selection == (Statement("the cat is cold"),)
+    assert single.inference == Statement("the cat is nice")
 
 
 def test_render_step_single_premise():
@@ -135,21 +141,45 @@ def test_render_step_single_premise():
 
 
 def test_parse_trace_rejects_garbage():
-    ctx = LabeledContext.from_statements(["a is red"])
-    with pytest.raises(core.TraceParseError):
-        parse_trace_text("no entailment marker here", ctx)
+    for line in [
+        "no entailment marker here",
+        "",
+        "a is red. Therefore, b is red. Therefore, c is red.",
+        "Answer: True",
+        "a is red. Therefore, ...",
+        "... Therefore, b is red.",
+    ]:
+        with pytest.raises(core.TraceParseError):
+            parse_trace_text(line)
 
 
 def test_is_connected_flags_made_up_facts():
     trace = _toy_trace()
-    assert is_connected(trace).connected
+    assert is_connected(trace) is True
     bad_step = ReasoningStep(
         selection=(Statement("the moon is cheese"),),
         inference=Statement("the tiger is green"),
     )
-    report = is_connected(trace.extended(bad_step))
-    assert not report.connected
-    assert (1, Statement("the moon is cheese")) in report.offenders
+    assert is_connected(trace.extended(bad_step)) is False
+    # An earlier inference may be selected; a later one may not.
+    uses_inference = ReasoningStep(
+        selection=(Statement("the tiger likes the cow"),),
+        inference=Statement("the tiger is green"),
+    )
+    assert is_connected(trace.extended(uses_inference)) is True
+    early = ReasoningTrace(base_context=trace.base_context,
+                           steps=(uses_inference,) + trace.steps)
+    assert is_connected(early) is False
+
+
+def test_a_trace_is_halted_when_it_has_an_answer():
+    trace = _toy_trace()
+    assert not trace.halted
+    assert replace(trace, answer=Answer.TRUE).halted
+    empty = ReasoningTrace(base_context=trace.base_context)
+    assert replace(empty, answer=Answer.UNKNOWN).halted
+    with pytest.raises(ValueError, match="must have steps"):
+        replace(empty, answer=Answer.FALSE)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=5), min_size=0, max_size=4))

@@ -371,6 +371,41 @@ def test_extract_value_pairs_alternate_targets():
         )
 
 
+def test_a_selection_of_the_whole_context_cannot_be_corrupted():
+    problem = problem_from_doc({
+        "id": "whole", "context": ["the cat is red", "If something is red then it is kind"],
+        "question": 'Does it imply that the statement "The cat is kind" is True?',
+        "answer": "True", "proof": [{"selection": [2, 1], "inference": "the cat is kind"}],
+    })
+    report = ValueExtractionReport()
+    pairs = extract_value_pairs(problem, seed=0, report=report)
+    assert [p.target for p in pairs] == [CORRECT]
+    assert (report.pairs_emitted, report.corruption_impossible, report.collisions) == (1, 1, 0)
+
+
+def test_a_corruption_on_the_gold_path_is_a_counted_collision():
+    """The one other sentence restates the rule: put in the rule's place it
+    infers the gold step again (a collision, dropped), and in the fact's
+    place it infers nothing (a negative pair)."""
+    problem = problem_from_doc({
+        "id": "restated",
+        "context": ["If something is red then it is kind", "the cat is red",
+                    "If someone is red then it is kind"],
+        "question": 'Does it imply that the statement "The cat is kind" is True?',
+        "answer": "True", "proof": [{"selection": [1, 2], "inference": "the cat is kind"}],
+    })
+    outcomes = set()
+    for seed in range(8):
+        report = ValueExtractionReport()
+        targets = [p.target for p in extract_value_pairs(problem, seed, report)]
+        assert report.pairs_emitted == len(targets)
+        assert report.corruption_impossible == 0
+        assert targets in ([CORRECT], [CORRECT, INCORRECT])
+        assert report.collisions == (targets == [CORRECT])
+        outcomes.add(report.collisions)
+    assert outcomes == {0, 1}
+
+
 def test_extract_value_pairs_deterministic():
     problem = generate_problem_set(13, {3: 1})[0]
     a = extract_value_pairs(problem, seed=2)

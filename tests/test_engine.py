@@ -94,6 +94,20 @@ def test_selection_step_rejects_malformed_output(samples, errors):
     assert stats.selection_calls == 1
 
 
+def test_an_empty_context_sends_no_selection_request():
+    """Nothing to select: no request, no proposal, and a search that ends
+    with Unknown and no steps."""
+    empty = _problem([], WORST_1.question, "Unknown")
+    stats = SolveStats()
+    backend = ScriptedBackend()  # any request would raise ScriptExhausted
+    assert selection_step(empty.question, empty.context, backend, stats, n=4) == []
+    assert (stats.selection_calls, stats.selection_syntax_errors) == (0, 0)
+    for cfg in (BeamConfig(1, 1), BeamConfig(2, 4)):
+        answer, trace, _ = beam_search(empty, backend, cfg, stats)
+        assert answer == Answer.UNKNOWN and trace.steps == () and trace.halted
+    assert stats.notes == [] and stats.selection_calls == 0
+
+
 def test_si_answer_oracle_solves_and_traces():
     answer, trace = si_answer(WORST_1, OracleBackend())
     assert answer == Answer.TRUE

@@ -560,6 +560,24 @@ def test_oracle_answer_role_reads_only_answer_prompts():
         )
 
 
+def test_oracle_answer_role_fails_when_no_choice_matches():
+    backend = OracleBackend()
+    question = "Which word best describes the physical state of an ice cube?"
+
+    def answer(inference, choices):
+        _, prompt = format_halter_prompts(question, inference, choices)
+        return backend.complete(
+            CompletionRequest(role=GeneratorRole.HALTER_ANSWER, prompt=prompt)
+        ).text
+
+    # No choice overlaps the inference, or two overlap it alike.
+    for inference in ("a fly has six legs", "the ice is a solid or a gas"):
+        with pytest.raises(models.BackendError, match="no choice matches the inference"):
+            answer(inference, ("gas", "solid"))
+    # A choice with no letters overlaps nothing, so the other one matches.
+    assert answer("an ice cube is solid", ("42", "solid")) == " solid"
+
+
 def test_a_selection_is_written_rule_first_then_in_label_order():
     assert models.render_selection([3, 23, 9, 9, 3]) == " sent 3. We know that sent 9 and sent 23."
     assert models.render_selection([4, 4]) == " sent 4."
@@ -610,7 +628,8 @@ _UNREADABLE = "the cow is big. Therefore, it is big. Therefore, the tiger is kin
     ((_GOOD, _BAD), INCORRECT),
     ((_GOOD, _NOTHING), INCORRECT),
     ((_UNREADABLE, _GOOD), CORRECT),
-], ids=["bad-good", "good-bad", "good-nothing", "unreadable-good"])
+    ((_GOOD, _UNREADABLE), INCORRECT),
+], ids=["bad-good", "good-bad", "good-nothing", "unreadable-good", "good-unreadable"])
 def test_value_verdict_is_the_verdict_on_the_newest_line(lines, expected):
     """The value oracle judges the newest step alone: correct, and a step
     of a shortest proof; earlier lines, readable or not, do not count."""
@@ -633,6 +652,20 @@ def test_value_request_requires_continuations():
     prompt = format_value_prompt(CTX, QUESTION, "the cow is big. Therefore, x.")
     with pytest.raises(models.BackendError):
         backend.complete(CompletionRequest(role=GeneratorRole.VALUE, prompt=prompt))
+
+
+def test_value_scores_a_continuation_it_does_not_know_certain_bad():
+    resp = OracleBackend().complete(
+        CompletionRequest(
+            role=GeneratorRole.VALUE,
+            prompt=format_value_prompt(CTX, QUESTION, _GOOD),
+            scored_continuations=(CORRECT, " maybe", INCORRECT),
+        )
+    )
+    assert resp.text == CORRECT
+    assert resp.continuation_logprobs == {
+        CORRECT: CERTAIN_GOOD, INCORRECT: CERTAIN_BAD, " maybe": CERTAIN_BAD,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -836,6 +869,40 @@ def test_decode_request_refuses_a_mistyped_field(field, value, capfd):
     serve(OracleBackend(), [line], out)
     assert json.loads(out.getvalue())["error"].startswith("RemoteError: bad request document")
     assert capfd.readouterr().err == ""
+
+
+_WIRE_DOCS = {
+    "request": {"role": "value", "prompt": "p", "scored_continuations": None, "n": 1},
+    "response": {"samples": [], "continuation_logprobs": None},
+}
+
+
+@pytest.mark.parametrize("kind, field", [
+    (kind, field) for kind, doc in _WIRE_DOCS.items() for field in doc
+])
+def test_a_missing_wire_field_is_named(kind, field):
+    decode = decode_request if kind == "request" else decode_response
+    doc = {k: v for k, v in _WIRE_DOCS[kind].items() if k != field}
+    with pytest.raises(RemoteError) as exc:
+        decode(json.dumps(doc).encode() + b"\n")
+    assert str(exc.value) == f"bad {kind} document: missing field {field!r}"
+
+
+@pytest.mark.parametrize("reply, missing", [
+    (b'{"continuation_logprobs": null, "samples": [" correct"]}', [CORRECT, INCORRECT]),
+    (b'{"continuation_logprobs": {" correct": 0.0}, "samples": [" correct"]}', [INCORRECT]),
+], ids=["null", "one-missing"])
+def test_remote_backend_refuses_a_reply_without_the_asked_logprobs(reply, missing):
+    class Fixed:
+        def exchange(self, payload):
+            return reply + b"\n"
+
+    request = CompletionRequest(
+        role=GeneratorRole.VALUE, prompt="p", scored_continuations=(CORRECT, INCORRECT)
+    )
+    with pytest.raises(RemoteError) as exc:
+        RemoteBackend(Fixed()).complete(request)
+    assert str(exc.value) == f"response missing logprobs for {missing!r}"
 
 
 @pytest.mark.parametrize("reply, n, match", [

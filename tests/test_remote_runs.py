@@ -283,6 +283,13 @@ FAULT_TABLE = [
          ends=0, retries=0),
     _row("double-reply:2,1000", PIPE, None, spawns=2, ends=0),
     _row("double-reply", HTTP, "bad response document"),
+    # A server that closes its input after one answer: the next request's
+    # write fails, and the retry goes to the next server, which does the
+    # same, until the transport gives up.
+    _row("close-stdin:1", PIPE, f"pipe transport failed: [Errno {errno.EPIPE}]",
+         spawns=2, ends=-signal.SIGKILL, retries=0),
+    _row("close-stdin:1", PIPE, f"restarted {models.RESPAWN_LIMIT} times already",
+         spawns=1 + models.RESPAWN_LIMIT),
     # `close()` reads the stray bytes away, so the server exits by itself.
     _row("stray-bytes", PIPE, None, ends=0),
     _row("ignore-eof", PIPE, None, ends=-signal.SIGKILL),

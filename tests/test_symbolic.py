@@ -180,6 +180,64 @@ def test_shortest_proof_unprovable_raises():
         shortest_proof(world, _hyp("the bear is kind"))
 
 
+def test_an_attribute_does_not_instantiate_a_relation_of_the_same_verb():
+    # "eat" is the predicate of both, but only the rule's atom has an object.
+    rule = Statement("If something eats the dog then it is big")
+    assert symbolic.infer([Statement("the cat is eat"), rule]) == Statement(NOTHING_FOLLOWS)
+    assert symbolic.infer([Statement("the cat eats the dog"), rule]) == Statement("the cat is big")
+
+
+def test_a_contradictory_world_is_drawn_again(monkeypatch):
+    """Seed 1610 at depth 5 draws a contradictory world first: the only
+    retry over seeds 0-2999 at depths 1, 2, 3 and 5."""
+    retries = []
+    draw = symbolic._generate_once
+
+    def recording(*args):
+        try:
+            return draw(*args)
+        except symbolic._RetryGeneration as exc:
+            retries.append(str(exc))
+            raise
+
+    monkeypatch.setattr(symbolic, "_generate_once", recording)
+    problem = generate_problem(seed=1610, depth=5)
+    assert retries == ["contradictory world"]
+    assert len(problem.gold_proof.steps) == 5 and trace_faults(problem.gold_proof) == []
+
+
+def test_a_generator_that_never_draws_a_world_gives_up(monkeypatch):
+    draws = []
+
+    def contradictory(*args):
+        draws.append(args)
+        raise symbolic._RetryGeneration("contradictory world")
+
+    monkeypatch.setattr(symbolic, "_generate_once", contradictory)
+    with pytest.raises(GenerationFailure,
+                       match="no problem after 40 attempts: contradictory world"):
+        generate_problem(seed=0, depth=1)
+    assert len(draws) == symbolic.MAX_ATTEMPTS == 40
+
+
+def test_a_relation_pool_that_runs_dry_is_drawn_again():
+    """An rng that always draws the same verb and object finds no fresh
+    relation for the chain's second atom."""
+
+    class SameDraws:
+        def sample(self, population, k):
+            return list(population)[:k]
+
+        def choice(self, seq):
+            return seq[0]
+
+        def random(self):
+            return 0.9  # a relation, never a side premise, a relation head
+
+    with pytest.raises(symbolic._RetryGeneration, match="relation pool exhausted"):
+        symbolic._generate_once(SameDraws(), 0, 2, 2, 4)
+
+
 def test_generate_problem_deterministic():
     a = generate_problem(seed=42, depth=3)
     b = generate_problem(seed=42, depth=3)
