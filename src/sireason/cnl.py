@@ -353,6 +353,7 @@ def _decapitalize(text: str) -> str:
     return text
 
 
+@lru_cache(maxsize=1024)
 def parse_question(raw: str) -> Union[Hypothesis, MultiChoiceQuestion]:
     """PW implication questions, or free-text questions with " OR " choices."""
     text = raw.strip()

@@ -119,7 +119,9 @@ def _halt_check(
     inference: Statement,
     backend,
 ) -> Optional[Answer]:
-    """Ask the halter; an answer means stop, None means keep reasoning."""
+    """Ask the halter; an answer means stop, None means keep reasoning.  A
+    multiple-choice answer that is none of the stripped `choices` raises
+    BackendError."""
     ready_prompt, answer_prompt = models.format_halter_prompts(
         question, inference.surface, choices
     )
@@ -132,6 +134,8 @@ def _halt_check(
         answer_text = backend.complete(
             CompletionRequest(GeneratorRole.HALTER_ANSWER, answer_prompt)
         ).text.strip()
+        if answer_text not in {c.strip() for c in choices}:
+            raise models.BackendError(f"answer {answer_text!r} is none of the choices")
         return Answer.of_choice(answer_text)
     if ready in ("True", "False"):
         return Answer.parse(ready)
@@ -256,7 +260,8 @@ def beam_search(
                 try:
                     if ranked:
                         value = _value_score(problem, text, backend)
-                        step = replace(step, value_score=value)
+                        step = ReasoningStep(step.selection, step.inference,
+                                             step.selection_labels, value)
                         score = score_trace(entry, value, cfg.score_mode)
                     maybe = _halt_check(
                         problem.question, problem.choices, step.inference, backend

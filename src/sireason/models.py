@@ -264,6 +264,13 @@ def _read_value_prompt(prompt: str) -> tuple[list[str], str, str]:
 # Oracle backend.
 # ---------------------------------------------------------------------------
 
+# Roles whose oracle reply is kept by prompt: their prompts repeat within a
+# problem under selection noise.  A selection walks on down its candidates,
+# and a value reply carries a mutable logprobs dict (its prompts do not
+# repeat).
+_KEPT_REPLIES = frozenset({GeneratorRole.INFERENCE, GeneratorRole.HALTER_READY})
+
+
 def _overlap_score(choice: str, inference: str) -> float:
     choice_tokens = tokenize(choice)
     inf_tokens = set(tokenize(inference))
@@ -284,11 +291,14 @@ class OracleBackend:
     distinct proposals, and repeated requests with the same prompt walk on
     down the list.
 
-    The oracle answers one problem at a time: the worlds it closes, the gold
-    steps of each question and each prompt's selection walk last until
-    `reset()`, which forgets them all.  Each request holds the lock whole,
-    since worlds extended from one closure share its rule index and ground
-    into it.
+    The oracle answers one problem at a time.  It keeps the worlds it
+    closes, the gold steps of each question, each prompt's selection walk
+    and its inference and halter_ready replies by prompt, all until
+    `reset()`, which forgets them all.  Every kept answer is a pure function
+    of its key within one problem, so a repeated request gets the reply it
+    got the first time; a request that failed is not kept, and fails again.
+    Each request holds the lock whole, since worlds extended from one
+    closure share its rule index and ground into it.
     """
 
     def __init__(self) -> None:
@@ -300,21 +310,33 @@ class OracleBackend:
         # [candidates, cursor] by selection prompt: the next proposal is
         # candidates[cursor].
         self._selections: dict[str, list] = {}
+        # Replies by (role, prompt), for the roles in _KEPT_REPLIES.
+        self._replies: dict[tuple[GeneratorRole, str], CompletionResponse] = {}
 
     def reset(self) -> None:
         with self._lock:
             self._worlds.clear()
             self._gold.clear()
             self._selections.clear()
+            self._replies.clear()
 
     def close(self) -> None:
         pass
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        handler = getattr(self, f"_complete_{GeneratorRole(request.role).value}")
+        role = GeneratorRole(request.role)
+        # Looked up per call, so a handler patched on the class is the one
+        # that answers.
+        handler = getattr(self, f"_complete_{role.value}")
         try:
             with self._lock:
-                return handler(request)
+                if role not in _KEPT_REPLIES:
+                    return handler(request)
+                key = (role, request.prompt)
+                reply = self._replies.get(key)
+                if reply is None:
+                    reply = self._replies[key] = handler(request)
+                return reply
         except (cnl.ParseError, EmptyStatement) as exc:
             # Text outside the grammar, such as a free-text (EB) question.
             raise BackendError(f"oracle cannot read the prompt: {exc}") from exc
@@ -523,6 +545,8 @@ class ScriptedBackend:
     prompt's sentence range; the samples left are asked of the script or
     the base in one request.  The k-th `reset()` reseeds the noise with
     `seed + k`, so each problem of a run draws its own reproducible noise.
+    A request it leaves unchanged (no script for its role, and no noise on
+    it) goes to the base as it is, and gets the base's reply.
     """
 
     def __init__(
@@ -557,6 +581,12 @@ class ScriptedBackend:
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         role = GeneratorRole(request.role)
+        noisy = role is GeneratorRole.SELECTION and self._noise_rate > 0.0
+        if request.n >= 1 and self._base is not None and not noisy \
+                and role not in self._script:
+            # Nothing to replace or to queue: the base answers the request
+            # as it is.
+            return self._base.complete(request)
         # None marks a sample that noise leaves to the script or the base.
         samples: list[Optional[str]] = [None] * request.n
         # The lock guards only this backend's own state (the noise draws and
@@ -564,10 +594,13 @@ class ScriptedBackend:
         with self._lock:
             # Noise pre-empts the underlying generator sample by sample, so
             # the proposals of one request stay independent draws.
-            if role is GeneratorRole.SELECTION and self._noise_rate > 0.0:
+            if noisy:
+                size: Optional[int] = None
                 for i in range(request.n):
                     if self._rng.random() < self._noise_rate:
-                        samples[i] = self._random_selection(request.prompt)
+                        if size is None:
+                            size = _sentence_count(request.prompt)
+                        samples[i] = self._random_selection(size)
             wanted = samples.count(None)
             if wanted == 0:
                 return CompletionResponse(tuple(samples))
@@ -580,9 +613,6 @@ class ScriptedBackend:
         if role not in self._script:
             if self._base is None:
                 raise ScriptExhausted(f"no script and no base backend for {role.value}")
-            if wanted == request.n:
-                # Nothing replaced: the base answers the request as it is.
-                return self._base.complete(request)
             rest = self._base.complete(replace(request, n=wanted)).samples
         # The samples left fill the unset ones in order; any past the end of
         # `rest` are dropped.
@@ -590,11 +620,9 @@ class ScriptedBackend:
         merged = [s if s is not None else next(filled, None) for s in samples]
         return CompletionResponse(tuple(s for s in merged if s is not None))
 
-    def _random_selection(self, prompt: str) -> str:
-        try:
-            n = len(_read_selection_prompt(prompt)[1])
-        except BackendError:
-            n = 0
+    def _random_selection(self, n: int) -> str:
+        """A random label sentence over a context of `n` sentences; "" if
+        it has fewer than two."""
         if n < 2:
             return ""
         rule = self._rng.randint(1, n)
@@ -602,6 +630,14 @@ class ScriptedBackend:
         premises = [self._rng.randint(1, n) for _ in range(n_premises)]
         # In the order drawn, as a model's sample need not be canonical.
         return " " + render_premises([f"sent {i}" for i in [rule] + premises])
+
+
+def _sentence_count(prompt: str) -> int:
+    """The sentences of a selection prompt; 0 if it is malformed."""
+    try:
+        return len(_read_selection_prompt(prompt)[1])
+    except BackendError:
+        return 0
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,35 @@ def test_si_answer_multi_choice(eb_problems):
     assert len(trace.steps) == 1
 
 
+@pytest.mark.parametrize("reply, choices, expected, notes", [
+    ("", ("gas", "solid"), Answer.UNKNOWN,
+     ["test: backend: answer '' is none of the choices"]),
+    (" banana", ("gas", "solid"), Answer.UNKNOWN,
+     ["test: backend: answer 'banana' is none of the choices"]),
+    (" gas", ("gas", "solid"), Answer.of_choice("gas"), []),
+    (" gas ", ("gas ", "solid"), Answer.of_choice("gas"), []),
+], ids=["empty", "banana", "gas", "padded-choice"])
+def test_a_multiple_choice_answer_must_be_one_of_the_choices(reply, choices, expected, notes):
+    """An answer that names none of the choices is a counted backend
+    failure, and its step is dropped; a matching one ends the search,
+    whatever spaces pad the choice."""
+    problem = _problem(
+        ["If something is hot then it is a gas", "the steam is hot"],
+        "Which state is the steam in? gas OR solid", "gas", choices=choices,
+    )
+    script = {
+        GeneratorRole.SELECTION: [" sent 1. We know that sent 2."],
+        GeneratorRole.INFERENCE: [" the steam is a gas."],
+        GeneratorRole.HALTER_READY: [" Yes."],
+        GeneratorRole.HALTER_ANSWER: [reply],
+    }
+    stats = SolveStats()
+    answer, trace = si_answer(problem, ScriptedBackend(script=script), stats=stats)
+    assert answer == expected
+    assert stats.notes == notes
+    assert len(trace.steps) == (0 if notes else 1)
+
+
 class _FailingBackend:
     """Fails the halter roles and passes the rest on to `base`."""
 

@@ -186,7 +186,11 @@ def _sireason_caches() -> dict:
 
 def test_every_cache_is_bounded():
     caches = _sireason_caches()
-    assert {"sireason.core.normalize_key", "sireason.cnl.parse_statement"} <= set(caches)
+    assert {
+        "sireason.core.normalize_key",
+        "sireason.cnl.parse_statement",
+        "sireason.cnl.parse_question",
+    } <= set(caches)
     for name, cache in caches.items():
         assert cache.cache_parameters()["maxsize"] is not None, name
 
@@ -241,7 +245,7 @@ def test_reset_empties_every_oracle_table():
     backend = OracleBackend()
     engine.beam_search(problem, backend, engine.BeamConfig(beam_width=2, proposals_per_trace=2))
     tables = _oracle_tables(backend)
-    assert set(tables) == {"_worlds", "_gold", "_selections"}
+    assert set(tables) == {"_worlds", "_gold", "_selections", "_replies"}
     assert all(tables.values())
     backend.reset()
     assert not any(_oracle_tables(backend).values())
@@ -280,6 +284,80 @@ def test_a_solver_run_leaves_only_the_last_problems_worlds(monkeypatch):
         models._read_selection_prompt(prompt)[1][:len(last)] == last
         for prompt in backend._selections
     )
+
+
+class _Recording:
+    """Passes each request on to `inner` and logs it with its reply."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.log: list[tuple[CompletionRequest, CompletionResponse]] = []
+
+    def reset(self) -> None:
+        self.inner.reset()
+
+    def complete(self, request: CompletionRequest) -> CompletionResponse:
+        response = self.inner.complete(request)
+        self.log.append((request, response))
+        return response
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 5])
+def test_kept_replies_are_a_fresh_oracles_replies(depth):
+    """Under selection noise most inference and halter prompts repeat
+    within a problem; the reply the oracle keeps for each, and every value
+    reply, equals what a fresh oracle answers to the same request."""
+    problems = datasets.generate_problem_set(19, {depth: 6})
+    oracle = _Recording(OracleBackend())
+    backend = ScriptedBackend(base=oracle, noise_rate=0.3, seed=11)
+    repeated = 0
+    for problem in problems:
+        backend.reset()
+        del oracle.log[:]
+        engine.beam_search(problem, backend, engine.BeamConfig(4, 4))
+        seen = set()
+        for request, response in oracle.log:
+            if request.role is GeneratorRole.SELECTION:
+                continue
+            key = (request.role, request.prompt)
+            repeated += key in seen
+            seen.add(key)
+            assert response == OracleBackend().complete(request), request
+    assert repeated > 0
+
+
+def test_gold_steps_after_an_unchanged_closure_are_a_fresh_oracles():
+    """A context whose last sentence says nothing follows, or repeats a
+    fact, closes as its parent does; its gold steps are the parent's with
+    the inference labels moved up one, as a fresh oracle computes them."""
+    problem = datasets.generate_problem_set(30, {5: 1})[0]
+    surfaces = tuple(stmt.surface for stmt in problem.context.statements())
+    backend = OracleBackend()
+    parent = backend._gold_steps(surfaces, problem.question)
+    assert any(i > len(surfaces) for _, labels in parent for i in labels)
+    fact = problem.context.lookup(min(backend._worlds[surfaces][1].fact_labels.values()))
+    for appended in (symbolic.NOTHING_FOLLOWS, fact.surface, symbolic.NOTHING_FOLLOWS):
+        world = backend._worlds[surfaces][1]
+        surfaces += (appended,)
+        steps = backend._gold_steps(surfaces, problem.question)
+        assert backend._worlds[surfaces][1].derived is world.derived
+        assert steps == OracleBackend()._gold_steps(surfaces, problem.question), appended
+        assert len(steps) == len(parent)
+
+
+@pytest.mark.parametrize("role, prompt", [
+    (GeneratorRole.INFERENCE, "the cow is big."),
+    (GeneratorRole.HALTER_READY, "Given the cow is big. Is the cow big?"),
+    (GeneratorRole.HALTER_ANSWER, format_halter_prompts(
+        "Which state?", "a fly has six legs", ("gas", "solid"))[1]),
+], ids=["inference", "halter_ready", "halter_answer"])
+def test_a_failed_request_fails_again(role, prompt):
+    backend = OracleBackend()
+    request = CompletionRequest(role, prompt)
+    first = pytest.raises(models.BackendError, backend.complete, request)
+    second = pytest.raises(models.BackendError, backend.complete, request)
+    assert str(first.value) == str(second.value)
+    assert backend._replies == {}
 
 
 def test_threads_on_one_oracle_get_the_single_threaded_walks():
@@ -695,6 +773,58 @@ def test_scripted_falls_through_to_base():
         CompletionRequest(role=GeneratorRole.INFERENCE, prompt=prompt)
     )
     assert resp.text == " the tiger likes the cow."
+
+
+class _Stub:
+    """A base backend that answers every request with one reply object."""
+
+    def __init__(self) -> None:
+        self.reply = CompletionResponse(("stub",))
+        self.requests: list[CompletionRequest] = []
+
+    def reset(self) -> None:
+        pass
+
+    def complete(self, request: CompletionRequest) -> CompletionResponse:
+        self.requests.append(request)
+        return self.reply
+
+
+@pytest.mark.parametrize("role, noise", [
+    (GeneratorRole.SELECTION, 0.0),
+    (GeneratorRole.INFERENCE, 0.0),
+    (GeneratorRole.INFERENCE, 1.0),
+    (GeneratorRole.VALUE, 1.0),
+])
+def test_a_request_the_scripted_layer_leaves_alone_gets_the_bases_reply(role, noise):
+    base = _Stub()
+    backend = ScriptedBackend(base=base, noise_rate=noise, seed=3)
+    request = CompletionRequest(role, format_selection_prompt(QUESTION, CTX), n=3)
+    assert backend.complete(request) is base.reply
+    assert base.requests == [request] and base.requests[0] is request
+
+
+def test_a_scripted_role_drains_its_queue_before_its_base():
+    base = _Stub()
+    backend = ScriptedBackend(base=base, script={GeneratorRole.INFERENCE: ["a", "b"]})
+    request = CompletionRequest(GeneratorRole.INFERENCE, "p Therefore,")
+    assert [backend.complete(request).text for _ in range(2)] == ["a", "b"]
+    with pytest.raises(ScriptExhausted):
+        backend.complete(request)
+    assert base.requests == []
+    assert backend.complete(replace(request, role=GeneratorRole.HALTER_READY)) is base.reply
+
+
+def test_noise_reads_the_selection_prompt_once_per_request(monkeypatch):
+    read = models._read_selection_prompt
+    calls = []
+    monkeypatch.setattr(models, "_read_selection_prompt",
+                        lambda prompt: calls.append(prompt) or read(prompt))
+    backend = ScriptedBackend(noise_rate=1.0, seed=3)
+    prompt = format_selection_prompt(QUESTION, CTX)
+    samples = backend.complete(CompletionRequest(GeneratorRole.SELECTION, prompt, n=6)).samples
+    assert len(samples) == 6 and all(s.startswith(" sent ") for s in samples)
+    assert calls == [prompt]
 
 
 def test_scripted_noise_is_seeded_and_well_formed():
