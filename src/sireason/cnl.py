@@ -17,6 +17,10 @@ as text but not by the reasoner.
 
 `render_atom` writes a fact and `render_rule` an if-rule, both through one
 clause writer over the closed verb table `VERBS`.
+
+`Term` and `Atom` are named tuples, hashed and compared in C. A tuple hashes
+its fields as a frozen dataclass of the same fields does, so hash values and
+set orders are the same.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 
 class ParseError(ValueError):
@@ -51,26 +55,22 @@ VERBS = MappingProxyType({
 _VERB_FORMS = {form: lemma for lemma, third in VERBS.items() for form in (lemma, third)}
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     name: str = ""
     is_variable: bool = False
     proper: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.is_variable and not self.name:
-            raise ValueError("constant terms need a name")
 
 
 VAR = Term(is_variable=True)
 
 
 def const(name: str, proper: bool = False) -> Term:
-    return Term(name=name, proper=proper)
+    if not name:
+        raise ValueError("constant terms need a name")
+    return Term(name, proper=proper)
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     """Attribute atoms have no object; relation atoms have exactly one."""
 
     predicate: str
@@ -91,8 +91,7 @@ class Atom:
         obj = self.obj
         if obj is not None and obj.is_variable and binding:
             obj = binding
-        # Built directly: `dataclasses.replace` costs several times more,
-        # and grounding rules in every closure calls this most.
+        # Built directly: `_replace` costs several times more on this hot path.
         return Atom(self.predicate, subject, obj, self.negated)
 
 

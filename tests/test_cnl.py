@@ -132,6 +132,39 @@ def test_negate_and_is_negation_of():
     assert negate(negate(atom)) == atom
 
 
+def test_atoms_and_terms_hash_as_the_tuple_of_their_fields():
+    """Set orders over atoms rest on these hash values."""
+    atoms = [parse_statement(s).atom
+             for s in ("the cat is cold", "Gary does not see the bald eagle")]
+    atoms += [Atom("like", VAR, VAR, True), Atom("red", VAR)]
+    for atom in atoms:
+        assert hash(atom) == hash((atom.predicate, atom.subject, atom.obj, atom.negated))
+        for term in filter(None, (atom.subject, atom.obj)):
+            assert hash(term) == hash((term.name, term.is_variable, term.proper))
+
+
+def test_an_atom_is_written_as_its_fields():
+    atom = Atom("see", const("cat"), const("Gary", proper=True), negated=True)
+    assert repr(atom) == (
+        "Atom(predicate='see', subject=Term(name='cat', is_variable=False, proper=False), "
+        "obj=Term(name='Gary', is_variable=False, proper=True), negated=True)"
+    )
+
+
+def test_a_constant_needs_a_name():
+    with pytest.raises(ValueError, match="constant terms need a name"):
+        const("")
+
+
+def test_substitute_and_negate_return_atoms():
+    cat = const("cat")
+    grounded = Atom("like", const("dog"), VAR).substitute(cat)
+    assert type(grounded) is Atom
+    assert grounded == Atom("like", const("dog"), cat)
+    assert type(negate(grounded)) is Atom
+    assert negate(grounded) == Atom("like", const("dog"), cat, negated=True)
+
+
 def test_render_atom_roundtrip_examples():
     for surface in (
         "the cat is cold",

@@ -405,19 +405,23 @@ def test_greedy_solve_sends_no_value_request(pw_problems, monkeypatch):
 
 _WORLD_TERMS = (const("cat"), const("dog"), const("Anne", proper=True))
 _WORLD_RELATIONS = ("like", "see")
+_WORLD_PREDICATES = ("big", "red", "kind") + _WORLD_RELATIONS
 
 
 @st.composite
 def _worlds(draw):
     """(facts, rules) over 3 entities, 3 adjectives and 2 verbs: 4-10 facts
-    drawn (repeats dropped), some negated, and 2-10 rules of 1-2 conditions
-    whose terms are constants or the variable.  Half the conditions are a
-    fact, its subject maybe the variable, so that rules fire."""
+    drawn (repeats dropped) and 2-10 rules of 1-2 conditions whose terms are
+    constants or the variable.  Half the conditions are a fact, its subject
+    maybe the variable, so that rules fire.  Each predicate is negated
+    everywhere or nowhere in one world (facts, conditions and heads), so no
+    world derives an atom and its negation."""
+    negated = {predicate: draw(st.booleans()) for predicate in _WORLD_PREDICATES}
 
     def atom(terms):
-        predicate = draw(st.sampled_from(("big", "red", "kind") + _WORLD_RELATIONS))
+        predicate = draw(st.sampled_from(_WORLD_PREDICATES))
         obj = draw(st.sampled_from(terms)) if predicate in _WORLD_RELATIONS else None
-        return Atom(predicate, draw(st.sampled_from(terms)), obj, draw(st.booleans()))
+        return Atom(predicate, draw(st.sampled_from(terms)), obj, negated[predicate])
 
     facts = list(dict.fromkeys(atom(_WORLD_TERMS)
                                for _ in range(draw(st.integers(4, 10)))))
@@ -444,11 +448,12 @@ def test_solvers_answer_as_the_reference_on_drawn_worlds(world, negated, data):
     about an atom some rule derives (or its negation), with a sound trace
     and no backend failure.
 
-    A world that derives an atom and its negation is skipped, as the
-    problem generator skips it.  There the answer can rest on a context
-    fact: `evaluate_hypothesis` lets the shallower side win, and a context
-    fact has depth 0, which no selection-inference trace can show, since
-    each of its steps derives something."""
+    No drawn world derives an atom and its negation (the first `assume`
+    states it), as the problem generator skips such worlds.  There the
+    answer could rest on a context fact: `evaluate_hypothesis` lets the
+    shallower side win, and a context fact has depth 0, which no
+    selection-inference trace can show, since each of its steps derives
+    something."""
     facts, rules = world
     context = LabeledContext.from_statements(
         [cnl.render_atom(a) for a in facts]

@@ -369,7 +369,7 @@ def test_threads_on_one_oracle_get_the_single_threaded_walks():
     world = symbolic.closure(problem.context)
     derived = {cnl.render_atom(a) for a in world.derived}
     new_facts = sorted({
-        cnl.render_atom(replace(atom, subject=c))
+        cnl.render_atom(atom._replace(subject=c))
         for atom in world.derived for c in world.index.constants
     } - derived)
     surfaces = [stmt.surface for stmt in problem.context.statements()]
