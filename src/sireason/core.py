@@ -8,9 +8,9 @@ selection is the reasoner's to judge (`symbolic.trace_faults`).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class EmptyStatement(ValueError):
@@ -37,16 +37,24 @@ def normalize_key(raw: str) -> str:
     return "".join(tokenize(raw))
 
 
-@dataclass(frozen=True, eq=False)
 class Statement:
-    """A sentence. Equality and hashing use the normalized key only;
-    the original surface is kept for rendering."""
+    """A sentence. Equality and hashing use the normalized key only, which
+    is computed once, when the statement is built; the original surface is
+    kept for rendering."""
 
-    surface: str
+    __slots__ = ("surface", "key")
 
-    @property
-    def key(self) -> str:
-        return normalize_key(self.surface)
+    def __init__(self, surface: str) -> None:
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "key", normalize_key(surface))
+
+    def __setattr__(self, *_):
+        raise AttributeError("Statement is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Statement, (self.surface,)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Statement):
@@ -59,6 +67,9 @@ class Statement:
     def __str__(self) -> str:
         return self.surface
 
+    def __repr__(self) -> str:
+        return f"Statement(surface={self.surface!r})"
+
 
 def normalize_statement(raw: str) -> Statement:
     """Build a Statement from raw text.
@@ -69,18 +80,21 @@ def normalize_statement(raw: str) -> Statement:
     surface = raw.strip()
     if surface.endswith("."):
         surface = surface[:-1].rstrip()
-    if not normalize_key(surface):
+    stmt = Statement(surface)
+    if not stmt.key:
         raise EmptyStatement(f"statement is empty after normalization: {raw!r}")
-    return Statement(surface)
+    return stmt
 
 
-@dataclass(frozen=True, order=True)
-class SentenceLabel:
-    index: int
+class SentenceLabel(NamedTuple("SentenceLabel", [("index", int)])):
+    """The label "sent N" of the N-th sentence; it hashes and orders as `(index,)`."""
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"sentence label index must be >= 1, got {self.index}")
+    __slots__ = ()
+
+    def __new__(cls, index: int) -> "SentenceLabel":
+        if index < 1:
+            raise ValueError(f"sentence label index must be >= 1, got {index}")
+        return tuple.__new__(cls, (index,))
 
     def render(self) -> str:
         return f"sent {self.index}"
@@ -237,7 +251,7 @@ class ReasoningTrace:
         return self.context_before(len(self.steps))
 
     def extended(self, step: ReasoningStep) -> "ReasoningTrace":
-        return replace(self, steps=self.steps + (step,))
+        return ReasoningTrace(self.base_context, self.steps + (step,), self.answer)
 
 
 def is_connected(trace: ReasoningTrace) -> bool:

@@ -29,7 +29,6 @@ from .core import (
     SentenceLabel,
     Statement,
     append_step_text,
-    normalize_key,
     normalize_statement,
 )
 from .models import GeneratorRole
@@ -370,7 +369,7 @@ def extract_value_pairs(
         return []
     rng = random.Random(("value-pairs", problem.id, seed).__repr__())
     trace = problem.gold_proof
-    gold_keys = {normalize_key(s.inference.surface) for s in trace.steps}
+    gold_keys = {s.inference.key for s in trace.steps}
     pairs: list[TrainingPair] = []
     text = ""
     for n, step in enumerate(trace.steps, start=1):

@@ -15,7 +15,7 @@ structurally.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import models, symbolic
@@ -32,7 +32,7 @@ from .core import (
 )
 from .models import CompletionRequest, GeneratorRole
 
-_LABEL_TOKEN = re.compile(r"sent (\d+)")
+_LABEL_TOKEN = re.compile(r"\bsent (\d+)\b")
 
 
 @dataclass
@@ -239,10 +239,7 @@ def beam_search(
                     stats.backend_failure(f"{problem.id}: backend: {exc}")
                     continue
                 if ranked:
-                    sig = (
-                        frozenset(l.index for l in labels),
-                        normalize_key(inference.surface),
-                    )
+                    sig = (frozenset(l.index for l in labels), inference.key)
                     if sig in seen:
                         continue
                     seen.add(sig)
@@ -269,10 +266,8 @@ def beam_search(
                 except models.BackendError as exc:
                     stats.backend_failure(f"{problem.id}: backend: {exc}")
                     continue
-                new_trace = entry.trace.extended(step)
-                if maybe is not None:
-                    new_trace = replace(new_trace, answer=maybe)
-                pool.append(BeamEntry(new_trace, score, text))
+                steps = entry.trace.steps + (step,)
+                pool.append(BeamEntry(ReasoningTrace(problem.context, steps, maybe), score, text))
         if not pool:
             break
         if len(pool) > 1:
@@ -285,7 +280,7 @@ def beam_search(
         return best.answer, best, entries
     # Nothing halted with an answer before the step cap.
     trace = entries[0].trace if entries else ReasoningTrace(base_context=problem.context)
-    return Answer.UNKNOWN, replace(trace, answer=Answer.UNKNOWN), entries
+    return Answer.UNKNOWN, ReasoningTrace(trace.base_context, trace.steps, Answer.UNKNOWN), entries
 
 
 def si_answer(

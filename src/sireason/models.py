@@ -11,6 +11,7 @@ swapped without touching the engine.
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import math
 import os
@@ -20,7 +21,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
 from . import cnl, symbolic
 from .core import (
@@ -283,13 +284,14 @@ def _overlap_score(choice: str, inference: str) -> float:
 class OracleBackend:
     """Symbolic stand-in for the fine-tuned generators.
 
-    Selection enumerates candidate steps for each distinct prompt: the step
+    Selection walks the candidate steps of each distinct prompt: the step
     that advances the shortest proof first, then every other rule instance
     of the closure whose premises are context facts and whose head is new,
-    in label order, each fact selected once.  A request for n samples takes
-    the next n of that list, or what is left of it, so beam search obtains
-    distinct proposals, and repeated requests with the same prompt walk on
-    down the list.
+    in label order, each fact selected once.  The on-path candidate is built
+    on the first request, the other firings when the walk reaches them.  A
+    request for n samples takes the next n of the walk, or what is left of
+    it, so beam search obtains distinct proposals, and repeated requests
+    with the same prompt walk on.
 
     The oracle answers one problem at a time.  It keeps the worlds it
     closes, the gold steps of each question, each prompt's selection walk
@@ -307,9 +309,8 @@ class OracleBackend:
         self._worlds: dict[tuple[str, ...], tuple[LabeledContext, symbolic.WorldClosure]] = {}
         # Gold steps by (surfaces, question).
         self._gold: dict[tuple[tuple[str, ...], str], tuple[tuple[str, tuple[int, ...]], ...]] = {}
-        # [candidates, cursor] by selection prompt: the next proposal is
-        # candidates[cursor].
-        self._selections: dict[str, list] = {}
+        # The walk of each selection prompt, positioned at its next proposal.
+        self._selections: dict[str, Iterator[str]] = {}
         # Replies by (role, prompt), for the roles in _KEPT_REPLIES.
         self._replies: dict[tuple[GeneratorRole, str], CompletionResponse] = {}
 
@@ -393,38 +394,34 @@ class OracleBackend:
         self._gold[surfaces, question] = steps
         return steps
 
-    def _selection_candidates(self, prompt: str) -> tuple[str, ...]:
-        """Ordered selection completions for one prompt, best candidate first."""
+    def _selection_candidates(self, prompt: str) -> Iterator[str]:
+        """The walk of one prompt's selection completions, best first.  What can
+        raise is done here; the other firings are built after the on-path one."""
         question, surfaces = _read_selection_prompt(prompt)
         ctx, world = self._world_for(surfaces)
         present = {stmt.key for _, stmt in ctx}
+        on_path = next((labels for key, labels in self._gold_steps(surfaces, question)
+                        if key not in present), None)
 
-        on_path: Optional[tuple[int, ...]] = None
-        for key, labels in self._gold_steps(surfaces, question):
-            if key not in present:
-                on_path = labels
-                break
+        def walk() -> Iterator[str]:
+            if on_path is not None:
+                yield render_selection(on_path)
+            # Worlds extended from one closure share its rule index, so the
+            # index also holds instances grounded by this world's extensions:
+            # only those over this world's facts count.  Those were all ground
+            # when this world settled, so a late read finds the same firings.
+            facts = world.fact_labels
+            # A fact that is two of an instance's premises is selected once.
+            firings = sorted({
+                (rule.index,) + tuple(sorted({facts[p].index for p in premises}))
+                for rule, premises, head in world.index.grounded.values()
+                if all(p in facts for p in premises)
+                and normalize_key(cnl.render_atom(head)) not in present
+            })
+            skip = frozenset(on_path or ())
+            yield from (render_selection(f) for f in firings if frozenset(f) != skip)
 
-        # Worlds extended from one closure share its rule index, so the index
-        # also holds instances grounded by this world's extensions: only those
-        # over this world's facts count.
-        facts = world.fact_labels
-        # A fact that is two of an instance's premises is selected once.
-        firings = sorted({
-            (rule.index,) + tuple(sorted({facts[p].index for p in premises}))
-            for rule, premises, head in world.index.grounded.values()
-            if all(p in facts for p in premises)
-            and normalize_key(cnl.render_atom(head)) not in present
-        })
-
-        ordered: list[tuple[int, ...]] = []
-        if on_path is not None:
-            ordered.append(on_path)
-        for f in firings:
-            if on_path is not None and frozenset(f) == frozenset(on_path):
-                continue
-            ordered.append(f)
-        return tuple(render_selection(labels) for labels in ordered)
+        return walk()
 
     def _judge_steps(self, surfaces: tuple[str, ...], question: str, line: str) -> bool:
         """Decide whether one rendered step is correct and a step of a
@@ -444,11 +441,8 @@ class OracleBackend:
     def _complete_selection(self, request: CompletionRequest) -> CompletionResponse:
         walk = self._selections.get(request.prompt)
         if walk is None:
-            walk = self._selections[request.prompt] = [
-                self._selection_candidates(request.prompt), 0]
-        candidates, cursor = walk
-        walk[1] = cursor + request.n
-        return CompletionResponse(candidates[cursor:cursor + request.n])
+            walk = self._selections[request.prompt] = self._selection_candidates(request.prompt)
+        return CompletionResponse(tuple(itertools.islice(walk, request.n)))
 
     # -- inference ----------------------------------------------------------
 

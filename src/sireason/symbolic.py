@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Optional
 
 from .cnl import (
@@ -360,18 +360,13 @@ def extend(world: WorldClosure, context: LabeledContext) -> WorldClosure:
     if isinstance(parsed, RuleAst):
         return closure(context)
     if not isinstance(parsed, Fact) or parsed.atom in world.fact_labels:
-        return replace(world, context=context)
+        return WorldClosure(context, world.derived, world.fact_labels, world.index)
     if not world.index.knows(parsed.atom):
         return closure(context)
     derived = dict(world.derived)
     derived[parsed.atom] = AtomProof(depth=0, derivation=None)
     _settle(derived, world.index, [parsed.atom])
-    return replace(
-        world,
-        context=context,
-        derived=derived,
-        fact_labels={**world.fact_labels, parsed.atom: label},
-    )
+    return WorldClosure(context, derived, {**world.fact_labels, parsed.atom: label}, world.index)
 
 
 def evaluate_hypothesis(world: WorldClosure, hypothesis: Hypothesis) -> Answer:

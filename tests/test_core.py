@@ -54,11 +54,47 @@ def test_normalize_statement_rejects_empty():
         normalize_statement("   ")
 
 
+def test_statement_keeps_the_key_it_was_built_with(monkeypatch):
+    a = Statement("The cat eats the dog.")
+    b = Statement("the cat eats the dog")
+    assert a.key == normalize_key(a.surface) == "thecateatsthedog"
+    calls = []
+    monkeypatch.setattr(core, "normalize_key", lambda raw: calls.append(raw) or "")
+    assert (a.key, a == b, hash(a) == hash(b) == hash(a.key)) == ("thecateatsthedog", True, True)
+    assert calls == []
+
+
+def test_statement_is_immutable_and_copies_by_surface():
+    import copy
+    import pickle
+
+    a = Statement("The cat eats the dog.")
+    for name in ("surface", "key", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, "x")
+    with pytest.raises(AttributeError):
+        del a.key
+    for twin in (copy.copy(a), pickle.loads(pickle.dumps(a))):
+        assert (twin.surface, twin.key, twin) == (a.surface, a.key, a)
+    assert repr(a) == "Statement(surface='The cat eats the dog.')"
+    assert str(a) == a.surface
+
+
 def test_sentence_label_roundtrip():
     label = SentenceLabel(7)
     assert label.render() == "sent 7"
     with pytest.raises(ValueError):
         SentenceLabel(0)
+
+
+def test_sentence_label_hashes_and_orders_as_its_index_tuple():
+    # The dataclass it replaces hashed as (index,), so set orders stay put.
+    assert hash(SentenceLabel(3)) == hash((3,))
+    assert sorted([SentenceLabel(10), SentenceLabel(2), SentenceLabel(3)]) == [
+        SentenceLabel(2), SentenceLabel(3), SentenceLabel(10)
+    ]
+    assert repr(SentenceLabel(index=3)) == "SentenceLabel(index=3)"
+    assert SentenceLabel(3).index == 3
 
 
 def test_labeled_context_basics():

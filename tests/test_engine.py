@@ -14,6 +14,7 @@ from sireason.engine import (
     BeamConfig,
     BeamEntry,
     SolveStats,
+    _read_labels,
     beam_search,
     score_trace,
     selection_step,
@@ -67,6 +68,17 @@ def test_selection_step_dedups_repeated_labels():
     assert len(selection) == 2
 
 
+@pytest.mark.parametrize("raw, indices", [
+    (" absent 3.", None),
+    (" consent 12", None),
+    (" The cat is absent 3 times.", None),
+    (" sent 2. We know that sent 10.", [2, 10]),
+])
+def test_a_label_is_a_whole_word(raw, indices):
+    labels = _read_labels(raw, 12)
+    assert (labels and [label.index for label in labels]) == indices
+
+
 class _Replies:
     """A backend that answers every request with the same samples."""
 
@@ -84,7 +96,8 @@ class _Replies:
     # An empty string is a sample like any other, whatever `n` is.
     pytest.param(("",), 1, id="empty"),
     *(pytest.param((bad,), 1, id=bad)
-      for bad in (" no labels here", " sent 99. We know that sent 1.", " sent zero")),
+      for bad in (" no labels here", " sent 99. We know that sent 1.", " sent zero",
+                  " absent 3.")),
 ])
 def test_selection_step_rejects_malformed_output(samples, errors):
     stats = SolveStats()
@@ -147,7 +160,8 @@ def test_one_fact_covers_a_repeated_condition():
         ((SentenceLabel(2), SentenceLabel(1)), kind)
     ]
     prompt = models.format_selection_prompt(problem.question, problem.context)
-    assert OracleBackend()._selection_candidates(prompt) == (" sent 2. We know that sent 1.",)
+    walk = OracleBackend()._selection_candidates(prompt)
+    assert tuple(walk) == (" sent 2. We know that sent 1.",)
     assert symbolic.entail_step([rule, fact]) == kind
     # Naming the fact once per condition reads the same; more facts than
     # conditions are no instance.

@@ -513,6 +513,86 @@ def test_extending_a_world_leaves_its_parents_candidates():
     assert _candidate_labels(backend, problem.question, problem.context) == cold
 
 
+def _eager_candidates(prompt: str) -> tuple[str, ...]:
+    """Every selection completion of `prompt`, listed up front on a fresh
+    oracle, as the oracle did before its walk became lazy."""
+    backend = OracleBackend()
+    question, surfaces = models._read_selection_prompt(prompt)
+    ctx, world = backend._world_for(surfaces)
+    present = {stmt.key for _, stmt in ctx}
+
+    on_path = None
+    for key, labels in backend._gold_steps(surfaces, question):
+        if key not in present:
+            on_path = labels
+            break
+
+    facts = world.fact_labels
+    firings = sorted({
+        (rule.index,) + tuple(sorted({facts[p].index for p in premises}))
+        for rule, premises, head in world.index.grounded.values()
+        if all(p in facts for p in premises)
+        and normalize_key(cnl.render_atom(head)) not in present
+    })
+
+    ordered = []
+    if on_path is not None:
+        ordered.append(on_path)
+    for f in firings:
+        if on_path is not None and frozenset(f) == frozenset(on_path):
+            continue
+        ordered.append(f)
+    return tuple(models.render_selection(labels) for labels in ordered)
+
+
+def test_lazy_walks_hand_out_the_eager_lists(pw_problems, pw_worst_problems):
+    """Each selection prompt of noisy beam runs, walked on one oracle per
+    problem in requests of 1 to 4 samples that take turns across the
+    problem's prompts until each walk runs out, hands out exactly the list
+    built up front.  Taking turns grounds sibling worlds into the shared
+    rule index between the steps of one walk."""
+    problems = [
+        *datasets.generate_problem_set(41, {1: 10, 2: 10, 3: 10, 5: 10}),
+        *pw_problems,
+        *pw_worst_problems,
+    ]
+    walked = 0
+    for problem in problems:
+        oracle = _Recording(OracleBackend())
+        engine.beam_search(problem, ScriptedBackend(base=oracle, noise_rate=0.3, seed=11),
+                           engine.BeamConfig(4, 4))
+        prompts = list(dict.fromkeys(
+            request.prompt for request, _ in oracle.log
+            if request.role is GeneratorRole.SELECTION
+        ))
+        backend = OracleBackend()
+        handed: dict[str, list[str]] = {prompt: [] for prompt in prompts}
+        sizes = itertools.cycle([1, 2, 3, 4])
+        while handed:
+            for prompt in list(handed):
+                n = next(sizes)
+                samples = backend.complete(
+                    CompletionRequest(GeneratorRole.SELECTION, prompt, n=n)).samples
+                handed[prompt] += samples
+                if len(samples) < n:
+                    assert tuple(handed.pop(prompt)) == _eager_candidates(prompt), prompt
+                    walked += 1
+    assert walked > 400
+
+
+@pytest.mark.parametrize("prompt", [
+    "not a selection prompt",
+    format_selection_prompt("Which state is ice in?", CTX),
+], ids=["malformed", "free-text-question"])
+def test_an_unreadable_selection_prompt_leaves_no_walk(prompt):
+    backend = OracleBackend()
+    request = CompletionRequest(GeneratorRole.SELECTION, prompt, n=2)
+    first = pytest.raises(models.BackendError, backend.complete, request)
+    second = pytest.raises(models.BackendError, backend.complete, request)
+    assert str(first.value) == str(second.value)
+    assert backend._selections == {}
+
+
 def test_gold_steps_are_the_shortest_proofs_steps(pw_problems, pw_worst_problems):
     """The oracle's gold steps are the keys and labels of `shortest_proof`'s
     steps: both read one walk, `symbolic.proof_steps`."""
