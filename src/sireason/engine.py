@@ -174,8 +174,8 @@ def score_trace(entry: BeamEntry, new_step_score: float, mode: str) -> float:
     return new_step_score
 
 
-def _value_score(problem, text: str, backend) -> float:
-    prompt = models.format_value_prompt(problem.context, problem.question, text)
+def _value_score(problem, head: str, text: str, backend) -> float:
+    prompt = models.format_value_prompt(problem.context, problem.question, text, head)
     response = backend.complete(
         CompletionRequest(
             GeneratorRole.VALUE,
@@ -212,6 +212,7 @@ def beam_search(
     """
     # One proposal per trace leaves nothing to deduplicate or to rank.
     ranked = cfg.proposals_per_trace > 1
+    value_head = models.value_prompt_head(problem.context, problem.question) if ranked else ""
     if stats is None:
         stats = SolveStats()
     entries: list[BeamEntry] = [BeamEntry(ReasoningTrace(base_context=problem.context))]
@@ -256,7 +257,7 @@ def beam_search(
                 text = append_step_text(entry.text, step)
                 try:
                     if ranked:
-                        value = _value_score(problem, text, backend)
+                        value = _value_score(problem, value_head, text, backend)
                         step = ReasoningStep(step.selection, step.inference,
                                              step.selection_labels, value)
                         score = score_trace(entry, value, cfg.score_mode)

@@ -19,7 +19,7 @@ import random
 import sys
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
@@ -29,7 +29,7 @@ from .core import (
     EmptyStatement,
     LabeledContext,
     Statement,
-    TraceParseError,
+    THEREFORE,
     normalize_key,
     normalize_statement,
     parse_trace_text,
@@ -235,17 +235,23 @@ CORRECT = " correct"
 INCORRECT = " incorrect"
 
 
-def format_value_prompt(context: LabeledContext, question: str, rendered_steps: str) -> str:
+def value_prompt_head(context: LabeledContext, question: str) -> str:
+    """The part of a value prompt that its problem fixes."""
+    ctx_text = " ".join(f"{stmt.surface}." for _, stmt in context)
+    return f"Context: {ctx_text} Question: {question} Reason: "
+
+
+def format_value_prompt(context: LabeledContext, question: str, rendered_steps: str,
+                        head: Optional[str] = None) -> str:
+    """`head`, if given, is `value_prompt_head(context, question)`."""
     if not rendered_steps.strip():
         raise ValueError("value prompt needs at least one reasoning step")
-    ctx_text = " ".join(f"{stmt.surface}." for _, stmt in context)
-    return (
-        f"Context: {ctx_text} Question: {question} "
-        f"Reason: {rendered_steps} The above reasoning steps are"
-    )
+    head = head or value_prompt_head(context, question)
+    return f"{head}{rendered_steps} The above reasoning steps are"
 
 
-def _read_value_prompt(prompt: str) -> tuple[list[str], str, str]:
+def _read_value_prompt(prompt: str) -> tuple[str, str, str]:
+    """(context text, question, reason) of a value prompt."""
     tail = " The above reasoning steps are"
     if not prompt.startswith("Context: ") or not prompt.endswith(tail):
         raise BackendError("malformed value prompt")
@@ -255,10 +261,14 @@ def _read_value_prompt(prompt: str) -> tuple[list[str], str, str]:
         question, reason = rest.split(" Reason: ", 1)
     except ValueError as exc:
         raise BackendError("malformed value prompt") from exc
+    return ctx_text, question, reason
+
+
+def _context_surfaces(ctx_text: str) -> tuple[str, ...]:
     surfaces = [s for s in (p.strip() for p in ctx_text.split(". ")) if s]
     if surfaces and surfaces[-1].endswith("."):
         surfaces[-1] = surfaces[-1][:-1]
-    return surfaces, question, reason
+    return tuple(surfaces)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +280,7 @@ def _read_value_prompt(prompt: str) -> tuple[list[str], str, str]:
 # and a value reply carries a mutable logprobs dict (its prompts do not
 # repeat).
 _KEPT_REPLIES = frozenset({GeneratorRole.INFERENCE, GeneratorRole.HALTER_READY})
+_HANDLERS = {role: f"_complete_{role.value}" for role in GeneratorRole}
 
 
 def _overlap_score(choice: str, inference: str) -> float:
@@ -294,21 +305,21 @@ class OracleBackend:
     with the same prompt walk on.
 
     The oracle answers one problem at a time.  It keeps the worlds it
-    closes, the gold steps of each question, each prompt's selection walk
-    and its inference and halter_ready replies by prompt, all until
-    `reset()`, which forgets them all.  Every kept answer is a pure function
-    of its key within one problem, so a repeated request gets the reply it
-    got the first time; a request that failed is not kept, and fails again.
-    Each request holds the lock whole, since worlds extended from one
-    closure share its rule index and ground into it.
+    closes, the gold steps of each question (also by a value prompt's context
+    text), each prompt's selection walk and its inference and halter_ready
+    replies by prompt, all until `reset()`, which forgets them all.  Every
+    kept answer is a pure function of its key within one problem, so a
+    repeated request gets the reply it got the first time; a request that
+    failed is not kept, and fails again.  Each request holds the lock whole,
+    since worlds extended from one closure share and ground into its index.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         # (context, closure) by the context's sentence surfaces.
         self._worlds: dict[tuple[str, ...], tuple[LabeledContext, symbolic.WorldClosure]] = {}
-        # Gold steps by (surfaces, question).
-        self._gold: dict[tuple[tuple[str, ...], str], tuple[tuple[str, tuple[int, ...]], ...]] = {}
+        # Gold steps by (surfaces, question) and by a value prompt's (context text, question).
+        self._gold: dict[tuple[tuple[str, ...] | str, str], tuple[tuple[str, tuple[int, ...]], ...]] = {}
         # The walk of each selection prompt, positioned at its next proposal.
         self._selections: dict[str, Iterator[str]] = {}
         # Replies by (role, prompt), for the roles in _KEPT_REPLIES.
@@ -325,10 +336,12 @@ class OracleBackend:
         pass
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        role = GeneratorRole(request.role)
+        role = request.role
+        if role not in _HANDLERS:
+            raise ValueError(f"{role!r} is not a valid GeneratorRole")
         # Looked up per call, so a handler patched on the class is the one
         # that answers.
-        handler = getattr(self, f"_complete_{role.value}")
+        handler = getattr(self, _HANDLERS[role])
         try:
             with self._lock:
                 if role not in _KEPT_REPLIES:
@@ -366,7 +379,7 @@ class OracleBackend:
         return world
 
     def _gold_steps(
-        self, surfaces: tuple[str, ...], question: str
+        self, surfaces: tuple[str, ...] | str, question: str
     ) -> tuple[tuple[str, tuple[int, ...]], ...]:
         """(inference key, selection labels) of each step of the shortest
         proof of a hypothesis question; none if it has no proof or is no
@@ -376,6 +389,10 @@ class OracleBackend:
         and label numbers only, not the proof."""
         steps = self._gold.get((surfaces, question))
         if steps is not None:
+            return steps
+        if isinstance(surfaces, str):  # a value prompt's context text
+            steps = self._gold[surfaces, question] = self._gold_steps(
+                _context_surfaces(surfaces), question)
             return steps
         _, world = self._world_for(surfaces)
         parsed_q = cnl.parse_question(question)
@@ -423,18 +440,22 @@ class OracleBackend:
 
         return walk()
 
-    def _judge_steps(self, surfaces: tuple[str, ...], question: str, line: str) -> bool:
+    def _judge_steps(self, ctx_text: str, question: str, line: str) -> bool:
         """Decide whether one rendered step is correct and a step of a
         shortest proof."""
         parsed_q = cnl.parse_question(question)
         if not isinstance(parsed_q, cnl.Hypothesis):
             raise BackendError("value oracle needs a hypothesis question")
-        try:
-            step = parse_trace_text(line)
-        except TraceParseError:
+        # Rejects what `parse_trace_text` would, without building statements.
+        parts = THEREFORE.split(line.strip())
+        if len(parts) != 2 or not (inference_key := normalize_key(parts[1])) \
+                or not all(map(normalize_key, split_premises(parts[0]))):
             return False
-        proof_keys = {key for key, _ in self._gold_steps(surfaces, question)}
-        return symbolic.is_proof_step(step, proof_keys)
+        proof_keys = {key for key, _ in self._gold_steps(ctx_text, question)}
+        # A step whose inference is on no proof is judged from its key alone.
+        if inference_key not in proof_keys:
+            return False
+        return symbolic.is_proof_step(parse_trace_text(line), proof_keys)
 
     # -- selection ----------------------------------------------------------
 
@@ -473,10 +494,10 @@ class OracleBackend:
     def _complete_value(self, request: CompletionRequest) -> CompletionResponse:
         if request.scored_continuations is None:
             raise BackendError("value request without scored continuations")
-        surfaces, question, reason = _read_value_prompt(request.prompt)
+        ctx_text, question, reason = _read_value_prompt(request.prompt)
         # Each earlier step was judged when it was the newest, so the
         # oracle reads only the newest line.
-        good = self._judge_steps(tuple(surfaces), question, reason.rpartition("\n")[2])
+        good = self._judge_steps(ctx_text, question, reason.rpartition("\n")[2])
         logprobs = {
             CORRECT: CERTAIN_GOOD if good else CERTAIN_BAD,
             INCORRECT: CERTAIN_BAD if good else CERTAIN_GOOD,
@@ -574,13 +595,15 @@ class ScriptedBackend:
             self._base.close()
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        role = GeneratorRole(request.role)
-        noisy = role is GeneratorRole.SELECTION and self._noise_rate > 0.0
+        role = request.role
+        # `==`, not `is`: a role given as its plain string value equals the member.
+        noisy = role == GeneratorRole.SELECTION and self._noise_rate > 0.0
         if request.n >= 1 and self._base is not None and not noisy \
                 and role not in self._script:
             # Nothing to replace or to queue: the base answers the request
             # as it is.
             return self._base.complete(request)
+        role = GeneratorRole(role)  # ValueError on an unknown role
         # None marks a sample that noise leaves to the script or the base.
         samples: list[Optional[str]] = [None] * request.n
         # The lock guards only this backend's own state (the noise draws and
@@ -607,7 +630,8 @@ class ScriptedBackend:
         if role not in self._script:
             if self._base is None:
                 raise ScriptExhausted(f"no script and no base backend for {role.value}")
-            rest = self._base.complete(replace(request, n=wanted)).samples
+            rest = self._base.complete(CompletionRequest(
+                role, request.prompt, request.scored_continuations, wanted)).samples
         # The samples left fill the unset ones in order; any past the end of
         # `rest` are dropped.
         filled = iter(rest)

@@ -412,6 +412,25 @@ def test_greedy_solve_sends_no_value_request(pw_problems, monkeypatch):
     assert all(step.value_score is None for t in traces for step in t.steps)
 
 
+def test_a_search_writes_the_value_prompt_head_once(pw_problems, monkeypatch):
+    """A ranking search writes the problem's part of the value prompt once,
+    for all its value requests; a greedy one never writes it."""
+    heads = []
+    head = models.value_prompt_head
+    monkeypatch.setattr(models, "value_prompt_head",
+                        lambda *args: heads.append(args) or head(*args))
+    values = 0
+    for problem in pw_problems:
+        counting = _CountingBackend(OracleBackend())
+        si_answer(problem, counting)
+        assert heads == []
+        beam_search(problem, counting, BeamConfig(2, 2))
+        assert heads == [(problem.context, problem.question)]
+        values += counting.roles.count(GeneratorRole.VALUE)
+        del heads[:]
+    assert values > 2 * len(pw_problems)
+
+
 # ---------------------------------------------------------------------------
 # The solver against the reference, on worlds the generator never makes:
 # constant and variable subjects, two-condition rules, negated facts.
