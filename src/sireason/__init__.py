@@ -1,7 +1,8 @@
 """Faithful step-by-step reasoning over rule/fact contexts.
 
 Submodules:
-  core      trace objects, labels, normalization, structural checks
+  core      trace objects, labels, normalization, structural checks,
+            problems, and the shared period and selection-order rules
   cnl       the controlled-language parser and renderer
   symbolic  forward chaining, proof extraction, problem generation
   models    generator roles, prompt templates, and the three backends,
@@ -24,6 +25,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "Answer": "core",
     "LabeledContext": "core",
+    "Problem": "core",
     "ReasoningStep": "core",
     "ReasoningTrace": "core",
     "SentenceLabel": "core",
@@ -33,7 +35,6 @@ _EXPORTS = {
     "normalize_statement": "core",
     "parse_trace_text": "core",
     "render_trace": "core",
-    "Problem": "datasets",
     "TrainingPair": "datasets",
     "load_problems": "datasets",
     "save_problems": "datasets",

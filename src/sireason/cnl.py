@@ -31,6 +31,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple, Optional, Sequence, Union
 
+from .core import strip_period
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, text: str, position: int = 0, expected: str = ""):
@@ -225,13 +227,6 @@ def _split_body(text: str) -> list[str]:
     return text.split(" and ")
 
 
-def _strip_period(raw: str) -> str:
-    raw = raw.strip()
-    if raw.endswith("."):
-        raw = raw[:-1].rstrip()
-    return raw
-
-
 def _parse_adjective_class_rule(text: str, surface: str) -> Optional[RuleAst]:
     """"All cold things are nice" / "Blue, rough people are red"."""
     body_text = text
@@ -268,7 +263,7 @@ def parse_statement(raw: str, strict: bool = False) -> Parsed:
     With strict=False (the default) anything outside the grammar comes back
     as Opaque; with strict=True a ParseError is raised instead.
     """
-    surface = _strip_period(raw)
+    surface = strip_period(raw)
     try:
         if not surface:
             raise ParseError("empty statement", raw, expected="statement")

@@ -1,4 +1,4 @@
-"""Formal reasoning-trace objects and the structural check over them.
+"""Reasoning traces, problems, and the period and selection-order rules.
 
 A trace is a base context plus a sequence of (selection, inference) steps.
 Connectedness is decided here; whether a step's inference follows from its
@@ -71,16 +71,21 @@ class Statement:
         return f"Statement(surface={self.surface!r})"
 
 
+def strip_period(raw: str) -> str:
+    """`raw` without its surrounding whitespace and one trailing period."""
+    raw = raw.strip()
+    if raw.endswith("."):
+        raw = raw[:-1].rstrip()
+    return raw
+
+
 def normalize_statement(raw: str) -> Statement:
     """Build a Statement from raw text.
 
-    Trims whitespace and a trailing period. Raises EmptyStatement if the
-    normalized equality key is empty.
+    Trims whitespace and a trailing period (`strip_period`). Raises
+    EmptyStatement if the normalized equality key is empty.
     """
-    surface = raw.strip()
-    if surface.endswith("."):
-        surface = surface[:-1].rstrip()
-    stmt = Statement(surface)
+    stmt = Statement(strip_period(raw))
     if not stmt.key:
         raise EmptyStatement(f"statement is empty after normalization: {raw!r}")
     return stmt
@@ -98,6 +103,13 @@ class SentenceLabel(NamedTuple("SentenceLabel", [("index", int)])):
 
     def render(self) -> str:
         return f"sent {self.index}"
+
+
+def selection_order(labels: Sequence) -> list:
+    """Labels (sentence labels or their indices) in the order a selection names
+    them: the first (the rule), then the other distinct ones in ascending order."""
+    rule = labels[0]
+    return [rule, *sorted(set(labels[1:]) - {rule})]
 
 
 class LabeledContext:
@@ -252,6 +264,17 @@ class ReasoningTrace:
 
     def extended(self, step: ReasoningStep) -> "ReasoningTrace":
         return ReasoningTrace(self.base_context, self.steps + (step,), self.answer)
+
+
+@dataclass(frozen=True)
+class Problem:
+    id: str
+    context: LabeledContext
+    question: str
+    choices: Optional[tuple[str, ...]]
+    gold_answer: Answer
+    gold_proof: Optional[ReasoningTrace] = None
+    depth: Optional[int] = None
 
 
 def is_connected(trace: ReasoningTrace) -> bool:

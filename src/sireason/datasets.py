@@ -17,19 +17,21 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 from . import cnl, models, symbolic
 from .core import (
     Answer,
     LabeledContext,
+    Problem,
     ReasoningStep,
     ReasoningTrace,
     SentenceLabel,
     Statement,
     append_step_text,
     normalize_statement,
+    selection_order,
 )
 from .models import GeneratorRole
 
@@ -43,17 +45,6 @@ class SchemaError(ValueError):
             message = f"line {line_number}: {message}"
         super().__init__(message)
         self.line_number = line_number
-
-
-@dataclass(frozen=True)
-class Problem:
-    id: str
-    context: LabeledContext
-    question: str
-    choices: Optional[tuple[str, ...]]
-    gold_answer: Answer
-    gold_proof: Optional[ReasoningTrace] = None
-    depth: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -189,7 +180,7 @@ def load_problems(path) -> list[Problem]:
                 doc = json.loads(line.decode("utf-8"))
             except UnicodeDecodeError as exc:
                 raise SchemaError(f"not UTF-8: {exc}", line_no) from exc
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise SchemaError(f"not valid JSON: {exc}", line_no) from exc
             try:
                 problem = problem_from_doc(doc)
@@ -255,20 +246,11 @@ def validate_problems(problems: Iterable[Problem]) -> list[str]:
 
 def generate_problem_set(seed: int, counts: dict[int, int]) -> list[Problem]:
     """A batch of generated problems, `counts` mapping depth -> how many."""
-    problems: list[Problem] = []
-    for depth in sorted(counts):
-        for i in range(counts[depth]):
-            gen = symbolic.generate_problem(seed=seed * 100003 + i, depth=depth)
-            problems.append(Problem(
-                id=f"gen-d{depth}-s{seed}-{i}",
-                context=gen.context,
-                question=gen.question,
-                choices=None,
-                gold_answer=gen.gold_answer,
-                gold_proof=gen.gold_proof,
-                depth=depth,
-            ))
-    return problems
+    return [
+        replace(symbolic.generate_problem(seed=seed * 100003 + i, depth=depth),
+                id=f"gen-d{depth}-s{seed}-{i}")
+        for depth in sorted(counts) for i in range(counts[depth])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +266,7 @@ def extract_si_pairs(problem: Problem) -> list[TrainingPair]:
         context_k = trace.context_before(k)
         # The engine's inference prompt lists the premises in the order the
         # selection completion names them.
-        labels = models.selection_order([l.index for l in step.selection_labels])
+        labels = selection_order([l.index for l in step.selection_labels])
         selection = [context_k.lookup(SentenceLabel(i)) for i in labels]
         pairs.append(
             TrainingPair(
@@ -348,7 +330,6 @@ def extract_halter_pairs(problem: Problem) -> list[TrainingPair]:
 
 @dataclass
 class ValueExtractionReport:
-    pairs_emitted: int = 0
     corruption_impossible: int = 0
     collisions: int = 0
 
@@ -383,8 +364,6 @@ def extract_value_pairs(
                 step_index=n - 1,
             )
         )
-        if report is not None:
-            report.pairs_emitted += 1
         context_n = trace.context_before(n - 1)
         selection_keys = {s.key for s in step.selection}
         alternatives = [
@@ -420,8 +399,6 @@ def extract_value_pairs(
                 step_index=n - 1,
             )
         )
-        if report is not None:
-            report.pairs_emitted += 1
     return pairs
 
 

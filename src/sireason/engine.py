@@ -29,6 +29,7 @@ from .core import (
     append_step_text,
     normalize_key,
     normalize_statement,
+    strip_period,
 )
 from .models import CompletionRequest, GeneratorRole
 
@@ -101,12 +102,8 @@ def selection_step(
 
 def _infer(selection: Sequence[Statement], backend) -> Statement:
     prompt = models.format_inference_prompt(selection)
-    text = backend.complete(
-        CompletionRequest(GeneratorRole.INFERENCE, prompt)
-    ).text
-    text = text.strip()
-    if text.endswith("."):
-        text = text[:-1]
+    reply = backend.complete(CompletionRequest(GeneratorRole.INFERENCE, prompt))
+    text = strip_period(reply.text)
     # A completion with no letters in it says nothing, like an empty one.
     if not normalize_key(text):
         text = symbolic.NOTHING_FOLLOWS
@@ -127,9 +124,9 @@ def _halt_check(
     )
     ready = backend.complete(
         CompletionRequest(GeneratorRole.HALTER_READY, ready_prompt)
-    ).text.strip()
+    ).text.strip().rstrip(".")
     if choices is not None:
-        if ready.rstrip(".") != "Yes":
+        if ready != "Yes":
             return None
         answer_text = backend.complete(
             CompletionRequest(GeneratorRole.HALTER_ANSWER, answer_prompt)

@@ -21,12 +21,12 @@ from . import cnl, datasets, engine, models, symbolic
 from .core import (
     Answer,
     LabeledContext,
+    Problem,
     ReasoningTrace,
     is_connected,
     render_trace,
     tokenize,
 )
-from .datasets import Problem
 
 REMOTE_ENDPOINT_ENV = "SIREASON_REMOTE_ENDPOINT"
 
@@ -253,12 +253,12 @@ def make_solver(cfg: SolverConfig, stats: Optional[engine.SolveStats] = None) ->
 # Probes.
 # ---------------------------------------------------------------------------
 
-def _accuracy(problems: Sequence[Problem], solver: Solver) -> tuple[float, float, list]:
-    results = [solver(p) for p in problems]
-    correct = sum(1 for p, (a, _) in zip(problems, results) if a == p.gold_answer)
-    unknown = sum(1 for a, _ in results if a.is_unknown)
-    n = len(problems)
-    return (correct / n if n else 0.0), (unknown / n if n else 0.0), results
+def _tally(problems: Sequence[Problem], solver: Solver) -> DepthReport:
+    """The solver's answers to `problems`, counted."""
+    tally = DepthReport()
+    for p in problems:
+        tally.add(solver(p)[0], p.gold_answer)
+    return tally
 
 
 def derangement(n: int, seed: int) -> list[int]:
@@ -285,17 +285,17 @@ def probe_random_context(
     problems: Sequence[Problem], solver: Solver, seed: int
 ) -> RandomContextProbe:
     perm = derangement(len(problems), seed)
-    acc_correct, _, _ = _accuracy(problems, solver)
+    own = _tally(problems, solver)
     swapped = [
         replace(p, context=problems[perm[i]].context, gold_proof=None)
         for i, p in enumerate(problems)
     ]
-    acc_random, unk, _ = _accuracy(swapped, solver)
+    borrowed = _tally(swapped, solver)
     return RandomContextProbe(
-        accuracy_random=acc_random,
-        accuracy_correct=acc_correct,
-        delta=acc_correct - acc_random,
-        unknown_rate_random=unk,
+        accuracy_random=borrowed.accuracy,
+        accuracy_correct=own.accuracy,
+        delta=own.accuracy - borrowed.accuracy,
+        unknown_rate_random=borrowed.unknown_rate,
     )
 
 
@@ -319,17 +319,17 @@ def strip_facts(context: LabeledContext) -> LabeledContext:
 def probe_incomplete_context(
     problems: Sequence[Problem], solver: Solver
 ) -> IncompleteContextProbe:
-    acc_complete, _, _ = _accuracy(problems, solver)
+    complete = _tally(problems, solver)
     stripped = [
         replace(p, context=strip_facts(p.context), gold_proof=None)
         for p in problems
     ]
-    acc_inc, unk, _ = _accuracy(stripped, solver)
+    incomplete = _tally(stripped, solver)
     return IncompleteContextProbe(
-        accuracy_incomplete=acc_inc,
-        accuracy_complete=acc_complete,
-        delta=acc_complete - acc_inc,
-        unknown_rate=unk,
+        accuracy_incomplete=incomplete.accuracy,
+        accuracy_complete=complete.accuracy,
+        delta=complete.accuracy - incomplete.accuracy,
+        unknown_rate=incomplete.unknown_rate,
     )
 
 
@@ -344,6 +344,14 @@ class DepthReport:
     known: int = 0
     known_correct: int = 0
 
+    def add(self, answer: Answer, gold: Answer) -> None:
+        """Count one answer to a problem whose gold answer is `gold`."""
+        self.count += 1
+        self.correct += answer == gold
+        if not answer.is_unknown:
+            self.known += 1
+            self.known_correct += answer == gold
+
     @property
     def accuracy(self) -> float:
         return self.correct / self.count if self.count else 0.0
@@ -354,7 +362,7 @@ class DepthReport:
 
     @property
     def unknown_rate(self) -> float:
-        return 1.0 - self.known / self.count if self.count else 0.0
+        return (self.count - self.known) / self.count if self.count else 0.0
 
     def to_doc(self) -> dict:
         return {
@@ -422,18 +430,10 @@ def evaluate(problems: Sequence[Problem], cfg: SolverConfig) -> EvalReport:
             report.failures.append(f"{problem.id}: {exc}")
             continue
         traces.append(trace)
-        buckets = [report.overall]
+        report.overall.add(answer, problem.gold_answer)
         if problem.depth is not None:
-            buckets.append(report.per_depth.setdefault(problem.depth, DepthReport()))
-        correct = answer == problem.gold_answer
-        for b in buckets:
-            b.count += 1
-            if correct:
-                b.correct += 1
-            if not answer.is_unknown:
-                b.known += 1
-                if correct:
-                    b.known_correct += 1
+            report.per_depth.setdefault(problem.depth, DepthReport()).add(
+                answer, problem.gold_answer)
         if problem.gold_proof is not None:
             gold_compared += 1
             j = jaccard_metrics(trace, problem.gold_proof)

@@ -34,6 +34,7 @@ from .core import (
     normalize_statement,
     parse_trace_text,
     render_premises,
+    selection_order,
     split_premises,
     tokenize,
 )
@@ -122,13 +123,6 @@ def _read_selection_prompt(prompt: str) -> tuple[str, tuple[str, ...]]:
             raise BackendError(f"malformed sentence line {i!r}")
         surfaces.append(line[len(prefix):])
     return question, tuple(surfaces)
-
-
-def selection_order(labels: Sequence[int]) -> list[int]:
-    """The labels in the order a selection completion names them: the first
-    (the rule), then the other distinct labels in ascending order."""
-    rule = labels[0]
-    return [rule, *sorted(set(labels[1:]) - {rule})]
 
 
 def render_selection(labels: Sequence[int]) -> str:
@@ -428,9 +422,8 @@ class OracleBackend:
             # only those over this world's facts count.  Those were all ground
             # when this world settled, so a late read finds the same firings.
             facts = world.fact_labels
-            # A fact that is two of an instance's premises is selected once.
             firings = sorted({
-                (rule.index,) + tuple(sorted({facts[p].index for p in premises}))
+                tuple(selection_order([rule.index, *(facts[p].index for p in premises)]))
                 for rule, premises, head in world.index.grounded.values()
                 if all(p in facts for p in premises)
                 and normalize_key(cnl.render_atom(head)) not in present
@@ -710,7 +703,8 @@ def decode_request(data: bytes) -> Optional[CompletionRequest]:
         )
     except KeyError as exc:
         raise RemoteError(f"bad request document: missing field {exc}") from exc
-    except (ValueError, TypeError) as exc:
+    # A document nested past the parser's depth is as unreadable as bad JSON.
+    except (ValueError, TypeError, RecursionError) as exc:
         raise RemoteError(f"bad request document: {exc}") from exc
 
 
@@ -735,7 +729,7 @@ def _load_reply(data: bytes):
     """Parse a server reply; an error document raises RemoteError."""
     try:
         doc = json.loads(data.decode("utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise RemoteError(f"bad response document: {exc}") from exc
     if isinstance(doc, dict) and "error" in doc:
         raise RemoteError(f"server error: {doc['error']}")

@@ -5,8 +5,8 @@ Provides the reference inference `infer` (single-step entailment, or
 the trace judge `trace_faults`, exhaustive closure
 with provenance and proof depths (`closure`, and `extend` for a context
 that is a closed one plus one statement), hypothesis evaluation under
-open-world semantics, shortest-proof extraction, and a seeded random problem
-generator.
+open-world semantics, shortest-proof extraction, and a seeded random
+generator of `core.Problem`s.
 """
 
 from __future__ import annotations
@@ -33,12 +33,14 @@ from .cnl import (
 from .core import (
     Answer,
     LabeledContext,
+    Problem,
     ReasoningStep,
     ReasoningTrace,
     SentenceLabel,
     Statement,
     is_connected,
     normalize_statement,
+    selection_order,
 )
 
 
@@ -397,8 +399,8 @@ def proof_steps(
     world: WorldClosure, target: Atom
 ) -> list[tuple[Derivation, tuple[SentenceLabel, ...]]]:
     """The derivations the proof of `target` rests on, each once, in proof
-    order, with their selection labels: the rule, then the distinct
-    premises in label order.  The k-th inference takes label
+    order, with their selection labels in `selection_order`: the rule, then
+    the distinct premises in label order.  The k-th inference takes label
     `len(world.context) + k`; a context fact has no steps."""
     needed: dict[Atom, Derivation] = {}
     pending = [target]
@@ -415,10 +417,8 @@ def proof_steps(
     )
     inferred = {d.head: SentenceLabel(k) for k, d in enumerate(ordered, len(world.context) + 1)}
     return [
-        (d, (d.rule_label,) + tuple(sorted(
-            # A fact that is two of the rule's premises is selected once.
-            {world.fact_labels.get(p) or inferred[p] for p in d.premises},
-            key=lambda label: label.index,
+        (d, tuple(selection_order(
+            [d.rule_label, *(world.fact_labels.get(p) or inferred[p] for p in d.premises)]
         )))
         for d in ordered
     ]
@@ -452,15 +452,6 @@ def shortest_proof(world: WorldClosure, hypothesis: Hypothesis) -> ReasoningTrac
 # Random problem generation
 
 
-@dataclass(frozen=True)
-class GeneratedProblem:
-    context: LabeledContext
-    question: str
-    gold_answer: Answer
-    gold_proof: ReasoningTrace
-    depth: int
-
-
 _ENTITIES = [
     "cat", "dog", "mouse", "tiger", "lion", "bear", "rabbit", "squirrel",
     "cow", "bald eagle", "fox", "wolf",
@@ -480,8 +471,9 @@ def generate_problem(
     depth: int,
     n_distractor_rules: int = 2,
     n_distractor_facts: int = 4,
-) -> GeneratedProblem:
-    """Seeded-deterministic problem with a gold proof of exactly `depth` steps.
+) -> Problem:
+    """Seeded-deterministic problem with a gold proof of exactly `depth` steps,
+    with the id "gen-d{depth}-s{seed}".
 
     The gold answer is True or False (never Unknown); distractor rules and
     facts never shorten the proof (verified by recomputing the closure).
@@ -598,9 +590,11 @@ def _generate_once(rng, seed, depth, n_distractor_rules, n_distractor_facts):
     # has one per level, since its other premises are context facts.
     if len(gold_proof.steps) != depth:  # pragma: no cover
         raise _RetryGeneration("proof length mismatch")
-    return GeneratedProblem(
+    return Problem(
+        id=f"gen-d{depth}-s{seed}",
         context=context,
         question=question_text,
+        choices=None,
         gold_answer=gold_answer,
         gold_proof=gold_proof,
         depth=depth,

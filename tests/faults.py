@@ -7,9 +7,11 @@ in `test_remote_runs.py` sends.  Both serve the oracle through
 `models.serve`, except for the one FAULT they inject:
 
     text-int, text-list, logprobs-list, nan, infinity, minus-infinity, bool,
-    string    a mistyped reply (`MISTYPED`) to each request of one role:
-              a sample's text that is an int or a list, or logprobs that
-              are no object of finite numbers
+    string, nested
+              a mistyped reply (`MISTYPED`) to each request of one role:
+              a sample's text that is an int or a list, logprobs that are
+              no object of finite numbers, or a document nested deeper
+              than the JSON parser goes
     silent        no reply
     partial-line  half a reply line, then silence
     cut-off       half a reply line, then the end
@@ -52,6 +54,7 @@ MISTYPED = {
                       b'{" correct": true, " incorrect": 0.0}}'),
     "string": ("value", b'{"samples": [], "continuation_logprobs": '
                         b'{" correct": "0", " incorrect": 0.0}}'),
+    "nested": ("selection", b"[" * 100_000),
 }
 
 

@@ -51,6 +51,17 @@ def test_validate_fails_on_broken_proof(tmp_path, capsys):
     assert "broken" in capsys.readouterr().out
 
 
+def test_validate_stops_on_a_line_nested_past_the_json_parser(tmp_path, capsys):
+    """Too deep to parse is not valid JSON: exit 2 with `file:line: message`."""
+    path = tmp_path / "nested.jsonl"
+    path.write_text("[" * 100_000 + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--problems", str(path)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"{path}:1: not valid JSON: ")
+
+
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from worlds import context_of, worlds
 
 from sireason import cnl, evalcli, models, symbolic
-from sireason.cnl import VAR, Atom, const
 from sireason.core import (
     Answer,
     LabeledContext,
@@ -237,6 +237,23 @@ def test_a_multiple_choice_answer_must_be_one_of_the_choices(reply, choices, exp
     assert len(trace.steps) == (0 if notes else 1)
 
 
+@pytest.mark.parametrize("reply, expected", [
+    (" True.", Answer.TRUE),
+    (" False.", Answer.FALSE),
+    (" Unknown.", None),
+], ids=["true", "false", "unknown"])
+def test_a_halter_answer_may_end_in_a_period(reply, expected):
+    """The True/False/Unknown halter's reply is read as the readiness reply
+    is, less its trailing periods: True and False halt, Unknown reasons on."""
+    problem = generate_problem_set(7, {1: 1})[0]  # gen-d1-s7-0
+    backend = ScriptedBackend(base=OracleBackend(),
+                              script={GeneratorRole.HALTER_READY: [reply]})
+    stats = SolveStats()
+    _, _, [entry] = beam_search(problem, backend, BeamConfig(1, 1, max_steps=1), stats)
+    assert len(entry.trace.steps) == 1 and stats.notes == []
+    assert entry.trace.answer == expected
+
+
 class _FailingBackend:
     """Fails the halter roles and passes the rest on to `base`."""
 
@@ -436,46 +453,9 @@ def test_a_search_writes_the_value_prompt_head_once(pw_problems, monkeypatch):
 # constant and variable subjects, two-condition rules, negated facts.
 # ---------------------------------------------------------------------------
 
-_WORLD_TERMS = (const("cat"), const("dog"), const("Anne", proper=True))
-_WORLD_RELATIONS = ("like", "see")
-_WORLD_PREDICATES = ("big", "red", "kind") + _WORLD_RELATIONS
-
-
-@st.composite
-def _worlds(draw):
-    """(facts, rules) over 3 entities, 3 adjectives and 2 verbs: 4-10 facts
-    drawn (repeats dropped) and 2-10 rules of 1-2 conditions whose terms are
-    constants or the variable.  Half the conditions are a fact, its subject
-    maybe the variable, so that rules fire.  Each predicate is negated
-    everywhere or nowhere in one world (facts, conditions and heads), so no
-    world derives an atom and its negation."""
-    negated = {predicate: draw(st.booleans()) for predicate in _WORLD_PREDICATES}
-
-    def atom(terms):
-        predicate = draw(st.sampled_from(_WORLD_PREDICATES))
-        obj = draw(st.sampled_from(terms)) if predicate in _WORLD_RELATIONS else None
-        return Atom(predicate, draw(st.sampled_from(terms)), obj, negated[predicate])
-
-    facts = list(dict.fromkeys(atom(_WORLD_TERMS)
-                               for _ in range(draw(st.integers(4, 10)))))
-    rules = []
-    for _ in range(draw(st.integers(2, 10))):
-        body = []
-        for _ in range(draw(st.integers(1, 2))):
-            if draw(st.booleans()):
-                fact = draw(st.sampled_from(facts))
-                body.append(Atom(fact.predicate, VAR, fact.obj, fact.negated)
-                            if draw(st.booleans()) else fact)
-            else:
-                body.append(atom(_WORLD_TERMS + (VAR,)))
-        # A head variable needs a condition that binds it.
-        bound = not all(a.is_ground for a in body)
-        rules.append((tuple(body), atom(_WORLD_TERMS + ((VAR,) if bound else ()))))
-    return facts, rules
-
 
 @settings(max_examples=100, deadline=None)
-@given(_worlds(), st.booleans(), st.data())
+@given(worlds(), st.booleans(), st.data())
 def test_solvers_answer_as_the_reference_on_drawn_worlds(world, negated, data):
     """Oracle greedy and oracle beam 4x4 give `evaluate_hypothesis`'s answer
     about an atom some rule derives (or its negation), with a sound trace
@@ -487,10 +467,7 @@ def test_solvers_answer_as_the_reference_on_drawn_worlds(world, negated, data):
     shallower side win, and a context fact has depth 0, which no
     selection-inference trace can show, since each of its steps derives
     something."""
-    facts, rules = world
-    context = LabeledContext.from_statements(
-        [cnl.render_atom(a) for a in facts]
-        + [cnl.render_rule(body, head, "something") for body, head in rules])
+    context = context_of(world)
     world = symbolic.closure(context)
     assume(not any(cnl.negate(a) in world.derived for a in world.derived))
     derived = sorted((a for a, p in world.derived.items() if p.depth > 0),

@@ -1,0 +1,66 @@
+"""The modules of `sireason` import only the modules below them."""
+
+import ast
+import pathlib
+
+import sireason
+
+# Each module by its layer; a module may import from lower layers only.
+LAYERS = {
+    "core": 0,
+    "cnl": 1,
+    "symbolic": 2,
+    "models": 3,
+    "engine": 4,
+    "datasets": 4,
+    "evalcli": 5,
+}
+PACKAGE = pathlib.Path(sireason.__file__).parent
+
+
+def _imported(path: pathlib.Path) -> set[str]:
+    """The `sireason` modules that one module imports, wherever it does."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sireason"):
+            rest = node.module.split(".")[1:]
+            found.update(rest[:1] or [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("sireason."))
+    return found
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
+    assert modules == set(LAYERS)
+
+
+def test_each_module_imports_only_lower_layers():
+    wrong = {
+        (name, other)
+        for name, layer in LAYERS.items()
+        for other in _imported(PACKAGE / f"{name}.py")
+        if LAYERS[other] >= layer
+    }
+    assert wrong == set()
+
+
+def test_each_shared_rule_is_defined_once_in_core():
+    """Problems, the period rule and the selection order have one definition,
+    which the other layers import."""
+    defined = sorted(
+        (node.name, path.stem)
+        for path in PACKAGE.glob("*.py")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name in {"Problem", "strip_period", "selection_order"}
+    )
+    assert defined == [("Problem", "core"), ("selection_order", "core"),
+                       ("strip_period", "core")]
+    assert "core" in _imported(PACKAGE / "cnl.py")

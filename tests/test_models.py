@@ -1318,6 +1318,27 @@ def test_decode_request_refuses_a_mistyped_field(field, value, capfd):
     assert capfd.readouterr().err == ""
 
 
+# A document nested deeper than the JSON parser goes.
+NESTED = b"[" * 100_000
+
+
+@pytest.mark.parametrize("read, message", [
+    (decode_request, "bad request document"),
+    (decode_response, "bad response document"),
+    (models._load_reply, "bad response document"),
+])
+def test_a_nested_document_is_a_bad_document(read, message):
+    with pytest.raises(RemoteError, match=message):
+        read(NESTED)
+
+
+def test_serve_answers_a_nested_request_with_an_error_document(capfd):
+    out = io.BytesIO()
+    serve(OracleBackend(), [NESTED + b"\n"], out)
+    assert json.loads(out.getvalue())["error"].startswith("RemoteError: bad request document")
+    assert capfd.readouterr().err == ""
+
+
 _WIRE_DOCS = {
     "request": {"role": "value", "prompt": "p", "scored_continuations": None, "n": 1},
     "response": {"samples": [], "continuation_logprobs": None},

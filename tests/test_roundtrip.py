@@ -1,0 +1,102 @@
+"""Each writer of prompt or trace text, read back by its reader, on drawn
+worlds (`worlds.worlds`)."""
+
+from hypothesis import given, settings, strategies as st
+from worlds import context_of, worlds
+
+from sireason import cnl
+from sireason.core import ReasoningStep, parse_trace_text, render_step, selection_order
+from sireason.engine import _read_labels
+from sireason.models import (
+    _context_surfaces,
+    _read_answer_prompt,
+    _read_halter_prompt,
+    _read_ready_prompt,
+    _read_selection_prompt,
+    _read_value_prompt,
+    format_halter_prompts,
+    format_selection_prompt,
+    format_value_prompt,
+    render_selection,
+    value_prompt_head,
+)
+
+ROUND_TRIP = settings(max_examples=100, deadline=None)
+
+
+def _question(data, world) -> str:
+    """A hypothesis question about one of the world's facts."""
+    atom = data.draw(st.sampled_from(world[0]))
+    return f'Does it imply that the statement "{cnl.render_atom(atom)}" is True?'
+
+
+def _step(data, statements, later=None) -> ReasoningStep:
+    """A step over the statements: the first premise and the inference drawn
+    from all of them, the later premises from `later` (all, by default)."""
+    head = data.draw(st.sampled_from(statements))
+    rest = data.draw(st.lists(st.sampled_from(later or statements), max_size=2))
+    return ReasoningStep((head, *rest), data.draw(st.sampled_from(statements)))
+
+
+@ROUND_TRIP
+@given(worlds(), st.data())
+def test_a_selection_prompt_reads_back(world, data):
+    context = context_of(world)
+    question = _question(data, world)
+    assert _read_selection_prompt(format_selection_prompt(question, context)) == (
+        question, tuple(s.surface for s in context.statements()))
+
+
+@ROUND_TRIP
+@given(worlds(), st.data())
+def test_a_selection_completion_reads_back_in_selection_order(world, data):
+    size = len(context_of(world))
+    labels = data.draw(st.lists(st.integers(1, size), min_size=1, max_size=4))
+    read = _read_labels(render_selection(labels), size)
+    assert [label.index for label in read] == selection_order(labels)
+
+
+@ROUND_TRIP
+@given(worlds(), st.data())
+def test_halter_prompts_read_back(world, data):
+    surfaces = [s.surface for s in context_of(world).statements()]
+    inference = data.draw(st.sampled_from(surfaces))
+    question = _question(data, world)
+    ready, answer = format_halter_prompts(question, inference)
+    assert answer is None
+    assert _read_halter_prompt(ready) == (inference, question)
+    choices = tuple(data.draw(st.lists(st.sampled_from(surfaces), min_size=2, max_size=4,
+                                       unique=True)))
+    ready, answer = format_halter_prompts("Which of these follows?", inference, choices)
+    assert _read_ready_prompt(ready) == (choices, inference)
+    assert _read_answer_prompt(answer) == (choices, inference)
+
+
+@ROUND_TRIP
+@given(worlds(), st.data())
+def test_a_value_prompt_reads_back(world, data):
+    context = context_of(world)
+    statements = context.statements()
+    question = _question(data, world)
+    text = "\n".join(render_step(_step(data, statements))
+                     for _ in range(data.draw(st.integers(1, 3))))
+    prompt = format_value_prompt(context, question, text, value_prompt_head(context, question))
+    assert prompt == format_value_prompt(context, question, text)
+    ctx_text, read_question, reason = _read_value_prompt(prompt)
+    assert (read_question, reason) == (question, text)
+    assert _context_surfaces(ctx_text) == tuple(s.surface for s in statements)
+
+
+@ROUND_TRIP
+@given(worlds(), st.data())
+def test_a_step_reads_back(world, data):
+    statements = context_of(world).statements()
+    # A later premise is read up to its own " and ", so those with one are
+    # left out: the strict xfail
+    # `test_models.py::test_an_inference_prompt_keeps_a_later_rule_with_and_whole`
+    # pins that.  Facts have none.
+    later = [s for s in statements if " and " not in s.surface]
+    step = _step(data, statements, later)
+    read = parse_trace_text(render_step(step))
+    assert [s.surface for s in read.selection] == [s.surface for s in step.selection]
+    assert read.inference.surface == step.inference.surface
