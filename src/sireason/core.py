@@ -246,6 +246,20 @@ class ReasoningTrace:
         if self.answer is not None and not self.answer.is_unknown and not self.steps:
             raise ValueError("halted trace with a definite answer must have steps")
 
+    @classmethod
+    def from_labels(cls, base: LabeledContext,
+                    steps: Iterable[tuple[Sequence[SentenceLabel], Statement]],
+                    answer: Optional[Answer] = None) -> "ReasoningTrace":
+        """The trace of the `(selection labels, inference)` steps, each step's
+        labels read in its context: `base`, then the earlier inferences.  An
+        unknown label raises KeyError."""
+        context, built = base, []
+        for labels, inference in steps:
+            selection = tuple(map(context.lookup, labels))
+            built.append(ReasoningStep(selection, inference, tuple(labels)))
+            context = context.extended(inference)
+        return cls(base, tuple(built), answer)
+
     @property
     def halted(self) -> bool:
         """Whether the trace ended with an answer."""
@@ -303,14 +317,27 @@ def render_premises(premises: Sequence[str]) -> str:
 
 
 def split_premises(text: str) -> list[str]:
-    """The premises `render_premises` wrote, read back."""
+    """The premises `render_premises` wrote, read back.
+
+    A later premise that is an if-rule keeps its own " and "s: a piece that
+    starts with "If " and has no " then " yet is joined to the next.  Exact
+    for the grammar only: free text (an EntailmentBank premise) with " and "
+    in it reads back as two premises.
+    """
     text = text.strip()
     if text.endswith("."):
         text = text[:-1]
-    if _WE_KNOW in text:
-        head, rest = text.split(_WE_KNOW, 1)
-        return [head] + rest.split(" and ")
-    return [text]
+    if _WE_KNOW not in text:
+        return [text]
+    head, rest = text.split(_WE_KNOW, 1)
+    premises = [head]
+    for piece in rest.split(" and "):
+        last = premises[-1]
+        if len(premises) > 1 and last.startswith("If ") and " then " not in last:
+            premises[-1] = f"{last} and {piece}"
+        else:
+            premises.append(piece)
+    return premises
 
 
 def render_step(step: ReasoningStep) -> str:

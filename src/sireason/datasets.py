@@ -28,7 +28,6 @@ from .core import (
     ReasoningStep,
     ReasoningTrace,
     SentenceLabel,
-    Statement,
     append_step_text,
     normalize_statement,
     selection_order,
@@ -67,41 +66,22 @@ def _is_str_list(value) -> bool:
 def _proof_from_indices(
     context: LabeledContext, proof_doc: Sequence[dict]
 ) -> ReasoningTrace:
-    """Resolve a stored proof's index lists into statements, step by step."""
-    base_len = len(context)
-    inferences: list[Statement] = []
-    steps: list[ReasoningStep] = []
+    """A stored proof, its index lists checked and then read as labels
+    (`ReasoningTrace.from_labels`)."""
+    steps = []
     for step_no, doc in enumerate(proof_doc, start=1):
         indices = doc["selection"]
         if not isinstance(doc["inference"], str):
             raise SchemaError(f"step {step_no}: inference {doc['inference']!r} is not a string")
         inference = normalize_statement(doc["inference"])
-        selection: list[Statement] = []
-        labels: list[SentenceLabel] = []
         for idx in indices:
             if not _is_int(idx) or idx < 1:
                 raise SchemaError(f"step {step_no}: bad selection index {idx!r}")
-            if idx <= base_len:
-                stmt = context.lookup(SentenceLabel(idx))
-            else:
-                j = idx - base_len
-                if j > len(inferences):
-                    raise SchemaError(
-                        f"step {step_no}: selection index {idx} references "
-                        f"inference {j} which does not exist yet"
-                    )
-                stmt = inferences[j - 1]
-            selection.append(stmt)
-            labels.append(SentenceLabel(idx))
-        steps.append(
-            ReasoningStep(
-                selection=tuple(selection),
-                inference=inference,
-                selection_labels=tuple(labels),
-            )
-        )
-        inferences.append(inference)
-    return ReasoningTrace(base_context=context, steps=tuple(steps))
+            if idx - len(context) >= step_no:
+                raise SchemaError(f"step {step_no}: selection index {idx} references "
+                                  f"inference {idx - len(context)} which does not exist yet")
+        steps.append(([SentenceLabel(idx) for idx in indices], inference))
+    return ReasoningTrace.from_labels(context, steps)
 
 
 def problem_from_doc(doc: dict) -> Problem:

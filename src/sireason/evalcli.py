@@ -418,10 +418,8 @@ def evaluate(problems: Sequence[Problem], cfg: SolverConfig) -> EvalReport:
     stats = engine.SolveStats()
     solver = make_solver(cfg, stats)
     report = EvalReport()
-    gold_compared = 0
-    j_sums = [0.0, 0.0, 0.0]
-    r_sums = [0.0, 0.0]
-    exact = 0
+    # Per gold-compared problem: three Jaccard scores, ROUGE-1, ROUGE-L, exact match.
+    scores: list[tuple] = []
     traces: list[ReasoningTrace] = []
     for problem in problems:
         try:
@@ -435,27 +433,18 @@ def evaluate(problems: Sequence[Problem], cfg: SolverConfig) -> EvalReport:
             report.per_depth.setdefault(problem.depth, DepthReport()).add(
                 answer, problem.gold_answer)
         if problem.gold_proof is not None:
-            gold_compared += 1
-            j = jaccard_metrics(trace, problem.gold_proof)
-            for i in range(3):
-                j_sums[i] += j[i]
-            r1, rl = rouge_scores(
-                [s.inference.surface for s in trace.steps],
-                [s.inference.surface for s in problem.gold_proof.steps],
-            )
-            r_sums[0] += r1
-            r_sums[1] += rl
-            if exact_match(trace, problem.gold_proof):
-                exact += 1
+            scores.append((
+                *jaccard_metrics(trace, problem.gold_proof),
+                *rouge_scores([s.inference.surface for s in trace.steps],
+                              [s.inference.surface for s in problem.gold_proof.steps]),
+                exact_match(trace, problem.gold_proof),
+            ))
             key = (len(trace.steps), len(problem.gold_proof.steps))
             report.halt_depth_histogram[key] = report.halt_depth_histogram.get(key, 0) + 1
-    if gold_compared:
-        report.jaccard_leaves = j_sums[0] / gold_compared
-        report.jaccard_steps = j_sums[1] / gold_compared
-        report.jaccard_intermediates = j_sums[2] / gold_compared
-        report.rouge1_intermediates = r_sums[0] / gold_compared
-        report.rougeL_intermediates = r_sums[1] / gold_compared
-        report.exact_match_rate = exact / gold_compared
+    if scores:
+        (report.jaccard_leaves, report.jaccard_steps, report.jaccard_intermediates,
+         report.rouge1_intermediates, report.rougeL_intermediates,
+         report.exact_match_rate) = (sum(column) / len(scores) for column in zip(*scores))
     report.made_up_fact_rate = made_up_fact_rate(traces)
     report.selection_syntax_errors = stats.selection_syntax_errors
     report.selection_calls = stats.selection_calls

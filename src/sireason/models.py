@@ -259,6 +259,9 @@ def _read_value_prompt(prompt: str) -> tuple[str, str, str]:
 
 
 def _context_surfaces(ctx_text: str) -> tuple[str, ...]:
+    """The sentences of a value prompt's context text, split at each ". ".
+    Exact for grammar sentences only: one with ". " inside it, such as "Mr.
+    Smith is big", is outside the grammar and reads back as two."""
     surfaces = [s for s in (p.strip() for p in ctx_text.split(". ")) if s]
     if surfaces and surfaces[-1].endswith("."):
         surfaces[-1] = surfaces[-1][:-1]

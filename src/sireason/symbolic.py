@@ -1,7 +1,9 @@
 """Deterministic forward-chaining reasoner over the parsed rule language.
 
 Provides the reference inference `infer` (single-step entailment, or
-"nothing follows"), the step judges `is_step_correct` and `is_proof_step`,
+"nothing follows"), which fires a rule on exactly the instance that closure
+grounds (`apply_rule`: the rule under one binding whose premises are the
+selected facts), the step judges `is_step_correct` and `is_proof_step`,
 the trace judge `trace_faults`, exhaustive closure
 with provenance and proof depths (`closure`, and `extend` for a context
 that is a closed one plus one statement), hypothesis evaluation under
@@ -11,7 +13,6 @@ generator of `core.Problem`s.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Optional
@@ -84,40 +85,31 @@ def _binding(pattern: Atom, atom: Atom):
     return binding
 
 
-def _match_body(body: tuple[Atom, ...], facts: list[Atom]) -> Optional[Term]:
-    """The binding under which `facts` cover `body`: some choice of a fact
-    for each body atom, using every fact, in which each fact is an instance
-    of its body atom and at most one constant stands for the variable (None
-    for variable-free rules).  As in `closure`, one fact may be chosen for
-    every body atom it instantiates.  Raises NoEntailment when there is no
-    such choice."""
+def apply_rule(rule: RuleAst, facts: list[Atom]) -> Atom:
+    """The head of the rule's one instance, as `RuleIndex.ground` builds
+    it, whose premises are exactly the facts: the binding is one of the
+    facts' terms, or None for a rule whose body has no variable.  So one
+    fact covers every condition it instantiates.  NoEntailment when no
+    instance has these premises."""
+    body = rule.body
     if not facts or len(facts) > len(body):
         raise NoEntailment(
             f"rule body has {len(body)} atoms but {len(facts)} facts were selected"
         )
-    for choice in itertools.product(range(len(facts)), repeat=len(body)):
-        if len(set(choice)) < len(facts):
-            continue  # a selected fact left unused
-        bound = set()
-        for pattern, j in zip(body, choice):
-            binding = _binding(pattern, facts[j])
-            if binding is False:
-                break
-            if binding is not None:
-                bound.add(binding)
-        else:
-            if len(bound) <= 1:
-                return next(iter(bound), None)
+    if all(a.is_ground for a in body):
+        candidates = (None,)
+    else:
+        candidates = dict.fromkeys(
+            t for f in facts for t in (f.subject, f.obj) if t is not None
+        )
+    premises = set(facts)
+    for binding in candidates:
+        if {a.substitute(binding) for a in body} == premises:
+            head = rule.head.substitute(binding)
+            if not head.is_ground:
+                raise NoEntailment("rule head remains unbound")
+            return head
     raise NoEntailment("facts do not instantiate the rule body under one binding")
-
-
-def apply_rule(rule: RuleAst, facts: list[Atom]) -> Atom:
-    """Instantiated head if the facts match the body; NoEntailment otherwise."""
-    binding = _match_body(rule.body, facts)
-    head = rule.head.substitute(binding)
-    if not head.is_ground:
-        raise NoEntailment("rule head remains unbound")
-    return head
 
 
 def entail_step(selection: Iterable[Statement]) -> Statement:
@@ -430,21 +422,11 @@ def shortest_proof(world: WorldClosure, hypothesis: Hypothesis) -> ReasoningTrac
     if world.derived[target].depth == 0:
         # The target is a base statement; there is no derivation to show.
         raise NoProof(f"hypothesis is settled by the context: {hypothesis.surface!r}")
-    context = world.context
-    steps: list[ReasoningStep] = []
-    for d, labels in proof_steps(world, target):
-        inference = normalize_statement(render_atom(d.head))
-        steps.append(
-            ReasoningStep(
-                selection=tuple(context.lookup(label) for label in labels),
-                inference=inference,
-                selection_labels=labels,
-            )
-        )
-        context = context.extended(inference)
-    answer = evaluate_hypothesis(world, hypothesis)
-    return ReasoningTrace(
-        base_context=world.context, steps=tuple(steps), answer=answer
+    return ReasoningTrace.from_labels(
+        world.context,
+        ((labels, normalize_statement(render_atom(d.head)))
+         for d, labels in proof_steps(world, target)),
+        evaluate_hypothesis(world, hypothesis),
     )
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,6 +142,41 @@ def test_mistyped_proof_steps_raise_schema_errors():
         doc["proof"] = [step]
         with pytest.raises(SchemaError, match="^step 1: "):
             problem_from_doc(doc)
+
+
+def _load_second_line(tmp_path, selection):
+    """Load a file whose second line is `_doc()` with `selection` as its
+    proof's one step."""
+    step = {"selection": selection, "inference": "the bald eagle is not kind"}
+    path = tmp_path / "proof.jsonl"
+    path.write_text(json.dumps(dict(_doc(), id="p0")) + "\n"
+                    + json.dumps(dict(_doc(), proof=[step])) + "\n")
+    return load_problems(path)
+
+
+def test_a_step_that_selects_its_own_inference_is_a_schema_error(tmp_path):
+    with pytest.raises(SchemaError) as err:
+        _load_second_line(tmp_path, [1, 3])
+    assert err.value.line_number == 2
+    assert err.value.reason == (
+        "step 1: selection index 3 references inference 1 which does not exist yet")
+
+
+@pytest.mark.parametrize("index", [0, True])
+def test_a_selection_index_below_one_is_a_schema_error(tmp_path, index):
+    with pytest.raises(SchemaError) as err:
+        _load_second_line(tmp_path, [1, index])
+    assert err.value.line_number == 2
+    assert err.value.reason == f"step 1: bad selection index {index!r}"
+
+
+@pytest.mark.parametrize("depth", symbolic.DEPTHS)
+def test_a_generated_gold_proof_reads_back_from_its_document(depth):
+    """The stored proof keeps every step; it does not store the answer."""
+    for problem in generate_problem_set(3, {depth: 3}):
+        read = problem_from_doc(datasets.problem_to_doc(problem))
+        assert read.gold_proof == replace(problem.gold_proof, answer=None)
+        assert read == replace(problem, gold_proof=read.gold_proof)
 
 
 def test_integer_ids_and_absent_options_load():

@@ -1050,8 +1050,6 @@ def test_a_value_handler_patched_on_the_class_answers(monkeypatch):
     assert backend.complete(replace(_role_requests()[-1], role="value")) is reply
 
 
-@pytest.mark.xfail(strict=True, reason="core.split_premises splits a rule's own ' and ' "
-                   "when the rule is not the first premise; a fix moves noisy-beam outputs")
 def test_an_inference_prompt_keeps_a_later_rule_with_and_whole():
     selection = [normalize_statement(s) for s in (
         "the dog likes the tiger",

@@ -30,11 +30,10 @@ def _question(data, world) -> str:
     return f'Does it imply that the statement "{cnl.render_atom(atom)}" is True?'
 
 
-def _step(data, statements, later=None) -> ReasoningStep:
-    """A step over the statements: the first premise and the inference drawn
-    from all of them, the later premises from `later` (all, by default)."""
+def _step(data, statements) -> ReasoningStep:
+    """A step whose premises and inference are drawn from the statements."""
     head = data.draw(st.sampled_from(statements))
-    rest = data.draw(st.lists(st.sampled_from(later or statements), max_size=2))
+    rest = data.draw(st.lists(st.sampled_from(statements), max_size=2))
     return ReasoningStep((head, *rest), data.draw(st.sampled_from(statements)))
 
 
@@ -90,13 +89,7 @@ def test_a_value_prompt_reads_back(world, data):
 @ROUND_TRIP
 @given(worlds(), st.data())
 def test_a_step_reads_back(world, data):
-    statements = context_of(world).statements()
-    # A later premise is read up to its own " and ", so those with one are
-    # left out: the strict xfail
-    # `test_models.py::test_an_inference_prompt_keeps_a_later_rule_with_and_whole`
-    # pins that.  Facts have none.
-    later = [s for s in statements if " and " not in s.surface]
-    step = _step(data, statements, later)
+    step = _step(data, context_of(world).statements())
     read = parse_trace_text(render_step(step))
     assert [s.surface for s in read.selection] == [s.surface for s in step.selection]
     assert read.inference.surface == step.inference.surface

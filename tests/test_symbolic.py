@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from worlds import context_of, worlds
 
 from sireason import cnl, symbolic
 from sireason.core import (
@@ -378,6 +379,23 @@ def test_closure_matches_naive_fixpoint_on_golden_contexts(pw_problems, pw_worst
         world = _assert_closure_is_naive(problem.context)
         for context in _with_derived_atoms(problem.context, world, rng, 4):
             _assert_closure_is_naive(context)
+
+
+@settings(max_examples=100, deadline=None)
+@given(worlds(), st.data())
+def test_apply_rule_fires_each_instance_the_closure_grounds(world, data):
+    """For each instance the closure grounds on context facts alone,
+    `apply_rule` given its premises, in a drawn order and with one of them
+    repeated when the body has room, returns the instance's head."""
+    world = closure(context_of(world))
+    rules = dict(world.index.rules)
+    for label, premises, head in world.index.grounded.values():
+        if not world.fact_labels.keys() >= set(premises):
+            continue
+        facts = list(dict.fromkeys(premises))
+        if len(facts) < len(premises):
+            facts.append(data.draw(st.sampled_from(facts)))
+        assert symbolic.apply_rule(rules[label], data.draw(st.permutations(facts))) == head
 
 
 def test_closure_depth_does_not_depend_on_rule_order():
