@@ -12,8 +12,8 @@ Supported productions (versioned; see grammar.txt shipped with the package):
 
 Within a rule, "something"/"someone" introduces the quantified variable and
 "it"/"they"/"them" refer back to it; "the X" and capitalized names are
-constants. Anything outside the grammar becomes an Opaque statement, usable
-as text but not by the reasoner.
+constants. `parse_statement` has one mode: anything outside the grammar
+becomes an Opaque statement, usable as text but not by the reasoner.
 
 `render_atom` writes a fact and `render_rule` an if-rule, both through one
 clause writer over the closed verb table `VERBS`.
@@ -223,13 +223,9 @@ class _AtomParser:
         raise ParseError(f"no verb found in {text!r}", self.text, expected="is/are or relation verb")
 
 
-def _split_body(text: str) -> list[str]:
-    return text.split(" and ")
-
-
-def _parse_adjective_class_rule(text: str, surface: str) -> Optional[RuleAst]:
+def _parse_adjective_class_rule(surface: str) -> Optional[RuleAst]:
     """"All cold things are nice" / "Blue, rough people are red"."""
-    body_text = text
+    body_text = surface
     if body_text.lower().startswith("all "):
         body_text = body_text[4:]
     m = re.match(r"^([A-Za-z]+(?:\s*,\s*[A-Za-z]+)*) (things|people) are ([a-z]+)$", body_text)
@@ -241,13 +237,13 @@ def _parse_adjective_class_rule(text: str, surface: str) -> Optional[RuleAst]:
     return RuleAst(body=body, head=Atom(head_adj, VAR), surface=surface)
 
 
-def _parse_if_rule(text: str, surface: str) -> RuleAst:
-    rest = text[3:] if text.lower().startswith("if ") else text
+def _parse_if_rule(surface: str) -> RuleAst:
+    rest = surface[3:] if surface.lower().startswith("if ") else surface
     if " then " not in rest:
         raise ParseError("rule without 'then'", surface, expected="'then'")
     body_text, head_text = rest.split(" then ", 1)
     parser = _AtomParser(surface)
-    body = tuple(parser.parse_atom(chunk) for chunk in _split_body(body_text))
+    body = tuple(parser.parse_atom(chunk) for chunk in body_text.split(" and "))
     # The consequence is a full clause: it does not continue a condition.
     parser.last_subject = None
     head = parser.parse_atom(head_text)
@@ -257,19 +253,16 @@ def _parse_if_rule(text: str, surface: str) -> RuleAst:
 
 
 @lru_cache(maxsize=65536)
-def parse_statement(raw: str, strict: bool = False) -> Parsed:
-    """Parse one context statement into a fact or rule AST.
-
-    With strict=False (the default) anything outside the grammar comes back
-    as Opaque; with strict=True a ParseError is raised instead.
-    """
+def parse_statement(raw: str) -> Parsed:
+    """Parse one context statement into a fact or rule AST; anything outside
+    the grammar, the empty statement included, comes back as Opaque."""
     surface = strip_period(raw)
     try:
         if not surface:
             raise ParseError("empty statement", raw, expected="statement")
         if surface.lower().startswith("if "):
-            return _parse_if_rule(surface, surface)
-        class_rule = _parse_adjective_class_rule(surface, surface)
+            return _parse_if_rule(surface)
+        class_rule = _parse_adjective_class_rule(surface)
         if class_rule is not None:
             return class_rule
         parser = _AtomParser(surface)
@@ -278,8 +271,6 @@ def parse_statement(raw: str, strict: bool = False) -> Parsed:
             raise ParseError("fact must be ground", surface, expected="ground atom")
         return Fact(atom=atom, surface=surface)
     except ParseError:
-        if strict:
-            raise
         return Opaque(surface=surface)
 
 
@@ -356,16 +347,14 @@ def parse_question(raw: str) -> Union[Hypothesis, MultiChoiceQuestion]:
     m = _PW_QUESTION_RE.match(text)
     if m:
         hyp_surface = _decapitalize(m.group("hyp"))
-        parsed = parse_statement(hyp_surface, strict=True)
+        parsed = parse_statement(hyp_surface)
         if not isinstance(parsed, Fact):
             raise ParseError("hypothesis is not a ground fact", raw, expected="ground fact")
         return Hypothesis(atom=parsed.atom, surface=hyp_surface)
     if "?" in text and " OR " in text:
         cut = text.rindex("?") + 1
         question = text[:cut].strip()
-        tail = text[cut:].strip()
-        if tail.endswith("."):
-            tail = tail[:-1]
+        tail = strip_period(text[cut:])
         choices = tuple(c.strip() for c in tail.split(" OR ") if c.strip())
         if len(choices) >= 2:
             return MultiChoiceQuestion(question=question, choices=choices)

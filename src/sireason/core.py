@@ -265,17 +265,6 @@ class ReasoningTrace:
         """Whether the trace ended with an answer."""
         return self.answer is not None
 
-    def context_before(self, step_index: int) -> LabeledContext:
-        """Context in force when step `step_index` was taken."""
-        ctx = self.base_context
-        for step in self.steps[:step_index]:
-            ctx = ctx.extended(step.inference)
-        return ctx
-
-    @property
-    def full_context(self) -> LabeledContext:
-        return self.context_before(len(self.steps))
-
     def extended(self, step: ReasoningStep) -> "ReasoningTrace":
         return ReasoningTrace(self.base_context, self.steps + (step,), self.answer)
 
@@ -324,9 +313,7 @@ def split_premises(text: str) -> list[str]:
     for the grammar only: free text (an EntailmentBank premise) with " and "
     in it reads back as two premises.
     """
-    text = text.strip()
-    if text.endswith("."):
-        text = text[:-1]
+    text = strip_period(text)
     if _WE_KNOW not in text:
         return [text]
     head, rest = text.split(_WE_KNOW, 1)

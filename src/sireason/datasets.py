@@ -100,6 +100,15 @@ def problem_from_doc(doc: dict) -> Problem:
             raise SchemaError(f"choices {choices!r} is not a list of at least 2 strings")
         if depth is not None and not _is_int(depth):
             raise SchemaError(f"depth {depth!r} is not an integer")
+        answer = str(doc["answer"])
+        if choices:
+            gold = Answer.of_choice(answer.strip())
+            if gold.choice not in {c.strip() for c in choices}:
+                raise SchemaError(f"answer {answer!r} is none of the choices")
+        else:
+            gold = Answer.parse(answer)
+            if gold.kind == "choice":
+                raise SchemaError(f"answer {answer!r} is not True, False or Unknown")
         context = LabeledContext.from_statements(doc["context"])
         proof = (
             _proof_from_indices(context, doc["proof"])
@@ -111,7 +120,7 @@ def problem_from_doc(doc: dict) -> Problem:
             context=context,
             question=question,
             choices=tuple(choices) if choices else None,
-            gold_answer=Answer.parse(str(doc["answer"])),
+            gold_answer=gold,
             gold_proof=proof,
             depth=depth,
         )
@@ -241,9 +250,9 @@ def extract_si_pairs(problem: Problem) -> list[TrainingPair]:
     if problem.gold_proof is None:
         return []
     pairs: list[TrainingPair] = []
-    trace = problem.gold_proof
-    for k, step in enumerate(trace.steps):
-        context_k = trace.context_before(k)
+    context = problem.gold_proof.base_context
+    for k, step in enumerate(problem.gold_proof.steps):
+        context_k, context = context, context.extended(step.inference)
         # The engine's inference prompt lists the premises in the order the
         # selection completion names them.
         labels = selection_order([l.index for l in step.selection_labels])
@@ -332,9 +341,10 @@ def extract_value_pairs(
     trace = problem.gold_proof
     gold_keys = {s.inference.key for s in trace.steps}
     pairs: list[TrainingPair] = []
-    text = ""
+    text, context = "", trace.base_context
     for n, step in enumerate(trace.steps, start=1):
         before, text = text, append_step_text(text, step)
+        context_n, context = context, context.extended(step.inference)
         pairs.append(
             TrainingPair(
                 role=GeneratorRole.VALUE,
@@ -344,7 +354,6 @@ def extract_value_pairs(
                 step_index=n - 1,
             )
         )
-        context_n = trace.context_before(n - 1)
         selection_keys = {s.key for s in step.selection}
         alternatives = [
             s for s in context_n.statements() if s.key not in selection_keys

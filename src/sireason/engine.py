@@ -158,8 +158,10 @@ class BeamConfig:
 @dataclass
 class BeamEntry:
     trace: ReasoningTrace
+    # The base context extended by the trace's inferences, and
+    # render_trace(trace): each is written one step at a time as the trace grows.
+    context: LabeledContext
     cumulative_score: float = 0.0
-    # render_trace(trace), written one step at a time as the trace grows.
     text: str = ""
 
 
@@ -212,7 +214,7 @@ def beam_search(
     value_head = models.value_prompt_head(problem.context, problem.question) if ranked else ""
     if stats is None:
         stats = SolveStats()
-    entries: list[BeamEntry] = [BeamEntry(ReasoningTrace(base_context=problem.context))]
+    entries: list[BeamEntry] = [BeamEntry(ReasoningTrace(problem.context), problem.context)]
     for _ in range(cfg.max_steps):
         if all(e.trace.halted for e in entries):
             break
@@ -222,7 +224,7 @@ def beam_search(
                 continue
             try:
                 proposals = selection_step(
-                    problem.question, entry.trace.full_context, backend, stats,
+                    problem.question, entry.context, backend, stats,
                     cfg.proposals_per_trace,
                 )
             except models.BackendError as exc:
@@ -265,7 +267,8 @@ def beam_search(
                     stats.backend_failure(f"{problem.id}: backend: {exc}")
                     continue
                 steps = entry.trace.steps + (step,)
-                pool.append(BeamEntry(ReasoningTrace(problem.context, steps, maybe), score, text))
+                pool.append(BeamEntry(ReasoningTrace(problem.context, steps, maybe),
+                                      entry.context.extended(step.inference), score, text))
         if not pool:
             break
         if len(pool) > 1:

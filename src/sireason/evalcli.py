@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
-from . import cnl, datasets, engine, models, symbolic
+from . import datasets, engine, models, symbolic
 from .core import (
     Answer,
     LabeledContext,
@@ -308,12 +308,9 @@ class IncompleteContextProbe:
 
 
 def strip_facts(context: LabeledContext) -> LabeledContext:
-    rules = [
-        stmt.surface
-        for stmt in context.statements()
-        if isinstance(cnl.parse_statement(stmt.surface), cnl.RuleAst)
-    ]
-    return LabeledContext.from_statements(rules)
+    """The rule sentences of `context`, in context order."""
+    _, rules = symbolic.parse_context(context)
+    return LabeledContext.from_statements(context.lookup(label) for label, _ in rules)
 
 
 def probe_incomplete_context(

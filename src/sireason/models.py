@@ -36,6 +36,7 @@ from .core import (
     render_premises,
     selection_order,
     split_premises,
+    strip_period,
     tokenize,
 )
 
@@ -262,10 +263,8 @@ def _context_surfaces(ctx_text: str) -> tuple[str, ...]:
     """The sentences of a value prompt's context text, split at each ". ".
     Exact for grammar sentences only: one with ". " inside it, such as "Mr.
     Smith is big", is outside the grammar and reads back as two."""
-    surfaces = [s for s in (p.strip() for p in ctx_text.split(". ")) if s]
-    if surfaces and surfaces[-1].endswith("."):
-        surfaces[-1] = surfaces[-1][:-1]
-    return tuple(surfaces)
+    pieces = (p.strip() for p in strip_period(ctx_text).split(". "))
+    return tuple(s for s in pieces if s)
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +512,7 @@ def _pw_halt_answer(prompt: str) -> Answer:
     parsed = cnl.parse_question(question)
     if not isinstance(parsed, cnl.Hypothesis):
         raise BackendError("halting prompt without a hypothesis question")
-    try:
-        inf_stmt = cnl.parse_statement(inference, strict=True)
-    except cnl.ParseError:
-        return Answer.UNKNOWN
+    inf_stmt = cnl.parse_statement(inference)
     if not isinstance(inf_stmt, cnl.Fact):
         return Answer.UNKNOWN
     if inf_stmt.atom == parsed.atom:

@@ -143,15 +143,6 @@ def _toy_trace():
     return ReasoningTrace(base_context=ctx, steps=(step,))
 
 
-def test_full_context_includes_inferences():
-    trace = _toy_trace()
-    assert len(trace.full_context) == 3
-    assert trace.full_context.lookup(SentenceLabel(3)) == Statement(
-        "the tiger likes the cow"
-    )
-    assert trace.context_before(0) == trace.base_context
-
-
 def test_render_and_parse_trace_roundtrip():
     trace = _toy_trace()
     text = render_trace(trace)
@@ -222,12 +213,13 @@ def test_a_trace_is_halted_when_it_has_an_answer():
 def test_trace_extension_preserves_prefix(counts):
     trace = _toy_trace()
     for i in counts:
-        trace = trace.extended(
+        extended = trace.extended(
             ReasoningStep(
                 selection=(Statement("the tiger is kind"),),
                 inference=Statement(f"derived fact number {i}"),
             )
         )
-    for k in range(len(trace.steps)):
-        before = trace.context_before(k)
-        assert len(before) == len(trace.base_context) + k
+        assert extended.steps[:-1] == trace.steps
+        assert extended.base_context == trace.base_context
+        trace = extended
+    assert len(trace.steps) == len(_toy_trace().steps) + len(counts)

@@ -97,6 +97,37 @@ def test_eb_problems_require_choices():
     assert problem_from_doc(doc).choices == ("solid", "gas")
 
 
+@pytest.mark.parametrize("answer, choices, message", [
+    ("true", None, "answer 'true' is not True, False or Unknown"),
+    ("Yes", None, "answer 'Yes' is not True, False or Unknown"),
+    ("banana", ["a spider", "a fly"], "answer 'banana' is none of the choices"),
+    ("a fly", ["a spider", "a flea"], "answer 'a fly' is none of the choices"),
+])
+def test_a_gold_answer_outside_the_answer_set_is_a_schema_error(tmp_path, answer, choices,
+                                                                message):
+    """No solver can give such an answer, so every run would score it wrong."""
+    doc = {**_doc(), "answer": answer}
+    if choices is not None:
+        doc["choices"] = choices
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(_doc()) + "\n" + json.dumps({**doc, "id": "p2"}) + "\n")
+    with pytest.raises(SchemaError, match=f"^line 2: {message}$") as err:
+        load_problems(path)
+    assert err.value.line_number == 2
+
+
+def test_a_multiple_choice_gold_answer_is_a_choice_however_it_reads(tmp_path):
+    """The gold answer is the stripped choice, as the halter answers it,
+    even when the choice reads "True"."""
+    path = tmp_path / "mc.jsonl"
+    docs = [{**_doc(), "id": "p1", "choices": ["True", "False"], "answer": "True"},
+            {**_doc(), "id": "p2", "choices": ["gas ", "solid"], "answer": " gas "}]
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    assert [p.gold_answer for p in load_problems(path)] == [
+        Answer.of_choice("True"), Answer.of_choice("gas")
+    ]
+
+
 def test_load_problems_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.jsonl"
     good = json.dumps(_doc())
@@ -262,7 +293,7 @@ def test_validate_problems_flags_text_outside_the_grammar():
         "p1: sent 3 is outside the grammar: 'colourless green ideas sleep furiously'",
         "p1: question is outside the grammar",
     ]
-    doc["choices"] = ["kind", "not kind"]
+    doc["choices"], doc["answer"] = ["kind", "not kind"], "kind"
     assert validate_problems([problem_from_doc(doc)]) == []
 
 

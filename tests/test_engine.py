@@ -288,7 +288,9 @@ def test_score_trace_modes():
     from sireason.core import ReasoningTrace
 
     entry = BeamEntry(
-        trace=ReasoningTrace(base_context=WORST_1.context), cumulative_score=-1.0
+        trace=ReasoningTrace(base_context=WORST_1.context),
+        context=WORST_1.context,
+        cumulative_score=-1.0,
     )
     assert score_trace(entry, -2.0, "sum") == -3.0
     assert score_trace(entry, -2.0, "last") == -2.0

@@ -64,3 +64,23 @@ def test_each_shared_rule_is_defined_once_in_core():
     assert defined == [("Problem", "core"), ("selection_order", "core"),
                        ("strip_period", "core")]
     assert "core" in _imported(PACKAGE / "cnl.py")
+
+
+def _period_tests(path: pathlib.Path) -> list[tuple[str, str]]:
+    """(module, top-level definition) of each `.endswith(".")` in a module."""
+    return [
+        (path.stem, getattr(top, "name", ""))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "endswith" and len(node.args) == 1
+        and isinstance(node.args[0], ast.Constant) and node.args[0].value == "."
+    ]
+
+
+def test_the_trailing_period_is_tested_only_by_strip_period():
+    """Every reader strips one trailing period through `core.strip_period`.
+    The halter-reply readers' `.rstrip(".")`, which strips every period, is
+    their own rule and is not matched."""
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _period_tests(path)]
+    assert found == [("core", "strip_period")]

@@ -3,7 +3,7 @@ from collections import Counter
 
 from hypothesis import given, strategies as st
 
-from sireason import evalcli
+from sireason import cnl, evalcli
 from sireason.core import (
     LabeledContext,
     ReasoningStep,
@@ -21,6 +21,7 @@ from sireason.evalcli import (
     rougeL,
     rouge_scores,
 )
+from worlds import context_of, worlds
 
 
 def _trace(context, steps):
@@ -251,3 +252,23 @@ def test_made_up_fact_rate():
     assert made_up_fact_rate([good, bad]) == 0.5
     assert made_up_fact_rate([good]) == 0.0
     assert made_up_fact_rate([]) == 0.0
+
+
+@given(worlds(), st.data())
+def test_strip_facts_keeps_exactly_the_rule_sentences_in_context_order(world, data):
+    """On a drawn world, its sentences shuffled and one sentence outside the
+    grammar (a rule's form, or free text) put in among them."""
+    sentences = data.draw(st.permutations([s.surface for s in context_of(world).statements()]))
+    opaque = data.draw(st.sampled_from(["If someone is red then kind",
+                                        "colourless green ideas sleep furiously"]))
+    sentences.insert(data.draw(st.integers(0, len(sentences))), opaque)
+    context = LabeledContext.from_statements(sentences)
+    # The comprehension `strip_facts` used before it read `symbolic.parse_context`.
+    reference = [
+        stmt.surface
+        for stmt in context.statements()
+        if isinstance(cnl.parse_statement(stmt.surface), cnl.RuleAst)
+    ]
+    stripped = evalcli.strip_facts(context)
+    assert [s.surface for s in stripped.statements()] == reference
+    assert len(reference) == len(world[1])

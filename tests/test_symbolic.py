@@ -124,7 +124,7 @@ WORST_1 = LabeledContext.from_statements(
 
 
 def _hyp(surface):
-    parsed = cnl.parse_statement(surface, strict=True)
+    parsed = cnl.parse_statement(surface)
     return cnl.Hypothesis(atom=parsed.atom, surface=surface)
 
 
