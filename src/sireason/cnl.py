@@ -15,6 +15,11 @@ Within a rule, "something"/"someone" introduces the quantified variable and
 constants. `parse_statement` has one mode: anything outside the grammar
 becomes an Opaque statement, usable as text but not by the reasoner.
 
+The atom reader `_parse_atom` is a pure function, cached on (atom text,
+subject of the atom before it in the rule body): a bare-adjective
+continuation ("red and kind") takes that subject, so the key needs it.
+Each distinct atom is read once per process, however many rules share it.
+
 `render_atom` writes a fact and `render_rule` an if-rule, both through one
 clause writer over the closed verb table `VERBS`.
 
@@ -151,76 +156,70 @@ _QUANTIFIERS = {"something", "someone", "anything", "anyone"}
 _NAME_RE = re.compile(r"^[A-Z][a-z]+$")
 
 
-class _AtomParser:
-    """Parses atoms inside one statement, tracking the last subject for
-    bare-adjective continuations (a condition form only)."""
+def _term(tokens: list[str]) -> Term:
+    if not tokens:
+        raise ParseError("missing term", "", expected="term")
+    if tokens[0].lower() == "the":
+        if len(tokens) < 2:
+            raise ParseError("bare article", tokens[0], expected="noun")
+        name = " ".join(tokens[1:]).lower()
+        # "the same entity" binds to the quantified variable
+        return VAR if name == "same entity" else const(name)
+    joined = " ".join(tokens).lower()
+    if joined in _QUANTIFIERS or joined in _PRONOUNS:
+        return VAR
+    if len(tokens) == 1 and _NAME_RE.match(tokens[0]):
+        return const(tokens[0], proper=True)
+    raise ParseError("cannot read term", " ".join(tokens), expected="term")
 
-    def __init__(self, text: str):
-        self.text = text
-        self.last_subject: Optional[Term] = None
 
-    def parse_term_tokens(self, tokens: list[str]) -> Term:
-        if not tokens:
-            raise ParseError("missing term", self.text, expected="term")
-        if tokens[0].lower() == "the":
-            if len(tokens) < 2:
-                raise ParseError("bare article", self.text, expected="noun")
-            name = " ".join(tokens[1:]).lower()
-            # "the same entity" binds to the quantified variable
-            return VAR if name == "same entity" else const(name)
-        joined = " ".join(tokens).lower()
-        if joined in _QUANTIFIERS or joined in _PRONOUNS:
-            return VAR
-        if len(tokens) == 1 and _NAME_RE.match(tokens[0]):
-            return const(tokens[0], proper=True)
-        raise ParseError(f"cannot read term {' '.join(tokens)!r}", self.text, expected="term")
+@lru_cache(maxsize=4096)
+def _parse_atom(text: str, last_subject: Optional[Term]) -> Atom:
+    """One atom of a statement.  `last_subject` is the subject of the atom
+    before it in the same rule body, or None: a bare-adjective
+    continuation takes it."""
+    tokens = text.split()
+    if not tokens:
+        raise ParseError("empty atom", text, expected="atom")
 
-    def parse_atom(self, text: str) -> Atom:
-        tokens = text.split()
-        if not tokens:
-            raise ParseError("empty atom", self.text, expected="atom")
+    # Bare-adjective continuation: "kind", "not young" share the previous
+    # subject ("If someone is red and kind then ...").
+    if last_subject is not None and len(tokens) <= 2:
+        if tokens[0] == "not" and len(tokens) == 2:
+            return Atom(tokens[1].lower(), last_subject, negated=True)
+        if len(tokens) == 1 and tokens[0].lower() not in _PRONOUNS:
+            return Atom(tokens[0].lower(), last_subject)
 
-        # Bare-adjective continuation: "kind", "not young" share the previous
-        # subject ("If someone is red and kind then ...").
-        if self.last_subject is not None and len(tokens) <= 2:
-            if tokens[0] == "not" and len(tokens) == 2:
-                return Atom(tokens[1].lower(), self.last_subject, negated=True)
-            if len(tokens) == 1 and tokens[0].lower() not in _PRONOUNS:
-                return Atom(tokens[0].lower(), self.last_subject)
-
-        # Find the verb pivot: is/are or a known relation verb, optionally
-        # preceded by "does not" / "do not".
-        for i, tok in enumerate(tokens):
-            low = tok.lower()
-            if low in ("is", "are") and i > 0:
-                subject = self.parse_term_tokens(tokens[:i])
-                rest = tokens[i + 1:]
-                negated = False
-                if rest and rest[0] == "not":
-                    negated = True
-                    rest = rest[1:]
-                if len(rest) != 1:
-                    raise ParseError(
-                        f"expected one adjective, got {' '.join(rest)!r}",
-                        self.text,
-                        position=i,
-                        expected="adjective",
-                    )
-                self.last_subject = subject
-                return Atom(rest[0].lower(), subject, negated=negated)
-            if low in ("does", "do") and i + 2 < len(tokens) and tokens[i + 1] == "not":
-                verb = tokens[i + 2].lower()
-                if verb in _VERB_FORMS:
-                    subject = self.parse_term_tokens(tokens[:i])
-                    obj = self.parse_term_tokens(tokens[i + 3:])
-                    self.last_subject = subject
-                    return Atom(_VERB_FORMS[verb], subject, obj=obj, negated=True)
-            if low in _VERB_FORMS and i > 0:
-                subject = self.parse_term_tokens(tokens[:i])
-                obj = self.parse_term_tokens(tokens[i + 1:])
-                self.last_subject = subject
-                return Atom(_VERB_FORMS[low], subject, obj=obj)
-        raise ParseError(f"no verb found in {text!r}", self.text, expected="is/are or relation verb")
+    # Find the verb pivot: is/are or a known relation verb, optionally
+    # preceded by "does not" / "do not".
+    for i, tok in enumerate(tokens):
+        low = tok.lower()
+        if low in ("is", "are") and i > 0:
+            subject = _term(tokens[:i])
+            rest = tokens[i + 1:]
+            negated = False
+            if rest and rest[0] == "not":
+                negated = True
+                rest = rest[1:]
+            if len(rest) != 1:
+                raise ParseError(
+                    f"expected one adjective, got {' '.join(rest)!r}",
+                    text,
+                    position=i,
+                    expected="adjective",
+                )
+            return Atom(rest[0].lower(), subject, negated=negated)
+        if low in ("does", "do") and i + 2 < len(tokens) and tokens[i + 1] == "not":
+            verb = tokens[i + 2].lower()
+            if verb in _VERB_FORMS:
+                subject = _term(tokens[:i])
+                obj = _term(tokens[i + 3:])
+                return Atom(_VERB_FORMS[verb], subject, obj=obj, negated=True)
+        if low in _VERB_FORMS and i > 0:
+            subject = _term(tokens[:i])
+            obj = _term(tokens[i + 1:])
+            return Atom(_VERB_FORMS[low], subject, obj=obj)
+    raise ParseError("no verb found", text, expected="is/are or relation verb")
 
 
 def _parse_adjective_class_rule(surface: str) -> Optional[RuleAst]:
@@ -242,14 +241,17 @@ def _parse_if_rule(surface: str) -> RuleAst:
     if " then " not in rest:
         raise ParseError("rule without 'then'", surface, expected="'then'")
     body_text, head_text = rest.split(" then ", 1)
-    parser = _AtomParser(surface)
-    body = tuple(parser.parse_atom(chunk) for chunk in body_text.split(" and "))
+    body = []
+    subject = None
+    for chunk in body_text.split(" and "):
+        atom = _parse_atom(chunk, subject)
+        body.append(atom)
+        subject = atom.subject
     # The consequence is a full clause: it does not continue a condition.
-    parser.last_subject = None
-    head = parser.parse_atom(head_text)
+    head = _parse_atom(head_text, None)
     if not head.is_ground and all(a.is_ground for a in body):
         raise ParseError("head variable not bound in body", surface, expected="bound variable")
-    return RuleAst(body=body, head=head, surface=surface)
+    return RuleAst(body=tuple(body), head=head, surface=surface)
 
 
 @lru_cache(maxsize=65536)
@@ -265,8 +267,7 @@ def parse_statement(raw: str) -> Parsed:
         class_rule = _parse_adjective_class_rule(surface)
         if class_rule is not None:
             return class_rule
-        parser = _AtomParser(surface)
-        atom = parser.parse_atom(surface)
+        atom = _parse_atom(surface, None)
         if not atom.is_ground:
             raise ParseError("fact must be ground", surface, expected="ground atom")
         return Fact(atom=atom, surface=surface)
@@ -354,7 +355,8 @@ def parse_question(raw: str) -> Union[Hypothesis, MultiChoiceQuestion]:
     if "?" in text and " OR " in text:
         cut = text.rindex("?") + 1
         question = text[:cut].strip()
-        tail = strip_period(text[cut:])
+        # Padded, so an " OR" with nothing after it leaves an empty choice.
+        tail = f"{strip_period(text[cut:])} "
         choices = tuple(c.strip() for c in tail.split(" OR ") if c.strip())
         if len(choices) >= 2:
             return MultiChoiceQuestion(question=question, choices=choices)

@@ -135,11 +135,15 @@ class LabeledContext:
 
     @classmethod
     def from_statements(cls, statements: Iterable[Statement | str]) -> "LabeledContext":
-        entries = []
-        for i, s in enumerate(statements, start=1):
-            stmt = s if isinstance(s, Statement) else normalize_statement(s)
-            entries.append((SentenceLabel(i), stmt))
-        return cls(entries)
+        # The labels are numbered here, so `__init__`'s walk over them is
+        # skipped, as in `extended`.
+        entries = tuple(
+            (SentenceLabel(i), s if isinstance(s, Statement) else normalize_statement(s))
+            for i, s in enumerate(statements, start=1)
+        )
+        context = object.__new__(cls)
+        object.__setattr__(context, "entries", entries)
+        return context
 
     def extended(self, statement: Statement) -> "LabeledContext":
         # The entries are already checked and the new label is the next

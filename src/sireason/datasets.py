@@ -100,7 +100,9 @@ def problem_from_doc(doc: dict) -> Problem:
             raise SchemaError(f"choices {choices!r} is not a list of at least 2 strings")
         if depth is not None and not _is_int(depth):
             raise SchemaError(f"depth {depth!r} is not an integer")
-        answer = str(doc["answer"])
+        answer = doc["answer"]
+        if not isinstance(answer, str):
+            raise SchemaError(f"answer {answer!r} is not a string")
         if choices:
             gold = Answer.of_choice(answer.strip())
             if gold.choice not in {c.strip() for c in choices}:
@@ -341,6 +343,7 @@ def extract_value_pairs(
     trace = problem.gold_proof
     gold_keys = {s.inference.key for s in trace.steps}
     pairs: list[TrainingPair] = []
+    head = models.value_prompt_head(problem.context, problem.question)
     text, context = "", trace.base_context
     for n, step in enumerate(trace.steps, start=1):
         before, text = text, append_step_text(text, step)
@@ -348,7 +351,7 @@ def extract_value_pairs(
         pairs.append(
             TrainingPair(
                 role=GeneratorRole.VALUE,
-                input=models.format_value_prompt(problem.context, problem.question, text),
+                input=models.format_value_prompt(problem.context, problem.question, text, head),
                 target=models.CORRECT,
                 source_problem_id=problem.id,
                 step_index=n - 1,
@@ -382,6 +385,7 @@ def extract_value_pairs(
                     problem.context,
                     problem.question,
                     append_step_text(before, corrupted_step),
+                    head,
                 ),
                 target=models.INCORRECT,
                 source_problem_id=problem.id,

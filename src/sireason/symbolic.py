@@ -195,23 +195,24 @@ class RuleIndex:
             constants.add(atom.subject)
             if atom.obj:
                 constants.add(atom.obj)
-        for _, rule in rules:
-            for a in rule.body + (rule.head,):
-                for t in (a.subject, a.obj):
-                    if t is not None and not t.is_variable:
-                        constants.add(t)
-        self.rules = rules
-        self.constants = sorted(constants, key=lambda t: (t.name, t.proper))
-        self.position = {t: k for k, t in enumerate(self.constants)}
         self.patterns: dict[str, list[tuple[int, Atom]]] = {}
         self.uses_var = []
         for r, (_, rule) in enumerate(rules):
             for a in rule.body:
                 self.patterns.setdefault(a.predicate, []).append((r, a))
-            self.uses_var.append(any(
-                a.subject.is_variable or (a.obj and a.obj.is_variable)
-                for a in rule.body + (rule.head,)
-            ))
+            uses_var = False
+            for a in rule.body + (rule.head,):
+                for t in (a.subject, a.obj):
+                    if t is not None and t.is_variable:
+                        uses_var = True
+                    elif t is not None:
+                        constants.add(t)
+            self.uses_var.append(uses_var)
+        self.rules = rules
+        # A constant's `is_variable` is False, so tuple order is the order
+        # of (name, proper).
+        self.constants = sorted(constants)
+        self.position = {t: k for k, t in enumerate(self.constants)}
         self.grounded: dict[tuple[int, int], tuple[SentenceLabel, tuple[Atom, ...], Atom]] = {}
 
     def knows(self, atom: Atom) -> bool:
@@ -219,20 +220,6 @@ class RuleIndex:
         return atom.subject in self.position and (
             atom.obj is None or atom.obj in self.position
         )
-
-    def users(self, atom: Atom):
-        """The instances (rule, constant) with `atom` among their premises."""
-        for r, pattern in self.patterns.get(atom.predicate, ()):
-            binding = _binding(pattern, atom)
-            if binding is False:
-                continue
-            if not self.uses_var[r]:
-                yield r, 0
-            elif binding is None:
-                for k in range(len(self.constants)):
-                    yield r, k
-            else:
-                yield r, self.position[binding]
 
     def ground(self, key: tuple[int, int]) -> tuple[SentenceLabel, tuple[Atom, ...], Atom]:
         """(rule label, premises, head) of the instance `key`."""
@@ -297,19 +284,42 @@ def _settle(derived: dict[Atom, AtomProof], index: RuleIndex, lowered: Iterable[
     its level is reached, and an instance is ground when one of its
     premises first has a proof: those no proof reaches are never built.
     """
+    patterns, uses_var, position = index.patterns, index.uses_var, index.position
     levels: dict[int, list[Atom]] = {}
     for atom in lowered:
         levels.setdefault(derived[atom].depth, []).append(atom)
     depth = min(levels, default=0)
     while levels:
-        # An atom lowered again since it was queued is settled at its
-        # lower level.
-        settled = [a for a in levels.pop(depth, ()) if derived[a].depth == depth]
-        for key in {key for atom in settled for key in index.users(atom)}:
-            label, premises, head = index.ground(key)
-            if any(p not in derived for p in premises):
+        # The instances (rule, constant) with a settled atom among their
+        # premises, each once.  An atom lowered again since it was queued
+        # is settled at its lower level.
+        keys = set()
+        for atom in levels.pop(depth, ()):
+            if derived[atom].depth != depth:
                 continue
-            height = 1 + max(derived[p].depth for p in premises)
+            for r, pattern in patterns.get(atom.predicate, ()):
+                binding = _binding(pattern, atom)
+                if binding is False:
+                    continue
+                if not uses_var[r]:
+                    keys.add((r, 0))
+                elif binding is None:
+                    keys.update((r, k) for k in range(len(index.constants)))
+                else:
+                    keys.add((r, position[binding]))
+        for key in keys:
+            label, premises, head = index.ground(key)
+            # 1 + the deepest premise's depth, or 0 while a premise is unproved.
+            height = 1
+            for p in premises:
+                proof = derived.get(p)
+                if proof is None:
+                    height = 0
+                    break
+                if proof.depth >= height:
+                    height = proof.depth + 1
+            if not height:
+                continue
             old = derived.get(head)
             if old is not None and (
                 old.depth < height
@@ -318,9 +328,7 @@ def _settle(derived: dict[Atom, AtomProof], index: RuleIndex, lowered: Iterable[
                 <= _candidate_key(label, premises)
             ):
                 continue
-            derived[head] = AtomProof(
-                depth=height, derivation=Derivation(rule_label=label, premises=premises, head=head)
-            )
+            derived[head] = AtomProof(height, Derivation(label, premises, head))
             if old is None or height < old.depth:
                 levels.setdefault(height, []).append(head)
         depth += 1
@@ -330,7 +338,7 @@ def closure(context: LabeledContext) -> WorldClosure:
     """Least fixed point of rule application, with one proof per atom: the
     context facts at depth 0, and what they settle (`_settle`)."""
     fact_labels, rules = parse_context(context)
-    derived = {atom: AtomProof(depth=0, derivation=None) for atom in fact_labels}
+    derived = dict.fromkeys(fact_labels, AtomProof(0, None))
     index = RuleIndex(rules, fact_labels)
     _settle(derived, index, fact_labels)
     return WorldClosure(context=context, derived=derived, fact_labels=fact_labels, index=index)
@@ -358,7 +366,7 @@ def extend(world: WorldClosure, context: LabeledContext) -> WorldClosure:
     if not world.index.knows(parsed.atom):
         return closure(context)
     derived = dict(world.derived)
-    derived[parsed.atom] = AtomProof(depth=0, derivation=None)
+    derived[parsed.atom] = AtomProof(0, None)
     _settle(derived, world.index, [parsed.atom])
     return WorldClosure(context, derived, {**world.fact_labels, parsed.atom: label}, world.index)
 
@@ -442,6 +450,7 @@ _ADJECTIVES = [
     "kind", "nice", "green", "blue", "red", "round", "rough", "cold",
     "young", "big", "quiet", "smart", "furry", "happy",
 ]
+_VERB_LEMMAS = tuple(VERBS)
 # The proof depths `generate_problem` makes.
 DEPTHS = (1, 2, 3, 5)
 # Worlds `generate_problem` draws for one problem before it gives up.
@@ -488,7 +497,7 @@ def _generate_once(rng, seed, depth, n_distractor_rules, n_distractor_facts):
 
     def fresh_relation(subject: Term) -> Atom:
         for _ in range(30):
-            verb = rng.choice(tuple(VERBS))
+            verb = rng.choice(_VERB_LEMMAS)
             obj = const(rng.choice(entities))
             if (verb, subject.name, obj.name) not in used_relations:
                 used_relations.add((verb, subject.name, obj.name))

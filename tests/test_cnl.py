@@ -2,7 +2,8 @@ import pathlib
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from worlds import context_of, worlds
 
 from sireason import cnl, symbolic
 from sireason.cnl import (
@@ -22,6 +23,7 @@ from sireason.cnl import (
     render_atom,
     render_rule,
 )
+from sireason.core import strip_period
 
 
 def test_parse_attribute_fact():
@@ -216,6 +218,12 @@ def test_parse_question_multi_choice_form():
     assert parsed.question.endswith("?")
 
 
+def test_a_dangling_or_ends_the_choices():
+    for raw in ("q? a OR b OR.", "q? a OR b OR ."):
+        assert parse_question(raw).choices == ("a", "b"), raw
+    assert parse_question("q? a OR b ORE.").choices == ("a", "b ORE")
+
+
 def test_parse_question_rejects_other_forms():
     with pytest.raises(ParseError):
         parse_question("Is the cat nice?")
@@ -364,3 +372,143 @@ def test_render_rule_writes_the_quantifier_then_its_pronoun():
     assert render_rule(
         (Atom("chase", cat, VAR),), Atom("need", cat, VAR, negated=True), "someone"
     ) == "If the cat chases someone then the cat does not need them"
+
+
+def test_the_atom_cache_does_not_carry_one_rules_subject_into_another():
+    """A bare-adjective continuation takes the subject of the condition
+    before it in its own rule, whichever rule was parsed first."""
+    variable = "If someone is red and kind then they are nice"
+    constant = "If the cat is red and kind then the cat is nice"
+    subjects = {variable: VAR, constant: const("cat")}
+    for order in ((variable, constant), (constant, variable)):
+        cnl._parse_atom.cache_clear()
+        parse_statement.cache_clear()
+        for surface in order:
+            assert parse_statement(surface).body[1] == Atom("kind", subjects[surface]), order
+
+
+class _ReferenceAtomParser:
+    """The atom reader as it was before atoms were cached: one instance
+    per statement, tracking the last subject for bare-adjective
+    continuations."""
+
+    def __init__(self, text):
+        self.text = text
+        self.last_subject = None
+
+    def parse_term_tokens(self, tokens):
+        if not tokens:
+            raise ParseError("missing term", self.text)
+        if tokens[0].lower() == "the":
+            if len(tokens) < 2:
+                raise ParseError("bare article", self.text)
+            name = " ".join(tokens[1:]).lower()
+            return VAR if name == "same entity" else const(name)
+        joined = " ".join(tokens).lower()
+        if joined in cnl._QUANTIFIERS or joined in cnl._PRONOUNS:
+            return VAR
+        if len(tokens) == 1 and cnl._NAME_RE.match(tokens[0]):
+            return const(tokens[0], proper=True)
+        raise ParseError("cannot read term", self.text)
+
+    def parse_atom(self, text):
+        tokens = text.split()
+        if not tokens:
+            raise ParseError("empty atom", self.text)
+        if self.last_subject is not None and len(tokens) <= 2:
+            if tokens[0] == "not" and len(tokens) == 2:
+                return Atom(tokens[1].lower(), self.last_subject, negated=True)
+            if len(tokens) == 1 and tokens[0].lower() not in cnl._PRONOUNS:
+                return Atom(tokens[0].lower(), self.last_subject)
+        for i, tok in enumerate(tokens):
+            low = tok.lower()
+            if low in ("is", "are") and i > 0:
+                subject = self.parse_term_tokens(tokens[:i])
+                rest = tokens[i + 1:]
+                negated = False
+                if rest and rest[0] == "not":
+                    negated = True
+                    rest = rest[1:]
+                if len(rest) != 1:
+                    raise ParseError("expected one adjective", self.text)
+                self.last_subject = subject
+                return Atom(rest[0].lower(), subject, negated=negated)
+            if low in ("does", "do") and i + 2 < len(tokens) and tokens[i + 1] == "not":
+                verb = tokens[i + 2].lower()
+                if verb in cnl._VERB_FORMS:
+                    subject = self.parse_term_tokens(tokens[:i])
+                    obj = self.parse_term_tokens(tokens[i + 3:])
+                    self.last_subject = subject
+                    return Atom(cnl._VERB_FORMS[verb], subject, obj=obj, negated=True)
+            if low in cnl._VERB_FORMS and i > 0:
+                subject = self.parse_term_tokens(tokens[:i])
+                obj = self.parse_term_tokens(tokens[i + 1:])
+                self.last_subject = subject
+                return Atom(cnl._VERB_FORMS[low], subject, obj=obj)
+        raise ParseError("no verb found", self.text)
+
+
+def _reference_parse(raw):
+    """`parse_statement` over `_ReferenceAtomParser`."""
+    surface = strip_period(raw)
+    try:
+        if surface.lower().startswith("if "):
+            if " then " not in surface[3:]:
+                raise ParseError("rule without 'then'", surface)
+            body_text, head_text = surface[3:].split(" then ", 1)
+            parser = _ReferenceAtomParser(surface)
+            body = tuple(parser.parse_atom(chunk) for chunk in body_text.split(" and "))
+            parser.last_subject = None
+            head = parser.parse_atom(head_text)
+            if not head.is_ground and all(a.is_ground for a in body):
+                raise ParseError("head variable not bound in body", surface)
+            return RuleAst(body=body, head=head, surface=surface)
+        class_rule = cnl._parse_adjective_class_rule(surface)
+        if class_rule is not None:
+            return class_rule
+        atom = _ReferenceAtomParser(surface).parse_atom(surface)
+        if not atom.is_ground:
+            raise ParseError("fact must be ground", surface)
+        return Fact(atom=atom, surface=surface)
+    except ParseError:
+        return Opaque(surface=surface)
+
+
+# Statements the reader turns into Opaque, each from a different branch.
+_OUT_OF_GRAMMAR = (
+    "", "a fly is a kind of insect", "If someone is red then kind", "If the cat is red",
+    "If the cat is red then something likes the dog", "something is red",
+    "the is red", "the cat is very red", "If it and kind then the cat is big",
+)
+
+
+def _continued_rules(world):
+    """Each of the world's rules cut to its first condition and continued
+    with the bare adjective "kind", which takes that condition's subject:
+    a constant in some rules, the variable in others."""
+    rules = []
+    for body, head in world[1]:
+        condition, consequence = render_rule(body[:1], head, "something").split(" then ")
+        rules.append(f"{condition} and kind then {consequence}")
+    return rules
+
+
+@settings(max_examples=200, deadline=None)
+@given(worlds(),
+       st.lists(_if_rule_surfaces() | _fact_surfaces() | st.sampled_from(_OUT_OF_GRAMMAR),
+                max_size=6))
+def test_cached_atoms_read_as_the_reference_reader_in_any_order(world, extra):
+    """Each statement parses to what the uncached reader gives, from a cold
+    atom cache and after the same statements were parsed in reverse."""
+    surfaces = ([s.surface for s in context_of(world).statements()]
+                + _continued_rules(world) + extra)
+    expected = [_reference_parse(s) for s in surfaces]
+    cnl._parse_atom.cache_clear()
+    parse_statement.cache_clear()
+    assert [parse_statement(s) for s in surfaces] == expected
+    cnl._parse_atom.cache_clear()
+    parse_statement.cache_clear()
+    for s in reversed(surfaces):
+        parse_statement(s)
+    parse_statement.cache_clear()
+    assert [parse_statement(s) for s in surfaces] == expected

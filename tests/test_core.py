@@ -117,6 +117,21 @@ def test_labeled_context_basics():
         extended.entries = ()
 
 
+def test_from_statements_numbers_its_labels_and_checks_its_statements():
+    statements = (s for s in ["a is red", Statement("b is blue"), "c is green."])
+    ctx = LabeledContext.from_statements(statements)
+    assert isinstance(ctx, LabeledContext)
+    assert [label.index for label, _ in ctx] == [1, 2, 3]
+    assert ctx.statements() == tuple(map(Statement, ["a is red", "b is blue", "c is green"]))
+    assert ctx == LabeledContext(ctx.entries)
+    with pytest.raises(core.EmptyStatement):
+        LabeledContext.from_statements(["a is red", " . "])
+    # Entries built elsewhere still have their labels checked.
+    gap = (ctx.entries[0], (SentenceLabel(3), Statement("c is green")))
+    with pytest.raises(ValueError, match="position 2 has sent 3"):
+        LabeledContext(gap)
+
+
 def test_answer_parse_render():
     assert Answer.parse("True") == Answer.TRUE
     assert Answer.parse(" False ") == Answer.FALSE

@@ -116,6 +116,19 @@ def test_a_gold_answer_outside_the_answer_set_is_a_schema_error(tmp_path, answer
     assert err.value.line_number == 2
 
 
+@pytest.mark.parametrize("answer, line", [(True, 1), (False, 2), (1, 3), (None, 2)])
+def test_a_gold_answer_that_is_not_a_string_is_a_schema_error(tmp_path, answer, line):
+    """`"answer": true` is not read as True: every field is type-checked."""
+    docs = [{**_doc(), "id": f"p{n}"} for n in range(1, 4)]
+    docs[line - 1]["answer"] = answer
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    message = f"answer {answer!r} is not a string"
+    with pytest.raises(SchemaError, match=f"^line {line}: {message}$") as err:
+        load_problems(path)
+    assert err.value.line_number == line
+
+
 def test_a_multiple_choice_gold_answer_is_a_choice_however_it_reads(tmp_path):
     """The gold answer is the stripped choice, as the halter answers it,
     even when the choice reads "True"."""
