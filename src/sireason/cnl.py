@@ -355,8 +355,9 @@ def parse_question(raw: str) -> Union[Hypothesis, MultiChoiceQuestion]:
     if "?" in text and " OR " in text:
         cut = text.rindex("?") + 1
         question = text[:cut].strip()
-        # Padded, so an " OR" with nothing after it leaves an empty choice.
-        tail = f"{strip_period(text[cut:])} "
+        # Padded on both sides, so an "OR" with nothing before or after it
+        # leaves an empty choice.
+        tail = f" {strip_period(text[cut:])} "
         choices = tuple(c.strip() for c in tail.split(" OR ") if c.strip())
         if len(choices) >= 2:
             return MultiChoiceQuestion(question=question, choices=choices)

@@ -112,71 +112,62 @@ def selection_order(labels: Sequence) -> list:
     return [rule, *sorted(set(labels[1:]) - {rule})]
 
 
-class LabeledContext:
-    """An ordered, immutable list of labeled statements.
+@lru_cache(maxsize=256)
+def _labels(n: int) -> tuple[SentenceLabel, ...]:
+    """The labels "sent 1" .. "sent n"."""
+    return tuple(SentenceLabel(i) for i in range(1, n + 1))
 
-    Labels are contiguous from 1. `extended` returns a new context with the
-    statement appended under the next label; existing entries are shared.
+
+class LabeledContext:
+    """An ordered, immutable tuple of statements; the label of a statement
+    is its position, "sent 1" for the first.
+
+    `extended` returns a new context with the statement appended, under the
+    next label; existing statements are shared.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("_statements",)
 
-    def __init__(self, entries: Sequence[tuple[SentenceLabel, Statement]]):
-        entries = tuple(entries)
-        for pos, (label, _) in enumerate(entries, start=1):
-            if label.index != pos:
-                raise ValueError(
-                    f"labels must be contiguous from 1; position {pos} has {label.render()}"
-                )
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, statements: tuple[Statement, ...]):
+        object.__setattr__(self, "_statements", statements)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("LabeledContext is immutable")
 
     @classmethod
     def from_statements(cls, statements: Iterable[Statement | str]) -> "LabeledContext":
-        # The labels are numbered here, so `__init__`'s walk over them is
-        # skipped, as in `extended`.
-        entries = tuple(
-            (SentenceLabel(i), s if isinstance(s, Statement) else normalize_statement(s))
-            for i, s in enumerate(statements, start=1)
-        )
-        context = object.__new__(cls)
-        object.__setattr__(context, "entries", entries)
-        return context
+        return cls(tuple(
+            s if isinstance(s, Statement) else normalize_statement(s) for s in statements
+        ))
 
     def extended(self, statement: Statement) -> "LabeledContext":
-        # The entries are already checked and the new label is the next
-        # one, so `__init__`'s walk over every label is skipped.
-        label = SentenceLabel(len(self.entries) + 1)
-        child = object.__new__(LabeledContext)
-        object.__setattr__(child, "entries", self.entries + ((label, statement),))
-        return child
+        return LabeledContext(self._statements + (statement,))
 
     def statements(self) -> tuple[Statement, ...]:
-        return tuple(s for _, s in self.entries)
+        return self._statements
 
     def lookup(self, label: SentenceLabel) -> Statement:
-        if not 1 <= label.index <= len(self.entries):
-            raise KeyError(f"{label.render()} out of range 1..{len(self.entries)}")
-        return self.entries[label.index - 1][1]
+        if not 1 <= label.index <= len(self._statements):
+            raise KeyError(f"{label.render()} out of range 1..{len(self._statements)}")
+        return self._statements[label.index - 1]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._statements)
 
     def __iter__(self):
-        return iter(self.entries)
+        """The `(label, statement)` pairs, in order."""
+        return zip(_labels(len(self._statements)), self._statements)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledContext):
             return NotImplemented
-        return self.entries == other.entries
+        return self._statements == other._statements
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash(self._statements)
 
     def __repr__(self) -> str:
-        return f"LabeledContext({len(self.entries)} sentences)"
+        return f"LabeledContext({len(self._statements)} sentences)"
 
 
 @dataclass(frozen=True)

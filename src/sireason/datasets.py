@@ -351,7 +351,7 @@ def extract_value_pairs(
         pairs.append(
             TrainingPair(
                 role=GeneratorRole.VALUE,
-                input=models.format_value_prompt(problem.context, problem.question, text, head),
+                input=models.format_value_prompt(head, text),
                 target=models.CORRECT,
                 source_problem_id=problem.id,
                 step_index=n - 1,
@@ -381,12 +381,7 @@ def extract_value_pairs(
         pairs.append(
             TrainingPair(
                 role=GeneratorRole.VALUE,
-                input=models.format_value_prompt(
-                    problem.context,
-                    problem.question,
-                    append_step_text(before, corrupted_step),
-                    head,
-                ),
+                input=models.format_value_prompt(head, append_step_text(before, corrupted_step)),
                 target=models.INCORRECT,
                 source_problem_id=problem.id,
                 step_index=n - 1,

@@ -14,7 +14,6 @@ structurally.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -33,8 +32,6 @@ from .core import (
 )
 from .models import CompletionRequest, GeneratorRole
 
-_LABEL_TOKEN = re.compile(r"\bsent (\d+)\b")
-
 
 @dataclass
 class SolveStats:
@@ -49,21 +46,6 @@ class SolveStats:
     def backend_failure(self, note: str) -> None:
         self.backend_failures += 1
         self.notes.append(note)
-
-
-def _read_labels(raw: str, size: int) -> Optional[list[SentenceLabel]]:
-    """The distinct labels of one selection sample, in order; None if it
-    has none, or one outside a context of `size` sentences."""
-    labels: list[SentenceLabel] = []
-    seen: set[int] = set()
-    for token in _LABEL_TOKEN.findall(raw):
-        index = int(token)
-        if not 1 <= index <= size:
-            return None
-        if index not in seen:
-            seen.add(index)
-            labels.append(SentenceLabel(index))
-    return labels or None
 
 
 def selection_step(
@@ -89,7 +71,7 @@ def selection_step(
     ).samples
     proposals = []
     for raw in samples:
-        labels = _read_labels(raw, len(context))
+        labels = models.read_selection(raw, len(context))
         if labels is None:
             if stats is not None:
                 stats.selection_syntax_errors += 1
@@ -173,8 +155,8 @@ def score_trace(entry: BeamEntry, new_step_score: float, mode: str) -> float:
     return new_step_score
 
 
-def _value_score(problem, head: str, text: str, backend) -> float:
-    prompt = models.format_value_prompt(problem.context, problem.question, text, head)
+def _value_score(head: str, text: str, backend) -> float:
+    prompt = models.format_value_prompt(head, text)
     response = backend.complete(
         CompletionRequest(
             GeneratorRole.VALUE,
@@ -256,7 +238,7 @@ def beam_search(
                 text = append_step_text(entry.text, step)
                 try:
                     if ranked:
-                        value = _value_score(problem, value_head, text, backend)
+                        value = _value_score(value_head, text, backend)
                         step = ReasoningStep(step.selection, step.inference,
                                              step.selection_labels, value)
                         score = score_trace(entry, value, cfg.score_mode)

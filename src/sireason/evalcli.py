@@ -14,7 +14,7 @@ import random
 import sys
 import weakref
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Optional, Sequence
 
 from . import datasets, engine, models, symbolic
@@ -454,33 +454,24 @@ def evaluate(problems: Sequence[Problem], cfg: SolverConfig) -> EvalReport:
 # ---------------------------------------------------------------------------
 
 def _add_solver_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", choices=["oracle", "scripted", "remote"],
-                        default="oracle")
-    parser.add_argument("--noise", type=float, default=0.0)
-    parser.add_argument("--beam", type=int, default=1)
-    parser.add_argument("--proposals", type=int, default=1)
-    parser.add_argument("--max-steps", type=int, default=10)
-    parser.add_argument("--score-mode", choices=["sum", "last"], default="sum")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--endpoint", default=None,
+    parser.add_argument("--backend", choices=["oracle", "scripted", "remote"])
+    parser.add_argument("--noise", type=float, dest="noise_rate", metavar="NOISE")
+    parser.add_argument("--beam", type=int, dest="beam_width", metavar="BEAM")
+    parser.add_argument("--proposals", type=int, dest="proposals_per_trace",
+                        metavar="PROPOSALS")
+    parser.add_argument("--max-steps", type=int)
+    parser.add_argument("--score-mode", choices=["sum", "last"])
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--endpoint",
                         help=f"remote endpoint (or ${REMOTE_ENDPOINT_ENV})")
-    parser.set_defaults(parser_error=parser.error)
+    parser.set_defaults(parser_error=parser.error, **asdict(SolverConfig()))
 
 
 def _solver_config(args) -> SolverConfig:
     """The solver settings from the command line; a bad search or backend
     setting stops the command (exit 2) before any problem loads or any
     server starts."""
-    cfg = SolverConfig(
-        backend=args.backend,
-        noise_rate=args.noise,
-        seed=args.seed,
-        beam_width=args.beam,
-        proposals_per_trace=args.proposals,
-        max_steps=args.max_steps,
-        score_mode=args.score_mode,
-        endpoint=args.endpoint,
-    )
+    cfg = SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
     try:
         cfg.beam_config()
     except ValueError as exc:

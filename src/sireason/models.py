@@ -16,6 +16,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import threading
 import time
@@ -28,6 +29,7 @@ from .core import (
     Answer,
     EmptyStatement,
     LabeledContext,
+    SentenceLabel,
     Statement,
     THEREFORE,
     normalize_key,
@@ -132,6 +134,24 @@ def render_selection(labels: Sequence[int]) -> str:
     return " " + render_premises([f"sent {i}" for i in selection_order(labels)])
 
 
+_LABEL_TOKEN = re.compile(r"\bsent (\d+)\b")
+
+
+def read_selection(raw: str, size: int) -> Optional[list[SentenceLabel]]:
+    """The distinct labels of one selection sample, in order; None if it
+    has none, or one outside a context of `size` sentences."""
+    labels: list[SentenceLabel] = []
+    seen: set[int] = set()
+    for token in _LABEL_TOKEN.findall(raw):
+        index = int(token)
+        if not 1 <= index <= size:
+            return None
+        if index not in seen:
+            seen.add(index)
+            labels.append(SentenceLabel(index))
+    return labels or None
+
+
 # -- inference --------------------------------------------------------------
 
 def format_inference_prompt(selection: Sequence[Statement]) -> str:
@@ -232,16 +252,15 @@ INCORRECT = " incorrect"
 
 def value_prompt_head(context: LabeledContext, question: str) -> str:
     """The part of a value prompt that its problem fixes."""
-    ctx_text = " ".join(f"{stmt.surface}." for _, stmt in context)
+    ctx_text = " ".join(f"{stmt.surface}." for stmt in context.statements())
     return f"Context: {ctx_text} Question: {question} Reason: "
 
 
-def format_value_prompt(context: LabeledContext, question: str, rendered_steps: str,
-                        head: Optional[str] = None) -> str:
-    """`head`, if given, is `value_prompt_head(context, question)`."""
+def format_value_prompt(head: str, rendered_steps: str) -> str:
+    """The value prompt of `rendered_steps` (a rendered trace) under `head`,
+    the `value_prompt_head` of their problem."""
     if not rendered_steps.strip():
         raise ValueError("value prompt needs at least one reasoning step")
-    head = head or value_prompt_head(context, question)
     return f"{head}{rendered_steps} The above reasoning steps are"
 
 
@@ -262,7 +281,8 @@ def _read_value_prompt(prompt: str) -> tuple[str, str, str]:
 def _context_surfaces(ctx_text: str) -> tuple[str, ...]:
     """The sentences of a value prompt's context text, split at each ". ".
     Exact for grammar sentences only: one with ". " inside it, such as "Mr.
-    Smith is big", is outside the grammar and reads back as two."""
+    Smith is big", is outside the grammar and reads back as two.  The oracle
+    splits only as a fallback, for a text that is not its base world's."""
     pieces = (p.strip() for p in strip_period(ctx_text).split(". "))
     return tuple(s for s in pieces if s)
 
@@ -387,8 +407,13 @@ class OracleBackend:
         if steps is not None:
             return steps
         if isinstance(surfaces, str):  # a value prompt's context text
-            steps = self._gold[surfaces, question] = self._gold_steps(
-                _context_surfaces(surfaces), question)
+            # A search's first selection request closes its base context, so
+            # the first world is the one the text names, unless the text was
+            # never selected from; then it is split at each ". ".
+            base = next(iter(self._worlds), None)
+            if base is None or " ".join(f"{s}." for s in base) != surfaces:
+                base = _context_surfaces(surfaces)
+            steps = self._gold[surfaces, question] = self._gold_steps(base, question)
             return steps
         _, world = self._world_for(surfaces)
         parsed_q = cnl.parse_question(question)
@@ -412,7 +437,7 @@ class OracleBackend:
         raise is done here; the other firings are built after the on-path one."""
         question, surfaces = _read_selection_prompt(prompt)
         ctx, world = self._world_for(surfaces)
-        present = {stmt.key for _, stmt in ctx}
+        present = {stmt.key for stmt in ctx.statements()}
         on_path = next((labels for key, labels in self._gold_steps(surfaces, question)
                         if key not in present), None)
 

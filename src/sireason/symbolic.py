@@ -355,9 +355,10 @@ def extend(world: WorldClosure, context: LabeledContext) -> WorldClosure:
     changes the rule index, so `context` is closed afresh.  `world` itself
     is left as it was.
     """
-    if context.entries[:-1] != world.context.entries:
+    statements = context.statements()
+    if statements[:-1] != world.context.statements():
         raise ValueError("context is not the world's context plus one statement")
-    label, stmt = context.entries[-1]
+    stmt, label = statements[-1], SentenceLabel(len(statements))
     parsed = parse_statement(stmt.surface)
     if isinstance(parsed, RuleAst):
         return closure(context)
@@ -455,14 +456,12 @@ _VERB_LEMMAS = tuple(VERBS)
 DEPTHS = (1, 2, 3, 5)
 # Worlds `generate_problem` draws for one problem before it gives up.
 MAX_ATTEMPTS = 40
+# Distractor rules and facts `generate_problem` adds to each world.
+N_DISTRACTOR_RULES = 2
+N_DISTRACTOR_FACTS = 4
 
 
-def generate_problem(
-    seed: int,
-    depth: int,
-    n_distractor_rules: int = 2,
-    n_distractor_facts: int = 4,
-) -> Problem:
+def generate_problem(seed: int, depth: int) -> Problem:
     """Seeded-deterministic problem with a gold proof of exactly `depth` steps,
     with the id "gen-d{depth}-s{seed}".
 
@@ -474,7 +473,7 @@ def generate_problem(
     rng = random.Random(("sireason", seed, depth).__repr__())
     for _ in range(MAX_ATTEMPTS):
         try:
-            return _generate_once(rng, seed, depth, n_distractor_rules, n_distractor_facts)
+            return _generate_once(rng, seed, depth)
         except _RetryGeneration as exc:
             last_error = str(exc)
     raise GenerationFailure(f"no problem after {MAX_ATTEMPTS} attempts: {last_error}")
@@ -484,7 +483,7 @@ class _RetryGeneration(Exception):
     pass
 
 
-def _generate_once(rng, seed, depth, n_distractor_rules, n_distractor_facts):
+def _generate_once(rng, seed, depth):
     entities = rng.sample(_ENTITIES, k=min(6, len(_ENTITIES)))
     adjectives = rng.sample(_ADJECTIVES, k=len(_ADJECTIVES))
     # A chain takes at most 1 + 2 * max(DEPTHS) = 11 of the 14 adjectives.
@@ -541,14 +540,14 @@ def _generate_once(rng, seed, depth, n_distractor_rules, n_distractor_facts):
     target = current
 
     # Distractors: rules firing off attributes never asserted, and inert facts.
-    for _ in range(n_distractor_rules):
+    for _ in range(N_DISTRACTOR_RULES):
         adj = next(adj_iter, None)
         head_adj = next(adj_iter, None)
         if adj is None or head_adj is None:
             break
         quantifier = rng.choice(["something", "someone"])
         rules.append(render_rule((Atom(adj, VAR),), Atom(head_adj, VAR), quantifier))
-    for _ in range(n_distractor_facts):
+    for _ in range(N_DISTRACTOR_FACTS):
         who = const(rng.choice(entities))
         distractor = fresh_relation(who)
         if rng.random() < 0.25:

@@ -3,6 +3,7 @@ import json
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -319,9 +320,12 @@ def test_eval_reports_known_only_accuracy_below_accuracy(tmp_path, capsys):
     assert doc["overall"]["unknown_rate"] == 0.5
 
 
-@pytest.mark.parametrize("command", [
+_SOLVER_COMMANDS = pytest.mark.parametrize("command", [
     ["solve"], ["eval"], ["probe", "--kind", "random"],
 ], ids=["solve", "eval", "probe"])
+
+
+@_SOLVER_COMMANDS
 @pytest.mark.parametrize("setting, message", [
     (["--beam", "4", "--proposals", "2"], "beam_width <= proposals_per_trace"),
     (["--max-steps", "0"], "max_steps must be at least 1"),
@@ -337,9 +341,7 @@ def test_bad_search_setting_stops_before_any_problem(
     assert "error: bad search setting: " in err and message in err
 
 
-@pytest.mark.parametrize("command", [
-    ["solve"], ["eval"], ["probe", "--kind", "random"],
-], ids=["solve", "eval", "probe"])
+@_SOLVER_COMMANDS
 @pytest.mark.parametrize("setting, message", [
     (["--backend", "scripted", "--noise", "1.5"], "noise rate must be within [0, 1]"),
     (["--backend", "remote"], "remote backend needs --endpoint"),
@@ -358,6 +360,29 @@ def test_bad_backend_setting_stops_before_any_problem(
     assert out == ""
     assert "error: bad backend setting: " in err and message in err
     assert pipe_spawns == []
+
+
+@_SOLVER_COMMANDS
+def test_no_solver_flag_gives_the_default_solver_config(command):
+    args = build_parser().parse_args(command + ["--problems", "p.jsonl"])
+    assert evalcli._solver_config(args) == evalcli.SolverConfig()
+
+
+@_SOLVER_COMMANDS
+@pytest.mark.parametrize("flags, changes", [
+    (["--backend", "scripted"], {"backend": "scripted"}),
+    (["--noise", "0.3"], {"noise_rate": 0.3}),
+    (["--seed", "11"], {"seed": 11}),
+    (["--proposals", "3"], {"proposals_per_trace": 3}),
+    # A beam wider than one needs as many proposals.
+    (["--beam", "3", "--proposals", "3"], {"beam_width": 3, "proposals_per_trace": 3}),
+    (["--max-steps", "7"], {"max_steps": 7}),
+    (["--score-mode", "last"], {"score_mode": "last"}),
+    (["--endpoint", "pipe:"], {"endpoint": "pipe:"}),
+])
+def test_each_solver_flag_sets_its_own_field(command, flags, changes):
+    args = build_parser().parse_args(command + ["--problems", "p.jsonl"] + flags)
+    assert evalcli._solver_config(args) == replace(evalcli.SolverConfig(), **changes)
 
 
 REPORTS = pathlib.Path(__file__).parent / "fixtures" / "reports"

@@ -219,9 +219,10 @@ def test_parse_question_multi_choice_form():
 
 
 def test_a_dangling_or_ends_the_choices():
-    for raw in ("q? a OR b OR.", "q? a OR b OR ."):
+    for raw in ("q? a OR b OR.", "q? a OR b OR .", "q? OR a OR b", "q?OR a OR b"):
         assert parse_question(raw).choices == ("a", "b"), raw
     assert parse_question("q? a OR b ORE.").choices == ("a", "b ORE")
+    assert parse_question("q? ORE a OR b").choices == ("ORE a", "b")
 
 
 def test_parse_question_rejects_other_forms():

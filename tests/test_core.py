@@ -1,7 +1,8 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from worlds import context_of, worlds
 
 from sireason import core
 from sireason.core import (
@@ -114,7 +115,7 @@ def test_labeled_context_basics():
     assert extended == LabeledContext.from_statements(["a is red", "b is blue", "c is green"])
     assert [label.index for label, _ in extended] == [1, 2, 3]
     with pytest.raises(AttributeError):
-        extended.entries = ()
+        extended._statements = ()
 
 
 def test_from_statements_numbers_its_labels_and_checks_its_statements():
@@ -123,13 +124,29 @@ def test_from_statements_numbers_its_labels_and_checks_its_statements():
     assert isinstance(ctx, LabeledContext)
     assert [label.index for label, _ in ctx] == [1, 2, 3]
     assert ctx.statements() == tuple(map(Statement, ["a is red", "b is blue", "c is green"]))
-    assert ctx == LabeledContext(ctx.entries)
+    assert ctx == LabeledContext(ctx.statements())
     with pytest.raises(core.EmptyStatement):
         LabeledContext.from_statements(["a is red", " . "])
-    # Entries built elsewhere still have their labels checked.
-    gap = (ctx.entries[0], (SentenceLabel(3), Statement("c is green")))
-    with pytest.raises(ValueError, match="position 2 has sent 3"):
-        LabeledContext(gap)
+
+
+@settings(max_examples=100, deadline=None)
+@given(worlds(), st.data())
+def test_a_context_is_its_statements_labelled_by_position(world, data):
+    ctx = context_of(world)
+    statements = ctx.statements()
+    assert ctx.statements() is statements
+    built = LabeledContext.from_statements(())
+    for statement in statements:
+        built = built.extended(statement)
+    assert built == ctx and hash(built) == hash(ctx)
+    assert [label.index for label, _ in ctx] == list(range(1, len(statements) + 1))
+    for label, statement in ctx:
+        assert ctx.lookup(label) is statement is statements[label.index - 1]
+    # Labels come from a cache shared by every length: a shorter context
+    # read after a longer one still has its own labels only.
+    n = data.draw(st.integers(0, len(statements) - 1))
+    short = LabeledContext.from_statements(statements[:n])
+    assert [(label.index, s) for label, s in short] == list(enumerate(statements[:n], 1))
 
 
 def test_answer_parse_render():

@@ -14,7 +14,6 @@ from sireason.engine import (
     BeamConfig,
     BeamEntry,
     SolveStats,
-    _read_labels,
     beam_search,
     score_trace,
     selection_step,
@@ -75,7 +74,7 @@ def test_selection_step_dedups_repeated_labels():
     (" sent 2. We know that sent 10.", [2, 10]),
 ])
 def test_a_label_is_a_whole_word(raw, indices):
-    labels = _read_labels(raw, 12)
+    labels = models.read_selection(raw, 12)
     assert (labels and [label.index for label in labels]) == indices
 
 

@@ -51,6 +51,7 @@ from sireason.models import (
     format_selection_prompt,
     format_value_prompt,
     serve,
+    value_prompt_head,
 )
 
 CTX = LabeledContext.from_statements(
@@ -111,7 +112,7 @@ def test_halter_prompt_bytes():
 
 def test_value_prompt_bytes():
     prompt = format_value_prompt(
-        CTX, QUESTION, "the cow is big. Therefore, nothing follows."
+        value_prompt_head(CTX, QUESTION), "the cow is big. Therefore, nothing follows."
     )
     assert prompt == (
         "Context: If something is kind then it likes the cow. the cow is big. "
@@ -768,7 +769,7 @@ def test_oracle_value_scores():
         "We know that the cow is big. Therefore, the tiger likes the cow."
     )
     for reason, expected in ((good_reason, CORRECT), (bad_reason, INCORRECT)):
-        prompt = format_value_prompt(CTX, QUESTION, reason)
+        prompt = format_value_prompt(value_prompt_head(CTX, QUESTION), reason)
         resp = backend.complete(
             CompletionRequest(
                 role=GeneratorRole.VALUE,
@@ -808,7 +809,7 @@ def test_value_verdict_is_the_verdict_on_the_newest_line(lines, expected):
         return backend.complete(
             CompletionRequest(
                 role=GeneratorRole.VALUE,
-                prompt=format_value_prompt(CTX, QUESTION, reason),
+                prompt=format_value_prompt(value_prompt_head(CTX, QUESTION), reason),
                 scored_continuations=(CORRECT, INCORRECT),
             )
         ).text
@@ -818,7 +819,8 @@ def test_value_verdict_is_the_verdict_on_the_newest_line(lines, expected):
 
 def test_value_request_requires_continuations():
     backend = OracleBackend()
-    prompt = format_value_prompt(CTX, QUESTION, "the cow is big. Therefore, x.")
+    prompt = format_value_prompt(value_prompt_head(CTX, QUESTION),
+                                 "the cow is big. Therefore, x.")
     with pytest.raises(models.BackendError):
         backend.complete(CompletionRequest(role=GeneratorRole.VALUE, prompt=prompt))
 
@@ -827,7 +829,7 @@ def test_value_scores_a_continuation_it_does_not_know_certain_bad():
     resp = OracleBackend().complete(
         CompletionRequest(
             role=GeneratorRole.VALUE,
-            prompt=format_value_prompt(CTX, QUESTION, _GOOD),
+            prompt=format_value_prompt(value_prompt_head(CTX, QUESTION), _GOOD),
             scored_continuations=(CORRECT, " maybe", INCORRECT),
         )
     )
@@ -916,7 +918,8 @@ def _malformed_value_prompts(problem):
         "Answer: True.",
         line,
     ]
-    prompts = [format_value_prompt(problem.context, problem.question, text) for text in lines]
+    head = value_prompt_head(problem.context, problem.question)
+    prompts = [format_value_prompt(head, text) for text in lines]
     prompts += [p.replace("Context: ", "Context: 42. ", 1) for p in prompts[-2:]]
     return prompts
 
@@ -958,8 +961,9 @@ def test_value_verdicts_are_the_reference_verdicts(pw_problems, pw_worst_problem
 def test_a_non_hypothesis_question_fails_the_verdict_first(eb_problems):
     """A question that is no hypothesis raises before the line is read."""
     problem = eb_problems[0]
+    head = value_prompt_head(problem.context, problem.question)
     for text in ("the cow is big", render_step(problem.gold_proof.steps[0])):
-        request = _value_request(format_value_prompt(problem.context, problem.question, text))
+        request = _value_request(format_value_prompt(head, text))
         expected = _outcome(lambda r: _reference_value_reply(OracleBackend(), r), request)
         assert isinstance(expected, tuple)
         assert _outcome(OracleBackend().complete, request) == expected
@@ -982,12 +986,29 @@ def test_the_oracle_splits_a_value_context_once_per_problem(monkeypatch):
     judge_all()
     assert len(splits) == 1
     other = LabeledContext.from_statements(["the cow is big", "the tiger is kind"])
-    backend.complete(_value_request(format_value_prompt(other, QUESTION, _GOOD)))
+    backend.complete(_value_request(format_value_prompt(value_prompt_head(other, QUESTION), _GOOD)))
     assert len(splits) == 2
     backend.reset()
     judge_all()
     assert len(splits) == 3
     assert splits[0] == splits[2] != splits[1]
+
+
+def test_the_value_oracle_reads_the_base_world_before_it_splits_the_context():
+    # "Mr. Smith is big" has ". " inside it, so the context text would split
+    # into four sentences; the selection request has closed the three.
+    context = LabeledContext.from_statements(
+        ["Mr. Smith is big", "the dog is red", "If something is red then it is kind"])
+    question = 'Does it imply that the statement "the dog is kind" is True?'
+    backend = OracleBackend()
+    backend.complete(CompletionRequest(GeneratorRole.SELECTION,
+                                       format_selection_prompt(question, context)))
+    step = ("If something is red then it is kind. We know that the dog is red. "
+            "Therefore, the dog is kind.")
+    reply = backend.complete(
+        _value_request(format_value_prompt(value_prompt_head(context, question), step)))
+    assert list(backend._worlds) == [tuple(s.surface for s in context.statements())]
+    assert reply.continuation_logprobs[CORRECT] > reply.continuation_logprobs[INCORRECT]
 
 
 # ---------------------------------------------------------------------------
@@ -1003,7 +1024,7 @@ def _role_requests():
                                                    CTX.lookup(SentenceLabel(3))])),
         CompletionRequest(GeneratorRole.HALTER_READY,
                           format_halter_prompts(QUESTION, "the tiger likes the cow")[0]),
-        _value_request(format_value_prompt(CTX, QUESTION, _GOOD)),
+        _value_request(format_value_prompt(value_prompt_head(CTX, QUESTION), _GOOD)),
     ]
 
 
@@ -1429,8 +1450,7 @@ def test_pipe_backend_end_to_end(pipe_spawns):
         )
         assert resp.text == " sent 1. We know that sent 3."
         value_prompt = format_value_prompt(
-            CTX,
-            QUESTION,
+            value_prompt_head(CTX, QUESTION),
             "If something is kind then it likes the cow. "
             "We know that the tiger is kind. Therefore, the tiger likes the cow.",
         )
@@ -1602,7 +1622,8 @@ def _request_of(role: str) -> CompletionRequest:
         )
     return CompletionRequest(
         role=GeneratorRole.VALUE,
-        prompt=format_value_prompt(CTX, QUESTION, "We know that the tiger is kind."),
+        prompt=format_value_prompt(value_prompt_head(CTX, QUESTION),
+                                   "We know that the tiger is kind."),
         scored_continuations=(CORRECT, INCORRECT),
     )
 

@@ -6,7 +6,6 @@ from worlds import context_of, worlds
 
 from sireason import cnl
 from sireason.core import ReasoningStep, parse_trace_text, render_step, selection_order
-from sireason.engine import _read_labels
 from sireason.models import (
     _context_surfaces,
     _read_answer_prompt,
@@ -17,6 +16,7 @@ from sireason.models import (
     format_halter_prompts,
     format_selection_prompt,
     format_value_prompt,
+    read_selection,
     render_selection,
     value_prompt_head,
 )
@@ -51,7 +51,7 @@ def test_a_selection_prompt_reads_back(world, data):
 def test_a_selection_completion_reads_back_in_selection_order(world, data):
     size = len(context_of(world))
     labels = data.draw(st.lists(st.integers(1, size), min_size=1, max_size=4))
-    read = _read_labels(render_selection(labels), size)
+    read = read_selection(render_selection(labels), size)
     assert [label.index for label in read] == selection_order(labels)
 
 
@@ -79,8 +79,7 @@ def test_a_value_prompt_reads_back(world, data):
     question = _question(data, world)
     text = "\n".join(render_step(_step(data, statements))
                      for _ in range(data.draw(st.integers(1, 3))))
-    prompt = format_value_prompt(context, question, text, value_prompt_head(context, question))
-    assert prompt == format_value_prompt(context, question, text)
+    prompt = format_value_prompt(value_prompt_head(context, question), text)
     ctx_text, read_question, reason = _read_value_prompt(prompt)
     assert (read_question, reason) == (question, text)
     assert _context_surfaces(ctx_text) == tuple(s.surface for s in statements)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -236,7 +237,7 @@ def test_a_relation_pool_that_runs_dry_is_drawn_again():
             return 0.9  # a relation, never a side premise, a relation head
 
     with pytest.raises(symbolic._RetryGeneration, match="relation pool exhausted"):
-        symbolic._generate_once(SameDraws(), 0, 2, 2, 4)
+        symbolic._generate_once(SameDraws(), 0, 2)
 
 
 def test_generate_problem_deterministic():
@@ -338,6 +339,13 @@ def _assert_closure_is_naive(context):
     return world
 
 
+def _generated(seed, depth, rules, facts):
+    """`generate_problem(seed, depth)` with `rules` distractor rules and
+    `facts` distractor facts in place of the generator's own counts."""
+    with mock.patch.multiple(symbolic, N_DISTRACTOR_RULES=rules, N_DISTRACTOR_FACTS=facts):
+        return generate_problem(seed=seed, depth=depth)
+
+
 def _with_derived_atoms(context, world, rng, count):
     """`context` with up to `count` of its derived atoms appended, one
     context per appended atom."""
@@ -360,9 +368,7 @@ def _with_derived_atoms(context, world, rng, count):
 )
 def test_closure_matches_naive_fixpoint(seed, depth, rules, facts, appended, rng):
     try:
-        gen = generate_problem(
-            seed=seed, depth=depth, n_distractor_rules=rules, n_distractor_facts=facts
-        )
+        gen = _generated(seed, depth, rules, facts)
     except GenerationFailure:
         assume(False)
     world = _assert_closure_is_naive(gen.context)
@@ -476,9 +482,7 @@ def _assert_closure_agrees_with_entailment(context):
 )
 def test_closure_agrees_with_entailment(seed, depth, rules, facts):
     try:
-        gen = generate_problem(
-            seed=seed, depth=depth, n_distractor_rules=rules, n_distractor_facts=facts
-        )
+        gen = _generated(seed, depth, rules, facts)
     except GenerationFailure:
         assume(False)
     _assert_closure_agrees_with_entailment(gen.context)
@@ -533,9 +537,7 @@ def _append_all(context, surfaces):
 )
 def test_extend_matches_closure(seed, depth, rules, facts, rng):
     try:
-        gen = generate_problem(
-            seed=seed, depth=depth, n_distractor_rules=rules, n_distractor_facts=facts
-        )
+        gen = _generated(seed, depth, rules, facts)
     except GenerationFailure:
         assume(False)
     world = closure(gen.context)
