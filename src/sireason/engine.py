@@ -40,11 +40,13 @@ class SolveStats:
     selection_syntax_errors: int = 0
     # Selection requests, one per live trace per step.
     selection_calls: int = 0
-    backend_failures: int = 0
     notes: list[str] = field(default_factory=list)
 
+    @property
+    def backend_failures(self) -> int:
+        return len(self.notes)
+
     def backend_failure(self, note: str) -> None:
-        self.backend_failures += 1
         self.notes.append(note)
 
 
@@ -123,18 +125,18 @@ def _halt_check(
 
 @dataclass(frozen=True)
 class BeamConfig:
-    beam_width: int = 4
-    proposals_per_trace: int = 4
+    """The search settings, checked on construction (ValueError).  The
+    defaults are greedy: one trace, one proposal per step."""
+
+    beam_width: int = 1
+    proposals_per_trace: int = 1
     max_steps: int = 10
-    score_mode: str = "sum"
 
     def __post_init__(self) -> None:
         if not 1 <= self.beam_width <= self.proposals_per_trace:
             raise ValueError("need 1 <= beam_width <= proposals_per_trace")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-        if self.score_mode not in ("sum", "last"):
-            raise ValueError("score_mode must be 'sum' or 'last'")
 
 
 @dataclass
@@ -145,14 +147,6 @@ class BeamEntry:
     context: LabeledContext
     cumulative_score: float = 0.0
     text: str = ""
-
-
-def score_trace(entry: BeamEntry, new_step_score: float, mode: str) -> float:
-    """The entry's score with one more step; `mode` is "sum" or "last"
-    (BeamConfig admits nothing else)."""
-    if mode == "sum":
-        return entry.cumulative_score + new_step_score
-    return new_step_score
 
 
 def _value_score(head: str, text: str, backend) -> float:
@@ -184,8 +178,9 @@ def beam_search(
     samples, which give up to that many next steps (deduplicated by
     selection set plus inference), and the best
     `beam_width` extensions survive.  With more than one proposal per trace
-    every extension is scored by the value generator; a single proposal has
-    nothing to rank, so its steps keep no value score.  Halted entries keep
+    every extension is scored by the value generator, and a trace's score
+    is the sum of its steps' value scores; a single proposal has nothing to
+    rank, so its steps keep no value score.  Halted entries keep
     competing with frozen scores until every entry has halted or the step
     cap is reached.  A step whose backend call fails is dropped and counted
     in `stats`, and a failed selection request drops every step its trace
@@ -241,7 +236,7 @@ def beam_search(
                         value = _value_score(value_head, text, backend)
                         step = ReasoningStep(step.selection, step.inference,
                                              step.selection_labels, value)
-                        score = score_trace(entry, value, cfg.score_mode)
+                        score += value
                     maybe = _halt_check(
                         problem.question, problem.choices, step.inference, backend
                     )
@@ -262,7 +257,7 @@ def beam_search(
         best = halted[0].trace
         return best.answer, best, entries
     # Nothing halted with an answer before the step cap.
-    trace = entries[0].trace if entries else ReasoningTrace(base_context=problem.context)
+    trace = entries[0].trace
     return Answer.UNKNOWN, ReasoningTrace(trace.base_context, trace.steps, Answer.UNKNOWN), entries
 
 
@@ -277,5 +272,5 @@ def si_answer(
     Returns the first halter answer, or Unknown once `max_steps` passes
     (or a step fails) without one.  The value role is never called.
     """
-    answer, trace, _ = beam_search(problem, backend, BeamConfig(1, 1, max_steps), stats)
+    answer, trace, _ = beam_search(problem, backend, BeamConfig(max_steps=max_steps), stats)
     return answer, trace

@@ -175,25 +175,15 @@ def made_up_fact_rate(traces: Sequence[ReasoningTrace]) -> float:
 Solver = Callable[[Problem], tuple[Answer, ReasoningTrace]]
 
 
-@dataclass
-class SolverConfig:
+@dataclass(frozen=True)
+class SolverConfig(engine.BeamConfig):
+    """The search settings of `engine.BeamConfig` (checked on construction)
+    plus the backend that answers every role."""
+
     backend: str = "oracle"  # oracle | scripted | remote
     noise_rate: float = 0.0
     seed: int = 0
-    beam_width: int = 1
-    proposals_per_trace: int = 1
-    max_steps: int = 10
-    score_mode: str = "sum"
     endpoint: Optional[str] = None
-
-    def beam_config(self) -> engine.BeamConfig:
-        """The search settings; raises ValueError on a bad one."""
-        return engine.BeamConfig(
-            beam_width=self.beam_width,
-            proposals_per_trace=self.proposals_per_trace,
-            max_steps=self.max_steps,
-            score_mode=self.score_mode,
-        )
 
     def remote_endpoint(self) -> Optional[str]:
         return self.endpoint or os.environ.get(REMOTE_ENDPOINT_ENV)
@@ -229,10 +219,9 @@ def make_solver(cfg: SolverConfig, stats: Optional[engine.SolveStats] = None) ->
     The backend is reset before each problem (the oracle forgets the
     worlds, gold steps and selection walks of the last one, the scripted
     backend reseeds its noise, a remote server gets the reset document) and
-    closed once the solver is gone (or at interpreter exit).  A bad search
-    setting raises ValueError here, before the backend is made.
+    closed once the solver is gone (or at interpreter exit).  `cfg` is the
+    search's `BeamConfig` too.
     """
-    beam_cfg = cfg.beam_config()
     backend = make_backend(cfg)
     if stats is None:
         stats = engine.SolveStats()
@@ -242,7 +231,7 @@ def make_solver(cfg: SolverConfig, stats: Optional[engine.SolveStats] = None) ->
             backend.reset()
         except models.BackendError as exc:
             stats.backend_failure(f"{problem.id}: reset: {exc}")
-        answer, trace, _ = engine.beam_search(problem, backend, beam_cfg, stats)
+        answer, trace, _ = engine.beam_search(problem, backend, cfg, stats)
         return answer, trace
 
     weakref.finalize(solve, backend.close)
@@ -419,11 +408,7 @@ def evaluate(problems: Sequence[Problem], cfg: SolverConfig) -> EvalReport:
     scores: list[tuple] = []
     traces: list[ReasoningTrace] = []
     for problem in problems:
-        try:
-            answer, trace = solver(problem)
-        except Exception as exc:  # recorded, never silently dropped
-            report.failures.append(f"{problem.id}: {exc}")
-            continue
+        answer, trace = solver(problem)
         traces.append(trace)
         report.overall.add(answer, problem.gold_answer)
         if problem.depth is not None:
@@ -460,7 +445,6 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--proposals", type=int, dest="proposals_per_trace",
                         metavar="PROPOSALS")
     parser.add_argument("--max-steps", type=int)
-    parser.add_argument("--score-mode", choices=["sum", "last"])
     parser.add_argument("--seed", type=int)
     parser.add_argument("--endpoint",
                         help=f"remote endpoint (or ${REMOTE_ENDPOINT_ENV})")
@@ -471,9 +455,8 @@ def _solver_config(args) -> SolverConfig:
     """The solver settings from the command line; a bad search or backend
     setting stops the command (exit 2) before any problem loads or any
     server starts."""
-    cfg = SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
     try:
-        cfg.beam_config()
+        cfg = SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
     except ValueError as exc:
         args.parser_error(f"bad search setting: {exc}")
     try:

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from sireason import datasets, evalcli
+from sireason import datasets, engine, evalcli
 from sireason.evalcli import REMOTE_ENDPOINT_ENV, build_parser, main
 
 
@@ -256,6 +256,24 @@ def test_eval_eb_through_the_oracle_counts_backend_failures(capsys):
                for f in doc["failures"])
 
 
+def test_a_program_error_in_eval_propagates(problem_file, monkeypatch):
+    """A search that raises is a bug, not a report line: `evaluate` and
+    `eval` let the exception through, as `solve` does."""
+    problems = datasets.load_problems(problem_file)
+    beam_search = engine.beam_search
+
+    def failing(problem, *args, **kwargs):
+        if problem.id == problems[1].id:
+            raise RuntimeError("search bug")
+        return beam_search(problem, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "beam_search", failing)
+    with pytest.raises(RuntimeError, match="search bug"):
+        evalcli.evaluate(problems, evalcli.SolverConfig())
+    with pytest.raises(RuntimeError, match="search bug"):
+        main(["eval", "--problems", problem_file])
+
+
 @pytest.mark.parametrize("command, count", [
     (["solve"], 1),
     (["probe", "--kind", "incomplete"], 1),
@@ -377,8 +395,9 @@ def test_no_solver_flag_gives_the_default_solver_config(command):
     # A beam wider than one needs as many proposals.
     (["--beam", "3", "--proposals", "3"], {"beam_width": 3, "proposals_per_trace": 3}),
     (["--max-steps", "7"], {"max_steps": 7}),
-    (["--score-mode", "last"], {"score_mode": "last"}),
     (["--endpoint", "pipe:"], {"endpoint": "pipe:"}),
+    # The remote backend is accepted once --endpoint names its server.
+    (["--backend", "remote", "--endpoint", "pipe:"], {"backend": "remote", "endpoint": "pipe:"}),
 ])
 def test_each_solver_flag_sets_its_own_field(command, flags, changes):
     args = build_parser().parse_args(command + ["--problems", "p.jsonl"] + flags)
@@ -388,6 +407,8 @@ def test_each_solver_flag_sets_its_own_field(command, flags, changes):
 REPORTS = pathlib.Path(__file__).parent / "fixtures" / "reports"
 _MODES = {
     "oracle": [],
+    "oracle-beam": ["--beam", "4", "--proposals", "4"],
+    "scripted-greedy": ["--backend", "scripted", "--noise", "0.3", "--seed", "11"],
     "scripted": ["--backend", "scripted", "--noise", "0.3", "--seed", "11",
                  "--beam", "4", "--proposals", "4"],
     "remote": ["--backend", "remote", "--endpoint", "pipe:",

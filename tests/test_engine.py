@@ -12,10 +12,8 @@ from sireason.core import (
 )
 from sireason.engine import (
     BeamConfig,
-    BeamEntry,
     SolveStats,
     beam_search,
-    score_trace,
     selection_step,
     si_answer,
 )
@@ -279,20 +277,39 @@ def test_beam_config_validation():
         BeamConfig(beam_width=4, proposals_per_trace=2)
     with pytest.raises(ValueError):
         BeamConfig(max_steps=0)
-    with pytest.raises(ValueError):
-        BeamConfig(score_mode="median")
+    # A solver config is a beam config, checked as it is built.
+    with pytest.raises(ValueError, match="need 1 <= beam_width <= proposals_per_trace"):
+        evalcli.SolverConfig(beam_width=4, proposals_per_trace=2)
 
 
-def test_score_trace_modes():
-    from sireason.core import ReasoningTrace
+@pytest.mark.parametrize("noise", [0.0, 0.3], ids=["oracle", "noisy"])
+def test_a_trace_scores_the_sum_of_its_value_scores(pw_problems, noise):
+    """Each entry's score is its steps' value scores added in step order."""
+    scored = 0
+    for problem in pw_problems:
+        backend = ScriptedBackend(base=OracleBackend(), noise_rate=noise, seed=11)
+        _, _, entries = beam_search(problem, backend, BeamConfig(4, 4))
+        for entry in entries:
+            total = 0.0
+            for step in entry.trace.steps:
+                total += step.value_score
+            assert entry.cumulative_score == total
+            scored += len(entry.trace.steps)
+    assert scored > len(pw_problems)
 
-    entry = BeamEntry(
-        trace=ReasoningTrace(base_context=WORST_1.context),
-        context=WORST_1.context,
-        cumulative_score=-1.0,
-    )
-    assert score_trace(entry, -2.0, "sum") == -3.0
-    assert score_trace(entry, -2.0, "last") == -2.0
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_a_solver_config_searches_as_its_beam_config(pw_problems, width):
+    """Its backend fields aside, a solver config is the beam config of its
+    three search settings: same answer, trace and entries."""
+    solver_cfg = evalcli.SolverConfig(beam_width=width, proposals_per_trace=width,
+                                      max_steps=6, backend="scripted", noise_rate=0.3)
+    beam_cfg = BeamConfig(width, width, 6)
+    for problem in pw_problems:
+        runs = [beam_search(problem, ScriptedBackend(base=OracleBackend(),
+                                                     noise_rate=0.3, seed=11), cfg)
+                for cfg in (solver_cfg, beam_cfg)]
+        assert runs[0] == runs[1]
 
 
 def test_beam_search_matches_oracle_greedy(pw_problems):
@@ -314,14 +331,11 @@ def test_beam_search_scores_steps_with_value_function():
     assert all(step.value_score == models.CERTAIN_GOOD for step in trace.steps)
 
 
-@pytest.mark.parametrize("score_mode", ["sum", "last"])
-def test_beam_search_recovers_from_noise(score_mode):
+def test_beam_search_recovers_from_noise():
     # with noise rate 0.5 the greedy run goes off-path for this seed while
     # the beam finds the proof; both are deterministic given the seed
     noisy = lambda: ScriptedBackend(base=OracleBackend(), noise_rate=0.5, seed=3)
-    cfg = BeamConfig(
-        beam_width=4, proposals_per_trace=4, max_steps=4, score_mode=score_mode
-    )
+    cfg = BeamConfig(beam_width=4, proposals_per_trace=4, max_steps=4)
     answer, trace, _ = beam_search(WORST_1, noisy(), cfg)
     assert answer == Answer.TRUE
     again, _, _ = beam_search(WORST_1, noisy(), cfg)
@@ -394,7 +408,7 @@ def test_scripted_solver_noise_is_per_problem(width):
         out = []
         for i, problem in enumerate(problems + problems):
             noisy = ScriptedBackend(base=OracleBackend(), noise_rate=0.3, seed=seed_of(i))
-            answer, trace, _ = beam_search(problem, noisy, cfg.beam_config())
+            answer, trace, _ = beam_search(problem, noisy, cfg)
             out.append((answer, trace))
         return out
 
