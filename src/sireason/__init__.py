@@ -28,7 +28,6 @@ _EXPORTS = {
     "Problem": "core",
     "ReasoningStep": "core",
     "ReasoningTrace": "core",
-    "SentenceLabel": "core",
     "Statement": "core",
     "is_connected": "core",
     "normalize_key": "core",

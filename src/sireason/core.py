@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class EmptyStatement(ValueError):
@@ -91,36 +91,16 @@ def normalize_statement(raw: str) -> Statement:
     return stmt
 
 
-class SentenceLabel(NamedTuple("SentenceLabel", [("index", int)])):
-    """The label "sent N" of the N-th sentence; it hashes and orders as `(index,)`."""
-
-    __slots__ = ()
-
-    def __new__(cls, index: int) -> "SentenceLabel":
-        if index < 1:
-            raise ValueError(f"sentence label index must be >= 1, got {index}")
-        return tuple.__new__(cls, (index,))
-
-    def render(self) -> str:
-        return f"sent {self.index}"
-
-
 def selection_order(labels: Sequence) -> list:
-    """Labels (sentence labels or their indices) in the order a selection names
-    them: the first (the rule), then the other distinct ones in ascending order."""
+    """Labels in the order a selection names them: the first (the rule), then
+    the other distinct ones in ascending order."""
     rule = labels[0]
     return [rule, *sorted(set(labels[1:]) - {rule})]
 
 
-@lru_cache(maxsize=256)
-def _labels(n: int) -> tuple[SentenceLabel, ...]:
-    """The labels "sent 1" .. "sent n"."""
-    return tuple(SentenceLabel(i) for i in range(1, n + 1))
-
-
 class LabeledContext:
     """An ordered, immutable tuple of statements; the label of a statement
-    is its position, "sent 1" for the first.
+    is its position, 1 (written "sent 1") for the first.
 
     `extended` returns a new context with the statement appended, under the
     next label; existing statements are shared.
@@ -146,17 +126,17 @@ class LabeledContext:
     def statements(self) -> tuple[Statement, ...]:
         return self._statements
 
-    def lookup(self, label: SentenceLabel) -> Statement:
-        if not 1 <= label.index <= len(self._statements):
-            raise KeyError(f"{label.render()} out of range 1..{len(self._statements)}")
-        return self._statements[label.index - 1]
+    def lookup(self, label: int) -> Statement:
+        if not 1 <= label <= len(self._statements):
+            raise KeyError(f"sent {label} out of range 1..{len(self._statements)}")
+        return self._statements[label - 1]
 
     def __len__(self) -> int:
         return len(self._statements)
 
     def __iter__(self):
         """The `(label, statement)` pairs, in order."""
-        return zip(_labels(len(self._statements)), self._statements)
+        return enumerate(self._statements, 1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledContext):
@@ -176,7 +156,7 @@ class ReasoningStep:
 
     selection: tuple[Statement, ...]
     inference: Statement
-    selection_labels: tuple[SentenceLabel, ...] = ()
+    selection_labels: tuple[int, ...] = ()
     value_score: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -243,7 +223,7 @@ class ReasoningTrace:
 
     @classmethod
     def from_labels(cls, base: LabeledContext,
-                    steps: Iterable[tuple[Sequence[SentenceLabel], Statement]],
+                    steps: Iterable[tuple[Sequence[int], Statement]],
                     answer: Optional[Answer] = None) -> "ReasoningTrace":
         """The trace of the `(selection labels, inference)` steps, each step's
         labels read in its context: `base`, then the earlier inferences.  An
@@ -259,9 +239,6 @@ class ReasoningTrace:
     def halted(self) -> bool:
         """Whether the trace ended with an answer."""
         return self.answer is not None
-
-    def extended(self, step: ReasoningStep) -> "ReasoningTrace":
-        return ReasoningTrace(self.base_context, self.steps + (step,), self.answer)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from .core import (
     Problem,
     ReasoningStep,
     ReasoningTrace,
-    SentenceLabel,
     append_step_text,
     normalize_statement,
     selection_order,
@@ -80,7 +79,7 @@ def _proof_from_indices(
             if idx - len(context) >= step_no:
                 raise SchemaError(f"step {step_no}: selection index {idx} references "
                                   f"inference {idx - len(context)} which does not exist yet")
-        steps.append(([SentenceLabel(idx) for idx in indices], inference))
+        steps.append((indices, inference))
     return ReasoningTrace.from_labels(context, steps)
 
 
@@ -146,7 +145,7 @@ def problem_to_doc(problem: Problem) -> dict:
     if problem.gold_proof is not None:
         doc["proof"] = [
             {
-                "selection": [l.index for l in step.selection_labels],
+                "selection": list(step.selection_labels),
                 "inference": step.inference.surface,
             }
             for step in problem.gold_proof.steps
@@ -198,7 +197,7 @@ def _reading_faults(problem: Problem) -> list[str]:
     gold proof whose last inference is not what the gold answer claims (the
     hypothesis for True, its negation for False)."""
     faults = [
-        f"{label.render()} is outside the grammar: {stmt.surface!r}"
+        f"sent {label} is outside the grammar: {stmt.surface!r}"
         for label, stmt in problem.context
         if isinstance(cnl.parse_statement(stmt.surface), cnl.Opaque)
     ]
@@ -257,8 +256,8 @@ def extract_si_pairs(problem: Problem) -> list[TrainingPair]:
         context_k, context = context, context.extended(step.inference)
         # The engine's inference prompt lists the premises in the order the
         # selection completion names them.
-        labels = selection_order([l.index for l in step.selection_labels])
-        selection = [context_k.lookup(SentenceLabel(i)) for i in labels]
+        labels = selection_order(step.selection_labels)
+        selection = [context_k.lookup(i) for i in labels]
         pairs.append(
             TrainingPair(
                 role=GeneratorRole.SELECTION,

@@ -23,7 +23,6 @@ from .core import (
     LabeledContext,
     ReasoningStep,
     ReasoningTrace,
-    SentenceLabel,
     Statement,
     append_step_text,
     normalize_key,
@@ -56,7 +55,7 @@ def selection_step(
     backend,
     stats: Optional[SolveStats] = None,
     n: int = 1,
-) -> list[tuple[list[Statement], list[SentenceLabel]]]:
+) -> list[tuple[list[Statement], list[int]]]:
     """(selection, labels) of every usable sample of one selection request
     for `n` samples, in sample order.
 
@@ -216,7 +215,7 @@ def beam_search(
                     stats.backend_failure(f"{problem.id}: backend: {exc}")
                     continue
                 if ranked:
-                    sig = (frozenset(l.index for l in labels), inference.key)
+                    sig = (frozenset(labels), inference.key)
                     if sig in seen:
                         continue
                     seen.add(sig)

@@ -597,6 +597,17 @@ def _cmd_extract_training(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """`--count`: problems per depth, zero or more."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a count of zero or more")
+    return count
+
+
 def _depths(text: str) -> list[int]:
     """`--depths`: proof depths the generator makes, comma-separated."""
     try:
@@ -648,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("gen-problems", help="generate seeded problems")
-    p.add_argument("--count", type=int, default=100, help="problems per depth")
+    p.add_argument("--count", type=_count, default=100, help="problems per depth")
     p.add_argument("--depths", type=_depths, default="1,2,3,5")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -29,7 +29,6 @@ from .core import (
     Answer,
     EmptyStatement,
     LabeledContext,
-    SentenceLabel,
     Statement,
     THEREFORE,
     normalize_key,
@@ -105,9 +104,7 @@ class RemoteError(BackendError):
 # -- selection --------------------------------------------------------------
 
 def format_selection_prompt(question: str, context: LabeledContext) -> str:
-    lines = [
-        f"{label.render()}: {stmt.surface}" for label, stmt in context
-    ]
+    lines = [f"sent {label}: {stmt.surface}" for label, stmt in context]
     lines.append(f"Question: {question}")
     lines.append("Selection:")
     return "\n".join(lines)
@@ -137,18 +134,17 @@ def render_selection(labels: Sequence[int]) -> str:
 _LABEL_TOKEN = re.compile(r"\bsent (\d+)\b")
 
 
-def read_selection(raw: str, size: int) -> Optional[list[SentenceLabel]]:
-    """The distinct labels of one selection sample, in order; None if it
-    has none, or one outside a context of `size` sentences."""
-    labels: list[SentenceLabel] = []
-    seen: set[int] = set()
+def read_selection(raw: str, size: int) -> Optional[list[int]]:
+    """The distinct labels "sent N" of one selection sample, as the ints N,
+    in order; None if it has none, or one outside a context of `size`
+    sentences."""
+    labels: list[int] = []
     for token in _LABEL_TOKEN.findall(raw):
         index = int(token)
         if not 1 <= index <= size:
             return None
-        if index not in seen:
-            seen.add(index)
-            labels.append(SentenceLabel(index))
+        if index not in labels:
+            labels.append(index)
     return labels or None
 
 
@@ -402,7 +398,7 @@ class OracleBackend:
         hypothesis.
 
         Selection and value calls on one context share it, and it keeps keys
-        and label numbers only, not the proof."""
+        and labels only, not the proof."""
         steps = self._gold.get((surfaces, question))
         if steps is not None:
             return steps
@@ -425,8 +421,7 @@ class OracleBackend:
                 pass
             else:
                 steps = tuple(
-                    (normalize_key(cnl.render_atom(d.head)),
-                     tuple(label.index for label in labels))
+                    (normalize_key(cnl.render_atom(d.head)), labels)
                     for d, labels in symbolic.proof_steps(world, target)
                 )
         self._gold[surfaces, question] = steps
@@ -450,7 +445,7 @@ class OracleBackend:
             # when this world settled, so a late read finds the same firings.
             facts = world.fact_labels
             firings = sorted({
-                tuple(selection_order([rule.index, *(facts[p].index for p in premises)]))
+                tuple(selection_order([rule, *(facts[p] for p in premises)]))
                 for rule, premises, head in world.index.grounded.values()
                 if all(p in facts for p in premises)
                 and normalize_key(cnl.render_atom(head)) not in present

@@ -37,7 +37,6 @@ from .core import (
     Problem,
     ReasoningStep,
     ReasoningTrace,
-    SentenceLabel,
     Statement,
     is_connected,
     normalize_statement,
@@ -171,7 +170,7 @@ def trace_faults(trace: ReasoningTrace) -> list[str]:
 class Derivation:
     """One rule application: premises (ground atoms) to head."""
 
-    rule_label: SentenceLabel
+    rule_label: int
     premises: tuple[Atom, ...]
     head: Atom
 
@@ -189,7 +188,7 @@ class RuleIndex:
     instance (rule, constant) once grounded.  A context that only gains
     facts over constants it already has keeps its index."""
 
-    def __init__(self, rules: list[tuple[SentenceLabel, RuleAst]], facts: Iterable[Atom]):
+    def __init__(self, rules: list[tuple[int, RuleAst]], facts: Iterable[Atom]):
         constants = set()
         for atom in facts:
             constants.add(atom.subject)
@@ -213,7 +212,7 @@ class RuleIndex:
         # of (name, proper).
         self.constants = sorted(constants)
         self.position = {t: k for k, t in enumerate(self.constants)}
-        self.grounded: dict[tuple[int, int], tuple[SentenceLabel, tuple[Atom, ...], Atom]] = {}
+        self.grounded: dict[tuple[int, int], tuple[int, tuple[Atom, ...], Atom]] = {}
 
     def knows(self, atom: Atom) -> bool:
         """Whether every constant of `atom` is one of the index's."""
@@ -221,7 +220,7 @@ class RuleIndex:
             atom.obj is None or atom.obj in self.position
         )
 
-    def ground(self, key: tuple[int, int]) -> tuple[SentenceLabel, tuple[Atom, ...], Atom]:
+    def ground(self, key: tuple[int, int]) -> tuple[int, tuple[Atom, ...], Atom]:
         """(rule label, premises, head) of the instance `key`."""
         if key not in self.grounded:
             r, k = key
@@ -236,12 +235,8 @@ class RuleIndex:
 class WorldClosure:
     context: LabeledContext
     derived: dict[Atom, AtomProof]
-    fact_labels: dict[Atom, SentenceLabel]
+    fact_labels: dict[Atom, int]
     index: RuleIndex = field(compare=False, repr=False)
-
-    def depth(self, atom: Atom) -> Optional[int]:
-        proof = self.derived.get(atom)
-        return proof.depth if proof else None
 
 
 def _atom_sort_key(atom: Atom) -> tuple:
@@ -253,15 +248,15 @@ def _atom_sort_key(atom: Atom) -> tuple:
     )
 
 
-def _candidate_key(rule_label: SentenceLabel, premises: tuple[Atom, ...]) -> tuple:
-    return (rule_label.index, tuple(_atom_sort_key(a) for a in premises))
+def _candidate_key(rule_label: int, premises: tuple[Atom, ...]) -> tuple:
+    return (rule_label, tuple(_atom_sort_key(a) for a in premises))
 
 
 def parse_context(context: LabeledContext):
     """Split a labeled context into fact atoms and rules; a sentence
     outside the grammar is neither."""
-    fact_labels: dict[Atom, SentenceLabel] = {}
-    rules: list[tuple[SentenceLabel, RuleAst]] = []
+    fact_labels: dict[Atom, int] = {}
+    rules: list[tuple[int, RuleAst]] = []
     for label, stmt in context:
         parsed = parse_statement(stmt.surface)
         if isinstance(parsed, Fact):
@@ -358,7 +353,7 @@ def extend(world: WorldClosure, context: LabeledContext) -> WorldClosure:
     statements = context.statements()
     if statements[:-1] != world.context.statements():
         raise ValueError("context is not the world's context plus one statement")
-    stmt, label = statements[-1], SentenceLabel(len(statements))
+    stmt, label = statements[-1], len(statements)
     parsed = parse_statement(stmt.surface)
     if isinstance(parsed, RuleAst):
         return closure(context)
@@ -398,7 +393,7 @@ def proof_target(world: WorldClosure, hypothesis: Hypothesis) -> Atom:
 
 def proof_steps(
     world: WorldClosure, target: Atom
-) -> list[tuple[Derivation, tuple[SentenceLabel, ...]]]:
+) -> list[tuple[Derivation, tuple[int, ...]]]:
     """The derivations the proof of `target` rests on, each once, in proof
     order, with their selection labels in `selection_order`: the rule, then
     the distinct premises in label order.  The k-th inference takes label
@@ -416,7 +411,7 @@ def proof_steps(
         needed.values(),
         key=lambda d: (world.derived[d.head].depth, _candidate_key(d.rule_label, d.premises)),
     )
-    inferred = {d.head: SentenceLabel(k) for k, d in enumerate(ordered, len(world.context) + 1)}
+    inferred = {d.head: k for k, d in enumerate(ordered, len(world.context) + 1)}
     return [
         (d, tuple(selection_order(
             [d.rule_label, *(world.fact_labels.get(p) or inferred[p] for p in d.premises)]

@@ -196,6 +196,18 @@ def test_gen_problems_refuses_bad_depths(depths, tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", ["-3", "x", "1.5"])
+def test_gen_problems_refuses_a_bad_count(count, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(datasets, "generate_problem_set", _never)
+    out = tmp_path / "gen.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-problems", "--count", count, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --count" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_a_context_with_nothing_to_select_answers_unknown(tmp_path, capsys):
     """A facts-only context fires no rule, and the incomplete-context probe
     strips it to nothing at all, as a problem file may give it: every
@@ -434,11 +446,14 @@ def report_set(tmp_path_factory):
 @pytest.mark.parametrize("command, recorded", [
     (["eval", "--report", "json"], "eval-{}.json"),
     (["solve"], "solve-{}.txt"),
-], ids=["eval", "solve"])
+    (["probe", "--kind", "random", "--report", "json"], "probe-random-{}.json"),
+    (["probe", "--kind", "incomplete", "--report", "json"], "probe-incomplete-{}.json"),
+], ids=["eval", "solve", "probe-random", "probe-incomplete"])
 def test_output_is_byte_identical_to_the_recorded_reports(
     report_set, capsys, mode, command, recorded
 ):
-    """`eval --report json` and `solve` print exactly the recorded bytes.
+    """`eval --report json`, `solve` and both `probe --report json` kinds
+    print exactly the recorded bytes.
 
     The set is `gen-problems --seed 7 --count 10 --depths 1,2,3,5`.  A
     change that alters output on purpose records the files again, e.g.

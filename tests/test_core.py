@@ -10,7 +10,6 @@ from sireason.core import (
     LabeledContext,
     ReasoningStep,
     ReasoningTrace,
-    SentenceLabel,
     Statement,
     is_connected,
     normalize_key,
@@ -81,39 +80,22 @@ def test_statement_is_immutable_and_copies_by_surface():
     assert str(a) == a.surface
 
 
-def test_sentence_label_roundtrip():
-    label = SentenceLabel(7)
-    assert label.render() == "sent 7"
-    with pytest.raises(ValueError):
-        SentenceLabel(0)
-
-
-def test_sentence_label_hashes_and_orders_as_its_index_tuple():
-    # The dataclass it replaces hashed as (index,), so set orders stay put.
-    assert hash(SentenceLabel(3)) == hash((3,))
-    assert sorted([SentenceLabel(10), SentenceLabel(2), SentenceLabel(3)]) == [
-        SentenceLabel(2), SentenceLabel(3), SentenceLabel(10)
-    ]
-    assert repr(SentenceLabel(index=3)) == "SentenceLabel(index=3)"
-    assert SentenceLabel(3).index == 3
-
-
 def test_labeled_context_basics():
     ctx = LabeledContext.from_statements(["a is red", "b is blue"])
     assert len(ctx) == 2
-    assert ctx.lookup(SentenceLabel(1)) == Statement("a is red")
-    assert ctx.lookup(SentenceLabel(2)) == Statement("b is blue")
+    assert ctx.lookup(1) == Statement("a is red")
+    assert ctx.lookup(2) == Statement("b is blue")
     assert ctx.statements() == (Statement("a is red"), Statement("b is blue"))
     with pytest.raises(KeyError, match="sent 3 out of range 1..2"):
-        ctx.lookup(SentenceLabel(3))
+        ctx.lookup(3)
     extended = ctx.extended(Statement("c is green"))
     assert len(extended) == 3
-    assert extended.lookup(SentenceLabel(3)) == Statement("c is green")
+    assert extended.lookup(3) == Statement("c is green")
     # the original is untouched
     assert len(ctx) == 2
     # the same context as one built from all three statements
     assert extended == LabeledContext.from_statements(["a is red", "b is blue", "c is green"])
-    assert [label.index for label, _ in extended] == [1, 2, 3]
+    assert [label for label, _ in extended] == [1, 2, 3]
     with pytest.raises(AttributeError):
         extended._statements = ()
 
@@ -122,7 +104,7 @@ def test_from_statements_numbers_its_labels_and_checks_its_statements():
     statements = (s for s in ["a is red", Statement("b is blue"), "c is green."])
     ctx = LabeledContext.from_statements(statements)
     assert isinstance(ctx, LabeledContext)
-    assert [label.index for label, _ in ctx] == [1, 2, 3]
+    assert [label for label, _ in ctx] == [1, 2, 3]
     assert ctx.statements() == tuple(map(Statement, ["a is red", "b is blue", "c is green"]))
     assert ctx == LabeledContext(ctx.statements())
     with pytest.raises(core.EmptyStatement):
@@ -139,14 +121,13 @@ def test_a_context_is_its_statements_labelled_by_position(world, data):
     for statement in statements:
         built = built.extended(statement)
     assert built == ctx and hash(built) == hash(ctx)
-    assert [label.index for label, _ in ctx] == list(range(1, len(statements) + 1))
+    assert [label for label, _ in ctx] == list(range(1, len(statements) + 1))
     for label, statement in ctx:
-        assert ctx.lookup(label) is statement is statements[label.index - 1]
-    # Labels come from a cache shared by every length: a shorter context
-    # read after a longer one still has its own labels only.
+        assert ctx.lookup(label) is statement is statements[label - 1]
+    # A prefix of the statements is labelled as they are in the whole.
     n = data.draw(st.integers(0, len(statements) - 1))
     short = LabeledContext.from_statements(statements[:n])
-    assert [(label.index, s) for label, s in short] == list(enumerate(statements[:n], 1))
+    assert list(short) == list(enumerate(statements[:n], 1))
 
 
 def test_answer_parse_render():
@@ -170,7 +151,7 @@ def _toy_trace():
             Statement("the tiger is kind"),
         ),
         inference=Statement("the tiger likes the cow"),
-        selection_labels=(SentenceLabel(1), SentenceLabel(2)),
+        selection_labels=(1, 2),
     )
     return ReasoningTrace(base_context=ctx, steps=(step,))
 
@@ -219,13 +200,13 @@ def test_is_connected_flags_made_up_facts():
         selection=(Statement("the moon is cheese"),),
         inference=Statement("the tiger is green"),
     )
-    assert is_connected(trace.extended(bad_step)) is False
+    assert is_connected(replace(trace, steps=trace.steps + (bad_step,))) is False
     # An earlier inference may be selected; a later one may not.
     uses_inference = ReasoningStep(
         selection=(Statement("the tiger likes the cow"),),
         inference=Statement("the tiger is green"),
     )
-    assert is_connected(trace.extended(uses_inference)) is True
+    assert is_connected(replace(trace, steps=trace.steps + (uses_inference,))) is True
     early = ReasoningTrace(base_context=trace.base_context,
                            steps=(uses_inference,) + trace.steps)
     assert is_connected(early) is False
@@ -239,19 +220,3 @@ def test_a_trace_is_halted_when_it_has_an_answer():
     assert replace(empty, answer=Answer.UNKNOWN).halted
     with pytest.raises(ValueError, match="must have steps"):
         replace(empty, answer=Answer.FALSE)
-
-
-@given(st.lists(st.integers(min_value=0, max_value=5), min_size=0, max_size=4))
-def test_trace_extension_preserves_prefix(counts):
-    trace = _toy_trace()
-    for i in counts:
-        extended = trace.extended(
-            ReasoningStep(
-                selection=(Statement("the tiger is kind"),),
-                inference=Statement(f"derived fact number {i}"),
-            )
-        )
-        assert extended.steps[:-1] == trace.steps
-        assert extended.base_context == trace.base_context
-        trace = extended
-    assert len(trace.steps) == len(_toy_trace().steps) + len(counts)

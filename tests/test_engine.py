@@ -6,7 +6,6 @@ from sireason import cnl, evalcli, models, symbolic
 from sireason.core import (
     Answer,
     LabeledContext,
-    SentenceLabel,
     Statement,
     render_trace,
 )
@@ -51,7 +50,7 @@ def test_selection_step_parses_labels():
     script = {GeneratorRole.SELECTION: [" sent 1. We know that sent 5."]}
     backend = ScriptedBackend(script=script)
     [(selection, labels)] = selection_step(WORST_1.question, ctx, backend)
-    assert [l.index for l in labels] == [1, 5]
+    assert labels == [1, 5]
     assert selection[1] == Statement("the tiger is kind")
 
 
@@ -61,7 +60,7 @@ def test_selection_step_dedups_repeated_labels():
     [(selection, labels)] = selection_step(
         WORST_1.question, ctx, ScriptedBackend(script=script)
     )
-    assert [l.index for l in labels] == [1, 5]
+    assert labels == [1, 5]
     assert len(selection) == 2
 
 
@@ -72,8 +71,7 @@ def test_selection_step_dedups_repeated_labels():
     (" sent 2. We know that sent 10.", [2, 10]),
 ])
 def test_a_label_is_a_whole_word(raw, indices):
-    labels = models.read_selection(raw, 12)
-    assert (labels and [label.index for label in labels]) == indices
+    assert models.read_selection(raw, 12) == indices
 
 
 class _Replies:
@@ -154,7 +152,7 @@ def test_one_fact_covers_a_repeated_condition():
     world = symbolic.closure(problem.context)
     proof = symbolic.shortest_proof(world, cnl.parse_question(problem.question))
     assert [(s.selection_labels, s.inference) for s in proof.steps] == [
-        ((SentenceLabel(2), SentenceLabel(1)), kind)
+        ((2, 1), kind)
     ]
     prompt = models.format_selection_prompt(problem.question, problem.context)
     walk = OracleBackend()._selection_candidates(prompt)
@@ -310,6 +308,25 @@ def test_a_solver_config_searches_as_its_beam_config(pw_problems, width):
                                                      noise_rate=0.3, seed=11), cfg)
                 for cfg in (solver_cfg, beam_cfg)]
         assert runs[0] == runs[1]
+
+
+def test_every_sentence_label_is_a_plain_int():
+    """A label is its 1-based position: gold proofs, searched traces,
+    contexts, closures, derivations and proof steps all hold bare ints."""
+    labels = []
+    for problem in generate_problem_set(7, {1: 2, 2: 2, 3: 2, 5: 2}):
+        backend = ScriptedBackend(base=OracleBackend(), noise_rate=0.3, seed=11)
+        _, _, entries = beam_search(problem, backend, BeamConfig(4, 4))
+        for trace in [problem.gold_proof] + [entry.trace for entry in entries]:
+            labels.extend(l for step in trace.steps for l in step.selection_labels)
+        labels.extend(label for label, _ in problem.context)
+        world = symbolic.closure(problem.context)
+        labels.extend(world.fact_labels.values())
+        labels.extend(p.derivation.rule_label for p in world.derived.values() if p.derivation)
+        target = symbolic.proof_target(world, cnl.parse_question(problem.question))
+        for _, step_labels in symbolic.proof_steps(world, target):
+            labels.extend(step_labels)
+    assert labels and all(type(label) is int for label in labels)
 
 
 def test_beam_search_matches_oracle_greedy(pw_problems):

@@ -97,8 +97,7 @@ def test_eb_fixture_scripted_end_to_end(eb_problems, pid):
     problem = next(p for p in eb_problems if p.id == pid)
     script = {GeneratorRole.SELECTION: [], GeneratorRole.INFERENCE: []}
     for step in problem.gold_proof.steps:
-        labels = [l.index for l in step.selection_labels]
-        script[GeneratorRole.SELECTION].append(models.render_selection(labels))
+        script[GeneratorRole.SELECTION].append(models.render_selection(step.selection_labels))
         script[GeneratorRole.INFERENCE].append(f" {step.inference.surface}.")
     backend = ScriptedBackend(base=OracleBackend(), script=script)
     answer, trace = si_answer(problem, backend)

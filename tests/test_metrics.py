@@ -25,16 +25,16 @@ from worlds import context_of, worlds
 
 
 def _trace(context, steps):
-    ctx = LabeledContext.from_statements(context)
-    trace = ReasoningTrace(base_context=ctx)
-    for selection, inference in steps:
-        trace = trace.extended(
+    return ReasoningTrace(
+        base_context=LabeledContext.from_statements(context),
+        steps=tuple(
             ReasoningStep(
                 selection=tuple(Statement(s) for s in selection),
                 inference=Statement(inference),
             )
-        )
-    return trace
+            for selection, inference in steps
+        ),
+    )
 
 
 CONTEXT = ["rule one", "fact a", "fact b", "fact c"]

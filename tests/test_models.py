@@ -17,7 +17,6 @@ from sireason import cnl, datasets, engine, models, symbolic
 from sireason.core import (
     EmptyStatement,
     LabeledContext,
-    SentenceLabel,
     Statement,
     TraceParseError,
     normalize_key,
@@ -432,7 +431,7 @@ def _reference_firings(world: symbolic.WorldClosure) -> set[tuple[int, ...]]:
     as many facts as the rule has conditions tried against each rule with
     `apply_rule`."""
     present = {stmt.key for stmt in world.context.statements()}
-    facts = sorted((label.index, atom) for atom, label in world.fact_labels.items())
+    facts = sorted((label, atom) for atom, label in world.fact_labels.items())
     firings = set()
     for rule_label, rule in world.index.rules:
         for combo in itertools.chain.from_iterable(
@@ -443,7 +442,7 @@ def _reference_firings(world: symbolic.WorldClosure) -> set[tuple[int, ...]]:
             except symbolic.NoEntailment:
                 continue
             if normalize_key(cnl.render_atom(head)) not in present:
-                firings.add((rule_label.index,) + tuple(index for index, _ in combo))
+                firings.add((rule_label,) + tuple(index for index, _ in combo))
     return firings
 
 
@@ -482,7 +481,7 @@ def test_extended_worlds_fire_as_rebuilt_ones(monkeypatch):
     closed = []
 
     def counting(ctx):
-        closed.append(ctx.lookup(SentenceLabel(len(ctx))).surface)
+        closed.append(ctx.lookup(len(ctx)).surface)
         return closure(ctx)
 
     monkeypatch.setattr(symbolic, "closure", counting)
@@ -541,7 +540,7 @@ def _eager_candidates(prompt: str) -> tuple[str, ...]:
 
     facts = world.fact_labels
     firings = sorted({
-        (rule.index,) + tuple(sorted({facts[p].index for p in premises}))
+        (rule,) + tuple(sorted({facts[p] for p in premises}))
         for rule, premises, head in world.index.grounded.values()
         if all(p in facts for p in premises)
         and normalize_key(cnl.render_atom(head)) not in present
@@ -620,7 +619,7 @@ def test_gold_steps_are_the_shortest_proofs_steps(pw_problems, pw_worst_problems
             expected = ()
         else:
             expected = tuple(
-                (step.inference.key, tuple(label.index for label in step.selection_labels))
+                (step.inference.key, step.selection_labels)
                 for step in proof.steps
             )
             proved += 1
@@ -1020,8 +1019,7 @@ def _role_requests():
     return [
         CompletionRequest(GeneratorRole.SELECTION, format_selection_prompt(QUESTION, CTX), n=2),
         CompletionRequest(GeneratorRole.INFERENCE,
-                          format_inference_prompt([CTX.lookup(SentenceLabel(1)),
-                                                   CTX.lookup(SentenceLabel(3))])),
+                          format_inference_prompt([CTX.lookup(1), CTX.lookup(3)])),
         CompletionRequest(GeneratorRole.HALTER_READY,
                           format_halter_prompts(QUESTION, "the tiger likes the cow")[0]),
         _value_request(format_value_prompt(value_prompt_head(CTX, QUESTION), _GOOD)),

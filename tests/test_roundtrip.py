@@ -52,7 +52,7 @@ def test_a_selection_completion_reads_back_in_selection_order(world, data):
     size = len(context_of(world))
     labels = data.draw(st.lists(st.integers(1, size), min_size=1, max_size=4))
     read = read_selection(render_selection(labels), size)
-    assert [label.index for label in read] == selection_order(labels)
+    assert read == selection_order(labels)
 
 
 @ROUND_TRIP
