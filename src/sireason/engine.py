@@ -158,7 +158,12 @@ def _value_score(head: str, text: str, backend) -> float:
         )
     )
     logprobs = response.continuation_logprobs or {}
-    return logprobs.get(models.CORRECT, models.CERTAIN_BAD)
+    value = logprobs.get(models.CORRECT, models.CERTAIN_BAD)
+    # beam_search's stop at a halted leader needs log-probabilities, at
+    # most 0; NaN fails this test too.
+    if not value <= 0:
+        raise models.BackendError(f"value log-probability {value!r} is not at most 0")
+    return value
 
 
 def _rank_key(entry: BeamEntry) -> tuple:
@@ -180,10 +185,11 @@ def beam_search(
     every extension is scored by the value generator, and a trace's score
     is the sum of its steps' value scores; a single proposal has nothing to
     rank, so its steps keep no value score.  Halted entries keep
-    competing with frozen scores until every entry has halted or the step
-    cap is reached.  A step whose backend call fails is dropped and counted
-    in `stats`, and a failed selection request drops every step its trace
-    would have proposed.  Every role's request goes to `backend`.
+    competing with frozen scores, and the search ends when a halted trace
+    leads the beam or the step cap is reached; the third return value is
+    the beam at that point.  A step whose backend call fails is dropped and
+    counted in `stats`, and a failed selection request drops every step its
+    trace would have proposed.  Every role's request goes to `backend`.
     """
     # One proposal per trace leaves nothing to deduplicate or to rank.
     ranked = cfg.proposals_per_trace > 1
@@ -192,8 +198,6 @@ def beam_search(
         stats = SolveStats()
     entries: list[BeamEntry] = [BeamEntry(ReasoningTrace(problem.context), problem.context)]
     for _ in range(cfg.max_steps):
-        if all(e.trace.halted for e in entries):
-            break
         pool: list[BeamEntry] = [e for e in entries if e.trace.halted]
         for entry in entries:
             if entry.trace.halted:
@@ -250,6 +254,12 @@ def beam_search(
         if len(pool) > 1:
             pool.sort(key=_rank_key)
         entries = pool[: cfg.beam_width]
+        # A halted leader is final, as expanding on until every entry halted
+        # would show: a value score is at most 0, so a step never raises a
+        # trace's score.  Each live entry ranks at or below the leader, so
+        # each extension of it scores lower, or the same with more steps.
+        if entries[0].trace.halted:
+            break
     # `entries` is in rank order: the start entry, or a prefix of a sorted pool.
     halted = [e for e in entries if e.trace.halted]
     if halted:

@@ -442,25 +442,39 @@ def report_set(tmp_path_factory):
     return str(path)
 
 
-@pytest.mark.parametrize("mode", list(_MODES))
-@pytest.mark.parametrize("command, recorded", [
-    (["eval", "--report", "json"], "eval-{}.json"),
-    (["solve"], "solve-{}.txt"),
-    (["probe", "--kind", "random", "--report", "json"], "probe-random-{}.json"),
-    (["probe", "--kind", "incomplete", "--report", "json"], "probe-incomplete-{}.json"),
-], ids=["eval", "solve", "probe-random", "probe-incomplete"])
+_COMMANDS = {
+    "eval": (["eval", "--report", "json"], "eval-{}.json"),
+    "solve": (["solve"], "solve-{}.txt"),
+    "probe-random": (["probe", "--kind", "random", "--report", "json"], "probe-random-{}.json"),
+    "probe-incomplete": (["probe", "--kind", "incomplete", "--report", "json"],
+                         "probe-incomplete-{}.json"),
+}
+# `solve` in the beam modes also runs on the PW and PW-hard fixtures.
+_FIXTURE_SOLVES = {"pw": "golden_pw.jsonl", "pw-hard": "golden_pw_hard.jsonl"}
+
+
+@pytest.mark.parametrize("command, recorded, problems, mode", [
+    pytest.param(command, recorded, None, mode, id=f"{name}-{mode}")
+    for name, (command, recorded) in _COMMANDS.items() for mode in _MODES
+] + [
+    pytest.param(["solve"], f"solve-{name}-{{}}.txt", FIXTURES / file, mode,
+                 id=f"solve-{name}-{mode}")
+    for name, file in _FIXTURE_SOLVES.items() for mode in ("oracle-beam", "scripted", "remote")
+])
 def test_output_is_byte_identical_to_the_recorded_reports(
-    report_set, capsys, mode, command, recorded
+    report_set, capsys, command, recorded, problems, mode
 ):
     """`eval --report json`, `solve` and both `probe --report json` kinds
     print exactly the recorded bytes.
 
-    The set is `gen-problems --seed 7 --count 10 --depths 1,2,3,5`.  A
-    change that alters output on purpose records the files again, e.g.
+    The set is `gen-problems --seed 7 --count 10 --depths 1,2,3,5`; `solve`
+    in the beam modes also runs on `golden_pw.jsonl` and
+    `golden_pw_hard.jsonl`.  A change that alters output on purpose records
+    the files again, e.g.
     `sireason eval --problems set.jsonl --report json > eval-oracle.json`,
     and says why.
     """
-    rc = main(command + ["--problems", report_set] + _MODES[mode])
+    rc = main(command + ["--problems", str(problems or report_set)] + _MODES[mode])
     assert rc == 0
     expected = (REPORTS / recorded.format(mode.removesuffix("-exec"))).read_bytes()
     assert capsys.readouterr().out.encode() == expected

@@ -1,12 +1,17 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from worlds import context_of, worlds
 
-from sireason import cnl, evalcli, models, symbolic
+from sireason import cnl, engine, evalcli, models, symbolic
 from sireason.core import (
     Answer,
     LabeledContext,
+    ReasoningStep,
+    ReasoningTrace,
     Statement,
+    append_step_text,
     render_trace,
 )
 from sireason.engine import (
@@ -387,6 +392,128 @@ def test_beam_search_unknown_when_nothing_halts():
     assert trace.halted
 
 
+def _expand_until_every_trace_halts(problem, backend, cfg, stats):
+    """The reference search: `beam_search` without the stop at a halted
+    leader, expanding the live traces until every trace has halted or the
+    step cap is reached."""
+    ranked = cfg.proposals_per_trace > 1
+    value_head = models.value_prompt_head(problem.context, problem.question) if ranked else ""
+    entries = [engine.BeamEntry(ReasoningTrace(problem.context), problem.context)]
+    for _ in range(cfg.max_steps):
+        if all(e.trace.halted for e in entries):
+            break
+        pool = [e for e in entries if e.trace.halted]
+        for entry in entries:
+            if entry.trace.halted:
+                continue
+            try:
+                proposals = selection_step(problem.question, entry.context, backend, stats,
+                                           cfg.proposals_per_trace)
+            except models.BackendError as exc:
+                stats.backend_failure(f"{problem.id}: selection backend: {exc}")
+                proposals = []
+            candidates, seen = [], set()
+            for selection, labels in proposals:
+                try:
+                    inference = engine._infer(selection, backend)
+                except models.BackendError as exc:
+                    stats.backend_failure(f"{problem.id}: backend: {exc}")
+                    continue
+                if ranked:
+                    sig = (frozenset(labels), inference.key)
+                    if sig in seen:
+                        continue
+                    seen.add(sig)
+                candidates.append(ReasoningStep(tuple(selection), inference, tuple(labels)))
+            for step in candidates:
+                score = entry.cumulative_score
+                text = append_step_text(entry.text, step)
+                try:
+                    if ranked:
+                        value = engine._value_score(value_head, text, backend)
+                        step = ReasoningStep(step.selection, step.inference,
+                                             step.selection_labels, value)
+                        score += value
+                    maybe = engine._halt_check(problem.question, problem.choices,
+                                               step.inference, backend)
+                except models.BackendError as exc:
+                    stats.backend_failure(f"{problem.id}: backend: {exc}")
+                    continue
+                pool.append(engine.BeamEntry(
+                    ReasoningTrace(problem.context, entry.trace.steps + (step,), maybe),
+                    entry.context.extended(step.inference), score, text))
+        if not pool:
+            break
+        pool.sort(key=engine._rank_key)
+        entries = pool[: cfg.beam_width]
+    halted = [e for e in entries if e.trace.halted]
+    if halted:
+        return halted[0].trace.answer, halted[0].trace
+    trace = entries[0].trace
+    return Answer.UNKNOWN, ReasoningTrace(trace.base_context, trace.steps, Answer.UNKNOWN)
+
+
+@pytest.mark.parametrize("cfg, noise, seed", [
+    (BeamConfig(4, 4), 0.3, 11),
+    (BeamConfig(2, 4), 0.5, 3),
+    (BeamConfig(4, 4), 0.0, 0),
+], ids=["noisy-4x4", "noisier-2x4", "oracle-4x4"])
+def test_stopping_at_a_halted_leader_changes_no_result(
+    pw_problems, pw_worst_problems, cfg, noise, seed
+):
+    """Ending the search once a halted trace leads the beam returns what
+    expanding until every trace halts returns: the same answer, trace,
+    value scores and failure notes, for no more selection requests."""
+    problems = generate_problem_set(13, {1: 10, 2: 10, 3: 10, 5: 10})
+    fewer = 0
+    for problem in problems + pw_problems + pw_worst_problems:
+        runs = []
+        for search in (_expand_until_every_trace_halts,
+                       lambda *args: beam_search(*args)[:2]):
+            stats = SolveStats()
+            backend = ScriptedBackend(base=OracleBackend(), noise_rate=noise, seed=seed)
+            answer, trace = search(problem, backend, cfg, stats)
+            runs.append(((answer, render_trace(trace),
+                          [step.value_score for step in trace.steps], stats.notes),
+                         stats.selection_calls))
+        (expected, calls_before), (got, calls_after) = runs
+        assert got == expected, problem.id
+        assert calls_after <= calls_before, problem.id
+        fewer += calls_after < calls_before
+    assert fewer > 0
+
+
+class _ValueReplied:
+    """The oracle, except that its first value request gets `logprob` for
+    " correct"."""
+
+    def __init__(self, logprob) -> None:
+        self._base = OracleBackend()
+        self._logprob = logprob
+        self._replaced = False
+
+    def complete(self, request):
+        if request.role is GeneratorRole.VALUE and not self._replaced:
+            self._replaced = True
+            return models.CompletionResponse(
+                (), {models.CORRECT: self._logprob, models.INCORRECT: models.CERTAIN_BAD})
+        return self._base.complete(request)
+
+
+@pytest.mark.parametrize("logprob", [1.0, float("nan")], ids=["positive", "nan"])
+def test_a_value_above_0_is_a_counted_failure_that_drops_its_step(logprob):
+    """The stop at a halted leader needs value scores that are
+    log-probabilities, so any other value fails like a backend error.  The
+    oracle proposes one first step for WORST_1, so once that step is
+    dropped, nothing is left to search."""
+    assert beam_search(WORST_1, _ValueReplied(0.0), BeamConfig(2, 2))[0] == Answer.TRUE
+    stats = SolveStats()
+    answer, trace, entries = beam_search(WORST_1, _ValueReplied(logprob), BeamConfig(2, 2), stats)
+    assert stats.notes == [f"test: backend: value log-probability {logprob!r} is not at most 0"]
+    assert answer.is_unknown and trace.steps == ()
+    assert [entry.text for entry in entries] == [""]
+
+
 @pytest.mark.parametrize("completion", [" .", " 123.", " ..."])
 def test_an_inference_without_letters_means_nothing_follows(pw_problems, completion):
     backend = ScriptedBackend(
@@ -519,3 +646,47 @@ def test_solvers_answer_as_the_reference_on_drawn_worlds(world, negated, data):
         answer, trace = solve(stats)
         assert (answer, stats.notes) == (expected, [])
         assert symbolic.trace_faults(trace) == []
+
+
+def _step_set(trace) -> set:
+    return {(frozenset(s.key for s in step.selection), step.inference.key)
+            for step in trace.steps}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([1, 2, 3, 5]), st.data())
+def test_a_shuffled_context_gives_the_same_answer_and_steps(seed, depth, data):
+    """Selection is by label, and a label is a position, so a generated
+    context in another order gives the same answer and the same steps under
+    oracle greedy and 4x4.  The steps are compared as sets: the oracle takes
+    independent branches in label order."""
+    problem = symbolic.generate_problem(seed=seed, depth=depth)
+    shuffled = replace(problem, context=LabeledContext.from_statements(
+        data.draw(st.permutations(problem.context.statements()))))
+    for cfg in (BeamConfig(), BeamConfig(4, 4)):
+        answer, trace, _ = beam_search(problem, OracleBackend(), cfg)
+        again, moved, _ = beam_search(shuffled, OracleBackend(), cfg)
+        assert again == answer == problem.gold_answer
+        assert _step_set(moved) == _step_set(trace)
+
+
+@settings(max_examples=60, deadline=None)
+@given(worlds(), st.data())
+def test_a_shuffled_drawn_world_gives_the_same_answer(world, data):
+    """On drawn worlds only the answer is compared.  Two rules there can
+    derive an atom equally fast ("If the cat is big then the dog is red"
+    and "If the cat is big and the cat is big then the dog is red"), and
+    the closure keeps the one with the lower label, so the step taken can
+    move with the order."""
+    context = context_of(world)
+    derived = sorted((a for a, p in symbolic.closure(context).derived.items() if p.depth > 0),
+                     key=cnl.render_atom)
+    assume(derived)
+    atom = cnl.render_atom(data.draw(st.sampled_from(derived)))
+    problem = _problem([s.surface for s in context.statements()],
+                       f'Does it imply that the statement "{atom}" is True?')
+    shuffled = replace(problem, context=LabeledContext.from_statements(
+        data.draw(st.permutations(context.statements()))))
+    for cfg in (BeamConfig(), BeamConfig(4, 4)):
+        assert (beam_search(shuffled, OracleBackend(), cfg)[0]
+                == beam_search(problem, OracleBackend(), cfg)[0])

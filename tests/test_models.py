@@ -563,7 +563,7 @@ def test_lazy_walks_hand_out_the_eager_lists(pw_problems, pw_worst_problems):
     built up front.  Taking turns grounds sibling worlds into the shared
     rule index between the steps of one walk."""
     problems = [
-        *datasets.generate_problem_set(41, {1: 10, 2: 10, 3: 10, 5: 10}),
+        *datasets.generate_problem_set(41, {1: 15, 2: 15, 3: 15, 5: 15}),
         *pw_problems,
         *pw_worst_problems,
     ]

@@ -59,12 +59,13 @@ def test_server_dying_mid_run_costs_counted_failures(
         return make_solver(cfg, stats)
 
     monkeypatch.setattr(evalcli, "make_solver", capturing)
-    # 8, 8, 18 and 22 round trips each, resets included.
+    # 5, 5, 8 and 13 round trips each (`PipeTransport.exchange` calls, resets
+    # included), so a server that answers 12 dies in the third problem.
     problems = [pw_problems[i] for i in (6, 7, 9, 4)]
     report = evalcli.evaluate(
         problems,
         evalcli.SolverConfig(
-            backend="remote", endpoint=_fault_server("exit:20,0", tmp_path), **BEAM
+            backend="remote", endpoint=_fault_server("exit:12,0", tmp_path), **BEAM
         ),
     )
     stats: engine.SolveStats = captured["stats"]
@@ -73,7 +74,7 @@ def test_server_dying_mid_run_costs_counted_failures(
     assert report.overall.count == len(problems)
     failed = {note.split(": ", 1)[0] for note in stats.notes}
     assert stats.backend_failures == len(stats.notes) > 0
-    # The first two problems fit in the first server's 20 answers.
+    # The first two problems fit in the first server's 12 answers.
     assert failed == {problems[2].id, problems[3].id}
     assert report.overall.correct >= 2
     # The second server dies on its first request, so it is not replaced:
