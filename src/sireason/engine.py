@@ -53,7 +53,7 @@ def selection_step(
     question: str,
     context: LabeledContext,
     backend,
-    stats: Optional[SolveStats] = None,
+    stats: SolveStats,
     n: int = 1,
 ) -> list[tuple[list[Statement], list[int]]]:
     """(selection, labels) of every usable sample of one selection request
@@ -74,19 +74,25 @@ def selection_step(
     for raw in samples:
         labels = models.read_selection(raw, len(context))
         if labels is None:
-            if stats is not None:
-                stats.selection_syntax_errors += 1
+            stats.selection_syntax_errors += 1
             continue
         proposals.append(([context.lookup(label) for label in labels], labels))
-    if stats is not None:
-        stats.selection_calls += 1
+    stats.selection_calls += 1
     return proposals
+
+
+def _sample(backend, role: GeneratorRole, prompt: str) -> str:
+    """The sample of a single-sample request; a reply with none raises
+    BackendError."""
+    samples = backend.complete(CompletionRequest(role, prompt)).samples
+    if not samples:
+        raise models.BackendError(f"{role.value} reply has no sample")
+    return samples[0]
 
 
 def _infer(selection: Sequence[Statement], backend) -> Statement:
     prompt = models.format_inference_prompt(selection)
-    reply = backend.complete(CompletionRequest(GeneratorRole.INFERENCE, prompt))
-    text = strip_period(reply.text)
+    text = strip_period(_sample(backend, GeneratorRole.INFERENCE, prompt))
     # A completion with no letters in it says nothing, like an empty one.
     if not normalize_key(text):
         text = symbolic.NOTHING_FOLLOWS
@@ -105,15 +111,11 @@ def _halt_check(
     ready_prompt, answer_prompt = models.format_halter_prompts(
         question, inference.surface, choices
     )
-    ready = backend.complete(
-        CompletionRequest(GeneratorRole.HALTER_READY, ready_prompt)
-    ).text.strip().rstrip(".")
+    ready = _sample(backend, GeneratorRole.HALTER_READY, ready_prompt).strip().rstrip(".")
     if choices is not None:
         if ready != "Yes":
             return None
-        answer_text = backend.complete(
-            CompletionRequest(GeneratorRole.HALTER_ANSWER, answer_prompt)
-        ).text.strip()
+        answer_text = _sample(backend, GeneratorRole.HALTER_ANSWER, answer_prompt).strip()
         if answer_text not in {c.strip() for c in choices}:
             raise models.BackendError(f"answer {answer_text!r} is none of the choices")
         return Answer.of_choice(answer_text)
@@ -191,7 +193,7 @@ def beam_search(
     counted in `stats`, and a failed selection request drops every step its
     trace would have proposed.  Every role's request goes to `backend`.
     """
-    # One proposal per trace leaves nothing to deduplicate or to rank.
+    # One proposal per trace leaves nothing to rank.
     ranked = cfg.proposals_per_trace > 1
     value_head = models.value_prompt_head(problem.context, problem.question) if ranked else ""
     if stats is None:
@@ -209,7 +211,7 @@ def beam_search(
                 )
             except models.BackendError as exc:
                 stats.backend_failure(f"{problem.id}: selection backend: {exc}")
-                proposals = []
+                continue
             candidates: list[ReasoningStep] = []
             seen: set[tuple] = set()
             for selection, labels in proposals:
@@ -218,11 +220,10 @@ def beam_search(
                 except models.BackendError as exc:
                     stats.backend_failure(f"{problem.id}: backend: {exc}")
                     continue
-                if ranked:
-                    sig = (frozenset(labels), inference.key)
-                    if sig in seen:
-                        continue
-                    seen.add(sig)
+                sig = (frozenset(labels), inference.key)
+                if sig in seen:
+                    continue
+                seen.add(sig)
                 candidates.append(
                     ReasoningStep(
                         selection=tuple(selection),

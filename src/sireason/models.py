@@ -20,7 +20,7 @@ import re
 import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
@@ -287,11 +287,6 @@ def _context_surfaces(ctx_text: str) -> tuple[str, ...]:
 # Oracle backend.
 # ---------------------------------------------------------------------------
 
-# Roles whose oracle reply is kept by prompt: their prompts repeat within a
-# problem under selection noise.  A selection walks on down its candidates,
-# and a value reply carries a mutable logprobs dict (its prompts do not
-# repeat).
-_KEPT_REPLIES = frozenset({GeneratorRole.INFERENCE, GeneratorRole.HALTER_READY})
 _HANDLERS = {role: f"_complete_{role.value}" for role in GeneratorRole}
 
 
@@ -318,11 +313,11 @@ class OracleBackend:
 
     The oracle answers one problem at a time.  It keeps the worlds it
     closes, the gold steps of each question (also by a value prompt's context
-    text), each prompt's selection walk and its inference and halter_ready
-    replies by prompt, all until `reset()`, which forgets them all.  Every
-    kept answer is a pure function of its key within one problem, so a
-    repeated request gets the reply it got the first time; a request that
-    failed is not kept, and fails again.  Each request holds the lock whole,
+    text), each prompt's selection walk and every other reply by its
+    request, all until `reset()`, which forgets them all.  Every kept
+    answer is a pure function of its key within one problem, so a repeated
+    request gets the reply it got the first time; a request that failed is
+    not kept, and fails again.  Each request holds the lock whole,
     since worlds extended from one closure share and ground into its index.
     """
 
@@ -334,8 +329,8 @@ class OracleBackend:
         self._gold: dict[tuple[tuple[str, ...] | str, str], tuple[tuple[str, tuple[int, ...]], ...]] = {}
         # The walk of each selection prompt, positioned at its next proposal.
         self._selections: dict[str, Iterator[str]] = {}
-        # Replies by (role, prompt), for the roles in _KEPT_REPLIES.
-        self._replies: dict[tuple[GeneratorRole, str], CompletionResponse] = {}
+        # Every reply but a selection's, by its request.
+        self._replies: dict[CompletionRequest, CompletionResponse] = {}
 
     def reset(self) -> None:
         with self._lock:
@@ -348,20 +343,17 @@ class OracleBackend:
         pass
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        role = request.role
-        if role not in _HANDLERS:
-            raise ValueError(f"{role!r} is not a valid GeneratorRole")
+        role = GeneratorRole(request.role)  # ValueError on an unknown role
         # Looked up per call, so a handler patched on the class is the one
         # that answers.
         handler = getattr(self, _HANDLERS[role])
         try:
             with self._lock:
-                if role not in _KEPT_REPLIES:
+                if role is GeneratorRole.SELECTION:
                     return handler(request)
-                key = (role, request.prompt)
-                reply = self._replies.get(key)
+                reply = self._replies.get(request)
                 if reply is None:
-                    reply = self._replies[key] = handler(request)
+                    reply = self._replies[request] = handler(request)
                 return reply
         except (cnl.ParseError, EmptyStatement) as exc:
             # Text outside the grammar, such as a free-text (EB) question.
@@ -572,8 +564,8 @@ class ScriptedBackend:
     prompt's sentence range; the samples left are asked of the script or
     the base in one request.  The k-th `reset()` reseeds the noise with
     `seed + k`, so each problem of a run draws its own reproducible noise.
-    A request it leaves unchanged (no script for its role, and no noise on
-    it) goes to the base as it is, and gets the base's reply.
+    A request it leaves whole (no script for its role, and no sample
+    replaced) goes to the base as it is, and gets the base's reply.
     """
 
     def __init__(
@@ -607,15 +599,7 @@ class ScriptedBackend:
             self._base.close()
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        role = request.role
-        # `==`, not `is`: a role given as its plain string value equals the member.
-        noisy = role == GeneratorRole.SELECTION and self._noise_rate > 0.0
-        if request.n >= 1 and self._base is not None and not noisy \
-                and role not in self._script:
-            # Nothing to replace or to queue: the base answers the request
-            # as it is.
-            return self._base.complete(request)
-        role = GeneratorRole(role)  # ValueError on an unknown role
+        role = GeneratorRole(request.role)  # ValueError on an unknown role
         # None marks a sample that noise leaves to the script or the base.
         samples: list[Optional[str]] = [None] * request.n
         # The lock guards only this backend's own state (the noise draws and
@@ -623,7 +607,7 @@ class ScriptedBackend:
         with self._lock:
             # Noise pre-empts the underlying generator sample by sample, so
             # the proposals of one request stay independent draws.
-            if noisy:
+            if role is GeneratorRole.SELECTION and self._noise_rate > 0.0:
                 size: Optional[int] = None
                 for i in range(request.n):
                     if self._rng.random() < self._noise_rate:
@@ -642,8 +626,10 @@ class ScriptedBackend:
         if role not in self._script:
             if self._base is None:
                 raise ScriptExhausted(f"no script and no base backend for {role.value}")
-            rest = self._base.complete(CompletionRequest(
-                role, request.prompt, request.scored_continuations, wanted)).samples
+            if wanted == request.n:
+                # Nothing replaced or queued: the base's reply is this one.
+                return self._base.complete(request)
+            rest = self._base.complete(replace(request, n=wanted)).samples
         # The samples left fill the unset ones in order; any past the end of
         # `rest` are dropped.
         filled = iter(rest)

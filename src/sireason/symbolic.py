@@ -152,14 +152,14 @@ def is_proof_step(step: ReasoningStep, proof_keys: AbstractSet[str]) -> bool:
 
 
 def trace_faults(trace: ReasoningTrace) -> list[str]:
-    """What is wrong with a trace: "step N bad: " for each step whose
-    inference is not the reference inference of its selection, then "trace
-    is not connected" if a step selects a statement that is neither in the
+    """What is wrong with a trace: "step N bad: ..." for each step whose
+    selection entails other than its inference, naming both, then "trace is
+    not connected" if a step selects a statement that is neither in the
     context nor an earlier inference.  Empty for a valid trace."""
     faults = [
-        f"step {n} bad: "
+        f"step {n} bad: the selection entails {entailed.surface!r}, not {step.inference.surface!r}"
         for n, step in enumerate(trace.steps, start=1)
-        if not is_step_correct(step)
+        if (entailed := infer(step.selection)) != step.inference
     ]
     if not is_connected(trace):
         faults.append("trace is not connected")

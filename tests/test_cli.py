@@ -480,6 +480,50 @@ def test_output_is_byte_identical_to_the_recorded_reports(
     assert capsys.readouterr().out.encode() == expected
 
 
+_INPUTS = {**_FIXTURE_SOLVES, "eb": "golden_eb.jsonl"}
+
+
+def _fixture_runs() -> dict[str, tuple[list[str], str]]:
+    """The command line and stdout suffix of each run on the golden
+    fixtures, by name: `solve` and `eval --report json` in the five modes,
+    `validate`, and `extract-training` into `pairs.jsonl`."""
+    runs = {}
+    for name, file in _INPUTS.items():
+        problems = ["--problems", str(FIXTURES / file)]
+        for mode in ("oracle", "oracle-beam", "scripted-greedy", "scripted", "remote"):
+            runs[f"solve-{name}-{mode}"] = (["solve"] + problems + _MODES[mode], "txt")
+            runs[f"eval-{name}-{mode}"] = (
+                ["eval", "--report", "json"] + problems + _MODES[mode], "json")
+        runs[f"validate-{name}"] = (["validate"] + problems, "txt")
+        runs[f"extract-training-{name}"] = (["extract-training"] + problems + [
+            "--roles", "sel,inf,halt,value", "--seed", "0", "--out", "pairs.jsonl"], "txt")
+    return runs
+
+
+_FIXTURE_RUNS = _fixture_runs()
+# Exit code and stderr of each run the test above does not pin, by name.
+_RECORDED_RUNS = json.loads((REPORTS / "fixture-runs.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(_RECORDED_RUNS))
+def test_fixture_runs_are_the_recorded_ones(tmp_path, monkeypatch, capsys, case):
+    """Each run on `golden_pw.jsonl`, `golden_pw_hard.jsonl` and
+    `golden_eb.jsonl` that the test above leaves out prints the recorded
+    stdout (`<case>.txt` or `.json`) and stderr and exits with the recorded
+    code (`fixture-runs.json`); `extract-training` writes pairs that hash to
+    `extract-training-<input>.sha256`.  The oracle cannot read an EB
+    question, so every EB solve exits 1, its failures counted."""
+    argv, suffix = _FIXTURE_RUNS[case]
+    monkeypatch.chdir(tmp_path)
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert out.encode() == (REPORTS / f"{case}.{suffix}").read_bytes()
+    assert {"exit": rc, "stderr": err} == _RECORDED_RUNS[case]
+    if case.startswith("extract-training"):
+        digest = hashlib.sha256((tmp_path / "pairs.jsonl").read_bytes()).hexdigest()
+        assert digest == (REPORTS / f"{case}.sha256").read_text().strip()
+
+
 def test_gold_proofs_and_training_pairs_are_the_recorded_ones(
     report_set, tmp_path, capsys
 ):

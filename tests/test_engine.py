@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -54,7 +55,7 @@ def test_selection_step_parses_labels():
     ctx = WORST_1.context
     script = {GeneratorRole.SELECTION: [" sent 1. We know that sent 5."]}
     backend = ScriptedBackend(script=script)
-    [(selection, labels)] = selection_step(WORST_1.question, ctx, backend)
+    [(selection, labels)] = selection_step(WORST_1.question, ctx, backend, SolveStats())
     assert labels == [1, 5]
     assert selection[1] == Statement("the tiger is kind")
 
@@ -63,7 +64,7 @@ def test_selection_step_dedups_repeated_labels():
     ctx = WORST_1.context
     script = {GeneratorRole.SELECTION: [" sent 1. We know that sent 5 and sent 5."]}
     [(selection, labels)] = selection_step(
-        WORST_1.question, ctx, ScriptedBackend(script=script)
+        WORST_1.question, ctx, ScriptedBackend(script=script), SolveStats()
     )
     assert labels == [1, 5]
     assert len(selection) == 2
@@ -273,6 +274,49 @@ def test_si_answer_drops_a_step_whose_halter_call_failed():
     assert trace.halted and trace.steps == ()
     assert stats.backend_failures == 1
     assert stats.notes == ["test: backend: halter_ready down"]
+
+
+class _NoSample:
+    """Answers `role` with no sample and passes the rest on to `base`."""
+
+    def __init__(self, base, role) -> None:
+        self._base = base
+        self._role = role
+
+    def complete(self, request):
+        if request.role is self._role:
+            return models.CompletionResponse(())
+        return self._base.complete(request)
+
+
+@pytest.mark.parametrize("role, choices", [
+    (GeneratorRole.INFERENCE, None),
+    (GeneratorRole.HALTER_READY, None),
+    (GeneratorRole.INFERENCE, ("gas", "solid")),
+    (GeneratorRole.HALTER_READY, ("gas", "solid")),
+    (GeneratorRole.HALTER_ANSWER, ("gas", "solid")),
+], ids=["inference", "halter_ready", "mc-inference", "mc-halter_ready", "mc-halter_answer"])
+def test_a_reply_with_no_sample_is_a_counted_failure(role, choices):
+    """A single-sample request answered with no sample failed: its step is
+    dropped and the failure counted, rather than read as "nothing follows"
+    or as "not ready"."""
+    if choices is None:
+        problem, base = WORST_1, OracleBackend()
+    else:
+        problem = _problem(
+            ["If something is hot then it is a gas", "the steam is hot"],
+            "Which state is the steam in? gas OR solid", "gas", choices=choices,
+        )
+        base = ScriptedBackend(script={
+            GeneratorRole.SELECTION: [" sent 1. We know that sent 2."],
+            GeneratorRole.INFERENCE: [" the steam is a gas."],
+            GeneratorRole.HALTER_READY: [" Yes."],
+            GeneratorRole.HALTER_ANSWER: [" gas"],
+        })
+    stats = SolveStats()
+    answer, trace = si_answer(problem, _NoSample(base, role), stats=stats)
+    assert answer.is_unknown and trace.steps == ()
+    assert stats.notes == [f"test: backend: {role.value} reply has no sample"]
 
 
 def test_beam_config_validation():
@@ -668,6 +712,32 @@ def test_a_shuffled_context_gives_the_same_answer_and_steps(seed, depth, data):
         again, moved, _ = beam_search(shuffled, OracleBackend(), cfg)
         assert again == answer == problem.gold_answer
         assert _step_set(moved) == _step_set(trace)
+
+
+def test_a_shuffled_context_gives_the_same_answer_and_steps_over_pipe(pipe_spawns):
+    """The same over the wire: one `pipe:` server answers 4x4 searches of a
+    seed-7 problem per depth and of three seeded shuffles of each."""
+    backend = models.remote_backend("pipe:")
+    shuffles = 0
+    try:
+        for problem in generate_problem_set(7, {1: 1, 2: 1, 3: 1, 5: 1}):
+            backend.reset()
+            stats = SolveStats()
+            answer, trace, _ = beam_search(problem, backend, BeamConfig(4, 4), stats)
+            assert answer == problem.gold_answer
+            for seed in range(3):
+                statements = list(problem.context.statements())
+                random.Random(seed).shuffle(statements)
+                shuffles += statements != list(problem.context.statements())
+                shuffled = replace(problem, context=LabeledContext.from_statements(statements))
+                backend.reset()
+                again, moved, _ = beam_search(shuffled, backend, BeamConfig(4, 4), stats)
+                assert again == answer
+                assert _step_set(moved) == _step_set(trace)
+            assert stats.notes == []
+    finally:
+        backend.close()
+    assert len(pipe_spawns) == 1 and shuffles == 12
 
 
 @settings(max_examples=60, deadline=None)

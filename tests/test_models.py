@@ -316,8 +316,8 @@ class _Recording:
 @pytest.mark.parametrize("depth", [1, 2, 3, 5])
 def test_kept_replies_are_a_fresh_oracles_replies(depth):
     """Under selection noise most inference and halter prompts repeat
-    within a problem; the reply the oracle keeps for each, and every value
-    reply, equals what a fresh oracle answers to the same request."""
+    within a problem; every reply the oracle keeps equals what a fresh
+    oracle answers to the same request."""
     problems = datasets.generate_problem_set(19, {depth: 6})
     oracle = _Recording(OracleBackend())
     backend = ScriptedBackend(base=oracle, noise_rate=0.3, seed=11)
@@ -361,7 +361,9 @@ def test_gold_steps_after_an_unchanged_closure_are_a_fresh_oracles():
     (GeneratorRole.HALTER_READY, "Given the cow is big. Is the cow big?"),
     (GeneratorRole.HALTER_ANSWER, format_halter_prompts(
         "Which state?", "a fly has six legs", ("gas", "solid"))[1]),
-], ids=["inference", "halter_ready", "halter_answer"])
+    # A value request with no continuations to score.
+    (GeneratorRole.VALUE, "Context: the cow is big. The above reasoning steps are"),
+], ids=["inference", "halter_ready", "halter_answer", "value"])
 def test_a_failed_request_fails_again(role, prompt):
     backend = OracleBackend()
     request = CompletionRequest(role, prompt)

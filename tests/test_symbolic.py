@@ -98,7 +98,9 @@ def test_trace_faults_names_each_bad_step():
     trace = _toy_trace()
     assert trace_faults(trace) == []
     wrong = ReasoningStep(selection=(FACT,), inference=Statement("the tiger likes the cow"))
-    assert trace_faults(replace(trace, steps=trace.steps + (wrong,))) == ["step 2 bad: "]
+    assert trace_faults(replace(trace, steps=trace.steps + (wrong,))) == [
+        "step 2 bad: the selection entails 'nothing follows', not 'the tiger likes the cow'"
+    ]
 
 
 def test_trace_faults_names_a_disconnected_trace():
