@@ -106,10 +106,6 @@ def negate(atom: Atom) -> Atom:
     return Atom(atom.predicate, atom.subject, atom.obj, not atom.negated)
 
 
-def is_negation_of(a: Atom, b: Atom) -> bool:
-    return a == negate(b)
-
-
 @dataclass(frozen=True)
 class Fact:
     atom: Atom

@@ -116,15 +116,6 @@ def _rougeL_tokens(p: list[str], g: list[str]) -> float:
     return _f1(_lcs_len(p, g), len(p), len(g))
 
 
-def rouge1(predicted: str, gold: str) -> float:
-    g = tokenize(gold)
-    return _rouge1_tokens(tokenize(predicted), g, Counter(g))
-
-
-def rougeL(predicted: str, gold: str) -> float:
-    return _rougeL_tokens(tokenize(predicted), tokenize(gold))
-
-
 def rouge_scores(predicted: Sequence[str], gold: Sequence[str]) -> tuple[float, float]:
     """Average (rouge1, rougeL) over sentence pairs aligned greedily by best
     rouge1 match, in any order: ties go to the lowest predicted index, then

@@ -312,8 +312,8 @@ class OracleBackend:
     with the same prompt walk on.
 
     The oracle answers one problem at a time.  It keeps the worlds it
-    closes, the gold steps of each question (also by a value prompt's context
-    text), each prompt's selection walk and every other reply by its
+    closes, the base proof's inference keys by a value prompt's context text
+    and question, each prompt's selection walk and every other reply by its
     request, all until `reset()`, which forgets them all.  Every kept
     answer is a pure function of its key within one problem, so a repeated
     request gets the reply it got the first time; a request that failed is
@@ -325,8 +325,8 @@ class OracleBackend:
         self._lock = threading.Lock()
         # (context, closure) by the context's sentence surfaces.
         self._worlds: dict[tuple[str, ...], tuple[LabeledContext, symbolic.WorldClosure]] = {}
-        # Gold steps by (surfaces, question) and by a value prompt's (context text, question).
-        self._gold: dict[tuple[tuple[str, ...] | str, str], tuple[tuple[str, tuple[int, ...]], ...]] = {}
+        # The base proof's inference keys by a value prompt's (context text, question).
+        self._proof_keys: dict[tuple[str, str], frozenset[str]] = {}
         # The walk of each selection prompt, positioned at its next proposal.
         self._selections: dict[str, Iterator[str]] = {}
         # Every reply but a selection's, by its request.
@@ -335,7 +335,7 @@ class OracleBackend:
     def reset(self) -> None:
         with self._lock:
             self._worlds.clear()
-            self._gold.clear()
+            self._proof_keys.clear()
             self._selections.clear()
             self._replies.clear()
 
@@ -382,50 +382,13 @@ class OracleBackend:
         self._worlds[surfaces] = world
         return world
 
-    def _gold_steps(
-        self, surfaces: tuple[str, ...] | str, question: str
-    ) -> tuple[tuple[str, tuple[int, ...]], ...]:
-        """(inference key, selection labels) of each step of the shortest
-        proof of a hypothesis question; none if it has no proof or is no
-        hypothesis.
-
-        Selection and value calls on one context share it, and it keeps keys
-        and labels only, not the proof."""
-        steps = self._gold.get((surfaces, question))
-        if steps is not None:
-            return steps
-        if isinstance(surfaces, str):  # a value prompt's context text
-            # A search's first selection request closes its base context, so
-            # the first world is the one the text names, unless the text was
-            # never selected from; then it is split at each ". ".
-            base = next(iter(self._worlds), None)
-            if base is None or " ".join(f"{s}." for s in base) != surfaces:
-                base = _context_surfaces(surfaces)
-            steps = self._gold[surfaces, question] = self._gold_steps(base, question)
-            return steps
-        _, world = self._world_for(surfaces)
-        parsed_q = cnl.parse_question(question)
-        steps = ()
-        if isinstance(parsed_q, cnl.Hypothesis):
-            try:
-                target = symbolic.proof_target(world, parsed_q)
-            except symbolic.NoProof:
-                pass
-            else:
-                steps = tuple(
-                    (normalize_key(cnl.render_atom(d.head)), labels)
-                    for d, labels in symbolic.proof_steps(world, target)
-                )
-        self._gold[surfaces, question] = steps
-        return steps
-
     def _selection_candidates(self, prompt: str) -> Iterator[str]:
         """The walk of one prompt's selection completions, best first.  What can
         raise is done here; the other firings are built after the on-path one."""
         question, surfaces = _read_selection_prompt(prompt)
         ctx, world = self._world_for(surfaces)
         present = {stmt.key for stmt in ctx.statements()}
-        on_path = next((labels for key, labels in self._gold_steps(surfaces, question)
+        on_path = next((labels for key, labels in _gold_steps(world, question)
                         if key not in present), None)
 
         def walk() -> Iterator[str]:
@@ -458,7 +421,16 @@ class OracleBackend:
         if len(parts) != 2 or not (inference_key := normalize_key(parts[1])) \
                 or not all(map(normalize_key, split_premises(parts[0]))):
             return False
-        proof_keys = {key for key, _ in self._gold_steps(ctx_text, question)}
+        proof_keys = self._proof_keys.get((ctx_text, question))
+        if proof_keys is None:
+            # A search's first selection request closes its base context, so
+            # the first world is the one the text names, unless the text was
+            # never selected from; then it is split at each ". ".
+            base = next(iter(self._worlds), None)
+            if base is None or " ".join(f"{s}." for s in base) != ctx_text:
+                base = _context_surfaces(ctx_text)
+            proof_keys = self._proof_keys[ctx_text, question] = frozenset(
+                key for key, _ in _gold_steps(self._world_for(base)[1], question))
         # A step whose inference is on no proof is judged from its key alone.
         if inference_key not in proof_keys:
             return False
@@ -516,6 +488,25 @@ class OracleBackend:
         return CompletionResponse((preferred,), continuation_logprobs=logprobs)
 
 
+def _gold_steps(
+    world: symbolic.WorldClosure, question: str
+) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """(inference key, selection labels) of each step of the shortest proof
+    of a hypothesis question in a closed world; none if it has no proof or
+    is no hypothesis."""
+    parsed_q = cnl.parse_question(question)
+    if not isinstance(parsed_q, cnl.Hypothesis):
+        return ()
+    try:
+        target = symbolic.proof_target(world, parsed_q)
+    except symbolic.NoProof:
+        return ()
+    return tuple(
+        (normalize_key(cnl.render_atom(d.head)), labels)
+        for d, labels in symbolic.proof_steps(world, target)
+    )
+
+
 def _pw_halt_answer(prompt: str) -> Answer:
     """The single-prompt True/False/Unknown halter's answer."""
     inference, question = _read_halter_prompt(prompt)
@@ -529,7 +520,7 @@ def _pw_halt_answer(prompt: str) -> Answer:
         return Answer.UNKNOWN
     if inf_stmt.atom == parsed.atom:
         return Answer.TRUE
-    if cnl.is_negation_of(inf_stmt.atom, parsed.atom):
+    if inf_stmt.atom == cnl.negate(parsed.atom):
         return Answer.FALSE
     return Answer.UNKNOWN
 

@@ -115,6 +115,19 @@ def test_eval_text_report(problem_file, capsys):
     assert "made-up-fact rate:" in out
 
 
+def test_eval_text_report_prints_each_failure(capsys):
+    """The text report ends with one `failure:` line per failure of the
+    JSON report, and exits 1; the oracle cannot read an EB question."""
+    problems = ["--problems", str(FIXTURES / "golden_eb.jsonl")]
+    assert main(["eval", "--report", "json"] + problems) == 1
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert main(["eval", "--report", "text"] + problems) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(failures) == 3
+    assert lines[-len(failures):] == [f"failure: {f}" for f in failures]
+    assert not lines[-len(failures) - 1].startswith("failure:")
+
+
 def test_probe_incomplete(problem_file, capsys):
     rc = main(["probe", "--kind", "incomplete", "--problems", problem_file,
                "--report", "json"])
@@ -485,15 +498,23 @@ _INPUTS = {**_FIXTURE_SOLVES, "eb": "golden_eb.jsonl"}
 
 def _fixture_runs() -> dict[str, tuple[list[str], str]]:
     """The command line and stdout suffix of each run on the golden
-    fixtures, by name: `solve` and `eval --report json` in the five modes,
-    `validate`, and `extract-training` into `pairs.jsonl`."""
+    fixtures, by name: `solve`, `eval --report json` and both
+    `probe --report json` kinds in the five modes, `solve` and `eval` again
+    through the exec'd server (`-remote-exec`), `validate`, and
+    `extract-training` into `pairs.jsonl`."""
     runs = {}
     for name, file in _INPUTS.items():
         problems = ["--problems", str(FIXTURES / file)]
-        for mode in ("oracle", "oracle-beam", "scripted-greedy", "scripted", "remote"):
+        for mode in _MODES:
             runs[f"solve-{name}-{mode}"] = (["solve"] + problems + _MODES[mode], "txt")
             runs[f"eval-{name}-{mode}"] = (
                 ["eval", "--report", "json"] + problems + _MODES[mode], "json")
+            if mode == "remote-exec":
+                continue
+            for kind in ("random", "incomplete"):
+                runs[f"probe-{kind}-{name}-{mode}"] = (
+                    ["probe", "--kind", kind, "--report", "json"] + problems + _MODES[mode],
+                    "json")
         runs[f"validate-{name}"] = (["validate"] + problems, "txt")
         runs[f"extract-training-{name}"] = (["extract-training"] + problems + [
             "--roles", "sel,inf,halt,value", "--seed", "0", "--out", "pairs.jsonl"], "txt")
@@ -509,15 +530,16 @@ _RECORDED_RUNS = json.loads((REPORTS / "fixture-runs.json").read_text())
 def test_fixture_runs_are_the_recorded_ones(tmp_path, monkeypatch, capsys, case):
     """Each run on `golden_pw.jsonl`, `golden_pw_hard.jsonl` and
     `golden_eb.jsonl` that the test above leaves out prints the recorded
-    stdout (`<case>.txt` or `.json`) and stderr and exits with the recorded
-    code (`fixture-runs.json`); `extract-training` writes pairs that hash to
+    stdout (`<case>.txt` or `.json`; a `-remote-exec` run prints its
+    `-remote` file) and stderr and exits with the recorded code
+    (`fixture-runs.json`); `extract-training` writes pairs that hash to
     `extract-training-<input>.sha256`.  The oracle cannot read an EB
-    question, so every EB solve exits 1, its failures counted."""
+    question, so every EB solve and probe exits 1, its failures counted."""
     argv, suffix = _FIXTURE_RUNS[case]
     monkeypatch.chdir(tmp_path)
     rc = main(argv)
     out, err = capsys.readouterr()
-    assert out.encode() == (REPORTS / f"{case}.{suffix}").read_bytes()
+    assert out.encode() == (REPORTS / f"{case.removesuffix('-exec')}.{suffix}").read_bytes()
     assert {"exit": rc, "stderr": err} == _RECORDED_RUNS[case]
     if case.startswith("extract-training"):
         digest = hashlib.sha256((tmp_path / "pairs.jsonl").read_bytes()).hexdigest()
@@ -539,6 +561,23 @@ def test_gold_proofs_and_training_pairs_are_the_recorded_ones(
     capsys.readouterr()
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == (REPORTS / "extract-training.sha256").read_text().strip()
+
+
+@pytest.mark.parametrize("name, message", [
+    ("missing.jsonl", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_an_unreadable_problem_file_is_a_usage_error(
+    tmp_path, capsys, pipe_spawns, name, message
+):
+    """Exit 2 with `path: message` on stderr and nothing on stdout, before
+    any server starts."""
+    path = tmp_path / name
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--backend", "remote", "--endpoint", "pipe:", "--problems", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"{path}: {message}\n")
+    assert pipe_spawns == []
 
 
 @pytest.mark.parametrize("command", [

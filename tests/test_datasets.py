@@ -150,6 +150,15 @@ def test_load_problems_reports_line_numbers(tmp_path):
     assert err.value.line_number == 2
 
 
+@pytest.mark.parametrize("line", ["[1, 2]", '"the cat is big"', "7", "null"])
+def test_a_line_that_is_not_an_object_is_a_schema_error_on_that_line(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(_doc()) + "\n" + line + "\n")
+    with pytest.raises(SchemaError, match="a problem is a JSON object, not") as err:
+        load_problems(path)
+    assert err.value.line_number == 2
+
+
 def test_a_line_that_is_not_utf8_is_a_schema_error_on_that_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_bytes(json.dumps(_doc()).encode() + b"\n\xff\xfe\n")
@@ -287,6 +296,13 @@ def test_save_load_round_trip(tmp_path, pw_problems):
     path2 = tmp_path / "round2.jsonl"
     save_problems(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_multiple_choice_problems_round_trip(tmp_path, eb_problems):
+    path = tmp_path / "round.jsonl"
+    save_problems(eb_problems, path)
+    assert all(json.loads(line)["choices"] for line in path.read_text().splitlines())
+    assert load_problems(path) == eb_problems
 
 
 def test_validate_problems_flags_broken_proofs():

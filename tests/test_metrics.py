@@ -17,8 +17,6 @@ from sireason.evalcli import (
     exact_match,
     jaccard_metrics,
     made_up_fact_rate,
-    rouge1,
-    rougeL,
     rouge_scores,
 )
 from worlds import context_of, worlds
@@ -92,10 +90,8 @@ def test_rouge_tokenize():
 
 
 def test_rouge_identity_and_disjoint():
-    assert rouge1("a b c", "a b c") == 1.0
-    assert rougeL("a b c", "a b c") == 1.0
-    assert rouge1("a b", "c d") == 0.0
-    assert rougeL("a b", "c d") == 0.0
+    assert rouge_scores(["a b c"], ["a b c"]) == (1.0, 1.0)
+    assert rouge_scores(["a b"], ["c d"]) == (0.0, 0.0)
 
 
 def test_rouge_hand_counted_pair():
@@ -105,15 +101,16 @@ def test_rouge_hand_counted_pair():
     # 2*(6/7 * 6/9)/(6/7 + 6/9) = 3/4.
     pred = "an ice cube is in solid state"
     gold = "an ice cube is solid in its physical state"
-    assert rouge1(pred, gold) == 2 * ((7 / 7) * (7 / 9)) / ((7 / 7) + (7 / 9))
-    assert round(rouge1(pred, gold), 12) == 0.875
-    assert rougeL(pred, gold) == 2 * ((6 / 7) * (6 / 9)) / ((6 / 7) + (6 / 9))
-    assert round(rougeL(pred, gold), 12) == 0.75
+    r1, rl = rouge_scores([pred], [gold])
+    assert r1 == 2 * ((7 / 7) * (7 / 9)) / ((7 / 7) + (7 / 9))
+    assert round(r1, 12) == 0.875
+    assert rl == 2 * ((6 / 7) * (6 / 9)) / ((6 / 7) + (6 / 9))
+    assert round(rl, 12) == 0.75
 
 
 def test_rouge1_clips_repeated_tokens():
     # "a a" vs "a": overlap clipped to 1 -> F1 = 2*(1/2*1/1)/(1/2+1/1) = 2/3
-    assert rouge1("a a", "a") == 2 / 3
+    assert rouge_scores(["a a"], ["a"])[0] == 2 / 3
 
 
 def _brute_lcs(a, b):
@@ -205,8 +202,7 @@ def test_rouge_scores_equal_the_reference(predicted, gold):
 
 @given(_SENTENCES, _SENTENCES)
 def test_one_pair_scores_as_rouge1_and_rougeL(p, g):
-    assert rouge_scores([p], [g]) == (rouge1(p, g), rougeL(p, g))
-    assert (rouge1(p, g), rougeL(p, g)) == (_reference_rouge1(p, g), _reference_rougeL(p, g))
+    assert rouge_scores([p], [g]) == (_reference_rouge1(p, g), _reference_rougeL(p, g))
 
 
 def test_rouge_scores_tokenizes_each_sentence_once(monkeypatch):

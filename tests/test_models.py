@@ -256,7 +256,7 @@ def test_reset_empties_every_oracle_table():
     backend = OracleBackend()
     engine.beam_search(problem, backend, engine.BeamConfig(beam_width=2, proposals_per_trace=2))
     tables = _oracle_tables(backend)
-    assert set(tables) == {"_worlds", "_gold", "_selections", "_replies"}
+    assert set(tables) == {"_worlds", "_proof_keys", "_selections", "_replies"}
     assert all(tables.values())
     backend.reset()
     assert not any(_oracle_tables(backend).values())
@@ -284,13 +284,14 @@ def test_a_solver_run_leaves_only_the_last_problems_worlds(monkeypatch):
     problems = datasets.generate_problem_set(7, {1: 10, 2: 10, 3: 10, 5: 10})
     backend = OracleBackend()
     monkeypatch.setattr(models, "oracle_backend", lambda: backend)
-    solver = evalcli.make_solver(evalcli.SolverConfig())
+    solver = evalcli.make_solver(evalcli.SolverConfig(beam_width=2, proposals_per_trace=2))
     for problem in problems:
         solver(problem)
     last = tuple(stmt.surface for stmt in problems[-1].context.statements())
     assert last in backend._worlds
     assert all(surfaces[:len(last)] == last for surfaces in backend._worlds)
-    assert all(surfaces[:len(last)] == last for surfaces, _ in backend._gold)
+    assert list(backend._proof_keys) == [
+        (" ".join(f"{s}." for s in last), problems[-1].question)]
     assert all(
         models._read_selection_prompt(prompt)[1][:len(last)] == last
         for prompt in backend._selections
@@ -344,16 +345,19 @@ def test_gold_steps_after_an_unchanged_closure_are_a_fresh_oracles():
     problem = datasets.generate_problem_set(30, {5: 1})[0]
     surfaces = tuple(stmt.surface for stmt in problem.context.statements())
     backend = OracleBackend()
-    parent = backend._gold_steps(surfaces, problem.question)
+    _, world = backend._world_for(surfaces)
+    parent = models._gold_steps(world, problem.question)
     assert any(i > len(surfaces) for _, labels in parent for i in labels)
-    fact = problem.context.lookup(min(backend._worlds[surfaces][1].fact_labels.values()))
+    fact = problem.context.lookup(min(world.fact_labels.values()))
     for appended in (symbolic.NOTHING_FOLLOWS, fact.surface, symbolic.NOTHING_FOLLOWS):
-        world = backend._worlds[surfaces][1]
         surfaces += (appended,)
-        steps = backend._gold_steps(surfaces, problem.question)
-        assert backend._worlds[surfaces][1].derived is world.derived
-        assert steps == OracleBackend()._gold_steps(surfaces, problem.question), appended
+        _, child = backend._world_for(surfaces)
+        steps = models._gold_steps(child, problem.question)
+        assert child.derived is world.derived
+        fresh = OracleBackend()._world_for(surfaces)[1]
+        assert steps == models._gold_steps(fresh, problem.question), appended
         assert len(steps) == len(parent)
+        world = child
 
 
 @pytest.mark.parametrize("role, prompt", [
@@ -495,7 +499,7 @@ def test_extended_worlds_fire_as_rebuilt_ones(monkeypatch):
         assert got.derived == rebuilt.derived
         present = {stmt.key for stmt in ctx.statements()}
         on_path = [
-            labels for key, labels in backend._gold_steps(surfaces, problem.question)
+            labels for key, labels in models._gold_steps(got, problem.question)
             if key not in present
         ][:1]
         expected = on_path + sorted(
@@ -535,7 +539,7 @@ def _eager_candidates(prompt: str) -> tuple[str, ...]:
     present = {stmt.key for _, stmt in ctx}
 
     on_path = None
-    for key, labels in backend._gold_steps(surfaces, question):
+    for key, labels in models._gold_steps(world, question):
         if key not in present:
             on_path = labels
             break
@@ -625,7 +629,8 @@ def test_gold_steps_are_the_shortest_proofs_steps(pw_problems, pw_worst_problems
                 for step in proof.steps
             )
             proved += 1
-        assert backend._gold_steps(surfaces, problem.question) == expected, problem.id
+        _, world = backend._world_for(surfaces)
+        assert models._gold_steps(world, problem.question) == expected, problem.id
     assert proved >= 16
 
 
@@ -698,6 +703,16 @@ def test_oracle_halter_true_false_unknown():
     assert halt("the tiger does not like the cow") == " False"
     assert halt("the cow is big") == " Unknown"
     assert halt("nothing follows") == " Unknown"
+
+
+@pytest.mark.parametrize("inference", [
+    "If something is big then it is kind",
+    "a fly is a kind of insect",  # outside the grammar
+])
+def test_an_inference_that_is_no_fact_halts_unknown(inference):
+    ready, _ = format_halter_prompts(QUESTION, inference)
+    reply = OracleBackend().complete(CompletionRequest(GeneratorRole.HALTER_READY, ready))
+    assert reply.text == " Unknown"
 
 
 def test_oracle_halter_multi_choice():
@@ -868,7 +883,8 @@ def _reference_judge_steps(oracle, surfaces, question, line):
         step = parse_trace_text(line)
     except TraceParseError:
         return False
-    proof_keys = {key for key, _ in oracle._gold_steps(surfaces, question)}
+    _, world = oracle._world_for(surfaces)
+    proof_keys = {key for key, _ in models._gold_steps(world, question)}
     return symbolic.is_proof_step(step, proof_keys)
 
 
@@ -1540,6 +1556,30 @@ def test_serve_answers_bad_lines_with_error_documents_and_reads_on():
     assert decode_response(replies[4]).text != first
     assert replies[5] == RESET_DOCUMENT
     assert decode_response(replies[6]).text == first
+
+
+def test_serve_skips_blank_lines_and_reads_on_past_a_program_error(capfd):
+    """A blank line gets no reply.  An error that is no `BackendError` gets
+    an error document and its traceback on stderr, and the next request is
+    answered."""
+
+    class FailsOnce(OracleBackend):
+        failed = False
+
+        def complete(self, request):
+            if not self.failed:
+                self.failed = True
+                raise RuntimeError("a fault in the backend")
+            return super().complete(request)
+
+    request = encode_request(_inference_request("red"))
+    wfile = io.BytesIO()
+    serve(FailsOnce(), io.BytesIO(b"\n  \n" + request + b"\n" + request), wfile)
+    error, reply = wfile.getvalue().splitlines(keepends=True)
+    assert json.loads(error) == {"error": "RuntimeError: a fault in the backend"}
+    assert decode_response(reply).text == " the tiger is red."
+    err = capfd.readouterr().err
+    assert err.startswith("Traceback") and "RuntimeError: a fault in the backend" in err
 
 
 def test_pipe_server_survives_bad_request(pipe_spawns):
