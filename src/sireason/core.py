@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import ClassVar, Iterable, Optional, Sequence
 
 
 class EmptyStatement(ValueError):
@@ -171,9 +171,10 @@ class Answer:
     kind: str  # "true" | "false" | "unknown" | "choice"
     choice: Optional[str] = None
 
-    TRUE: "Answer" = None  # type: ignore[assignment]
-    FALSE: "Answer" = None  # type: ignore[assignment]
-    UNKNOWN: "Answer" = None  # type: ignore[assignment]
+    # Set below the class; class constants, not fields.
+    TRUE: ClassVar["Answer"]
+    FALSE: ClassVar["Answer"]
+    UNKNOWN: ClassVar["Answer"]
 
     def __post_init__(self) -> None:
         if self.kind not in ("true", "false", "unknown", "choice"):

@@ -37,7 +37,7 @@ class SolveStats:
     """Failure counters accumulated across a batch."""
 
     selection_syntax_errors: int = 0
-    # Selection requests, one per live trace per step.
+    # Selection requests, one per expanded live trace per step.
     selection_calls: int = 0
     notes: list[str] = field(default_factory=list)
 
@@ -182,16 +182,19 @@ def beam_search(
 
     Each live trace asks one selection request for `proposals_per_trace`
     samples, which give up to that many next steps (deduplicated by
-    selection set plus inference), and the best
-    `beam_width` extensions survive.  With more than one proposal per trace
-    every extension is scored by the value generator, and a trace's score
-    is the sum of its steps' value scores; a single proposal has nothing to
-    rank, so its steps keep no value score.  Halted entries keep
-    competing with frozen scores, and the search ends when a halted trace
-    leads the beam or the step cap is reached; the third return value is
-    the beam at that point.  A step whose backend call fails is dropped and
-    counted in `stats`, and a failed selection request drops every step its
-    trace would have proposed.  Every role's request goes to `backend`.
+    selection set plus inference), and the best `beam_width` extensions
+    survive.  With more than one proposal per trace every extension is
+    scored by the value generator, and a trace's score is the sum of its
+    steps' value scores; a single proposal has nothing to rank, so its
+    steps keep no value score.  Halted entries keep competing with frozen
+    scores.  A step expands its live traces in rank order and stops once
+    the best entry pooled so far is halted and the next live trace scores
+    below it.  The search ends when a halted trace leads the beam or the
+    step cap is reached; the third return value is the beam at that point,
+    the cut of a pool that may stop short.  A step whose backend call fails
+    is dropped and counted in `stats`, and a failed selection request drops
+    every step its trace would have proposed.  Every role's request goes to
+    `backend`.
     """
     # One proposal per trace leaves nothing to rank.
     ranked = cfg.proposals_per_trace > 1
@@ -201,9 +204,18 @@ def beam_search(
     entries: list[BeamEntry] = [BeamEntry(ReasoningTrace(problem.context), problem.context)]
     for _ in range(cfg.max_steps):
         pool: list[BeamEntry] = [e for e in entries if e.trace.halted]
+        best = pool[0] if pool else None
         for entry in entries:
             if entry.trace.halted:
                 continue
+            # `entries` is in rank order, so this entry and every later one
+            # score at most its score, and a step never raises a score.  Below
+            # a halted best, none of their extensions can lead the cut, which
+            # that best then leads, ending the search below.  An equal score
+            # is expanded: its extension can tie and win on rendered text.
+            if (best is not None and best.trace.halted
+                    and entry.cumulative_score < best.cumulative_score):
+                break
             try:
                 proposals = selection_step(
                     problem.question, entry.context, backend, stats,
@@ -248,8 +260,11 @@ def beam_search(
                     stats.backend_failure(f"{problem.id}: backend: {exc}")
                     continue
                 steps = entry.trace.steps + (step,)
-                pool.append(BeamEntry(ReasoningTrace(problem.context, steps, maybe),
-                                      entry.context.extended(step.inference), score, text))
+                extension = BeamEntry(ReasoningTrace(problem.context, steps, maybe),
+                                      entry.context.extended(step.inference), score, text)
+                pool.append(extension)
+                if best is None or _rank_key(extension) < _rank_key(best):
+                    best = extension
         if not pool:
             break
         if len(pool) > 1:

@@ -58,6 +58,20 @@ class GeneratorRole(str, Enum):
     VALUE = "value"
 
 
+# Each role by member and by value: an Enum hashes a member by its name, so
+# a member does not find its value's entry.
+_ROLES = {key: role for role in GeneratorRole for key in (role, role.value)}
+
+
+def _role(role) -> GeneratorRole:
+    """`GeneratorRole(role)` without the Enum call for a known role; an
+    unknown one raises the same ValueError."""
+    try:
+        return _ROLES[role]
+    except (KeyError, TypeError):
+        return GeneratorRole(role)
+
+
 @dataclass(frozen=True)
 class CompletionRequest:
     role: GeneratorRole
@@ -343,7 +357,7 @@ class OracleBackend:
         pass
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        role = GeneratorRole(request.role)  # ValueError on an unknown role
+        role = _role(request.role)  # ValueError on an unknown role
         # Looked up per call, so a handler patched on the class is the one
         # that answers.
         handler = getattr(self, _HANDLERS[role])
@@ -570,7 +584,7 @@ class ScriptedBackend:
             raise ValueError("noise rate must be within [0, 1]")
         self._base = base
         self._script = {
-            GeneratorRole(role): list(items) for role, items in (script or {}).items()
+            _role(role): list(items) for role, items in (script or {}).items()
         }
         self._noise_rate = noise_rate
         self._seed = seed
@@ -590,7 +604,7 @@ class ScriptedBackend:
             self._base.close()
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        role = GeneratorRole(request.role)  # ValueError on an unknown role
+        role = _role(request.role)  # ValueError on an unknown role
         # None marks a sample that noise leaves to the script or the base.
         samples: list[Optional[str]] = [None] * request.n
         # The lock guards only this backend's own state (the noise draws and
@@ -665,7 +679,7 @@ RESET_DOCUMENT = (json.dumps(_RESET) + "\n").encode("utf-8")
 
 def encode_request(request: CompletionRequest) -> bytes:
     doc = {
-        "role": GeneratorRole(request.role).value,
+        "role": _role(request.role).value,
         "prompt": request.prompt,
         "scored_continuations": (
             list(request.scored_continuations)
@@ -692,7 +706,7 @@ def decode_request(data: bytes) -> Optional[CompletionRequest]:
         if type(n) is not int or n < 1:
             raise ValueError(f"n {n!r} is not a positive integer")
         return CompletionRequest(
-            role=GeneratorRole(doc["role"]),
+            role=_role(doc["role"]),
             prompt=prompt,
             scored_continuations=cont,
             n=n,

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,6 +139,14 @@ def test_answer_parse_render():
     assert choice.render() == "a fly"
     assert not choice.is_unknown
     assert Answer.TRUE.render() == "True"
+
+
+def test_an_answer_has_two_fields():
+    """TRUE, FALSE and UNKNOWN are class constants, not fields."""
+    assert [f.name for f in fields(Answer)] == ["kind", "choice"]
+    assert repr(Answer.TRUE) == "Answer(kind='true', choice=None)"
+    with pytest.raises(TypeError):
+        Answer("true", None, Answer.FALSE)
 
 
 def _toy_trace():

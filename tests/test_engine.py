@@ -13,6 +13,7 @@ from sireason.core import (
     ReasoningTrace,
     Statement,
     append_step_text,
+    parse_trace_text,
     render_trace,
 )
 from sireason.engine import (
@@ -437,9 +438,9 @@ def test_beam_search_unknown_when_nothing_halts():
 
 
 def _expand_until_every_trace_halts(problem, backend, cfg, stats):
-    """The reference search: `beam_search` without the stop at a halted
-    leader, expanding the live traces until every trace has halted or the
-    step cap is reached."""
+    """The reference search: `beam_search` without either stop at a halted
+    candidate, expanding every live trace of each step until every trace
+    has halted or the step cap is reached."""
     ranked = cfg.proposals_per_trace > 1
     value_head = models.value_prompt_head(problem.context, problem.question) if ranked else ""
     entries = [engine.BeamEntry(ReasoningTrace(problem.context), problem.context)]
@@ -505,9 +506,11 @@ def _expand_until_every_trace_halts(problem, backend, cfg, stats):
 def test_stopping_at_a_halted_leader_changes_no_result(
     pw_problems, pw_worst_problems, cfg, noise, seed
 ):
-    """Ending the search once a halted trace leads the beam returns what
-    expanding until every trace halts returns: the same answer, trace,
-    value scores and failure notes, for no more selection requests."""
+    """Both stops at a halted candidate, ending the search once a halted
+    trace leads the beam and ending a step's expansion once every entry
+    left scores below a halted extension, return what expanding until
+    every trace halts returns: the same answer, trace, value scores and
+    failure notes, for no more selection requests."""
     problems = generate_problem_set(13, {1: 10, 2: 10, 3: 10, 5: 10})
     fewer = 0
     for problem in problems + pw_problems + pw_worst_problems:
@@ -525,6 +528,85 @@ def test_stopping_at_a_halted_leader_changes_no_result(
         assert calls_after <= calls_before, problem.id
         fewer += calls_after < calls_before
     assert fewer > 0
+
+
+def test_entries_below_a_halted_extension_send_no_selection_request():
+    """The first step of this depth-2 problem under noise keeps the proof's
+    first step (value 0) and two noisy steps (CERTAIN_BAD).  In the second
+    step the leader's extension halts at 0, and the two entries behind it
+    score below that, so they send no selection request: one request per
+    step, where expanding the whole step sends three in the second."""
+    problem = generate_problem_set(7, {2: 10})[4]
+
+    def search(max_steps):
+        stats = SolveStats()
+        backend = ScriptedBackend(base=OracleBackend(), noise_rate=0.3, seed=11)
+        return beam_search(problem, backend, BeamConfig(4, 4, max_steps), stats), stats
+
+    (_, _, first_step), _ = search(1)
+    assert [(e.cumulative_score, e.trace.halted) for e in first_step] == [
+        (0.0, False), (models.CERTAIN_BAD, False), (models.CERTAIN_BAD, False)]
+    (answer, trace, entries), stats = search(10)
+    assert stats.selection_calls == 2
+    assert answer == problem.gold_answer and len(trace.steps) == 2
+    assert entries[0].trace is trace and entries[0].cumulative_score == 0.0
+
+
+class _ValueByInferences:
+    """The oracle, except that a value request scores `values[inferences]`,
+    the trace's inference surfaces in order, and CERTAIN_BAD for any other
+    trace."""
+
+    def __init__(self, values) -> None:
+        self._base = OracleBackend()
+        self._values = values
+
+    def complete(self, request):
+        if request.role is not GeneratorRole.VALUE:
+            return self._base.complete(request)
+        reason = models._read_value_prompt(request.prompt)[2]
+        inferences = tuple(parse_trace_text(line).inference.surface
+                           for line in reason.split("\n"))
+        logprob = self._values.get(inferences, models.CERTAIN_BAD)
+        return models.CompletionResponse(
+            (), {models.CORRECT: logprob, models.INCORRECT: models.CERTAIN_BAD})
+
+
+def test_an_entry_scoring_as_a_halted_extension_is_still_expanded():
+    """Two routes prove "the bear is kind".  The young route leads after the
+    first step (0 against -1), but its second step scores -1 and halts at
+    -1, which the rough route's entry equals.  That entry is expanded: its
+    extension halts at -1 too, with the same step count, and wins on
+    rendered text, as the full expansion finds."""
+    problem = _problem(
+        [
+            "the bear is big",
+            "the bear is red",
+            "If the bear is big then the bear is rough",
+            "If the bear is red then the bear is young",
+            "If the bear is rough then the bear is kind",
+            "If the bear is young then the bear is kind",
+        ],
+        'Does it imply that the statement "The bear is kind" is True?',
+    )
+    values = {
+        ("the bear is young",): 0.0,
+        ("the bear is rough",): -1.0,
+        ("the bear is young", "the bear is kind"): -1.0,
+        ("the bear is rough", "the bear is kind"): 0.0,
+    }
+    cfg = BeamConfig(4, 4)
+    stats = SolveStats()
+    answer, trace, entries = beam_search(problem, _ValueByInferences(values), cfg, stats)
+    assert stats.selection_calls == 3
+    assert answer == Answer.TRUE
+    assert [step.inference.surface for step in trace.steps] == [
+        "the bear is rough", "the bear is kind"]
+    assert [step.value_score for step in trace.steps] == [-1.0, 0.0]
+    assert render_trace(trace) == entries[0].text < entries[1].text
+    expected = _expand_until_every_trace_halts(
+        problem, _ValueByInferences(values), cfg, SolveStats())
+    assert (answer, render_trace(trace)) == (expected[0], render_trace(expected[1]))
 
 
 class _ValueReplied:

@@ -569,7 +569,7 @@ def test_lazy_walks_hand_out_the_eager_lists(pw_problems, pw_worst_problems):
     built up front.  Taking turns grounds sibling worlds into the shared
     rule index between the steps of one walk."""
     problems = [
-        *datasets.generate_problem_set(41, {1: 15, 2: 15, 3: 15, 5: 15}),
+        *datasets.generate_problem_set(41, {1: 18, 2: 18, 3: 18, 5: 18}),
         *pw_problems,
         *pw_worst_problems,
     ]
@@ -1077,6 +1077,26 @@ def test_noise_replaces_a_selection_given_as_its_string():
 def test_an_unknown_role_is_a_value_error(backend, n):
     with pytest.raises(ValueError, match="'verdict' is not a valid GeneratorRole"):
         backend.complete(CompletionRequest("verdict", "Given x. y", n=n))
+
+
+@pytest.mark.parametrize("role", [GeneratorRole.HALTER_READY, "halter_ready", "verdict", ["value"]],
+                         ids=["member", "value", "unknown", "unhashable"])
+def test_a_role_reads_as_the_enum_reads_it(role):
+    """The role table gives what `GeneratorRole(role)` gives: the member,
+    or the same ValueError, which the wire reports as a bad document."""
+    doc = json.dumps({"role": role, "prompt": "p", "scored_continuations": None, "n": 1})
+    try:
+        expected = GeneratorRole(role)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            models._role(role)
+        assert str(got.value) == str(exc)
+        with pytest.raises(RemoteError) as got:
+            decode_request(doc.encode())
+        assert str(got.value) == f"bad request document: {exc}"
+    else:
+        assert models._role(role) is expected
+        assert decode_request(doc.encode()).role is expected
 
 
 def test_a_value_handler_patched_on_the_class_answers(monkeypatch):
