@@ -5,10 +5,10 @@ Submodules:
             problems, and the shared period and selection-order rules
   cnl       the controlled-language parser and renderer
   symbolic  forward chaining, proof extraction, problem generation
-  models    generator roles, prompt templates, and the three backends,
-            each of which answers every role
-  engine    the one select/infer/halt loop: value-guided beam search,
-            sending every role's request to one backend
+  models    generator roles, each role's prompt and reply codec, and the
+            three backends, each of which answers every role
+  engine    the one select/infer/halt loop, value-guided beam search: it
+            sends every role's request to one backend and imports no reasoner
   datasets  problem files and training-pair extraction
   evalcli   metrics, probes, batch evaluation, command line
 

@@ -315,12 +315,12 @@ def append_step_text(text: str, step: ReasoningStep) -> str:
     return f"{text}\n{line}" if text else line
 
 
-THEREFORE = re.compile(r"\s*Therefore,\s*")
+_THEREFORE = re.compile(r"\s*Therefore,\s*")
 
 
 def parse_trace_text(line: str) -> ReasoningStep:
     """The step that one line "X. We know that Y and Z. Therefore, W." renders."""
-    parts = THEREFORE.split(line.strip())
+    parts = _THEREFORE.split(line.strip())
     if len(parts) != 2:
         raise TraceParseError(f"no 'Therefore,' clause: {line!r}")
     premise_part, inference_part = parts

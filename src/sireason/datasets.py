@@ -10,7 +10,9 @@ A problem with `choices` (at least two) is multiple choice; one without
 asks whether a hypothesis is True, False or Unknown.  Proof selections
 refer to context sentences by 1-based index; an index past the end of the
 context refers to the j-th inference of the proof itself (index
-len(context) + j), which keeps gold proofs label-stable.
+len(context) + j), which keeps gold proofs label-stable.  Prompts are
+line-based: a context sentence or proof inference, stripped, and the
+question, as written, hold no line break.
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ def _proof_from_indices(
         if not isinstance(doc["inference"], str):
             raise SchemaError(f"step {step_no}: inference {doc['inference']!r} is not a string")
         inference = normalize_statement(doc["inference"])
+        if "\n" in inference.surface:
+            raise SchemaError(f"step {step_no}: inference {inference.surface!r} has a line break")
         for idx in indices:
             if not _is_int(idx) or idx < 1:
                 raise SchemaError(f"step {step_no}: bad selection index {idx!r}")
@@ -110,7 +114,12 @@ def problem_from_doc(doc: dict) -> Problem:
             gold = Answer.parse(answer)
             if gold.kind == "choice":
                 raise SchemaError(f"answer {answer!r} is not True, False or Unknown")
+        if "\n" in question:
+            raise SchemaError(f"question {question!r} has a line break")
         context = LabeledContext.from_statements(doc["context"])
+        for label, stmt in context:
+            if "\n" in stmt.surface:
+                raise SchemaError(f"context sentence {label} {stmt.surface!r} has a line break")
         proof = (
             _proof_from_indices(context, doc["proof"])
             if doc.get("proof") is not None

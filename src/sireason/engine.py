@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from . import models, symbolic
+from . import models
 from .core import (
     Answer,
     LabeledContext,
@@ -25,9 +25,6 @@ from .core import (
     ReasoningTrace,
     Statement,
     append_step_text,
-    normalize_key,
-    normalize_statement,
-    strip_period,
 )
 from .models import CompletionRequest, GeneratorRole
 
@@ -92,11 +89,7 @@ def _sample(backend, role: GeneratorRole, prompt: str) -> str:
 
 def _infer(selection: Sequence[Statement], backend) -> Statement:
     prompt = models.format_inference_prompt(selection)
-    text = strip_period(_sample(backend, GeneratorRole.INFERENCE, prompt))
-    # A completion with no letters in it says nothing, like an empty one.
-    if not normalize_key(text):
-        text = symbolic.NOTHING_FOLLOWS
-    return normalize_statement(text)
+    return models.read_inference(_sample(backend, GeneratorRole.INFERENCE, prompt))
 
 
 def _halt_check(
@@ -111,17 +104,13 @@ def _halt_check(
     ready_prompt, answer_prompt = models.format_halter_prompts(
         question, inference.surface, choices
     )
-    ready = _sample(backend, GeneratorRole.HALTER_READY, ready_prompt).strip().rstrip(".")
-    if choices is not None:
-        if ready != "Yes":
-            return None
-        answer_text = _sample(backend, GeneratorRole.HALTER_ANSWER, answer_prompt).strip()
-        if answer_text not in {c.strip() for c in choices}:
-            raise models.BackendError(f"answer {answer_text!r} is none of the choices")
-        return Answer.of_choice(answer_text)
-    if ready in ("True", "False"):
-        return Answer.parse(ready)
-    return None
+    ready = _sample(backend, GeneratorRole.HALTER_READY, ready_prompt)
+    if choices is None:
+        return models.read_verdict(ready)
+    if not models.read_ready(ready):
+        return None
+    answer = _sample(backend, GeneratorRole.HALTER_ANSWER, answer_prompt)
+    return models.read_answer(answer, choices)
 
 
 @dataclass(frozen=True)
@@ -151,21 +140,9 @@ class BeamEntry:
 
 
 def _value_score(head: str, text: str, backend) -> float:
-    prompt = models.format_value_prompt(head, text)
-    response = backend.complete(
-        CompletionRequest(
-            GeneratorRole.VALUE,
-            prompt,
-            scored_continuations=(models.CORRECT, models.INCORRECT),
-        )
-    )
-    logprobs = response.continuation_logprobs or {}
-    value = logprobs.get(models.CORRECT, models.CERTAIN_BAD)
-    # beam_search's stop at a halted leader needs log-probabilities, at
-    # most 0; NaN fails this test too.
-    if not value <= 0:
-        raise models.BackendError(f"value log-probability {value!r} is not at most 0")
-    return value
+    request = CompletionRequest(GeneratorRole.VALUE, models.format_value_prompt(head, text),
+                                scored_continuations=(models.CORRECT, models.INCORRECT))
+    return models.read_value(backend.complete(request))
 
 
 def _rank_key(entry: BeamEntry) -> tuple:

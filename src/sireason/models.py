@@ -30,7 +30,7 @@ from .core import (
     EmptyStatement,
     LabeledContext,
     Statement,
-    THEREFORE,
+    TraceParseError,
     normalize_key,
     normalize_statement,
     parse_trace_text,
@@ -110,9 +110,9 @@ class RemoteError(BackendError):
 # ---------------------------------------------------------------------------
 # Prompt codec, role by role: the prompt the engine sends (format_*), its
 # reader for the oracle, which gets only prompt text, exactly like a model
-# would (_read_*), and the completion a perfect model gives (render_*).
-# Training pairs are built from the same functions, so a model trains on the
-# text the engine sends it at run time.
+# would (_read_*), the completion a perfect model gives (render_*), and its
+# reader for the engine (read_*).  Training pairs are built from the same
+# functions, so a model trains on the text the engine sends it at run time.
 # ---------------------------------------------------------------------------
 
 # -- selection --------------------------------------------------------------
@@ -180,6 +180,18 @@ def _read_inference_prompt(prompt: str) -> list[Statement]:
 
 def render_inference(surface: str) -> str:
     return f" {surface}."
+
+
+def read_inference(text: str) -> Statement:
+    """The statement of an inference completion, one trailing period
+    stripped; one with no letters says nothing follows, like an empty one,
+    and one with a line break inside it raises BackendError."""
+    text = strip_period(text)
+    if "\n" in text:
+        raise BackendError(f"inference {text!r} has a line break")
+    if not normalize_key(text):
+        text = symbolic.NOTHING_FOLLOWS
+    return normalize_statement(text)
 
 
 # -- halter -----------------------------------------------------------------
@@ -254,10 +266,38 @@ def render_answer(answer: Answer) -> str:
     return f" {answer.render()}"
 
 
+def read_ready(text: str) -> bool:
+    """Whether a multiple-choice readiness completion says Yes."""
+    return text.strip().rstrip(".") == "Yes"
+
+
+def read_verdict(text: str) -> Optional[Answer]:
+    """The True or False of a halter completion; None, keep reasoning, for any other."""
+    verdict = text.strip().rstrip(".")
+    return Answer.parse(verdict) if verdict in ("True", "False") else None
+
+
+def read_answer(text: str, choices: Sequence[str]) -> Answer:
+    """The choice an answer completion names; one of no stripped choice raises BackendError."""
+    answer = text.strip()
+    if answer not in {c.strip() for c in choices}:
+        raise BackendError(f"answer {answer!r} is none of the choices")
+    return Answer.of_choice(answer)
+
+
 # -- value ------------------------------------------------------------------
 
 CORRECT = " correct"
 INCORRECT = " incorrect"
+
+
+def read_value(response: CompletionResponse) -> float:
+    """A value reply's log-probability of CORRECT, CERTAIN_BAD if it has none;
+    the beam's stops need log-probabilities, so NaN or above 0 raises BackendError."""
+    value = (response.continuation_logprobs or {}).get(CORRECT, CERTAIN_BAD)
+    if not value <= 0:
+        raise BackendError(f"value log-probability {value!r} is not at most 0")
+    return value
 
 
 def value_prompt_head(context: LabeledContext, question: str) -> str:
@@ -426,14 +466,13 @@ class OracleBackend:
 
     def _judge_steps(self, ctx_text: str, question: str, line: str) -> bool:
         """Decide whether one rendered step is correct and a step of a
-        shortest proof."""
+        shortest proof; a line that reads as no step is not."""
         parsed_q = cnl.parse_question(question)
         if not isinstance(parsed_q, cnl.Hypothesis):
             raise BackendError("value oracle needs a hypothesis question")
-        # Rejects what `parse_trace_text` would, without building statements.
-        parts = THEREFORE.split(line.strip())
-        if len(parts) != 2 or not (inference_key := normalize_key(parts[1])) \
-                or not all(map(normalize_key, split_premises(parts[0]))):
+        try:
+            step = parse_trace_text(line)
+        except TraceParseError:
             return False
         proof_keys = self._proof_keys.get((ctx_text, question))
         if proof_keys is None:
@@ -445,10 +484,7 @@ class OracleBackend:
                 base = _context_surfaces(ctx_text)
             proof_keys = self._proof_keys[ctx_text, question] = frozenset(
                 key for key, _ in _gold_steps(self._world_for(base)[1], question))
-        # A step whose inference is on no proof is judged from its key alone.
-        if inference_key not in proof_keys:
-            return False
-        return symbolic.is_proof_step(parse_trace_text(line), proof_keys)
+        return symbolic.is_proof_step(step, proof_keys)
 
     # -- selection ----------------------------------------------------------
 

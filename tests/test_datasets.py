@@ -4,8 +4,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sireason import cnl, datasets, engine, symbolic
-from sireason.core import Answer, Statement
+from sireason import cnl, datasets, engine, models, symbolic
+from sireason.core import Answer, Statement, selection_order
 from sireason.datasets import (
     SchemaError,
     ValueExtractionReport,
@@ -19,6 +19,7 @@ from sireason.datasets import (
     validate_problems,
 )
 from sireason.models import (
+    CERTAIN_BAD,
     CORRECT,
     INCORRECT,
     CompletionRequest,
@@ -205,6 +206,27 @@ def _load_second_line(tmp_path, selection):
     path.write_text(json.dumps(dict(_doc(), id="p0")) + "\n"
                     + json.dumps(dict(_doc(), proof=[step])) + "\n")
     return load_problems(path)
+
+
+@pytest.mark.parametrize("path, field", [
+    (("context", 1), "context sentence 2"),
+    (("question",), "question"),
+    (("proof", 0, "inference"), "step 1: inference"),
+])
+def test_a_line_break_inside_a_prompt_line_is_a_schema_error(path, field):
+    """Prompts are line-based, so a line break inside a context sentence,
+    the question or a proof inference would break every selection prompt
+    that holds it."""
+    doc = _doc()
+    *parents, key = path
+    holder = doc
+    for part in parents:
+        holder = holder[part]
+    holder[key] = holder[key].replace(" ", "\n", 1)
+    with pytest.raises(SchemaError) as raised:
+        problem_from_doc(doc)
+    assert raised.value.reason.startswith(f"{field} ")
+    assert raised.value.reason.endswith("has a line break")
 
 
 def test_a_step_that_selects_its_own_inference_is_a_schema_error(tmp_path):
@@ -630,7 +652,9 @@ def test_greedy_oracle_answers_each_pair_input_with_its_target(fixture, request)
     """Each selection, inference and halter pair's input is a prompt the
     engine sends when it solves greedily with the oracle, and the oracle
     answers it with the pair's target: the training pairs and the oracle
-    write a selection's labels in one order."""
+    write a selection's labels in one order.  Each target reads back, with
+    its role's reader, as the value its pair encodes, and so does the
+    oracle's reply to each value pair's input."""
     for problem in request.getfixturevalue(fixture):
         oracle = OracleBackend()
         answers: dict = {}
@@ -649,6 +673,38 @@ def test_greedy_oracle_answers_each_pair_input_with_its_target(fixture, request)
             if answers.get((pair.role, pair.input)) != pair.target
         ]
         assert differ == _ALTERNATE_PROOF.get(problem.id, []), problem.id
+        assert _misread_targets(problem) == [], problem.id
+        values = extract_value_pairs(problem, seed=0)
+        assert [
+            models.read_value(oracle.complete(CompletionRequest(
+                GeneratorRole.VALUE, pair.input, scored_continuations=(CORRECT, INCORRECT))))
+            for pair in values
+        ] == [0.0 if pair.target == CORRECT else CERTAIN_BAD for pair in values], problem.id
+
+
+def _misread_targets(problem) -> list[tuple[str, int]]:
+    """(role, step) of each selection, inference and halter pair whose
+    target, read with its role's reader, is not the value the pair encodes:
+    the step's labels in selection order, its inference, and the halter's
+    verdict (None before the last step), readiness or choice."""
+    steps = problem.gold_proof.steps
+    wrong = []
+    for pair in extract_si_pairs(problem) + extract_halter_pairs(problem):
+        k, last = pair.step_index, pair.step_index == len(steps) - 1
+        if pair.role is GeneratorRole.SELECTION:
+            read = models.read_selection(pair.target, len(problem.context) + k)
+            want = selection_order(steps[k].selection_labels)
+        elif pair.role is GeneratorRole.INFERENCE:
+            read, want = models.read_inference(pair.target).surface, steps[k].inference.surface
+        elif pair.role is GeneratorRole.HALTER_ANSWER:
+            read, want = models.read_answer(pair.target, problem.choices), problem.gold_answer
+        elif problem.choices is None:
+            read, want = models.read_verdict(pair.target), problem.gold_answer if last else None
+        else:
+            read, want = models.read_ready(pair.target), last
+        if read != want:
+            wrong.append((pair.role.value, k))
+    return wrong
 
 
 @settings(max_examples=30, deadline=None)
@@ -660,4 +716,7 @@ def test_training_pairs_equal_engine_prompts_pw(seed, depth):
 
 @pytest.mark.parametrize("pid", ["eb-d1-fly", "eb-d1-ice-cube", "eb-d2-runway"])
 def test_training_pairs_equal_engine_prompts_eb(eb_problems, pid):
-    _assert_pairs_match_engine_prompts(next(p for p in eb_problems if p.id == pid))
+    problem = next(p for p in eb_problems if p.id == pid)
+    _assert_pairs_match_engine_prompts(problem)
+    # The multiple-choice readiness and answer targets read back too.
+    assert _misread_targets(problem) == []

@@ -657,6 +657,19 @@ def test_an_inference_without_letters_means_nothing_follows(pw_problems, complet
     assert stats.backend_failures == 0 and stats.notes == []
 
 
+def test_an_inference_with_a_line_break_is_a_counted_failure(pw_problems):
+    """A two-line inference would print as a two-line step and break the
+    next selection prompt, which is line-based.  It is this step's
+    inference failure instead, and the step is dropped."""
+    backend = ScriptedBackend(base=OracleBackend(), script={
+        GeneratorRole.INFERENCE: [" the rabbit needs the rabbit.\nthe moon is big."]})
+    stats = SolveStats()
+    answer, trace = si_answer(pw_problems[0], backend, stats=stats)
+    assert answer.is_unknown and trace.steps == ()
+    assert stats.notes == ["pw-top-1: backend: inference "
+                           "'the rabbit needs the rabbit.\\nthe moon is big' has a line break"]
+
+
 # ---------------------------------------------------------------------------
 # Solvers: one backend per run.
 # ---------------------------------------------------------------------------

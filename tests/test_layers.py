@@ -80,7 +80,47 @@ def _period_tests(path: pathlib.Path) -> list[tuple[str, str]]:
 
 def test_the_trailing_period_is_tested_only_by_strip_period():
     """Every reader strips one trailing period through `core.strip_period`.
-    The halter-reply readers' `.rstrip(".")`, which strips every period, is
-    their own rule and is not matched."""
+    The halter-reply readers in `models`, `read_ready` and `read_verdict`,
+    strip every trailing period with `.rstrip(".")`: that is their own rule
+    and is not matched."""
     found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _period_tests(path)]
     assert found == [("core", "strip_period")]
+
+
+def test_the_engine_reads_no_completion_text():
+    """`engine` formats, sends and ranks; each role's reply is read in
+    `models`, next to its writer.  So the engine imports no reasoner and
+    spells no halter reply or value default."""
+    path = PACKAGE / "engine.py"
+    assert _imported(path) == {"core", "models"}
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    spelled = {
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value.strip(" .") in {"Yes", "True", "False"}
+    }
+    named = {
+        getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+    assert spelled == set()
+    assert named & {"CERTAIN_BAD", "NOTHING_FOLLOWS"} == set()
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    """The names a module's top-level imports bind that it never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = {path.stem: _unused_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}
