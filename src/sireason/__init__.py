@@ -12,9 +12,10 @@ Submodules:
   datasets  problem files and training-pair extraction
   evalcli   metrics, probes, batch evaluation, command line
 
-The exports below, and the submodules, load lazily, on first use: importing
-`sireason.models` alone (as a `pipe:` server does) loads only `core`, `cnl`,
-`symbolic` and `models`.
+The exports below, and the submodules, load lazily, on first use: the
+standalone server, `python -m sireason.models`, which a `pipe:CMD` endpoint
+can run, loads only `core`, `cnl`, `symbolic` and `models`.  A bare `pipe:`
+server is forked from the client and imports nothing.
 """
 
 import importlib

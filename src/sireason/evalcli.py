@@ -208,7 +208,7 @@ def make_solver(cfg: SolverConfig, stats: Optional[engine.SolveStats] = None) ->
     """A beam-search solver over one backend for the whole run.
 
     The backend is reset before each problem (the oracle forgets the
-    worlds, gold steps and selection walks of the last one, the scripted
+    worlds, proof keys and selection walks of the last one, the scripted
     backend reseeds its noise, a remote server gets the reset document) and
     closed once the solver is gone (or at interpreter exit).  `cfg` is the
     search's `BeamConfig` too.

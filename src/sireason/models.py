@@ -58,9 +58,9 @@ class GeneratorRole(str, Enum):
     VALUE = "value"
 
 
-# Each role by member and by value: an Enum hashes a member by its name, so
-# a member does not find its value's entry.
-_ROLES = {key: role for role in GeneratorRole for key in (role, role.value)}
+# Each role by its value: a str-mixin member equals its value and hashes like
+# it, so the one entry finds the member too.
+_ROLES = {role.value: role for role in GeneratorRole}
 
 
 def _role(role) -> GeneratorRole:
@@ -365,13 +365,11 @@ class OracleBackend:
     it, so beam search obtains distinct proposals, and repeated requests
     with the same prompt walk on.
 
-    The oracle answers one problem at a time.  It keeps the worlds it
-    closes, the base proof's inference keys by a value prompt's context text
-    and question, each prompt's selection walk and every other reply by its
-    request, all until `reset()`, which forgets them all.  Every kept
-    answer is a pure function of its key within one problem, so a repeated
-    request gets the reply it got the first time; a request that failed is
-    not kept, and fails again.  Each request holds the lock whole,
+    The oracle answers one problem at a time.  It keeps three tables until
+    `reset()`, which forgets them all: the worlds it closes, the base
+    proof's inference keys by a value prompt's context text and question,
+    and each prompt's selection walk.  Inference, halter and value requests
+    are answered afresh each time.  Each request holds the lock whole,
     since worlds extended from one closure share and ground into its index.
     """
 
@@ -383,15 +381,12 @@ class OracleBackend:
         self._proof_keys: dict[tuple[str, str], frozenset[str]] = {}
         # The walk of each selection prompt, positioned at its next proposal.
         self._selections: dict[str, Iterator[str]] = {}
-        # Every reply but a selection's, by its request.
-        self._replies: dict[CompletionRequest, CompletionResponse] = {}
 
     def reset(self) -> None:
         with self._lock:
             self._worlds.clear()
             self._proof_keys.clear()
             self._selections.clear()
-            self._replies.clear()
 
     def close(self) -> None:
         pass
@@ -403,12 +398,7 @@ class OracleBackend:
         handler = getattr(self, _HANDLERS[role])
         try:
             with self._lock:
-                if role is GeneratorRole.SELECTION:
-                    return handler(request)
-                reply = self._replies.get(request)
-                if reply is None:
-                    reply = self._replies[request] = handler(request)
-                return reply
+                return handler(request)
         except (cnl.ParseError, EmptyStatement) as exc:
             # Text outside the grammar, such as a free-text (EB) question.
             raise BackendError(f"oracle cannot read the prompt: {exc}") from exc

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sireason import cnl, datasets, engine, models, symbolic
-from sireason.core import Answer, Statement, selection_order
+from sireason.core import Answer, Statement, selection_order, strip_period
 from sireason.datasets import (
     SchemaError,
     ValueExtractionReport,
@@ -371,9 +371,11 @@ _INFERENCES = st.one_of(
 def test_judging_a_mutated_proof_never_raises(data):
     """Any in-range selection and any inference, in or out of the grammar,
     under any gold answer: `validate_problems` lists findings and raises
-    nothing."""
+    nothing.  A free-text inference with a line break inside it does not
+    load: `problem_from_doc` raises SchemaError naming its step."""
     doc = datasets.problem_to_doc(data.draw(st.sampled_from(_MUTATION_SET), label="problem"))
     size = len(doc["context"])
+    broken = []
     for k, step in enumerate(doc["proof"]):
         if data.draw(st.booleans()):
             step["selection"] = data.draw(
@@ -381,7 +383,14 @@ def test_judging_a_mutated_proof_never_raises(data):
             )
         if data.draw(st.booleans()):
             step["inference"] = data.draw(_INFERENCES, label="inference")
+            if "\n" in strip_period(step["inference"]):
+                broken.append(k + 1)
     doc["answer"] = data.draw(st.sampled_from(["True", "False", "Unknown"]), label="answer")
+    if broken:
+        with pytest.raises(SchemaError) as err:
+            problem_from_doc(doc)
+        assert err.value.reason.startswith(f"step {broken[0]}: inference ")
+        return
     findings = validate_problems([problem_from_doc(doc)])
     assert isinstance(findings, list)
     assert all(isinstance(f, str) and f.startswith("gen-") for f in findings)

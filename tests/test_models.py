@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import replace
 
 import faults
@@ -256,7 +257,7 @@ def test_reset_empties_every_oracle_table():
     backend = OracleBackend()
     engine.beam_search(problem, backend, engine.BeamConfig(beam_width=2, proposals_per_trace=2))
     tables = _oracle_tables(backend)
-    assert set(tables) == {"_worlds", "_proof_keys", "_selections", "_replies"}
+    assert set(tables) == {"_worlds", "_proof_keys", "_selections"}
     assert all(tables.values())
     backend.reset()
     assert not any(_oracle_tables(backend).values())
@@ -315,14 +316,15 @@ class _Recording:
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 5])
-def test_kept_replies_are_a_fresh_oracles_replies(depth):
-    """Under selection noise most inference and halter prompts repeat
-    within a problem; every reply the oracle keeps equals what a fresh
-    oracle answers to the same request."""
+def test_replies_are_a_fresh_oracles_replies(depth):
+    """Under selection noise inference and halter prompts repeat within a
+    problem, and a value prompt, which renders a whole trace, never does;
+    every reply but a selection's equals what a fresh oracle answers to the
+    same request."""
     problems = datasets.generate_problem_set(19, {depth: 6})
     oracle = _Recording(OracleBackend())
     backend = ScriptedBackend(base=oracle, noise_rate=0.3, seed=11)
-    repeated = 0
+    repeated = Counter()
     for problem in problems:
         backend.reset()
         del oracle.log[:]
@@ -332,10 +334,12 @@ def test_kept_replies_are_a_fresh_oracles_replies(depth):
             if request.role is GeneratorRole.SELECTION:
                 continue
             key = (request.role, request.prompt)
-            repeated += key in seen
+            repeated[request.role] += key in seen
             seen.add(key)
             assert response == OracleBackend().complete(request), request
-    assert repeated > 0
+    assert repeated[GeneratorRole.VALUE] == 0
+    assert repeated[GeneratorRole.INFERENCE] > 0
+    assert repeated[GeneratorRole.HALTER_READY] > 0
 
 
 def test_gold_steps_after_an_unchanged_closure_are_a_fresh_oracles():
@@ -374,7 +378,6 @@ def test_a_failed_request_fails_again(role, prompt):
     first = pytest.raises(models.BackendError, backend.complete, request)
     second = pytest.raises(models.BackendError, backend.complete, request)
     assert str(first.value) == str(second.value)
-    assert backend._replies == {}
 
 
 def test_threads_on_one_oracle_get_the_single_threaded_walks():
