@@ -41,9 +41,6 @@ from .core import strip_period
 
 class ParseError(ValueError):
     def __init__(self, message: str, text: str, position: int = 0, expected: str = ""):
-        self.text = text
-        self.position = position
-        self.expected = expected
         detail = f" (expected {expected})" if expected else ""
         super().__init__(f"{message} at position {position} in {text!r}{detail}")
 

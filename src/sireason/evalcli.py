@@ -2,7 +2,10 @@
 
 The solver abstraction used throughout is a callable
 `solver(problem) -> (Answer, ReasoningTrace)`; `make_solver` builds one
-from backend/search settings so probes can also wrap test doubles.
+from backend/search settings so probes can also wrap test doubles.  Both
+probes are one routine, `probe`, over altered contexts: `derangement` gives
+each problem another's context (`random`), `strip_facts` leaves only its
+rules (`incomplete`).
 """
 
 from __future__ import annotations
@@ -184,8 +187,21 @@ class SolverConfig(engine.BeamConfig):
         from; starts nothing."""
         if self.backend == "scripted" and not 0.0 <= self.noise_rate <= 1.0:
             raise ValueError(f"noise rate must be within [0, 1], got {self.noise_rate}")
-        if self.backend == "remote" and not self.remote_endpoint():
+        if self.backend != "remote":
+            return
+        endpoint = self.remote_endpoint()
+        if not endpoint:
             raise ValueError(f"remote backend needs --endpoint or ${REMOTE_ENDPOINT_ENV}")
+        if not endpoint.startswith("pipe:"):
+            # Imported here, as `models.HttpTransport` imports its modules:
+            # nothing else a `pipe:` run does needs it.
+            import urllib.parse
+
+            url = urllib.parse.urlsplit(endpoint)
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise ValueError(
+                    f"remote endpoint must be pipe:[CMD] or an http(s) URL with a host, "
+                    f"got {endpoint!r}")
 
 
 def make_backend(cfg: SolverConfig):
@@ -233,14 +249,6 @@ def make_solver(cfg: SolverConfig, stats: Optional[engine.SolveStats] = None) ->
 # Probes.
 # ---------------------------------------------------------------------------
 
-def _tally(problems: Sequence[Problem], solver: Solver) -> DepthReport:
-    """The solver's answers to `problems`, counted."""
-    tally = DepthReport()
-    for p in problems:
-        tally.add(solver(p)[0], p.gold_answer)
-    return tally
-
-
 def derangement(n: int, seed: int) -> list[int]:
     """A seeded permutation of range(n) with no fixed point (n >= 2)."""
     if n < 2:
@@ -253,61 +261,25 @@ def derangement(n: int, seed: int) -> list[int]:
             return perm
 
 
-@dataclass(frozen=True)
-class RandomContextProbe:
-    accuracy_random: float
-    accuracy_correct: float
-    delta: float
-    unknown_rate_random: float
-
-
-def probe_random_context(
-    problems: Sequence[Problem], solver: Solver, seed: int
-) -> RandomContextProbe:
-    perm = derangement(len(problems), seed)
-    own = _tally(problems, solver)
-    swapped = [
-        replace(p, context=problems[perm[i]].context, gold_proof=None)
-        for i, p in enumerate(problems)
-    ]
-    borrowed = _tally(swapped, solver)
-    return RandomContextProbe(
-        accuracy_random=borrowed.accuracy,
-        accuracy_correct=own.accuracy,
-        delta=own.accuracy - borrowed.accuracy,
-        unknown_rate_random=borrowed.unknown_rate,
-    )
-
-
-@dataclass(frozen=True)
-class IncompleteContextProbe:
-    accuracy_incomplete: float
-    accuracy_complete: float
-    delta: float
-    unknown_rate: float
-
-
 def strip_facts(context: LabeledContext) -> LabeledContext:
     """The rule sentences of `context`, in context order."""
     _, rules = symbolic.parse_context(context)
     return LabeledContext.from_statements(context.lookup(label) for label, _ in rules)
 
 
-def probe_incomplete_context(
-    problems: Sequence[Problem], solver: Solver
-) -> IncompleteContextProbe:
-    complete = _tally(problems, solver)
-    stripped = [
-        replace(p, context=strip_facts(p.context), gold_proof=None)
-        for p in problems
-    ]
-    incomplete = _tally(stripped, solver)
-    return IncompleteContextProbe(
-        accuracy_incomplete=incomplete.accuracy,
-        accuracy_complete=complete.accuracy,
-        delta=complete.accuracy - incomplete.accuracy,
-        unknown_rate=incomplete.unknown_rate,
-    )
+def probe(
+    problems: Sequence[Problem], solver: Solver, contexts: Sequence[LabeledContext]
+) -> tuple[DepthReport, DepthReport]:
+    """The solver's answers counted twice: to `problems` as given, then to
+    each problem with its context replaced by the same-index entry of
+    `contexts` and no gold proof.  Every problem as given is solved first:
+    the scripted backend draws its noise by the count of solves so far."""
+    given, altered = DepthReport(), DepthReport()
+    for p in problems:
+        given.add(solver(p)[0], p.gold_answer)
+    for p, context in zip(problems, contexts, strict=True):
+        altered.add(solver(replace(p, context=context, gold_proof=None))[0], p.gold_answer)
+    return given, altered
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +442,16 @@ def _load_problems(path) -> list[Problem]:
     raise SystemExit(2)
 
 
+def _save(save, items, path) -> None:
+    """`save(items, path)`.  A path that cannot be written stops the command
+    as an unreadable input does (exit 2, `path: message` on stderr)."""
+    try:
+        save(items, path)
+    except OSError as exc:
+        print(f"{path}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _report_failures(stats: engine.SolveStats) -> int:
     """Print each backend failure on stderr; the exit code they make."""
     for note in stats.notes:
@@ -528,16 +510,24 @@ def _cmd_eval(args) -> int:
 def _cmd_probe(args) -> int:
     cfg = _solver_config(args)
     problems = _load_problems(args.problems)
-    if args.kind == "random" and len(problems) < 2:
-        # Each problem borrows another's context: one problem has no other.
-        args.parser_error("--kind random needs at least 2 problems")
-    stats = engine.SolveStats()
-    solver = make_solver(cfg, stats)
     if args.kind == "random":
-        probe = probe_random_context(problems, solver, args.seed)
+        if len(problems) < 2:
+            # Each problem borrows another's context: one problem has no other.
+            args.parser_error("--kind random needs at least 2 problems")
+        contexts = [problems[i].context for i in derangement(len(problems), args.seed)]
+        names = "accuracy_random", "accuracy_correct", "unknown_rate_random"
     else:
-        probe = probe_incomplete_context(problems, solver)
-    doc = {"kind": args.kind, **asdict(probe)}
+        contexts = [strip_facts(p.context) for p in problems]
+        names = "accuracy_incomplete", "accuracy_complete", "unknown_rate"
+    stats = engine.SolveStats()
+    given, altered = probe(problems, make_solver(cfg, stats), contexts)
+    doc = {
+        "kind": args.kind,
+        names[0]: altered.accuracy,
+        names[1]: given.accuracy,
+        "delta": given.accuracy - altered.accuracy,
+        names[2]: altered.unknown_rate,
+    }
     if args.report == "json":
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
@@ -558,7 +548,7 @@ def _cmd_validate(args) -> int:
 def _cmd_gen_problems(args) -> int:
     counts = {d: args.count for d in args.depths}
     problems = datasets.generate_problem_set(args.seed, counts)
-    datasets.save_problems(problems, args.out)
+    _save(datasets.save_problems, problems, args.out)
     print(f"wrote {len(problems)} problems to {args.out}")
     return 0
 
@@ -579,7 +569,7 @@ def _cmd_extract_training(args) -> int:
             pairs.extend(datasets.extract_halter_pairs(problem))
         if "value" in args.roles:
             pairs.extend(datasets.extract_value_pairs(problem, args.seed, report))
-    datasets.save_training_pairs(pairs, args.out)
+    _save(datasets.save_training_pairs, pairs, args.out)
     print(
         f"wrote {len(pairs)} pairs to {args.out} "
         f"(corruption impossible: {report.corruption_impossible}, "

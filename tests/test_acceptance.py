@@ -159,18 +159,18 @@ def test_probes_separate_reasoning_from_shortcuts():
     problems = generate_problem_set(31, {2: 50, 3: 50})
     oracle_solver = evalcli.make_solver(SolverConfig(backend="oracle"))
 
-    incomplete = evalcli.probe_incomplete_context(problems, oracle_solver)
+    stripped = [evalcli.strip_facts(p.context) for p in problems]
+    complete, incomplete = evalcli.probe(problems, oracle_solver, stripped)
     assert incomplete.unknown_rate == 1.0
-    assert incomplete.accuracy_incomplete == 0.0
-    assert incomplete.delta * 100 >= 95.0
+    assert incomplete.accuracy == 0.0
+    assert (complete.accuracy - incomplete.accuracy) * 100 >= 95.0
 
-    random_ctx = evalcli.probe_random_context(problems, oracle_solver, seed=3)
-    assert random_ctx.accuracy_random <= 0.01
+    deranged = [problems[i].context for i in evalcli.derangement(len(problems), 3)]
+    _, random_ctx = evalcli.probe(problems, oracle_solver, deranged)
+    assert random_ctx.accuracy <= 0.01
 
-    shortcut = evalcli.probe_incomplete_context(
-        problems, question_shortcut_solver
-    )
-    assert abs(shortcut.delta) * 100 <= 5.0
+    complete, incomplete = evalcli.probe(problems, question_shortcut_solver, stripped)
+    assert abs(complete.accuracy - incomplete.accuracy) * 100 <= 5.0
 
 
 def test_golden_fixture_answers(pw_problems):

@@ -128,21 +128,32 @@ def test_eval_text_report_prints_each_failure(capsys):
     assert not lines[-len(failures) - 1].startswith("failure:")
 
 
-def test_probe_incomplete(problem_file, capsys):
-    rc = main(["probe", "--kind", "incomplete", "--problems", problem_file,
-               "--report", "json"])
-    assert rc == 0
+def _probe_reports(command, capsys):
+    """The JSON report of a probe command line, and its text report's
+    lines."""
+    assert main(command + ["--report", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
+    assert main(command + ["--report", "text"]) == 0
+    return doc, capsys.readouterr().out.splitlines()
+
+
+def test_probe_incomplete(problem_file, capsys):
+    doc, lines = _probe_reports(
+        ["probe", "--kind", "incomplete", "--problems", problem_file], capsys)
     assert doc["unknown_rate"] == 1.0
     assert doc["accuracy_incomplete"] == 0.0
+    # The altered accuracy, the given one, their difference, the altered
+    # Unknown rate.
+    assert lines == [f"{k}: {doc[k]}" for k in (
+        "kind", "accuracy_incomplete", "accuracy_complete", "delta", "unknown_rate")]
 
 
 def test_probe_random(problem_file, capsys):
-    rc = main(["probe", "--kind", "random", "--problems", problem_file,
-               "--report", "json", "--seed", "2"])
-    assert rc == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc, lines = _probe_reports(
+        ["probe", "--kind", "random", "--problems", problem_file, "--seed", "2"], capsys)
     assert doc["accuracy_random"] <= doc["accuracy_correct"]
+    assert lines == [f"{k}: {doc[k]}" for k in (
+        "kind", "accuracy_random", "accuracy_correct", "delta", "unknown_rate_random")]
 
 
 def test_extract_training_pairs(tmp_path, problem_file):
@@ -154,6 +165,23 @@ def test_extract_training_pairs(tmp_path, problem_file):
     lines = [json.loads(l) for l in out.read_text().splitlines()]
     roles = {l["role"] for l in lines}
     assert {"selection", "inference", "halter_ready", "value"} <= roles
+
+
+@pytest.mark.parametrize("command", [
+    ["gen-problems", "--count", "1"],
+    ["extract-training", "--problems", str(FIXTURES / "golden_pw.jsonl")],
+], ids=["gen-problems", "extract-training"])
+@pytest.mark.parametrize("name, message", [
+    ("missing/out.jsonl", "No such file or directory"),
+    (".", "Is a directory"),
+], ids=["missing-directory", "directory"])
+def test_an_unwritable_out_stops_the_command(command, name, message, tmp_path, capsys):
+    """`path: message` on stderr and exit 2, as for an unreadable input."""
+    out = str(tmp_path / name)
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--out", out])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"{out}: {message}\n")
 
 
 def _never(*args, **kwargs):
@@ -388,7 +416,12 @@ def test_bad_search_setting_stops_before_any_problem(
 @pytest.mark.parametrize("setting, message", [
     (["--backend", "scripted", "--noise", "1.5"], "noise rate must be within [0, 1]"),
     (["--backend", "remote"], "remote backend needs --endpoint"),
-], ids=["noise-over-one", "remote-without-endpoint"])
+    # An endpoint that is neither `pipe:` nor an http(s) URL with a host.
+    (["--backend", "remote", "--endpoint", "http//x"], "got 'http//x'"),
+    (["--backend", "remote", "--endpoint", "/srv/model"], "got '/srv/model'"),
+    (["--backend", "remote", "--endpoint", "localhost:8000"], "got 'localhost:8000'"),
+], ids=["noise-over-one", "remote-without-endpoint", "no-scheme", "path",
+        "host-without-scheme"])
 def test_bad_backend_setting_stops_before_any_problem(
     tmp_path, monkeypatch, capsys, pipe_spawns, command, setting, message
 ):
@@ -402,6 +435,19 @@ def test_bad_backend_setting_stops_before_any_problem(
     out, err = capsys.readouterr()
     assert out == ""
     assert "error: bad backend setting: " in err and message in err
+    assert pipe_spawns == []
+
+
+def test_a_bad_endpoint_from_the_environment_stops_before_any_problem(
+    tmp_path, monkeypatch, capsys, pipe_spawns
+):
+    monkeypatch.setenv(REMOTE_ENDPOINT_ENV, "localhost:8000")
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--problems", str(tmp_path / "missing.jsonl"), "--backend", "remote"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: bad backend setting: " in err and "got 'localhost:8000'" in err
     assert pipe_spawns == []
 
 
@@ -423,6 +469,8 @@ def test_no_solver_flag_gives_the_default_solver_config(command):
     (["--endpoint", "pipe:"], {"endpoint": "pipe:"}),
     # The remote backend is accepted once --endpoint names its server.
     (["--backend", "remote", "--endpoint", "pipe:"], {"backend": "remote", "endpoint": "pipe:"}),
+    (["--backend", "remote", "--endpoint", "https://localhost:8000/v1"],
+     {"backend": "remote", "endpoint": "https://localhost:8000/v1"}),
 ])
 def test_each_solver_flag_sets_its_own_field(command, flags, changes):
     args = build_parser().parse_args(command + ["--problems", "p.jsonl"] + flags)

@@ -1,6 +1,7 @@
 import itertools
 from collections import Counter
 
+import pytest
 from hypothesis import given, strategies as st
 
 from sireason import cnl, evalcli
@@ -268,3 +269,15 @@ def test_strip_facts_keeps_exactly_the_rule_sentences_in_context_order(world, da
     stripped = evalcli.strip_facts(context)
     assert [s.surface for s in stripped.statements()] == reference
     assert len(reference) == len(world[1])
+
+
+def test_derangement_is_a_seeded_permutation_with_no_fixed_point():
+    for n in range(2, 31):
+        for seed in (0, 1, 7, 12345):
+            perm = evalcli.derangement(n, seed)
+            assert sorted(perm) == list(range(n))
+            assert all(i != v for i, v in enumerate(perm))
+            assert evalcli.derangement(n, seed) == perm
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="at least 2"):
+            evalcli.derangement(n, 0)
