@@ -12,8 +12,10 @@ Supported productions (versioned; see grammar.txt shipped with the package):
 
 Within a rule, "something"/"someone" introduces the quantified variable and
 "it"/"they"/"them" refer back to it; "the X" and capitalized names are
-constants. `parse_statement` has one mode: anything outside the grammar
-becomes an Opaque statement, usable as text but not by the reasoner.
+constants. `parse_statement` reads a fact to its ground `Atom` and a rule
+to its `RuleAst`; anything outside the grammar becomes `Opaque`, usable as
+text but not by the reasoner.  `parse_question` reads a PW question to its
+hypothesis, a ground `Atom`, and a free-text one to its choices.
 
 The atom reader `_parse_atom` is a pure function, cached on (atom text,
 subject of the atom before it in the rule body): a bare-adjective
@@ -104,16 +106,9 @@ def negate(atom: Atom) -> Atom:
 
 
 @dataclass(frozen=True)
-class Fact:
-    atom: Atom
-    surface: str
-
-
-@dataclass(frozen=True)
 class RuleAst:
     body: tuple[Atom, ...]
     head: Atom
-    surface: str
 
     def __post_init__(self) -> None:
         if not self.body:
@@ -122,25 +117,14 @@ class RuleAst:
 
 @dataclass(frozen=True)
 class Opaque:
-    surface: str
+    """A statement outside the grammar."""
 
 
-Parsed = Union[Fact, RuleAst, Opaque]
-
-
-@dataclass(frozen=True)
-class Hypothesis:
-    atom: Atom
-    surface: str
-
-    def __post_init__(self) -> None:
-        if not self.atom.is_ground:
-            raise ValueError("hypothesis must be ground")
+Parsed = Union[Atom, RuleAst, Opaque]
 
 
 @dataclass(frozen=True)
 class MultiChoiceQuestion:
-    question: str
     choices: tuple[str, ...]
 
 
@@ -226,7 +210,7 @@ def _parse_adjective_class_rule(surface: str) -> Optional[RuleAst]:
     adjectives = [a.strip().lower() for a in m.group(1).split(",")]
     head_adj = m.group(3).lower()
     body = tuple(Atom(adj, VAR) for adj in adjectives)
-    return RuleAst(body=body, head=Atom(head_adj, VAR), surface=surface)
+    return RuleAst(body=body, head=Atom(head_adj, VAR))
 
 
 def _parse_if_rule(surface: str) -> RuleAst:
@@ -244,13 +228,14 @@ def _parse_if_rule(surface: str) -> RuleAst:
     head = _parse_atom(head_text, None)
     if not head.is_ground and all(a.is_ground for a in body):
         raise ParseError("head variable not bound in body", surface, expected="bound variable")
-    return RuleAst(body=tuple(body), head=head, surface=surface)
+    return RuleAst(body=tuple(body), head=head)
 
 
 @lru_cache(maxsize=65536)
 def parse_statement(raw: str) -> Parsed:
-    """Parse one context statement into a fact or rule AST; anything outside
-    the grammar, the empty statement included, comes back as Opaque."""
+    """Parse one context statement: a fact to its ground Atom, a rule to its
+    RuleAst; anything outside the grammar, the empty statement and a
+    non-ground "fact" included, comes back as Opaque."""
     surface = strip_period(raw)
     try:
         if not surface:
@@ -263,9 +248,9 @@ def parse_statement(raw: str) -> Parsed:
         atom = _parse_atom(surface, None)
         if not atom.is_ground:
             raise ParseError("fact must be ground", surface, expected="ground atom")
-        return Fact(atom=atom, surface=surface)
+        return atom
     except ParseError:
-        return Opaque(surface=surface)
+        return Opaque()
 
 
 def _render_term(term: Term) -> str:
@@ -333,27 +318,26 @@ def _decapitalize(text: str) -> str:
 
 
 @lru_cache(maxsize=1024)
-def parse_question(raw: str) -> Union[Hypothesis, MultiChoiceQuestion]:
-    """PW implication questions, or free-text questions with " OR " choices."""
+def parse_question(raw: str) -> Union[Atom, MultiChoiceQuestion]:
+    """A PW implication question to its hypothesis, a ground Atom, or a
+    free-text question with " OR " choices to its MultiChoiceQuestion."""
     text = raw.strip()
     if not text:
         raise ParseError("empty question", raw, expected="question")
     m = _PW_QUESTION_RE.match(text)
     if m:
-        hyp_surface = _decapitalize(m.group("hyp"))
-        parsed = parse_statement(hyp_surface)
-        if not isinstance(parsed, Fact):
+        parsed = parse_statement(_decapitalize(m.group("hyp")))
+        if not isinstance(parsed, Atom):
             raise ParseError("hypothesis is not a ground fact", raw, expected="ground fact")
-        return Hypothesis(atom=parsed.atom, surface=hyp_surface)
+        return parsed
     if "?" in text and " OR " in text:
         cut = text.rindex("?") + 1
-        question = text[:cut].strip()
         # Padded on both sides, so an "OR" with nothing before or after it
         # leaves an empty choice.
         tail = f" {strip_period(text[cut:])} "
         choices = tuple(c.strip() for c in tail.split(" OR ") if c.strip())
         if len(choices) >= 2:
-            return MultiChoiceQuestion(question=question, choices=choices)
+            return MultiChoiceQuestion(choices)
     raise ParseError(
         "question matches neither supported form",
         raw,

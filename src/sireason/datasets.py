@@ -12,7 +12,8 @@ refer to context sentences by 1-based index; an index past the end of the
 context refers to the j-th inference of the proof itself (index
 len(context) + j), which keeps gold proofs label-stable.  Prompts are
 line-based: a context sentence or proof inference, stripped, and the
-question, as written, hold no line break.
+question, as written, hold no line break.  The halter prompts join the
+choices with " OR ", so a choice is not blank and holds no word "OR".
 """
 
 from __future__ import annotations
@@ -101,6 +102,11 @@ def problem_from_doc(doc: dict) -> Problem:
             raise SchemaError(f"question {question!r} is not a string")
         if choices is not None and not (_is_str_list(choices) and len(choices) >= 2):
             raise SchemaError(f"choices {choices!r} is not a list of at least 2 strings")
+        for choice in choices or ():
+            # The halter prompts join the choices with " OR " and read them
+            # back by splitting there, as `cnl.parse_question` does.
+            if not choice.strip() or " OR " in f" {choice} ":
+                raise SchemaError(f"choice {choice!r} is blank or holds the word 'OR'")
         if depth is not None and not _is_int(depth):
             raise SchemaError(f"depth {depth!r} is not an integer")
         answer = doc["answer"]
@@ -214,17 +220,17 @@ def _reading_faults(problem: Problem) -> list[str]:
         question = cnl.parse_question(problem.question)
     except cnl.ParseError:
         question = None
-    if not isinstance(question, cnl.Hypothesis):
+    if not isinstance(question, cnl.Atom):
         return faults + ["question is outside the grammar"]
     proof, answer = problem.gold_proof, problem.gold_answer
     if proof is None or not proof.steps or answer not in (Answer.TRUE, Answer.FALSE):
         return faults
-    claim = question.atom if answer == Answer.TRUE else cnl.negate(question.atom)
-    last = cnl.parse_statement(proof.steps[-1].inference.surface)
-    if not (isinstance(last, cnl.Fact) and last.atom == claim):
+    claim = question if answer == Answer.TRUE else cnl.negate(question)
+    last = proof.steps[-1].inference.surface
+    if cnl.parse_statement(last) != claim:
         faults.append(
             f"gold answer {answer.render()} claims {cnl.render_atom(claim)!r}, "
-            f"but the gold proof ends in {last.surface!r}"
+            f"but the gold proof ends in {last!r}"
         )
     return faults
 

@@ -458,7 +458,7 @@ class OracleBackend:
         """Decide whether one rendered step is correct and a step of a
         shortest proof; a line that reads as no step is not."""
         parsed_q = cnl.parse_question(question)
-        if not isinstance(parsed_q, cnl.Hypothesis):
+        if not isinstance(parsed_q, cnl.Atom):
             raise BackendError("value oracle needs a hypothesis question")
         try:
             step = parse_trace_text(line)
@@ -535,15 +535,15 @@ def _gold_steps(
     of a hypothesis question in a closed world; none if it has no proof or
     is no hypothesis."""
     parsed_q = cnl.parse_question(question)
-    if not isinstance(parsed_q, cnl.Hypothesis):
+    if not isinstance(parsed_q, cnl.Atom):
         return ()
     try:
         target = symbolic.proof_target(world, parsed_q)
     except symbolic.NoProof:
         return ()
     return tuple(
-        (normalize_key(cnl.render_atom(d.head)), labels)
-        for d, labels in symbolic.proof_steps(world, target)
+        (normalize_key(cnl.render_atom(head)), labels)
+        for head, labels in symbolic.proof_steps(world, target)
     )
 
 
@@ -552,15 +552,13 @@ def _pw_halt_answer(prompt: str) -> Answer:
     inference, question = _read_halter_prompt(prompt)
     if normalize_key(inference) == normalize_key(symbolic.NOTHING_FOLLOWS):
         return Answer.UNKNOWN
-    parsed = cnl.parse_question(question)
-    if not isinstance(parsed, cnl.Hypothesis):
+    hypothesis = cnl.parse_question(question)
+    if not isinstance(hypothesis, cnl.Atom):
         raise BackendError("halting prompt without a hypothesis question")
-    inf_stmt = cnl.parse_statement(inference)
-    if not isinstance(inf_stmt, cnl.Fact):
-        return Answer.UNKNOWN
-    if inf_stmt.atom == parsed.atom:
+    inferred = cnl.parse_statement(inference)
+    if inferred == hypothesis:
         return Answer.TRUE
-    if inf_stmt.atom == cnl.negate(parsed.atom):
+    if inferred == cnl.negate(hypothesis):
         return Answer.FALSE
     return Answer.UNKNOWN
 

@@ -5,22 +5,20 @@ Provides the reference inference `infer` (single-step entailment, or
 grounds (`apply_rule`: the rule under one binding whose premises are the
 selected facts), the step judges `is_step_correct` and `is_proof_step`,
 the trace judge `trace_faults`, exhaustive closure
-with provenance and proof depths (`closure`, and `extend` for a context
-that is a closed one plus one statement), hypothesis evaluation under
-open-world semantics, shortest-proof extraction, and a seeded random
-generator of `core.Problem`s.
+with one `AtomProof` per atom, its depth, rule and premises (`closure`, and
+`extend` for a context that is a closed one plus one statement), evaluation
+of a hypothesis atom under open-world semantics, shortest-proof extraction,
+and a seeded random generator of `core.Problem`s.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Optional
+from typing import AbstractSet, Iterable
 
 from .cnl import (
     Atom,
-    Fact,
-    Hypothesis,
     RuleAst,
     Term,
     VAR,
@@ -119,8 +117,8 @@ def entail_step(selection: Iterable[Statement]) -> Statement:
         parsed = parse_statement(stmt.surface)
         if isinstance(parsed, RuleAst):
             rules.append(parsed)
-        elif isinstance(parsed, Fact):
-            facts.append(parsed.atom)
+        elif isinstance(parsed, Atom):
+            facts.append(parsed)
         else:
             raise MalformedSelection(f"unparseable statement: {stmt.surface!r}")
     if len(rules) != 1:
@@ -167,18 +165,14 @@ def trace_faults(trace: ReasoningTrace) -> list[str]:
 
 
 @dataclass(frozen=True)
-class Derivation:
-    """One rule application: premises (ground atoms) to head."""
-
-    rule_label: int
-    premises: tuple[Atom, ...]
-    head: Atom
-
-
-@dataclass(frozen=True)
 class AtomProof:
+    """How an atom is proved: at `depth`, by the rule labelled `rule_label`
+    from `premises`.  A context fact's proof is AtomProof(0): no premises,
+    and a label that is no sentence's."""
+
     depth: int
-    derivation: Optional[Derivation]  # None for base facts
+    rule_label: int = 0
+    premises: tuple[Atom, ...] = ()
 
 
 class RuleIndex:
@@ -259,8 +253,8 @@ def parse_context(context: LabeledContext):
     rules: list[tuple[int, RuleAst]] = []
     for label, stmt in context:
         parsed = parse_statement(stmt.surface)
-        if isinstance(parsed, Fact):
-            fact_labels.setdefault(parsed.atom, label)
+        if isinstance(parsed, Atom):
+            fact_labels.setdefault(parsed, label)
         elif isinstance(parsed, RuleAst):
             rules.append((label, parsed))
     return fact_labels, rules
@@ -319,11 +313,11 @@ def _settle(derived: dict[Atom, AtomProof], index: RuleIndex, lowered: Iterable[
             if old is not None and (
                 old.depth < height
                 or old.depth == height
-                and _candidate_key(old.derivation.rule_label, old.derivation.premises)
+                and _candidate_key(old.rule_label, old.premises)
                 <= _candidate_key(label, premises)
             ):
                 continue
-            derived[head] = AtomProof(height, Derivation(label, premises, head))
+            derived[head] = AtomProof(height, label, premises)
             if old is None or height < old.depth:
                 levels.setdefault(height, []).append(head)
         depth += 1
@@ -333,7 +327,7 @@ def closure(context: LabeledContext) -> WorldClosure:
     """Least fixed point of rule application, with one proof per atom: the
     context facts at depth 0, and what they settle (`_settle`)."""
     fact_labels, rules = parse_context(context)
-    derived = dict.fromkeys(fact_labels, AtomProof(0, None))
+    derived = dict.fromkeys(fact_labels, AtomProof(0))
     index = RuleIndex(rules, fact_labels)
     _settle(derived, index, fact_labels)
     return WorldClosure(context=context, derived=derived, fact_labels=fact_labels, index=index)
@@ -357,23 +351,23 @@ def extend(world: WorldClosure, context: LabeledContext) -> WorldClosure:
     parsed = parse_statement(stmt.surface)
     if isinstance(parsed, RuleAst):
         return closure(context)
-    if not isinstance(parsed, Fact) or parsed.atom in world.fact_labels:
+    if not isinstance(parsed, Atom) or parsed in world.fact_labels:
         return WorldClosure(context, world.derived, world.fact_labels, world.index)
-    if not world.index.knows(parsed.atom):
+    if not world.index.knows(parsed):
         return closure(context)
     derived = dict(world.derived)
-    derived[parsed.atom] = AtomProof(0, None)
-    _settle(derived, world.index, [parsed.atom])
-    return WorldClosure(context, derived, {**world.fact_labels, parsed.atom: label}, world.index)
+    derived[parsed] = AtomProof(0)
+    _settle(derived, world.index, [parsed])
+    return WorldClosure(context, derived, {**world.fact_labels, parsed: label}, world.index)
 
 
-def evaluate_hypothesis(world: WorldClosure, hypothesis: Hypothesis) -> Answer:
+def evaluate_hypothesis(world: WorldClosure, hypothesis: Atom) -> Answer:
     """Open-world: True if derivable, False if the negation is, else Unknown.
 
     If both are derivable the shallower derivation wins; ties go to True.
     """
-    pos = world.derived.get(hypothesis.atom)
-    neg = world.derived.get(negate(hypothesis.atom))
+    pos = world.derived.get(hypothesis)
+    neg = world.derived.get(negate(hypothesis))
     if pos is not None and (neg is None or pos.depth <= neg.depth):
         return Answer.TRUE
     if neg is not None:
@@ -381,55 +375,54 @@ def evaluate_hypothesis(world: WorldClosure, hypothesis: Hypothesis) -> Answer:
     return Answer.UNKNOWN
 
 
-def proof_target(world: WorldClosure, hypothesis: Hypothesis) -> Atom:
+def proof_target(world: WorldClosure, hypothesis: Atom) -> Atom:
     """The atom a proof should derive: the hypothesis or its negation."""
     answer = evaluate_hypothesis(world, hypothesis)
     if answer is Answer.TRUE:
-        return hypothesis.atom
+        return hypothesis
     if answer is Answer.FALSE:
-        return negate(hypothesis.atom)
-    raise NoProof(f"hypothesis is Unknown: {hypothesis.surface!r}")
+        return negate(hypothesis)
+    raise NoProof(f"hypothesis is Unknown: {render_atom(hypothesis)!r}")
 
 
-def proof_steps(
-    world: WorldClosure, target: Atom
-) -> list[tuple[Derivation, tuple[int, ...]]]:
-    """The derivations the proof of `target` rests on, each once, in proof
+def proof_steps(world: WorldClosure, target: Atom) -> list[tuple[Atom, tuple[int, ...]]]:
+    """The derived atoms the proof of `target` rests on, each once, in proof
     order, with their selection labels in `selection_order`: the rule, then
     the distinct premises in label order.  The k-th inference takes label
     `len(world.context) + k`; a context fact has no steps."""
-    needed: dict[Atom, Derivation] = {}
+    needed: dict[Atom, AtomProof] = {}
     pending = [target]
     while pending:
-        d = world.derived[pending.pop()].derivation
-        if d is not None and d.head not in needed:
-            needed[d.head] = d
-            pending.extend(d.premises)
+        head = pending.pop()
+        proof = world.derived[head]
+        if proof.premises and head not in needed:
+            needed[head] = proof
+            pending.extend(proof.premises)
     # A premise is shallower than the step that uses it, so sorting by
     # depth puts premises first.
     ordered = sorted(
-        needed.values(),
-        key=lambda d: (world.derived[d.head].depth, _candidate_key(d.rule_label, d.premises)),
+        needed.items(),
+        key=lambda item: (item[1].depth, _candidate_key(item[1].rule_label, item[1].premises)),
     )
-    inferred = {d.head: k for k, d in enumerate(ordered, len(world.context) + 1)}
+    inferred = {head: k for k, (head, _) in enumerate(ordered, len(world.context) + 1)}
     return [
-        (d, tuple(selection_order(
-            [d.rule_label, *(world.fact_labels.get(p) or inferred[p] for p in d.premises)]
+        (head, tuple(selection_order(
+            [proof.rule_label, *(world.fact_labels.get(p) or inferred[p] for p in proof.premises)]
         )))
-        for d in ordered
+        for head, proof in ordered
     ]
 
 
-def shortest_proof(world: WorldClosure, hypothesis: Hypothesis) -> ReasoningTrace:
+def shortest_proof(world: WorldClosure, hypothesis: Atom) -> ReasoningTrace:
     """A valid trace of least depth deriving the hypothesis (or its negation)."""
     target = proof_target(world, hypothesis)
     if world.derived[target].depth == 0:
         # The target is a base statement; there is no derivation to show.
-        raise NoProof(f"hypothesis is settled by the context: {hypothesis.surface!r}")
+        raise NoProof(f"hypothesis is settled by the context: {render_atom(hypothesis)!r}")
     return ReasoningTrace.from_labels(
         world.context,
-        ((labels, normalize_statement(render_atom(d.head)))
-         for d, labels in proof_steps(world, target)),
+        ((labels, normalize_statement(render_atom(head)))
+         for head, labels in proof_steps(world, target)),
         evaluate_hypothesis(world, hypothesis),
     )
 
@@ -563,14 +556,13 @@ def _generate_once(rng, seed, depth):
     ask_negation = rng.random() < 0.5
     asked_atom = negate(target) if ask_negation else target
     hyp_surface = render_atom(asked_atom)
-    hypothesis = Hypothesis(atom=asked_atom, surface=hyp_surface)
-    gold_answer = evaluate_hypothesis(world, hypothesis)
+    gold_answer = evaluate_hypothesis(world, asked_atom)
     if gold_answer is Answer.UNKNOWN:  # pragma: no cover - target is derivable
         raise _RetryGeneration("hypothesis unexpectedly unknown")
     question_text = (
         f'Does it imply that the statement "{hyp_surface[0].upper()}{hyp_surface[1:]}" is True?'
     )
-    gold_proof = shortest_proof(world, hypothesis)
+    gold_proof = shortest_proof(world, asked_atom)
     # A proof of height `depth` may have more steps; the chain built above
     # has one per level, since its other premises are context facts.
     if len(gold_proof.steps) != depth:  # pragma: no cover

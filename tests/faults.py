@@ -22,6 +22,9 @@ in `test_remote_runs.py` sends.  Both serve the oracle through
     close-stdin   closes its input before it writes its last faithful
                   reply, then stays alive, so the next request cannot be
                   written (use with a count of at least 1)
+    close-stdout  closes its output after its last faithful reply, then
+                  stays alive, so the next request finds the stream ended
+                  (use with a count of at least 1)
     ignore-eof    goes on running once its input ends
     none          no fault
 
@@ -112,6 +115,10 @@ def main(fault: str, starts: str) -> None:
             return
         out.write(reply)
         out.flush()
+        if fault == "close-stdout" and n + 1 == faithful:
+            os.close(1)
+            time.sleep(SILENCE_S)
+            return
         if not reply.endswith(b"\n"):
             if fault == "cut-off":
                 return

@@ -134,10 +134,9 @@ def question_shortcut_solver(problem: Problem) -> tuple[Answer, ReasoningTrace]:
     """
     # The empty, unhalted trace marks that no actual reasoning happened.
     trace = ReasoningTrace(base_context=problem.context)
-    parsed = cnl.parse_question(problem.question)
-    if not isinstance(parsed, cnl.Hypothesis):
+    hyp = cnl.parse_question(problem.question)
+    if not isinstance(hyp, cnl.Atom):
         return Answer.UNKNOWN, trace
-    hyp = parsed.atom
     for stmt in problem.context.statements():
         s = cnl.parse_statement(stmt.surface)
         if not isinstance(s, cnl.RuleAst):

@@ -8,8 +8,6 @@ from worlds import context_of, worlds
 from sireason import cnl, symbolic
 from sireason.cnl import (
     Atom,
-    Fact,
-    Hypothesis,
     MultiChoiceQuestion,
     Opaque,
     ParseError,
@@ -27,35 +25,35 @@ from sireason.core import strip_period
 
 def test_parse_attribute_fact():
     parsed = parse_statement("the cat is cold")
-    assert isinstance(parsed, Fact)
-    assert parsed.atom == Atom("cold", const("cat"), None)
+    assert isinstance(parsed, Atom)
+    assert parsed == Atom("cold", const("cat"), None)
 
 
 def test_parse_relation_fact():
     parsed = parse_statement("the bald eagle sees the rabbit")
-    assert isinstance(parsed, Fact)
-    assert parsed.atom == Atom("see", const("bald eagle"), const("rabbit"))
+    assert isinstance(parsed, Atom)
+    assert parsed == Atom("see", const("bald eagle"), const("rabbit"))
 
 
 def test_parse_negated_facts():
-    assert parse_statement("the cat is not cold").atom.negated
+    assert parse_statement("the cat is not cold").negated
     parsed = parse_statement("the bear does not eat the bald eagle")
-    assert parsed.atom.negated
-    assert parsed.atom.predicate == "eat"
+    assert parsed.negated
+    assert parsed.predicate == "eat"
 
 
 def test_capitalized_article():
     parsed = parse_statement("The bald eagle is quiet")
-    assert isinstance(parsed, Fact)
-    assert parsed.atom.subject == const("bald eagle")
+    assert isinstance(parsed, Atom)
+    assert parsed.subject == const("bald eagle")
 
 
 def test_proper_names():
     parsed = parse_statement("Gary is kind")
-    assert isinstance(parsed, Fact)
-    assert parsed.atom.subject.proper
+    assert isinstance(parsed, Atom)
+    assert parsed.subject.proper
     negated = parse_statement("Charlie is not smart")
-    assert negated.atom.negated
+    assert negated.negated
 
 
 def test_parse_variable_rule():
@@ -123,7 +121,7 @@ def test_opaque_fallback():
 
 
 def test_negate_and_is_negation_of():
-    atom = parse_statement("the cat is cold").atom
+    atom = parse_statement("the cat is cold")
     # Only the sign differs: an atom is the negation of its negation.
     assert negate(atom) != atom
     assert negate(negate(atom)) == atom
@@ -131,7 +129,7 @@ def test_negate_and_is_negation_of():
 
 def test_atoms_and_terms_hash_as_the_tuple_of_their_fields():
     """Set orders over atoms rest on these hash values."""
-    atoms = [parse_statement(s).atom
+    atoms = [parse_statement(s)
              for s in ("the cat is cold", "Gary does not see the bald eagle")]
     atoms += [Atom("like", VAR, VAR, True), Atom("red", VAR)]
     for atom in atoms:
@@ -170,7 +168,7 @@ def test_render_atom_roundtrip_examples():
         "the bear does not eat the bald eagle",
         "Gary is smart",
     ):
-        atom = parse_statement(surface).atom
+        atom = parse_statement(surface)
         assert render_atom(atom) == surface
 
 
@@ -185,26 +183,24 @@ _VERB = st.sampled_from(["eats", "likes", "sees", "needs", "chases", "visits"])
 def test_attribute_render_parse_roundtrip(entity, adj, negated):
     verb = "is not" if negated else "is"
     surface = f"{entity} {verb} {adj}"
-    atom = parse_statement(surface).atom
+    atom = parse_statement(surface)
     assert render_atom(atom) == surface
-    assert parse_statement(render_atom(atom)).atom == atom
+    assert parse_statement(render_atom(atom)) == atom
 
 
 @given(_ENTITY, _VERB, _ENTITY, st.booleans())
 def test_relation_render_parse_roundtrip(subj, verb, obj, negated):
-    atom = parse_statement(f"{subj} {verb} {obj}").atom
+    atom = parse_statement(f"{subj} {verb} {obj}")
     if negated:
         atom = negate(atom)
-    assert parse_statement(render_atom(atom)).atom == atom
+    assert parse_statement(render_atom(atom)) == atom
 
 
 def test_parse_question_implication_form():
     parsed = parse_question(
         'Does it imply that the statement "The cat is nice" is True?'
     )
-    assert isinstance(parsed, Hypothesis)
-    assert parsed.surface == "the cat is nice"
-    assert parsed.atom.predicate == "nice"
+    assert parsed == Atom("nice", const("cat"))
 
 
 def test_parse_question_multi_choice_form():
@@ -214,7 +210,6 @@ def test_parse_question_multi_choice_form():
     )
     assert isinstance(parsed, MultiChoiceQuestion)
     assert parsed.choices == ("gas", "solid", "liquid", "plasma")
-    assert parsed.question.endswith("?")
 
 
 def test_a_dangling_or_ends_the_choices():
@@ -229,6 +224,8 @@ def test_parse_question_rejects_other_forms():
         parse_question("Is the cat nice?")
     with pytest.raises(ParseError):
         parse_question("")
+    with pytest.raises(ParseError, match="hypothesis is not a ground fact"):
+        parse_question('Does it imply that the statement "Something is red" is True?')
 
 
 def test_a_head_variable_no_condition_binds_is_outside_the_grammar():
@@ -342,8 +339,8 @@ def _class_rule_surfaces(draw):
 @given(_fact_surfaces())
 def test_fact_parse_render_parse_is_a_fixed_point(surface):
     parsed = parse_statement(surface)
-    assert isinstance(parsed, Fact)
-    assert parse_statement(render_atom(parsed.atom)).atom == parsed.atom
+    assert isinstance(parsed, Atom)
+    assert parse_statement(render_atom(parsed)) == parsed
 
 
 @given(_if_rule_surfaces() | _class_rule_surfaces(), _QUANTIFIER)
@@ -462,16 +459,16 @@ def _reference_parse(raw):
             head = parser.parse_atom(head_text)
             if not head.is_ground and all(a.is_ground for a in body):
                 raise ParseError("head variable not bound in body", surface)
-            return RuleAst(body=body, head=head, surface=surface)
+            return RuleAst(body=body, head=head)
         class_rule = cnl._parse_adjective_class_rule(surface)
         if class_rule is not None:
             return class_rule
         atom = _ReferenceAtomParser(surface).parse_atom(surface)
         if not atom.is_ground:
             raise ParseError("fact must be ground", surface)
-        return Fact(atom=atom, surface=surface)
+        return atom
     except ParseError:
-        return Opaque(surface=surface)
+        return Opaque()
 
 
 # Statements the reader turns into Opaque, each from a different branch.

@@ -229,6 +229,21 @@ def test_a_line_break_inside_a_prompt_line_is_a_schema_error(path, field):
     assert raised.value.reason.endswith("has a line break")
 
 
+@pytest.mark.parametrize("choices, bad", [
+    (["red OR blue", "green"], "red OR blue"),
+    (["red", "  "], "  "),
+    (["red OR", "green"], "red OR"),
+])
+def test_a_choice_the_halter_prompts_cannot_hold_is_a_schema_error(choices, bad):
+    """The halter prompts join the choices with " OR " and split them there
+    again, so a blank choice or one with the word "OR" would read back as
+    other choices."""
+    doc = {**_doc(), "choices": choices, "answer": choices[0]}
+    with pytest.raises(SchemaError) as raised:
+        problem_from_doc(doc)
+    assert raised.value.reason == f"choice {bad!r} is blank or holds the word 'OR'"
+
+
 def test_a_step_that_selects_its_own_inference_is_a_schema_error(tmp_path):
     with pytest.raises(SchemaError) as err:
         _load_second_line(tmp_path, [1, 3])

@@ -372,7 +372,7 @@ def test_every_sentence_label_is_a_plain_int():
         labels.extend(label for label, _ in problem.context)
         world = symbolic.closure(problem.context)
         labels.extend(world.fact_labels.values())
-        labels.extend(p.derivation.rule_label for p in world.derived.values() if p.derivation)
+        labels.extend(p.rule_label for p in world.derived.values() if p.premises)
         target = symbolic.proof_target(world, cnl.parse_question(problem.question))
         for _, step_labels in symbolic.proof_steps(world, target):
             labels.extend(step_labels)

@@ -858,6 +858,25 @@ def test_value_scores_a_continuation_it_does_not_know_certain_bad():
     }
 
 
+_CHOICE_QUESTION = "Which animal likes the cow? the tiger OR the mouse"
+
+
+def test_a_multiple_choice_selection_walks_the_closures_firings_in_label_order():
+    """With no hypothesis there is no proof to put first: the walk is the
+    firings alone, where a hypothesis question leads with its proof's step."""
+    context = LabeledContext.from_statements([
+        "If something is kind then it likes the cow", "the cow is kind", "the tiger is kind",
+    ])
+
+    def walk(question):
+        prompt = format_selection_prompt(question, context)
+        return OracleBackend().complete(CompletionRequest(GeneratorRole.SELECTION, prompt, n=5))
+
+    firings = (" sent 1. We know that sent 2.", " sent 1. We know that sent 3.")
+    assert walk(_CHOICE_QUESTION).samples == firings
+    assert walk(QUESTION).samples == firings[::-1]
+
+
 # The parent's value reader and verdict, kept as the reference for the
 # oracle's, which reads each context once and parses a line only when its
 # inference is on the proof.
@@ -880,7 +899,7 @@ def _reference_read_value_prompt(prompt):
 
 def _reference_judge_steps(oracle, surfaces, question, line):
     parsed_q = cnl.parse_question(question)
-    if not isinstance(parsed_q, cnl.Hypothesis):
+    if not isinstance(parsed_q, cnl.Atom):
         raise models.BackendError("value oracle needs a hypothesis question")
     try:
         step = parse_trace_text(line)
@@ -979,14 +998,19 @@ def test_value_verdicts_are_the_reference_verdicts(pw_problems, pw_worst_problem
 
 
 def test_a_non_hypothesis_question_fails_the_verdict_first(eb_problems):
-    """A question that is no hypothesis raises before the line is read."""
+    """A question that is no hypothesis raises before the line is read: a
+    free-text one, which does not parse, and a multiple-choice one, which
+    parses but has no proof to judge a step against."""
     problem = eb_problems[0]
-    head = value_prompt_head(problem.context, problem.question)
-    for text in ("the cow is big", render_step(problem.gold_proof.steps[0])):
-        request = _value_request(format_value_prompt(head, text))
-        expected = _outcome(lambda r: _reference_value_reply(OracleBackend(), r), request)
-        assert isinstance(expected, tuple)
-        assert _outcome(OracleBackend().complete, request) == expected
+    lines = ("the cow is big", render_step(problem.gold_proof.steps[0]), _GOOD)
+    for head in (value_prompt_head(problem.context, problem.question),
+                 value_prompt_head(CTX, _CHOICE_QUESTION)):
+        for text in lines:
+            request = _value_request(format_value_prompt(head, text))
+            expected = _outcome(lambda r: _reference_value_reply(OracleBackend(), r), request)
+            assert isinstance(expected, tuple)
+            assert _outcome(OracleBackend().complete, request) == expected
+    assert expected == (models.BackendError, "value oracle needs a hypothesis question")
 
 
 def test_the_oracle_splits_a_value_context_once_per_problem(monkeypatch):

@@ -291,6 +291,13 @@ FAULT_TABLE = [
          spawns=2, ends=-signal.SIGKILL, retries=0),
     _row("close-stdin:1", PIPE, f"restarted {models.RESPAWN_LIMIT} times already",
          spawns=1 + models.RESPAWN_LIMIT),
+    # A server that closes its output after one answer: the next request
+    # finds the stream ended before it is written, and the retry goes to the
+    # next server, which does the same, until the transport gives up.
+    _row("close-stdout:1", PIPE, "server closed the stream", spawns=2,
+         ends=-signal.SIGKILL, retries=0),
+    _row("close-stdout:1", PIPE, f"restarted {models.RESPAWN_LIMIT} times already",
+         spawns=1 + models.RESPAWN_LIMIT, ends=-signal.SIGKILL),
     # `close()` reads the stray bytes away, so the server exits by itself.
     _row("stray-bytes", PIPE, None, ends=0),
     _row("ignore-eof", PIPE, None, ends=-signal.SIGKILL),
