@@ -13,9 +13,11 @@ Supported productions (versioned; see grammar.txt shipped with the package):
 Within a rule, "something"/"someone" introduces the quantified variable and
 "it"/"they"/"them" refer back to it; "the X" and capitalized names are
 constants. `parse_statement` reads a fact to its ground `Atom` and a rule
-to its `RuleAst`; anything outside the grammar becomes `Opaque`, usable as
-text but not by the reasoner.  `parse_question` reads a PW question to its
-hypothesis, a ground `Atom`, and a free-text one to its choices.
+to its `RuleAst`; anything outside the grammar reads as None, usable as
+text but not by the reasoner.  `parse_question` reads the implication
+question of a True/False/Unknown problem to its hypothesis, a ground
+`Atom`; any other question, a free-text multiple-choice one included, is a
+`ParseError`.
 
 The atom reader `_parse_atom` is a pure function, cached on (atom text,
 subject of the atom before it in the rule body): a bare-adjective
@@ -115,17 +117,7 @@ class RuleAst:
             raise ValueError("rule body must be non-empty")
 
 
-@dataclass(frozen=True)
-class Opaque:
-    """A statement outside the grammar."""
-
-
-Parsed = Union[Atom, RuleAst, Opaque]
-
-
-@dataclass(frozen=True)
-class MultiChoiceQuestion:
-    choices: tuple[str, ...]
+Parsed = Optional[Union[Atom, RuleAst]]
 
 
 _PRONOUNS = {"it", "they", "them"}
@@ -235,7 +227,7 @@ def _parse_if_rule(surface: str) -> RuleAst:
 def parse_statement(raw: str) -> Parsed:
     """Parse one context statement: a fact to its ground Atom, a rule to its
     RuleAst; anything outside the grammar, the empty statement and a
-    non-ground "fact" included, comes back as Opaque."""
+    non-ground "fact" included, comes back as None."""
     surface = strip_period(raw)
     try:
         if not surface:
@@ -250,7 +242,7 @@ def parse_statement(raw: str) -> Parsed:
             raise ParseError("fact must be ground", surface, expected="ground atom")
         return atom
     except ParseError:
-        return Opaque()
+        return None
 
 
 def _render_term(term: Term) -> str:
@@ -318,28 +310,20 @@ def _decapitalize(text: str) -> str:
 
 
 @lru_cache(maxsize=1024)
-def parse_question(raw: str) -> Union[Atom, MultiChoiceQuestion]:
-    """A PW implication question to its hypothesis, a ground Atom, or a
-    free-text question with " OR " choices to its MultiChoiceQuestion."""
+def parse_question(raw: str) -> Atom:
+    """The hypothesis of an implication question, a ground Atom; any other
+    question raises ParseError."""
     text = raw.strip()
     if not text:
         raise ParseError("empty question", raw, expected="question")
     m = _PW_QUESTION_RE.match(text)
-    if m:
-        parsed = parse_statement(_decapitalize(m.group("hyp")))
-        if not isinstance(parsed, Atom):
-            raise ParseError("hypothesis is not a ground fact", raw, expected="ground fact")
-        return parsed
-    if "?" in text and " OR " in text:
-        cut = text.rindex("?") + 1
-        # Padded on both sides, so an "OR" with nothing before or after it
-        # leaves an empty choice.
-        tail = f" {strip_period(text[cut:])} "
-        choices = tuple(c.strip() for c in tail.split(" OR ") if c.strip())
-        if len(choices) >= 2:
-            return MultiChoiceQuestion(choices)
-    raise ParseError(
-        "question matches neither supported form",
-        raw,
-        expected='\'Does it imply that the statement "H" is True?\' or "q? a OR b"',
-    )
+    if not m:
+        raise ParseError(
+            "question is not of the implication form",
+            raw,
+            expected='\'Does it imply that the statement "H" is True?\'',
+        )
+    parsed = parse_statement(_decapitalize(m.group("hyp")))
+    if not isinstance(parsed, Atom):
+        raise ParseError("hypothesis is not a ground fact", raw, expected="ground fact")
+    return parsed

@@ -13,7 +13,9 @@ context refers to the j-th inference of the proof itself (index
 len(context) + j), which keeps gold proofs label-stable.  Prompts are
 line-based: a context sentence or proof inference, stripped, and the
 question, as written, hold no line break.  The halter prompts join the
-choices with " OR ", so a choice is not blank and holds no word "OR".
+choices with " OR " and the oracle reads them back with
+`models.read_choices`, so a choice must read back as itself, stripped: it is
+not blank and holds no word "OR".  The choices are distinct once stripped.
 """
 
 from __future__ import annotations
@@ -102,11 +104,14 @@ def problem_from_doc(doc: dict) -> Problem:
             raise SchemaError(f"question {question!r} is not a string")
         if choices is not None and not (_is_str_list(choices) and len(choices) >= 2):
             raise SchemaError(f"choices {choices!r} is not a list of at least 2 strings")
+        seen = set()
         for choice in choices or ():
-            # The halter prompts join the choices with " OR " and read them
-            # back by splitting there, as `cnl.parse_question` does.
-            if not choice.strip() or " OR " in f" {choice} ":
+            if models.read_choices(choice) != (choice.strip(),):
                 raise SchemaError(f"choice {choice!r} is blank or holds the word 'OR'")
+            # Two equal choices tie in every match, so the halter could not pick one.
+            if choice.strip() in seen:
+                raise SchemaError(f"choice {choice!r} repeats an earlier choice")
+            seen.add(choice.strip())
         if depth is not None and not _is_int(depth):
             raise SchemaError(f"depth {depth!r} is not an integer")
         answer = doc["answer"]
@@ -214,13 +219,11 @@ def _reading_faults(problem: Problem) -> list[str]:
     faults = [
         f"sent {label} is outside the grammar: {stmt.surface!r}"
         for label, stmt in problem.context
-        if isinstance(cnl.parse_statement(stmt.surface), cnl.Opaque)
+        if cnl.parse_statement(stmt.surface) is None
     ]
     try:
         question = cnl.parse_question(problem.question)
     except cnl.ParseError:
-        question = None
-    if not isinstance(question, cnl.Atom):
         return faults + ["question is outside the grammar"]
     proof, answer = problem.gold_proof, problem.gold_answer
     if proof is None or not proof.steps or answer not in (Answer.TRUE, Answer.FALSE):

@@ -222,9 +222,15 @@ def format_halter_prompts(
     return f"Given {inference}. {question}", None
 
 
+def read_choices(text: str) -> tuple[str, ...]:
+    """The stripped choices the halter prompts join with " OR "; the text is
+    padded first, so a dangling "OR" leaves no choice."""
+    return tuple(c.strip() for c in f" {text} ".split(" OR ") if c.strip())
+
+
 def _read_ready_prompt(prompt: str) -> Optional[tuple[tuple[str, ...], str]]:
     """(choices, inference) of a multiple-choice readiness prompt, or None
-    for any other prompt."""
+    for any other prompt; the choices follow the question part's last "?"."""
     if not (prompt.startswith("Question:") and prompt.endswith(" Do you know the answer?")):
         return None
     q_and_inf = prompt[len("Question:"): -len(" Do you know the answer?")]
@@ -232,10 +238,11 @@ def _read_ready_prompt(prompt: str) -> Optional[tuple[tuple[str, ...], str]]:
         question, inference = q_and_inf.rsplit(" Given ", 1)
     except ValueError as exc:
         raise BackendError("malformed readiness prompt") from exc
-    parsed = cnl.parse_question(question)
-    if not isinstance(parsed, cnl.MultiChoiceQuestion):
+    _, mark, tail = strip_period(question).rpartition("?")
+    choices = read_choices(tail)
+    if not mark or len(choices) < 2:
         raise BackendError("readiness prompt without choices")
-    return parsed.choices, inference.rstrip(".")
+    return choices, inference.rstrip(".")
 
 
 def _read_answer_prompt(prompt: str) -> tuple[tuple[str, ...], str]:
@@ -244,7 +251,7 @@ def _read_answer_prompt(prompt: str) -> tuple[tuple[str, ...], str]:
     if not (prompt.startswith("Given ") and marker in prompt and prompt.endswith("? Answer:")):
         raise BackendError("malformed answer prompt")
     inference, rest = prompt[len("Given "):].split(marker, 1)
-    return tuple(rest[: -len("? Answer:")].split(" OR ")), inference
+    return read_choices(rest[: -len("? Answer:")]), inference
 
 
 def _read_halter_prompt(prompt: str) -> tuple[str, str]:
@@ -375,8 +382,8 @@ class OracleBackend:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        # (context, closure) by the context's sentence surfaces.
-        self._worlds: dict[tuple[str, ...], tuple[LabeledContext, symbolic.WorldClosure]] = {}
+        # The closure of each context, by its sentence surfaces.
+        self._worlds: dict[tuple[str, ...], symbolic.WorldClosure] = {}
         # The base proof's inference keys by a value prompt's (context text, question).
         self._proof_keys: dict[tuple[str, str], frozenset[str]] = {}
         # The walk of each selection prompt, positioned at its next proposal.
@@ -405,8 +412,8 @@ class OracleBackend:
 
     # -- the problem in hand ------------------------------------------------
 
-    def _world_for(self, surfaces: tuple[str, ...]):
-        """The context the surfaces label and its closure.
+    def _world_for(self, surfaces: tuple[str, ...]) -> symbolic.WorldClosure:
+        """The closure of the context the surfaces label.
 
         A search step appends one sentence to a context it has seen, so when
         the context less its last sentence is known, its world is extended
@@ -417,12 +424,10 @@ class OracleBackend:
             return world
         parent = self._worlds.get(surfaces[:-1])
         if parent is None:
-            ctx = LabeledContext.from_statements(surfaces)
-            world = ctx, symbolic.closure(ctx)
+            world = symbolic.closure(LabeledContext.from_statements(surfaces))
         else:
-            parent_ctx, parent_closed = parent
-            ctx = parent_ctx.extended(normalize_statement(surfaces[-1]))
-            world = ctx, symbolic.extend(parent_closed, ctx)
+            ctx = parent.context.extended(normalize_statement(surfaces[-1]))
+            world = symbolic.extend(parent, ctx)
         self._worlds[surfaces] = world
         return world
 
@@ -430,8 +435,8 @@ class OracleBackend:
         """The walk of one prompt's selection completions, best first.  What can
         raise is done here; the other firings are built after the on-path one."""
         question, surfaces = _read_selection_prompt(prompt)
-        ctx, world = self._world_for(surfaces)
-        present = {stmt.key for stmt in ctx.statements()}
+        world = self._world_for(surfaces)
+        present = {stmt.key for stmt in world.context.statements()}
         on_path = next((labels for key, labels in _gold_steps(world, question)
                         if key not in present), None)
 
@@ -457,9 +462,8 @@ class OracleBackend:
     def _judge_steps(self, ctx_text: str, question: str, line: str) -> bool:
         """Decide whether one rendered step is correct and a step of a
         shortest proof; a line that reads as no step is not."""
-        parsed_q = cnl.parse_question(question)
-        if not isinstance(parsed_q, cnl.Atom):
-            raise BackendError("value oracle needs a hypothesis question")
+        # A question that is no hypothesis raises before the line is read.
+        cnl.parse_question(question)
         try:
             step = parse_trace_text(line)
         except TraceParseError:
@@ -473,7 +477,7 @@ class OracleBackend:
             if base is None or " ".join(f"{s}." for s in base) != ctx_text:
                 base = _context_surfaces(ctx_text)
             proof_keys = self._proof_keys[ctx_text, question] = frozenset(
-                key for key, _ in _gold_steps(self._world_for(base)[1], question))
+                key for key, _ in _gold_steps(self._world_for(base), question))
         return symbolic.is_proof_step(step, proof_keys)
 
     # -- selection ----------------------------------------------------------
@@ -532,13 +536,9 @@ def _gold_steps(
     world: symbolic.WorldClosure, question: str
 ) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """(inference key, selection labels) of each step of the shortest proof
-    of a hypothesis question in a closed world; none if it has no proof or
-    is no hypothesis."""
-    parsed_q = cnl.parse_question(question)
-    if not isinstance(parsed_q, cnl.Atom):
-        return ()
+    of a hypothesis question in a closed world; none if it has no proof."""
     try:
-        target = symbolic.proof_target(world, parsed_q)
+        target = symbolic.proof_target(world, cnl.parse_question(question))
     except symbolic.NoProof:
         return ()
     return tuple(
@@ -553,8 +553,6 @@ def _pw_halt_answer(prompt: str) -> Answer:
     if normalize_key(inference) == normalize_key(symbolic.NOTHING_FOLLOWS):
         return Answer.UNKNOWN
     hypothesis = cnl.parse_question(question)
-    if not isinstance(hypothesis, cnl.Atom):
-        raise BackendError("halting prompt without a hypothesis question")
     inferred = cnl.parse_statement(inference)
     if inferred == hypothesis:
         return Answer.TRUE

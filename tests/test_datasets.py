@@ -233,15 +233,20 @@ def test_a_line_break_inside_a_prompt_line_is_a_schema_error(path, field):
     (["red OR blue", "green"], "red OR blue"),
     (["red", "  "], "  "),
     (["red OR", "green"], "red OR"),
+    (["red", "red"], "red"),
+    (["red", "green", "red "], "red "),
 ])
 def test_a_choice_the_halter_prompts_cannot_hold_is_a_schema_error(choices, bad):
     """The halter prompts join the choices with " OR " and split them there
     again, so a blank choice or one with the word "OR" would read back as
-    other choices."""
+    other choices; and two equal choices tie in the oracle's match, so its
+    halter could never be ready."""
     doc = {**_doc(), "choices": choices, "answer": choices[0]}
     with pytest.raises(SchemaError) as raised:
         problem_from_doc(doc)
-    assert raised.value.reason == f"choice {bad!r} is blank or holds the word 'OR'"
+    repeated = [c.strip() for c in choices].count(bad.strip()) > 1
+    fault = "repeats an earlier choice" if repeated else "is blank or holds the word 'OR'"
+    assert raised.value.reason == f"choice {bad!r} {fault}"
 
 
 def test_a_step_that_selects_its_own_inference_is_a_schema_error(tmp_path):

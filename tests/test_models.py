@@ -272,7 +272,7 @@ def test_two_oracles_share_no_state():
     walked = _walk(one, req)
     assert other.complete(req).text == walked[0]
     surfaces = tuple(stmt.surface for stmt in problem.context.statements())
-    assert one._worlds[surfaces][1] is not other._worlds[surfaces][1]
+    assert one._worlds[surfaces] is not other._worlds[surfaces]
     for name, table in _oracle_tables(one).items():
         assert table is not getattr(other, name)
     one.reset()
@@ -349,16 +349,16 @@ def test_gold_steps_after_an_unchanged_closure_are_a_fresh_oracles():
     problem = datasets.generate_problem_set(30, {5: 1})[0]
     surfaces = tuple(stmt.surface for stmt in problem.context.statements())
     backend = OracleBackend()
-    _, world = backend._world_for(surfaces)
+    world = backend._world_for(surfaces)
     parent = models._gold_steps(world, problem.question)
     assert any(i > len(surfaces) for _, labels in parent for i in labels)
     fact = problem.context.lookup(min(world.fact_labels.values()))
     for appended in (symbolic.NOTHING_FOLLOWS, fact.surface, symbolic.NOTHING_FOLLOWS):
         surfaces += (appended,)
-        _, child = backend._world_for(surfaces)
+        child = backend._world_for(surfaces)
         steps = models._gold_steps(child, problem.question)
         assert child.derived is world.derived
-        fresh = OracleBackend()._world_for(surfaces)[1]
+        fresh = OracleBackend()._world_for(surfaces)
         assert steps == models._gold_steps(fresh, problem.question), appended
         assert len(steps) == len(parent)
         world = child
@@ -496,7 +496,8 @@ def test_extended_worlds_fire_as_rebuilt_ones(monkeypatch):
     monkeypatch.setattr(symbolic, "closure", counting)
     for surface in appended:
         surfaces += (surface,)
-        ctx, got = backend._world_for(surfaces)
+        got = backend._world_for(surfaces)
+        ctx = got.context
         rebuilt = closure(LabeledContext.from_statements(surfaces))
         assert ctx == rebuilt.context
         assert got.derived == rebuilt.derived
@@ -525,9 +526,9 @@ def test_extending_a_world_leaves_its_parents_candidates():
     surfaces = tuple(stmt.surface for stmt in problem.context.statements())
     backend = OracleBackend()
     cold = _candidate_labels(backend, problem.question, problem.context)
-    _, parent = backend._world_for(surfaces)
+    parent = backend._world_for(surfaces)
     grounded = len(parent.index.grounded)
-    _, child = backend._world_for(surfaces + ("the lion is smart",))
+    child = backend._world_for(surfaces + ("the lion is smart",))
     assert child.index is parent.index
     assert len(parent.index.grounded) > grounded
     assert _candidate_labels(backend, problem.question, problem.context) == cold
@@ -538,8 +539,8 @@ def _eager_candidates(prompt: str) -> tuple[str, ...]:
     oracle, as the oracle did before its walk became lazy."""
     backend = OracleBackend()
     question, surfaces = models._read_selection_prompt(prompt)
-    ctx, world = backend._world_for(surfaces)
-    present = {stmt.key for _, stmt in ctx}
+    world = backend._world_for(surfaces)
+    present = {stmt.key for _, stmt in world.context}
 
     on_path = None
     for key, labels in models._gold_steps(world, question):
@@ -632,7 +633,7 @@ def test_gold_steps_are_the_shortest_proofs_steps(pw_problems, pw_worst_problems
                 for step in proof.steps
             )
             proved += 1
-        _, world = backend._world_for(surfaces)
+        world = backend._world_for(surfaces)
         assert models._gold_steps(world, problem.question) == expected, problem.id
     assert proved >= 16
 
@@ -739,6 +740,62 @@ def test_oracle_halter_multi_choice():
     assert backend.complete(
         CompletionRequest(role=GeneratorRole.HALTER_READY, prompt=ready)
     ).text == " No."
+
+
+def test_the_oracle_halter_replies_with_its_training_targets():
+    """For a one-step proof the oracle's reply to each halter pair's input
+    is the pair's target, a padded choice included."""
+    problem = datasets.problem_from_doc({
+        "id": "ice", "context": ["an ice cube is a kind of solid"],
+        "question": "Which state is an ice cube in?", "choices": ["solid ", "gas"],
+        "answer": "solid", "proof": [{"selection": [1], "inference": "an ice cube is solid"}],
+    })
+    pairs = datasets.extract_halter_pairs(problem)
+    assert [p.role for p in pairs] == [GeneratorRole.HALTER_READY, GeneratorRole.HALTER_ANSWER]
+    for pair in pairs:
+        reply = OracleBackend().complete(CompletionRequest(pair.role, pair.input))
+        assert reply.text == pair.target, pair.role
+
+
+def test_a_dangling_or_ends_the_choices():
+    for text in (" a OR b OR", "a OR b OR ", " OR a OR b", "OR a OR b", "a  OR  b"):
+        assert models.read_choices(text) == ("a", "b"), text
+    assert models.read_choices(" a OR b ORE") == ("a", "b ORE")
+    assert models.read_choices(" ORE a OR b") == ("ORE a", "b")
+    assert models.read_choices("OR") == models.read_choices("  ") == ()
+
+
+def _ready_prompt(question_part: str) -> str:
+    """A readiness prompt whose question part, the question and its joined
+    choices, is written as given."""
+    return f"Question:{question_part} Given an ice cube is solid. Do you know the answer?"
+
+
+def test_the_readiness_reader_reads_the_choices_after_the_last_question_mark():
+    for question_part, choices in [
+        ("Which word best describes the physical state of an ice cube? "
+         "gas OR solid OR liquid OR plasma.", ("gas", "solid", "liquid", "plasma")),
+        ("Is it? Which one? gas OR solid.", ("gas", "solid")),
+        ("q? a OR b OR.", ("a", "b")),
+        ("q? a OR b OR .", ("a", "b")),
+        ("q? OR a OR b", ("a", "b")),
+        ("q?OR a OR b", ("a", "b")),
+        ("q? a OR b ORE.", ("a", "b ORE")),
+        ("q? ORE a OR b", ("ORE a", "b")),
+    ]:
+        read = models._read_ready_prompt(_ready_prompt(question_part))
+        assert read == (choices, "an ice cube is solid"), question_part
+
+
+@pytest.mark.parametrize("question_part", [
+    "Which state is an ice cube in: gas OR solid.",  # no "?"
+    "Which state is an ice cube in? solid.",  # one choice
+    "Which state is an ice cube in? solid OR.",
+])
+def test_a_readiness_prompt_without_two_choices_is_a_backend_error(question_part):
+    with pytest.raises(models.BackendError, match="^readiness prompt without choices$"):
+        OracleBackend().complete(
+            CompletionRequest(GeneratorRole.HALTER_READY, _ready_prompt(question_part)))
 
 
 def test_oracle_answer_role_reads_only_answer_prompts():
@@ -861,20 +918,13 @@ def test_value_scores_a_continuation_it_does_not_know_certain_bad():
 _CHOICE_QUESTION = "Which animal likes the cow? the tiger OR the mouse"
 
 
-def test_a_multiple_choice_selection_walks_the_closures_firings_in_label_order():
-    """With no hypothesis there is no proof to put first: the walk is the
-    firings alone, where a hypothesis question leads with its proof's step."""
-    context = LabeledContext.from_statements([
-        "If something is kind then it likes the cow", "the cow is kind", "the tiger is kind",
-    ])
-
-    def walk(question):
-        prompt = format_selection_prompt(question, context)
-        return OracleBackend().complete(CompletionRequest(GeneratorRole.SELECTION, prompt, n=5))
-
-    firings = (" sent 1. We know that sent 2.", " sent 1. We know that sent 3.")
-    assert walk(_CHOICE_QUESTION).samples == firings
-    assert walk(QUESTION).samples == firings[::-1]
+def test_a_multiple_choice_selection_is_a_backend_error():
+    """The oracle selects along the proof of a hypothesis.  A question with
+    its choices in its own text has none, and the oracle cannot read it."""
+    prompt = format_selection_prompt(_CHOICE_QUESTION, CTX)
+    with pytest.raises(models.BackendError, match="^oracle cannot read the prompt: "
+                       "question is not of the implication form"):
+        OracleBackend().complete(CompletionRequest(GeneratorRole.SELECTION, prompt, n=5))
 
 
 # The parent's value reader and verdict, kept as the reference for the
@@ -898,14 +948,12 @@ def _reference_read_value_prompt(prompt):
 
 
 def _reference_judge_steps(oracle, surfaces, question, line):
-    parsed_q = cnl.parse_question(question)
-    if not isinstance(parsed_q, cnl.Atom):
-        raise models.BackendError("value oracle needs a hypothesis question")
+    cnl.parse_question(question)
     try:
         step = parse_trace_text(line)
     except TraceParseError:
         return False
-    _, world = oracle._world_for(surfaces)
+    world = oracle._world_for(surfaces)
     proof_keys = {key for key, _ in models._gold_steps(world, question)}
     return symbolic.is_proof_step(step, proof_keys)
 
@@ -999,8 +1047,7 @@ def test_value_verdicts_are_the_reference_verdicts(pw_problems, pw_worst_problem
 
 def test_a_non_hypothesis_question_fails_the_verdict_first(eb_problems):
     """A question that is no hypothesis raises before the line is read: a
-    free-text one, which does not parse, and a multiple-choice one, which
-    parses but has no proof to judge a step against."""
+    free-text one, and one with its choices in its own text."""
     problem = eb_problems[0]
     lines = ("the cow is big", render_step(problem.gold_proof.steps[0]), _GOOD)
     for head in (value_prompt_head(problem.context, problem.question),
@@ -1010,7 +1057,10 @@ def test_a_non_hypothesis_question_fails_the_verdict_first(eb_problems):
             expected = _outcome(lambda r: _reference_value_reply(OracleBackend(), r), request)
             assert isinstance(expected, tuple)
             assert _outcome(OracleBackend().complete, request) == expected
-    assert expected == (models.BackendError, "value oracle needs a hypothesis question")
+    kind, message = expected
+    assert kind is models.BackendError
+    assert message.startswith(
+        "oracle cannot read the prompt: question is not of the implication form")
 
 
 def test_the_oracle_splits_a_value_context_once_per_problem(monkeypatch):

@@ -6,6 +6,7 @@ from worlds import context_of, worlds
 
 from sireason import cnl
 from sireason.core import ReasoningStep, parse_trace_text, render_step, selection_order
+from sireason.datasets import SchemaError, problem_from_doc
 from sireason.models import (
     _context_surfaces,
     _read_answer_prompt,
@@ -69,6 +70,32 @@ def test_halter_prompts_read_back(world, data):
     ready, answer = format_halter_prompts("Which of these follows?", inference, choices)
     assert _read_ready_prompt(ready) == (choices, inference)
     assert _read_answer_prompt(answer) == (choices, inference)
+
+
+# A choice is drawn from these pieces: the word "OR" and words that only
+# start like it, padding, and a period, which the readiness prompt follows
+# with its own.
+_CHOICE_PIECES = st.sampled_from(["OR", "ORE", "red", "a", " ", "  ", "."])
+
+
+@ROUND_TRIP
+@given(st.lists(st.lists(_CHOICE_PIECES, min_size=1, max_size=5).map("".join),
+                min_size=2, max_size=4))
+def test_the_choices_of_a_loaded_problem_read_back_from_both_halter_prompts(choices):
+    """A choice list either does not load, or both halter prompts of the
+    problem read back as exactly its choices, stripped."""
+    doc = {"id": "mc", "context": ["an ice cube is a kind of solid"],
+           "question": "Which state is an ice cube in?", "choices": choices,
+           "answer": choices[0]}
+    try:
+        problem = problem_from_doc(doc)
+    except SchemaError:
+        return
+    inference = "an ice cube is solid"
+    ready, answer = format_halter_prompts(problem.question, inference, problem.choices)
+    stripped = tuple(c.strip() for c in choices)
+    assert _read_ready_prompt(ready) == (stripped, inference)
+    assert _read_answer_prompt(answer) == (stripped, inference)
 
 
 @ROUND_TRIP
