@@ -12,10 +12,8 @@ refer to context sentences by 1-based index; an index past the end of the
 context refers to the j-th inference of the proof itself (index
 len(context) + j), which keeps gold proofs label-stable.  Prompts are
 line-based: a context sentence or proof inference, stripped, and the
-question, as written, hold no line break.  The halter prompts join the
-choices with " OR " and the oracle reads them back with
-`models.read_choices`, so a choice must read back as itself, stripped: it is
-not blank and holds no word "OR".  The choices are distinct once stripped.
+question, as written, hold no line break.  `models.check_choices` says
+which choices the halter can pick among.
 """
 
 from __future__ import annotations
@@ -104,14 +102,8 @@ def problem_from_doc(doc: dict) -> Problem:
             raise SchemaError(f"question {question!r} is not a string")
         if choices is not None and not (_is_str_list(choices) and len(choices) >= 2):
             raise SchemaError(f"choices {choices!r} is not a list of at least 2 strings")
-        seen = set()
-        for choice in choices or ():
-            if models.read_choices(choice) != (choice.strip(),):
-                raise SchemaError(f"choice {choice!r} is blank or holds the word 'OR'")
-            # Two equal choices tie in every match, so the halter could not pick one.
-            if choice.strip() in seen:
-                raise SchemaError(f"choice {choice!r} repeats an earlier choice")
-            seen.add(choice.strip())
+        if choices is not None:
+            models.check_choices(question, choices)
         if depth is not None and not _is_int(depth):
             raise SchemaError(f"depth {depth!r} is not an integer")
         answer = doc["answer"]

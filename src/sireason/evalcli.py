@@ -11,7 +11,9 @@ rules (`incomplete`).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import operator
 import os
 import random
 import sys
@@ -79,6 +81,12 @@ def jaccard_metrics(
     )
 
 
+def _sum(values) -> float:
+    """`values` added left to right, as `sum()` adds floats up to Python
+    3.11; from 3.12 it compensates, which can move a report's last digit."""
+    return functools.reduce(operator.add, values, 0)
+
+
 def _f1(overlap: float, plen: int, glen: int) -> float:
     if plen == 0 or glen == 0 or overlap == 0:
         return 0.0
@@ -143,8 +151,8 @@ def rouge_scores(predicted: Sequence[str], gold: Sequence[str]) -> tuple[float, 
         remaining_p.remove(i)
         remaining_g.remove(j)
     return (
-        sum(r1[i][j] for i, j in pairs) / n,
-        sum(_rougeL_tokens(p_toks[i], g_toks[j]) for i, j in pairs) / n,
+        _sum(r1[i][j] for i, j in pairs) / n,
+        _sum(_rougeL_tokens(p_toks[i], g_toks[j]) for i, j in pairs) / n,
     )
 
 
@@ -192,16 +200,7 @@ class SolverConfig(engine.BeamConfig):
         endpoint = self.remote_endpoint()
         if not endpoint:
             raise ValueError(f"remote backend needs --endpoint or ${REMOTE_ENDPOINT_ENV}")
-        if not endpoint.startswith("pipe:"):
-            # Imported here, as `models.HttpTransport` imports its modules:
-            # nothing else a `pipe:` run does needs it.
-            import urllib.parse
-
-            url = urllib.parse.urlsplit(endpoint)
-            if url.scheme not in ("http", "https") or not url.hostname:
-                raise ValueError(
-                    f"remote endpoint must be pipe:[CMD] or an http(s) URL with a host, "
-                    f"got {endpoint!r}")
+        models.check_endpoint(endpoint)
 
 
 def make_backend(cfg: SolverConfig):
@@ -389,7 +388,7 @@ def evaluate(problems: Sequence[Problem], cfg: SolverConfig) -> EvalReport:
     if scores:
         (report.jaccard_leaves, report.jaccard_steps, report.jaccard_intermediates,
          report.rouge1_intermediates, report.rougeL_intermediates,
-         report.exact_match_rate) = (sum(column) / len(scores) for column in zip(*scores))
+         report.exact_match_rate) = (_sum(column) / len(scores) for column in zip(*scores))
     report.made_up_fact_rate = made_up_fact_rate(traces)
     report.selection_syntax_errors = stats.selection_syntax_errors
     report.selection_calls = stats.selection_calls

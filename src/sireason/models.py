@@ -22,7 +22,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import cnl, symbolic
 from .core import (
@@ -254,6 +254,31 @@ def _read_answer_prompt(prompt: str) -> tuple[tuple[str, ...], str]:
     return read_choices(rest[: -len("? Answer:")]), inference
 
 
+def check_choices(question: str, choices: Sequence[str]) -> None:
+    """Raises ValueError unless the halter can pick among the choices of a
+    multiple-choice question: both its prompts read them back, stripped,
+    and no two are equal, as two equal choices tie in every match."""
+    stripped = tuple(c.strip() for c in choices)
+    ready, answer = format_halter_prompts(question, "it", choices)
+    # The answer prompt splits the choices at " OR " ...
+    read = _read_answer_prompt(answer)[0]
+    bad = next((c for c, got in zip(choices, (*read, None)) if c.strip() != got), None)
+    if bad is not None:
+        raise ValueError(f"choice {bad!r} is blank or holds the word 'OR'")
+    # ... and the readiness prompt reads them after the question part's last "?".
+    try:
+        read = _read_ready_prompt(ready)[0]
+    except BackendError:
+        read = ()
+    if read != stripped:
+        bad = next((c for c in choices if "?" in c), None)
+        raise ValueError(f"question {question!r} does not end in '?'" if bad is None
+                         else f"choice {bad!r} holds a '?'")
+    bad = next((c for i, c in enumerate(choices) if stripped[i] in stripped[:i]), None)
+    if bad is not None:
+        raise ValueError(f"choice {bad!r} repeats an earlier choice")
+
+
 def _read_halter_prompt(prompt: str) -> tuple[str, str]:
     """(inference, question) of a True/False/Unknown halting prompt."""
     if not prompt.startswith("Given "):
@@ -309,7 +334,7 @@ def read_value(response: CompletionResponse) -> float:
 
 def value_prompt_head(context: LabeledContext, question: str) -> str:
     """The part of a value prompt that its problem fixes."""
-    ctx_text = " ".join(f"{stmt.surface}." for stmt in context.statements())
+    ctx_text = _context_text(stmt.surface for stmt in context.statements())
     return f"Context: {ctx_text} Question: {question} Reason: "
 
 
@@ -333,6 +358,11 @@ def _read_value_prompt(prompt: str) -> tuple[str, str, str]:
     except ValueError as exc:
         raise BackendError("malformed value prompt") from exc
     return ctx_text, question, reason
+
+
+def _context_text(surfaces: Iterable[str]) -> str:
+    """A value prompt's context text: each sentence with its period."""
+    return " ".join(f"{s}." for s in surfaces)
 
 
 def _context_surfaces(ctx_text: str) -> tuple[str, ...]:
@@ -474,7 +504,7 @@ class OracleBackend:
             # the first world is the one the text names, unless the text was
             # never selected from; then it is split at each ". ".
             base = next(iter(self._worlds), None)
-            if base is None or " ".join(f"{s}." for s in base) != ctx_text:
+            if base is None or _context_text(base) != ctx_text:
                 base = _context_surfaces(ctx_text)
             proof_keys = self._proof_keys[ctx_text, question] = frozenset(
                 key for key, _ in _gold_steps(self._world_for(base), question))
@@ -1126,9 +1156,25 @@ class RemoteBackend:
         self._transport.close()
 
 
+def check_endpoint(endpoint: str) -> None:
+    """Raises ValueError on an endpoint `remote_backend` cannot connect to:
+    one neither `pipe:[CMD]` nor an http(s) URL with a host.  Starts nothing."""
+    if not endpoint.startswith("pipe:"):
+        # Imported here, as `HttpTransport` imports its modules: nothing a
+        # `pipe:` run does needs it.
+        import urllib.parse
+
+        url = urllib.parse.urlsplit(endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"remote endpoint must be pipe:[CMD] or an http(s) URL with a "
+                             f"host, got {endpoint!r}")
+
+
 def remote_backend(endpoint: str) -> RemoteBackend:
     """Connect to a server.  `pipe:` forks the bundled server, `pipe:CMD`
-    runs CMD, and any other endpoint is POSTed to."""
+    runs CMD, and an http(s) URL is POSTed to; any other endpoint raises
+    ValueError (`check_endpoint`)."""
+    check_endpoint(endpoint)
     if endpoint.startswith("pipe:"):
         argv = endpoint[len("pipe:"):]
         transport = PipeTransport(argv.split() if argv else None)

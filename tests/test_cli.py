@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from sireason import datasets, engine, evalcli
+from sireason import datasets, engine, evalcli, models
 from sireason.evalcli import REMOTE_ENDPOINT_ENV, build_parser, main
 
 
@@ -412,14 +412,16 @@ def test_bad_search_setting_stops_before_any_problem(
     assert "error: bad search setting: " in err and message in err
 
 
+# Endpoints that are neither `pipe:` nor an http(s) URL with a host.
+_BAD_ENDPOINTS = ["http//x", "/srv/model", "localhost:8000"]
+
+
 @_SOLVER_COMMANDS
 @pytest.mark.parametrize("setting, message", [
     (["--backend", "scripted", "--noise", "1.5"], "noise rate must be within [0, 1]"),
     (["--backend", "remote"], "remote backend needs --endpoint"),
-    # An endpoint that is neither `pipe:` nor an http(s) URL with a host.
-    (["--backend", "remote", "--endpoint", "http//x"], "got 'http//x'"),
-    (["--backend", "remote", "--endpoint", "/srv/model"], "got '/srv/model'"),
-    (["--backend", "remote", "--endpoint", "localhost:8000"], "got 'localhost:8000'"),
+    *((["--backend", "remote", "--endpoint", endpoint], f"got {endpoint!r}")
+      for endpoint in _BAD_ENDPOINTS),
 ], ids=["noise-over-one", "remote-without-endpoint", "no-scheme", "path",
         "host-without-scheme"])
 def test_bad_backend_setting_stops_before_any_problem(
@@ -448,6 +450,22 @@ def test_a_bad_endpoint_from_the_environment_stops_before_any_problem(
     out, err = capsys.readouterr()
     assert out == ""
     assert "error: bad backend setting: " in err and "got 'localhost:8000'" in err
+    assert pipe_spawns == []
+
+
+@pytest.mark.parametrize("endpoint", _BAD_ENDPOINTS)
+def test_the_cli_refuses_an_endpoint_as_models_does(pipe_spawns, endpoint):
+    """`check_backend` asks `models`, which refuses the endpoint before
+    `remote_backend` would connect to it; nothing starts."""
+    cfg = evalcli.SolverConfig(backend="remote", endpoint=endpoint)
+    raised = []
+    for check in (cfg.check_backend, lambda: models.check_endpoint(endpoint),
+                  lambda: models.remote_backend(endpoint)):
+        with pytest.raises(ValueError) as exc:
+            check()
+        raised.append(str(exc.value))
+    assert raised == [f"remote endpoint must be pipe:[CMD] or an http(s) URL with a host, "
+                      f"got {endpoint!r}"] * 3
     assert pipe_spawns == []
 
 

@@ -235,18 +235,32 @@ def test_a_line_break_inside_a_prompt_line_is_a_schema_error(path, field):
     (["red OR", "green"], "red OR"),
     (["red", "red"], "red"),
     (["red", "green", "red "], "red "),
+    (["solid?", "gas"], "solid?"),
+    (["gas", "solid?", "liquid"], "solid?"),
+    # A `bad` that is none of the choices is the question.
+    (["solid", "gas"], "Which state is an ice cube in"),
+    (["solid", "gas"], "Which state? Pick one"),
 ])
 def test_a_choice_the_halter_prompts_cannot_hold_is_a_schema_error(choices, bad):
     """The halter prompts join the choices with " OR " and split them there
-    again, so a blank choice or one with the word "OR" would read back as
-    other choices; and two equal choices tie in the oracle's match, so its
-    halter could never be ready."""
-    doc = {**_doc(), "choices": choices, "answer": choices[0]}
+    again, and the readiness prompt reads them after the question's last
+    "?", so a blank choice, one with the word "OR" or a "?", or a question
+    that does not end in "?", would read back as other choices; and two
+    equal choices tie in the oracle's match, so its halter could never be
+    ready."""
+    question = _doc()["question"] if bad in choices else bad
+    doc = {**_doc(), "question": question, "choices": choices, "answer": choices[0]}
     with pytest.raises(SchemaError) as raised:
         problem_from_doc(doc)
-    repeated = [c.strip() for c in choices].count(bad.strip()) > 1
-    fault = "repeats an earlier choice" if repeated else "is blank or holds the word 'OR'"
-    assert raised.value.reason == f"choice {bad!r} {fault}"
+    if bad not in choices:
+        expected = f"question {bad!r} does not end in '?'"
+    elif [c.strip() for c in choices].count(bad.strip()) > 1:
+        expected = f"choice {bad!r} repeats an earlier choice"
+    elif "?" in bad:
+        expected = f"choice {bad!r} holds a '?'"
+    else:
+        expected = f"choice {bad!r} is blank or holds the word 'OR'"
+    assert raised.value.reason == expected
 
 
 def test_a_step_that_selects_its_own_inference_is_a_schema_error(tmp_path):

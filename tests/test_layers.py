@@ -87,6 +87,15 @@ def test_the_trailing_period_is_tested_only_by_strip_period():
     assert found == [("core", "strip_period")]
 
 
+def _named(path: pathlib.Path) -> set[str]:
+    """The names a module reads, binds or imports."""
+    return {
+        getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+
+
 def test_the_engine_reads_no_completion_text():
     """`engine` formats, sends and ranks; each role's reply is read in
     `models`, next to its writer.  So the engine imports no reasoner and
@@ -99,12 +108,8 @@ def test_the_engine_reads_no_completion_text():
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
         and node.value.strip(" .") in {"Yes", "True", "False"}
     }
-    named = {
-        getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
-        for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
-    }
     assert spelled == set()
-    assert named & {"CERTAIN_BAD", "NOTHING_FOLLOWS"} == set()
+    assert _named(path) & {"CERTAIN_BAD", "NOTHING_FOLLOWS"} == set()
 
 
 def _unused_imports(path: pathlib.Path) -> list[str]:
@@ -124,3 +129,32 @@ def _unused_imports(path: pathlib.Path) -> list[str]:
 def test_no_module_imports_a_name_it_does_not_use():
     unused = {path.stem: _unused_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _spelled(path: pathlib.Path) -> set[str]:
+    """The string constants of a module, f-string parts too, less its
+    docstrings."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docstrings = {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+    }
+    return {
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and id(node) not in docstrings
+    }
+
+
+def test_the_loader_and_the_cli_leave_prompt_and_endpoint_syntax_to_models():
+    """`models` writes the halter prompts and connects to endpoints, so it
+    owns their syntax: the loader asks `models.check_choices` and the
+    command line `models.check_endpoint`, and neither spells it."""
+    loader = PACKAGE / "datasets.py"
+    assert {s for s in _spelled(loader) if " OR " in s or "?" in s} == set()
+    assert "check_choices" in _named(loader) and "read_choices" not in _named(loader)
+    cli = PACKAGE / "evalcli.py"
+    assert {s for s in _spelled(cli) if "pipe:" in s or "http" in s} == set()
+    assert "check_endpoint" in _named(cli)
+    assert _named(cli) & {"urllib", "urlsplit", "scheme"} == set()

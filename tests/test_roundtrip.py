@@ -73,20 +73,22 @@ def test_halter_prompts_read_back(world, data):
 
 
 # A choice is drawn from these pieces: the word "OR" and words that only
-# start like it, padding, and a period, which the readiness prompt follows
-# with its own.
-_CHOICE_PIECES = st.sampled_from(["OR", "ORE", "red", "a", " ", "  ", "."])
+# start like it, padding, a period, which the readiness prompt follows with
+# its own, and a "?", after whose last the readiness prompt reads the choices.
+_CHOICE_PIECES = st.sampled_from(["OR", "ORE", "red", "a", " ", "  ", ".", "?"])
+# A question that ends in "?", one without, and one with text after it.
+_QUESTIONS = st.sampled_from(["Which state is an ice cube in?", "Which state is an ice cube in",
+                              "Which state? Pick one"])
 
 
 @ROUND_TRIP
-@given(st.lists(st.lists(_CHOICE_PIECES, min_size=1, max_size=5).map("".join),
-                min_size=2, max_size=4))
-def test_the_choices_of_a_loaded_problem_read_back_from_both_halter_prompts(choices):
+@given(_QUESTIONS, st.lists(st.lists(_CHOICE_PIECES, min_size=1, max_size=5).map("".join),
+                            min_size=2, max_size=4))
+def test_the_choices_of_a_loaded_problem_read_back_from_both_halter_prompts(question, choices):
     """A choice list either does not load, or both halter prompts of the
     problem read back as exactly its choices, stripped."""
     doc = {"id": "mc", "context": ["an ice cube is a kind of solid"],
-           "question": "Which state is an ice cube in?", "choices": choices,
-           "answer": choices[0]}
+           "question": question, "choices": choices, "answer": choices[0]}
     try:
         problem = problem_from_doc(doc)
     except SchemaError:
