@@ -303,6 +303,12 @@ _PW_QUESTION_RE = re.compile(
 )
 
 
+def render_question(atom: Atom) -> str:
+    """The implication question of a ground `atom`, its first letter capitalised."""
+    surface = render_atom(atom)
+    return f'Does it imply that the statement "{surface[0].upper()}{surface[1:]}" is True?'
+
+
 def _decapitalize(text: str) -> str:
     if text.startswith("The "):
         return "the" + text[3:]

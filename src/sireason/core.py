@@ -1,6 +1,8 @@
 """Reasoning traces, problems, and the period and selection-order rules.
 
 A trace is a base context plus a sequence of (selection, inference) steps.
+A step's line is its inference prompt plus the completion; this module
+writes and reads both halves, and so owns the step connective.
 Connectedness is decided here; whether a step's inference follows from its
 selection is the reasoner's to judge (`symbolic.trace_faults`).
 """
@@ -300,9 +302,23 @@ def split_premises(text: str) -> list[str]:
     return premises
 
 
+# The step connective, with which a step's inference prompt ends.
+THEREFORE = " Therefore,"
+
+
+def render_step_prompt(selection: Sequence[Statement]) -> str:
+    """A step line up to its inference: the inference prompt."""
+    return f"{render_premises([s.surface for s in selection])}{THEREFORE}"
+
+
+def render_inference(surface: str) -> str:
+    """The rest of a step line: the completion of its prompt."""
+    return f" {surface}."
+
+
 def render_step(step: ReasoningStep) -> str:
-    premises = render_premises([s.surface for s in step.selection])
-    return f"{premises} Therefore, {step.inference.surface}."
+    """The line of one step: its inference prompt plus the completion."""
+    return render_step_prompt(step.selection) + render_inference(step.inference.surface)
 
 
 def render_trace(trace: ReasoningTrace) -> str:
@@ -315,14 +331,14 @@ def append_step_text(text: str, step: ReasoningStep) -> str:
     return f"{text}\n{line}" if text else line
 
 
-_THEREFORE = re.compile(r"\s*Therefore,\s*")
+_STEP_SPLIT = re.compile(rf"\s*{re.escape(THEREFORE.strip())}\s*")
 
 
 def parse_trace_text(line: str) -> ReasoningStep:
     """The step that one line "X. We know that Y and Z. Therefore, W." renders."""
-    parts = _THEREFORE.split(line.strip())
+    parts = _STEP_SPLIT.split(line.strip())
     if len(parts) != 2:
-        raise TraceParseError(f"no 'Therefore,' clause: {line!r}")
+        raise TraceParseError(f"no {THEREFORE.strip()!r} clause: {line!r}")
     premise_part, inference_part = parts
     try:
         selection = tuple(normalize_statement(p) for p in split_premises(premise_part))

@@ -9,7 +9,8 @@ generator output is scanned for "sent N" tokens; a sample with none, or
 with one out of range, is dropped, and the labels of the others are
 substituted back into statements.  A selected statement therefore always
 comes from the context, which is what rules out made-up facts
-structurally.
+structurally.  A step's line in the trace the value prompt carries is its
+inference prompt plus the completion (`core`, which owns the connective).
 """
 
 from __future__ import annotations
@@ -159,11 +160,12 @@ def beam_search(
 
     Each live trace asks one selection request for `proposals_per_trace`
     samples, which give up to that many next steps (deduplicated by
-    selection set plus inference), and the best `beam_width` extensions
-    survive.  With more than one proposal per trace every extension is
-    scored by the value generator, and a trace's score is the sum of its
-    steps' value scores; a single proposal has nothing to rank, so its
-    steps keep no value score.  Halted entries keep competing with frozen
+    selection set plus inference), each inferred, scored and halted before
+    the next is inferred; the best `beam_width` extensions survive.  With
+    more than one proposal per trace every extension is scored by the
+    value generator, and a trace's score is the sum of its steps' value
+    scores; a single proposal has nothing to rank, so its steps keep no
+    value score.  Halted entries keep competing with frozen
     scores.  A step expands its live traces in rank order and stops once
     the best entry pooled so far is halted and the next live trace scores
     below it.  The search ends when a halted trace leads the beam or the
@@ -201,44 +203,26 @@ def beam_search(
             except models.BackendError as exc:
                 stats.backend_failure(f"{problem.id}: selection backend: {exc}")
                 continue
-            candidates: list[ReasoningStep] = []
+            # A dead branch (no expansion survived) drops out of the beam.
             seen: set[tuple] = set()
             for selection, labels in proposals:
                 try:
                     inference = _infer(selection, backend)
+                    sig = (frozenset(labels), inference.key)
+                    if sig in seen:
+                        continue
+                    seen.add(sig)
+                    text = append_step_text(entry.text, ReasoningStep(tuple(selection), inference))
+                    value = _value_score(value_head, text, backend) if ranked else None
+                    maybe = _halt_check(problem.question, problem.choices, inference, backend)
                 except models.BackendError as exc:
                     stats.backend_failure(f"{problem.id}: backend: {exc}")
                     continue
-                sig = (frozenset(labels), inference.key)
-                if sig in seen:
-                    continue
-                seen.add(sig)
-                candidates.append(
-                    ReasoningStep(
-                        selection=tuple(selection),
-                        inference=inference,
-                        selection_labels=tuple(labels),
-                    )
-                )
-            # A dead branch (no expansion survived) drops out of the beam.
-            for step in candidates:
-                score = entry.cumulative_score
-                text = append_step_text(entry.text, step)
-                try:
-                    if ranked:
-                        value = _value_score(value_head, text, backend)
-                        step = ReasoningStep(step.selection, step.inference,
-                                             step.selection_labels, value)
-                        score += value
-                    maybe = _halt_check(
-                        problem.question, problem.choices, step.inference, backend
-                    )
-                except models.BackendError as exc:
-                    stats.backend_failure(f"{problem.id}: backend: {exc}")
-                    continue
-                steps = entry.trace.steps + (step,)
-                extension = BeamEntry(ReasoningTrace(problem.context, steps, maybe),
-                                      entry.context.extended(step.inference), score, text)
+                step = ReasoningStep(tuple(selection), inference, tuple(labels), value)
+                score = entry.cumulative_score if value is None else entry.cumulative_score + value
+                extension = BeamEntry(
+                    ReasoningTrace(problem.context, entry.trace.steps + (step,), maybe),
+                    entry.context.extended(inference), score, text)
                 pool.append(extension)
                 if best is None or _rank_key(extension) < _rank_key(best):
                     best = extension

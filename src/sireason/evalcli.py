@@ -193,14 +193,15 @@ class SolverConfig(engine.BeamConfig):
     def check_backend(self) -> None:
         """Raises ValueError on a backend setting no backend can be made
         from; starts nothing."""
-        if self.backend == "scripted" and not 0.0 <= self.noise_rate <= 1.0:
-            raise ValueError(f"noise rate must be within [0, 1], got {self.noise_rate}")
-        if self.backend != "remote":
-            return
-        endpoint = self.remote_endpoint()
-        if not endpoint:
-            raise ValueError(f"remote backend needs --endpoint or ${REMOTE_ENDPOINT_ENV}")
-        models.check_endpoint(endpoint)
+        if self.backend == "scripted":
+            models.check_noise(self.noise_rate)
+        elif self.backend == "remote":
+            endpoint = self.remote_endpoint()
+            if not endpoint:
+                raise ValueError(f"remote backend needs --endpoint or ${REMOTE_ENDPOINT_ENV}")
+            models.check_endpoint(endpoint)
+        elif self.backend != "oracle":
+            raise ValueError(f"unknown backend {self.backend!r}")
 
 
 def make_backend(cfg: SolverConfig):
@@ -214,9 +215,7 @@ def make_backend(cfg: SolverConfig):
             base=models.oracle_backend(), noise_rate=cfg.noise_rate,
             seed=cfg.seed * 1000003,
         )
-    if cfg.backend == "remote":
-        return models.remote_backend(cfg.remote_endpoint())
-    raise ValueError(f"unknown backend {cfg.backend!r}")
+    return models.remote_backend(cfg.remote_endpoint())
 
 
 def make_solver(cfg: SolverConfig, stats: Optional[engine.SolveStats] = None) -> Solver:

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequenc
 
 from . import cnl, symbolic
 from .core import (
+    THEREFORE,
     Answer,
     EmptyStatement,
     LabeledContext,
@@ -34,7 +35,9 @@ from .core import (
     normalize_key,
     normalize_statement,
     parse_trace_text,
+    render_inference,
     render_premises,
+    render_step_prompt,
     selection_order,
     split_premises,
     strip_period,
@@ -163,23 +166,18 @@ def read_selection(raw: str, size: int) -> Optional[list[int]]:
 
 
 # -- inference --------------------------------------------------------------
+# A prompt plus its completion is a trace's step line, which `core` writes.
 
 def format_inference_prompt(selection: Sequence[Statement]) -> str:
     if not selection:
         raise ValueError("inference prompt needs at least one selected statement")
-    return f"{render_premises([s.surface for s in selection])} Therefore,"
+    return render_step_prompt(selection)
 
 
 def _read_inference_prompt(prompt: str) -> list[Statement]:
-    if not prompt.endswith(" Therefore,"):
+    if not prompt.endswith(THEREFORE):
         raise BackendError("malformed inference prompt")
-    return [
-        normalize_statement(p) for p in split_premises(prompt[: -len(" Therefore,")])
-    ]
-
-
-def render_inference(surface: str) -> str:
-    return f" {surface}."
+    return [normalize_statement(p) for p in split_premises(prompt[: -len(THEREFORE)])]
 
 
 def read_inference(text: str) -> Statement:
@@ -632,8 +630,7 @@ class ScriptedBackend:
         noise_rate: float = 0.0,
         seed: int = 0,
     ) -> None:
-        if not 0.0 <= noise_rate <= 1.0:
-            raise ValueError("noise rate must be within [0, 1]")
+        check_noise(noise_rate)
         self._base = base
         self._script = {
             _role(role): list(items) for role, items in (script or {}).items()
@@ -1154,6 +1151,12 @@ class RemoteBackend:
 
     def close(self) -> None:
         self._transport.close()
+
+
+def check_noise(noise_rate: float) -> None:
+    """Raises ValueError on a noise rate outside [0, 1], as `ScriptedBackend` does."""
+    if not 0.0 <= noise_rate <= 1.0:
+        raise ValueError(f"noise rate must be within [0, 1], got {noise_rate}")
 
 
 def check_endpoint(endpoint: str) -> None:

@@ -27,6 +27,7 @@ from .cnl import (
     negate,
     parse_statement,
     render_atom,
+    render_question,
     render_rule,
 )
 from .core import (
@@ -555,13 +556,9 @@ def _generate_once(rng, seed, depth):
 
     ask_negation = rng.random() < 0.5
     asked_atom = negate(target) if ask_negation else target
-    hyp_surface = render_atom(asked_atom)
     gold_answer = evaluate_hypothesis(world, asked_atom)
     if gold_answer is Answer.UNKNOWN:  # pragma: no cover - target is derivable
         raise _RetryGeneration("hypothesis unexpectedly unknown")
-    question_text = (
-        f'Does it imply that the statement "{hyp_surface[0].upper()}{hyp_surface[1:]}" is True?'
-    )
     gold_proof = shortest_proof(world, asked_atom)
     # A proof of height `depth` may have more steps; the chain built above
     # has one per level, since its other premises are context facts.
@@ -570,7 +567,7 @@ def _generate_once(rng, seed, depth):
     return Problem(
         id=f"gen-d{depth}-s{seed}",
         context=context,
-        question=question_text,
+        question=render_question(asked_atom),
         choices=None,
         gold_answer=gold_answer,
         gold_proof=gold_proof,

@@ -6,6 +6,15 @@ import sys
 from dataclasses import replace
 
 import pytest
+from fixture_runs import (
+    COMMANDS,
+    FIXTURE_SOLVES,
+    FIXTURES,
+    MODES,
+    RECORDED,
+    REPORTS,
+    fixture_runs,
+)
 
 from sireason import datasets, engine, evalcli, models
 from sireason.evalcli import REMOTE_ENDPOINT_ENV, build_parser, main
@@ -61,9 +70,6 @@ def test_validate_stops_on_a_line_nested_past_the_json_parser(tmp_path, capsys):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"{path}:1: not valid JSON: ")
-
-
-FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def test_validate_names_a_gold_answer_that_its_proof_contradicts(tmp_path, capsys):
@@ -469,6 +475,26 @@ def test_the_cli_refuses_an_endpoint_as_models_does(pipe_spawns, endpoint):
     assert pipe_spawns == []
 
 
+def test_the_cli_refuses_a_backend_name_or_noise_rate_as_models_does():
+    """`check_backend` refuses what `make_backend` would, and the noise
+    bound is `models.check_noise`'s, which `ScriptedBackend` applies too."""
+    unknown = evalcli.SolverConfig(backend="orcale")
+    for check in (unknown.check_backend, lambda: evalcli.make_backend(unknown)):
+        with pytest.raises(ValueError, match="unknown backend 'orcale'"):
+            check()
+    for noise in (-0.1, 1.5):
+        cfg = evalcli.SolverConfig(backend="scripted", noise_rate=noise)
+        raised = []
+        for check in (cfg.check_backend, lambda: models.check_noise(noise),
+                      lambda: models.ScriptedBackend(noise_rate=noise)):
+            with pytest.raises(ValueError) as exc:
+                check()
+            raised.append(str(exc.value))
+        assert raised == [f"noise rate must be within [0, 1], got {noise}"] * 3
+    for noise in (0.0, 1.0):
+        models.check_noise(noise)
+
+
 @_SOLVER_COMMANDS
 def test_no_solver_flag_gives_the_default_solver_config(command):
     args = build_parser().parse_args(command + ["--problems", "p.jsonl"])
@@ -495,23 +521,6 @@ def test_each_solver_flag_sets_its_own_field(command, flags, changes):
     assert evalcli._solver_config(args) == replace(evalcli.SolverConfig(), **changes)
 
 
-REPORTS = pathlib.Path(__file__).parent / "fixtures" / "reports"
-_MODES = {
-    "oracle": [],
-    "oracle-beam": ["--beam", "4", "--proposals", "4"],
-    "scripted-greedy": ["--backend", "scripted", "--noise", "0.3", "--seed", "11"],
-    "scripted": ["--backend", "scripted", "--noise", "0.3", "--seed", "11",
-                 "--beam", "4", "--proposals", "4"],
-    "remote": ["--backend", "remote", "--endpoint", "pipe:",
-               "--beam", "4", "--proposals", "4"],
-    # The standalone server, exec'd rather than forked, whose replies must
-    # be the recorded "remote" ones.
-    "remote-exec": ["--backend", "remote",
-                    "--endpoint", f"pipe:{sys.executable} -m sireason.models",
-                    "--beam", "4", "--proposals", "4"],
-}
-
-
 @pytest.fixture(scope="module")
 def report_set(tmp_path_factory):
     path = tmp_path_factory.mktemp("reports") / "set.jsonl"
@@ -521,24 +530,13 @@ def report_set(tmp_path_factory):
     return str(path)
 
 
-_COMMANDS = {
-    "eval": (["eval", "--report", "json"], "eval-{}.json"),
-    "solve": (["solve"], "solve-{}.txt"),
-    "probe-random": (["probe", "--kind", "random", "--report", "json"], "probe-random-{}.json"),
-    "probe-incomplete": (["probe", "--kind", "incomplete", "--report", "json"],
-                         "probe-incomplete-{}.json"),
-}
-# `solve` in the beam modes also runs on the PW and PW-hard fixtures.
-_FIXTURE_SOLVES = {"pw": "golden_pw.jsonl", "pw-hard": "golden_pw_hard.jsonl"}
-
-
 @pytest.mark.parametrize("command, recorded, problems, mode", [
     pytest.param(command, recorded, None, mode, id=f"{name}-{mode}")
-    for name, (command, recorded) in _COMMANDS.items() for mode in _MODES
+    for name, (command, recorded) in COMMANDS.items() for mode in MODES
 ] + [
     pytest.param(["solve"], f"solve-{name}-{{}}.txt", FIXTURES / file, mode,
                  id=f"solve-{name}-{mode}")
-    for name, file in _FIXTURE_SOLVES.items() for mode in ("oracle-beam", "scripted", "remote")
+    for name, file in FIXTURE_SOLVES.items() for mode in ("oracle-beam", "scripted", "remote")
 ])
 def test_output_is_byte_identical_to_the_recorded_reports(
     report_set, capsys, command, recorded, problems, mode
@@ -553,46 +551,16 @@ def test_output_is_byte_identical_to_the_recorded_reports(
     `sireason eval --problems set.jsonl --report json > eval-oracle.json`,
     and says why.
     """
-    rc = main(command + ["--problems", str(problems or report_set)] + _MODES[mode])
+    rc = main(command + ["--problems", str(problems or report_set)] + MODES[mode])
     assert rc == 0
     expected = (REPORTS / recorded.format(mode.removesuffix("-exec"))).read_bytes()
     assert capsys.readouterr().out.encode() == expected
 
 
-_INPUTS = {**_FIXTURE_SOLVES, "eb": "golden_eb.jsonl"}
+_FIXTURE_RUNS = fixture_runs()
 
 
-def _fixture_runs() -> dict[str, tuple[list[str], str]]:
-    """The command line and stdout suffix of each run on the golden
-    fixtures, by name: `solve`, `eval --report json` and both
-    `probe --report json` kinds in the five modes, `solve` and `eval` again
-    through the exec'd server (`-remote-exec`), `validate`, and
-    `extract-training` into `pairs.jsonl`."""
-    runs = {}
-    for name, file in _INPUTS.items():
-        problems = ["--problems", str(FIXTURES / file)]
-        for mode in _MODES:
-            runs[f"solve-{name}-{mode}"] = (["solve"] + problems + _MODES[mode], "txt")
-            runs[f"eval-{name}-{mode}"] = (
-                ["eval", "--report", "json"] + problems + _MODES[mode], "json")
-            if mode == "remote-exec":
-                continue
-            for kind in ("random", "incomplete"):
-                runs[f"probe-{kind}-{name}-{mode}"] = (
-                    ["probe", "--kind", kind, "--report", "json"] + problems + _MODES[mode],
-                    "json")
-        runs[f"validate-{name}"] = (["validate"] + problems, "txt")
-        runs[f"extract-training-{name}"] = (["extract-training"] + problems + [
-            "--roles", "sel,inf,halt,value", "--seed", "0", "--out", "pairs.jsonl"], "txt")
-    return runs
-
-
-_FIXTURE_RUNS = _fixture_runs()
-# Exit code and stderr of each run the test above does not pin, by name.
-_RECORDED_RUNS = json.loads((REPORTS / "fixture-runs.json").read_text())
-
-
-@pytest.mark.parametrize("case", sorted(_RECORDED_RUNS))
+@pytest.mark.parametrize("case", sorted(RECORDED))
 def test_fixture_runs_are_the_recorded_ones(tmp_path, monkeypatch, capsys, case):
     """Each run on `golden_pw.jsonl`, `golden_pw_hard.jsonl` and
     `golden_eb.jsonl` that the test above leaves out prints the recorded
@@ -606,7 +574,7 @@ def test_fixture_runs_are_the_recorded_ones(tmp_path, monkeypatch, capsys, case)
     rc = main(argv)
     out, err = capsys.readouterr()
     assert out.encode() == (REPORTS / f"{case.removesuffix('-exec')}.{suffix}").read_bytes()
-    assert {"exit": rc, "stderr": err} == _RECORDED_RUNS[case]
+    assert {"exit": rc, "stderr": err} == RECORDED[case]
     if case.startswith("extract-training"):
         digest = hashlib.sha256((tmp_path / "pairs.jsonl").read_bytes()).hexdigest()
         assert digest == (REPORTS / f"{case}.sha256").read_text().strip()

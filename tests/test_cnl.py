@@ -16,6 +16,7 @@ from sireason.cnl import (
     parse_question,
     parse_statement,
     render_atom,
+    render_question,
     render_rule,
 )
 from sireason.core import strip_period
@@ -259,6 +260,14 @@ _RULE_ATOMS = st.tuples(
     _atoms(_CONSTANTS | st.just(VAR)),
 ).filter(lambda rule: rule[1].is_ground or not all(a.is_ground for a in rule[0]))
 _QUANTIFIER = st.sampled_from(["something", "someone"])
+
+
+@given(_FACT_ATOMS)
+def test_the_question_about_a_fact_reads_back_as_the_fact(atom):
+    """`render_question` writes the generator's questions, and
+    `parse_question` reads back each ground atom of its vocabulary: proper
+    names, negated atoms and relations too."""
+    assert parse_question(render_question(atom)) == atom
 
 
 @st.composite

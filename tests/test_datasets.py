@@ -574,8 +574,11 @@ def test_extract_value_pairs_deterministic():
 
 
 def test_extract_value_pairs_empty_without_proof():
+    """Nor does any other role have a pair without a proof."""
     problem = problem_from_doc({k: v for k, v in _doc().items() if k != "proof"})
     assert extract_value_pairs(problem, seed=0) == []
+    assert extract_si_pairs(problem) == []
+    assert extract_halter_pairs(problem) == []
 
 
 def test_save_training_pairs_jsonl(tmp_path):
@@ -596,7 +599,7 @@ def test_save_training_pairs_jsonl(tmp_path):
 
 class _Recorder:
     """Passes requests on to a backend and keeps each prompt under its role
-    and step; a step ends with its halter-ready request, and a request
+    and step; a step starts with its selection request, and a request
     repeated within a step (a second proposal) must carry the same prompt."""
 
     def __init__(self, backend, sent: dict) -> None:
@@ -604,8 +607,8 @@ class _Recorder:
         self._sent = sent
 
     def complete(self, request):
-        step = sum(1 for role, _ in self._sent if role is GeneratorRole.HALTER_READY)
-        if request.role is GeneratorRole.HALTER_ANSWER:
+        step = sum(1 for role, _ in self._sent if role is GeneratorRole.SELECTION)
+        if request.role is not GeneratorRole.SELECTION:
             step -= 1
         key = (request.role, step)
         recorded = self._sent.setdefault(key, request.prompt)

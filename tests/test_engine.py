@@ -773,7 +773,7 @@ def test_solvers_answer_as_the_reference_on_drawn_worlds(world, negated, data):
     assume(derived)
     atom = data.draw(st.sampled_from(derived))
     hypothesis = cnl.negate(atom) if negated else atom
-    question = f'Does it imply that the statement "{cnl.render_atom(hypothesis)}" is True?'
+    question = cnl.render_question(hypothesis)
     expected = symbolic.evaluate_hypothesis(world, cnl.parse_question(question))
     assert expected is (Answer.FALSE if negated else Answer.TRUE)
     problem = Problem(id="drawn", context=context, question=question, choices=None,
@@ -847,9 +847,8 @@ def test_a_shuffled_drawn_world_gives_the_same_answer(world, data):
     derived = sorted((a for a, p in symbolic.closure(context).derived.items() if p.depth > 0),
                      key=cnl.render_atom)
     assume(derived)
-    atom = cnl.render_atom(data.draw(st.sampled_from(derived)))
     problem = _problem([s.surface for s in context.statements()],
-                       f'Does it imply that the statement "{atom}" is True?')
+                       cnl.render_question(data.draw(st.sampled_from(derived))))
     shuffled = replace(problem, context=LabeledContext.from_statements(
         data.draw(st.permutations(context.statements()))))
     for cfg in (BeamConfig(), BeamConfig(4, 4)):

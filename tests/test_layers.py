@@ -3,6 +3,8 @@
 import ast
 import pathlib
 
+import pytest
+
 import sireason
 
 # Each module by its layer; a module may import from lower layers only.
@@ -158,3 +160,16 @@ def test_the_loader_and_the_cli_leave_prompt_and_endpoint_syntax_to_models():
     assert {s for s in _spelled(cli) if "pipe:" in s or "http" in s} == set()
     assert "check_endpoint" in _named(cli)
     assert _named(cli) & {"urllib", "urlsplit", "scheme"} == set()
+
+
+@pytest.mark.parametrize("text, owner", [
+    ("Therefore,", "core"),
+    ("Does it imply that the statement", "cnl"),
+])
+def test_each_text_form_is_spelled_only_by_its_owner(text, owner):
+    """`core` writes and reads a step line, whose inference prompt ends in
+    the step connective, and `cnl` writes and reads the implication
+    question; no other module spells either."""
+    spelling = sorted(path.stem for path in PACKAGE.glob("*.py")
+                      if any(text in s for s in _spelled(path)))
+    assert spelling == [owner]

@@ -110,6 +110,13 @@ def test_halter_prompt_bytes():
     )
 
 
+def test_a_prompt_with_no_step_to_write_is_refused():
+    with pytest.raises(ValueError, match="at least one selected statement"):
+        format_inference_prompt([])
+    with pytest.raises(ValueError, match="at least one reasoning step"):
+        format_value_prompt(value_prompt_head(CTX, QUESTION), " ")
+
+
 def test_value_prompt_bytes():
     prompt = format_value_prompt(
         value_prompt_head(CTX, QUESTION), "the cow is big. Therefore, nothing follows."
@@ -1210,6 +1217,12 @@ def test_scripted_replays_fifo_and_exhausts():
         backend.complete(req)
 
 
+def test_scripted_with_neither_script_nor_base_has_nothing_to_give():
+    request = CompletionRequest(GeneratorRole.INFERENCE, "p Therefore,")
+    with pytest.raises(ScriptExhausted, match="no script and no base backend for inference"):
+        ScriptedBackend().complete(request)
+
+
 def test_scripted_falls_through_to_base():
     backend = ScriptedBackend(base=OracleBackend())
     prompt = format_inference_prompt(
@@ -1631,11 +1644,13 @@ def test_serve_answers_bad_lines_with_error_documents_and_reads_on():
         role=GeneratorRole.HALTER_READY,
         prompt="Given the sun is a star. What is the sun?",
     )
+    malformed = [_malformed_request(role, prompt) for role, prompt, _ in _MALFORMED_PROMPTS]
     rfile = io.BytesIO(
         b"not json\n"
         + encode_request(selection)
         + encode_request(bad_selection)
         + encode_request(eb_halter)
+        + b"".join(map(encode_request, malformed))
         + encode_request(selection)
         + RESET_DOCUMENT
         + encode_request(selection)
@@ -1643,9 +1658,12 @@ def test_serve_answers_bad_lines_with_error_documents_and_reads_on():
     wfile = io.BytesIO()
     serve(OracleBackend(), rfile, wfile)
     replies = wfile.getvalue().splitlines(keepends=True)
-    assert len(replies) == 7
+    assert len(replies) == 7 + len(malformed)
     for i in (0, 2, 3):
         assert "error" in json.loads(replies[i]), replies[i]
+    errors = [json.loads(reply)["error"] for reply in replies[4:4 + len(malformed)]]
+    assert errors == [f"BackendError: {message}" for _, _, message in _MALFORMED_PROMPTS]
+    replies[4:4 + len(malformed)] = []
     first = decode_response(replies[1]).text
     assert first == " sent 1. We know that sent 3."
     # The bad lines left the cursor alone: the repeat walks on, and only
@@ -1653,6 +1671,35 @@ def test_serve_answers_bad_lines_with_error_documents_and_reads_on():
     assert decode_response(replies[4]).text != first
     assert replies[5] == RESET_DOCUMENT
     assert decode_response(replies[6]).text == first
+
+
+# Prompts the oracle's readers refuse, one per guard: (role, prompt, error).
+_MALFORMED_PROMPTS = [
+    (GeneratorRole.SELECTION,
+     "sent 1: the cat is big\nsent 3: the cat is red\nQuestion: q\nSelection:",
+     "malformed sentence line 2"),
+    (GeneratorRole.HALTER_READY, "Question:Which? gas OR solid. Do you know the answer?",
+     "malformed readiness prompt"),
+    (GeneratorRole.HALTER_READY, "the cat is big. Is it?", "malformed halting prompt"),
+    (GeneratorRole.HALTER_READY, "Given the cat is big", "malformed halting prompt"),
+    (GeneratorRole.VALUE, "Reason: x The above reasoning steps are", "malformed value prompt"),
+    (GeneratorRole.VALUE, "Context: the cat is big. Reason: x The above reasoning steps are",
+     "malformed value prompt"),
+]
+
+
+def _malformed_request(role: GeneratorRole, prompt: str) -> CompletionRequest:
+    continuations = (CORRECT, INCORRECT) if role is GeneratorRole.VALUE else None
+    return CompletionRequest(role, prompt, scored_continuations=continuations)
+
+
+@pytest.mark.parametrize("role, prompt, message", _MALFORMED_PROMPTS, ids=[
+    "sentence-line", "readiness-without-given", "halting-without-given",
+    "halting-without-question", "value-without-context", "value-without-question"])
+def test_the_oracle_refuses_a_malformed_prompt(role, prompt, message):
+    with pytest.raises(models.BackendError) as exc:
+        OracleBackend().complete(_malformed_request(role, prompt))
+    assert str(exc.value) == message
 
 
 def test_serve_skips_blank_lines_and_reads_on_past_a_program_error(capfd):

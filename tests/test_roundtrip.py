@@ -11,13 +11,16 @@ from sireason.models import (
     _context_surfaces,
     _read_answer_prompt,
     _read_halter_prompt,
+    _read_inference_prompt,
     _read_ready_prompt,
     _read_selection_prompt,
     _read_value_prompt,
     format_halter_prompts,
+    format_inference_prompt,
     format_selection_prompt,
     format_value_prompt,
     read_selection,
+    render_inference,
     render_selection,
     value_prompt_head,
 )
@@ -27,8 +30,7 @@ ROUND_TRIP = settings(max_examples=100, deadline=None)
 
 def _question(data, world) -> str:
     """A hypothesis question about one of the world's facts."""
-    atom = data.draw(st.sampled_from(world[0]))
-    return f'Does it imply that the statement "{cnl.render_atom(atom)}" is True?'
+    return cnl.render_question(data.draw(st.sampled_from(world[0])))
 
 
 def _step(data, statements) -> ReasoningStep:
@@ -121,3 +123,15 @@ def test_a_step_reads_back(world, data):
     read = parse_trace_text(render_step(step))
     assert [s.surface for s in read.selection] == [s.surface for s in step.selection]
     assert read.inference.surface == step.inference.surface
+
+
+@ROUND_TRIP
+@given(worlds(), st.data())
+def test_a_step_line_is_its_inference_prompt_plus_the_completion(world, data):
+    """The trace shows each step as the text its inference role was sent
+    and gave, and the prompt reads back as the step's selection."""
+    step = _step(data, context_of(world).statements())
+    prompt = format_inference_prompt(step.selection)
+    assert render_step(step) == prompt + render_inference(step.inference.surface)
+    read = _read_inference_prompt(prompt)
+    assert [s.surface for s in read] == [s.surface for s in step.selection]

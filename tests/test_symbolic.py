@@ -183,6 +183,9 @@ def test_shortest_proof_unprovable_raises():
     world = closure(WORST_1)
     with pytest.raises(NoProof):
         shortest_proof(world, _hyp("the bear is kind"))
+    # A hypothesis the context states has no derivation to show.
+    with pytest.raises(NoProof, match="settled by the context: 'the cow is big'"):
+        shortest_proof(world, _hyp("the cow is big"))
 
 
 def test_an_attribute_does_not_instantiate_a_relation_of_the_same_verb():
@@ -241,6 +244,12 @@ def test_a_relation_pool_that_runs_dry_is_drawn_again():
 
     with pytest.raises(symbolic._RetryGeneration, match="relation pool exhausted"):
         symbolic._generate_once(SameDraws(), 0, 2)
+
+
+@pytest.mark.parametrize("depth", [0, 4, 6])
+def test_generate_problem_makes_only_its_depths(depth):
+    with pytest.raises(ValueError, match=f"depth must be one of .*; got {depth}"):
+        generate_problem(seed=0, depth=depth)
 
 
 def test_generate_problem_deterministic():
