@@ -229,12 +229,15 @@ class ReasoningTrace:
                     steps: Iterable[tuple[Sequence[int], Statement]],
                     answer: Optional[Answer] = None) -> "ReasoningTrace":
         """The trace of the `(selection labels, inference)` steps, each step's
-        labels read in its context: `base`, then the earlier inferences.  An
-        unknown label raises KeyError."""
+        labels put in `selection_order`, the order the engine sends them, and
+        read in its context: `base`, then the earlier inferences.  An unknown
+        label raises KeyError."""
         context, built = base, []
         for labels, inference in steps:
+            # An empty selection is left to ReasoningStep, which refuses it.
+            labels = tuple(selection_order(labels)) if labels else ()
             selection = tuple(map(context.lookup, labels))
-            built.append(ReasoningStep(selection, inference, tuple(labels)))
+            built.append(ReasoningStep(selection, inference, labels))
             context = context.extended(inference)
         return cls(base, tuple(built), answer)
 

@@ -32,7 +32,6 @@ from .core import (
     ReasoningTrace,
     append_step_text,
     normalize_statement,
-    selection_order,
 )
 from .models import GeneratorRole
 
@@ -110,9 +109,10 @@ def problem_from_doc(doc: dict) -> Problem:
         if not isinstance(answer, str):
             raise SchemaError(f"answer {answer!r} is not a string")
         if choices:
-            gold = Answer.of_choice(answer.strip())
-            if gold.choice not in {c.strip() for c in choices}:
-                raise SchemaError(f"answer {answer!r} is none of the choices")
+            try:
+                gold = models.read_answer(answer, choices)
+            except models.BackendError as exc:
+                raise SchemaError(str(exc)) from exc
         else:
             gold = Answer.parse(answer)
             if gold.kind == "choice":
@@ -264,15 +264,11 @@ def extract_si_pairs(problem: Problem) -> list[TrainingPair]:
     context = problem.gold_proof.base_context
     for k, step in enumerate(problem.gold_proof.steps):
         context_k, context = context, context.extended(step.inference)
-        # The engine's inference prompt lists the premises in the order the
-        # selection completion names them.
-        labels = selection_order(step.selection_labels)
-        selection = [context_k.lookup(i) for i in labels]
         pairs.append(
             TrainingPair(
                 role=GeneratorRole.SELECTION,
                 input=models.format_selection_prompt(problem.question, context_k),
-                target=models.render_selection(labels),
+                target=models.render_selection(step.selection_labels),
                 source_problem_id=problem.id,
                 step_index=k,
             )
@@ -280,7 +276,7 @@ def extract_si_pairs(problem: Problem) -> list[TrainingPair]:
         pairs.append(
             TrainingPair(
                 role=GeneratorRole.INFERENCE,
-                input=models.format_inference_prompt(selection),
+                input=models.format_inference_prompt(step.selection),
                 target=models.render_inference(step.inference.surface),
                 source_problem_id=problem.id,
                 step_index=k,

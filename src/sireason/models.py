@@ -61,20 +61,6 @@ class GeneratorRole(str, Enum):
     VALUE = "value"
 
 
-# Each role by its value: a str-mixin member equals its value and hashes like
-# it, so the one entry finds the member too.
-_ROLES = {role.value: role for role in GeneratorRole}
-
-
-def _role(role) -> GeneratorRole:
-    """`GeneratorRole(role)` without the Enum call for a known role; an
-    unknown one raises the same ValueError."""
-    try:
-        return _ROLES[role]
-    except (KeyError, TypeError):
-        return GeneratorRole(role)
-
-
 @dataclass(frozen=True)
 class CompletionRequest:
     role: GeneratorRole
@@ -83,6 +69,12 @@ class CompletionRequest:
     # Completions wanted for the prompt; a selection request asks for one
     # per proposal.
     n: int = 1
+
+    def __post_init__(self) -> None:
+        # The role is read once, here: a role given as its value becomes the
+        # member, and an unknown one raises ValueError.
+        if type(self.role) is not GeneratorRole:
+            object.__setattr__(self, "role", GeneratorRole(self.role))
 
 
 @dataclass(frozen=True)
@@ -376,9 +368,6 @@ def _context_surfaces(ctx_text: str) -> tuple[str, ...]:
 # Oracle backend.
 # ---------------------------------------------------------------------------
 
-_HANDLERS = {role: f"_complete_{role.value}" for role in GeneratorRole}
-
-
 def _overlap_score(choice: str, inference: str) -> float:
     choice_tokens = tokenize(choice)
     inf_tokens = set(tokenize(inference))
@@ -427,10 +416,9 @@ class OracleBackend:
         pass
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        role = _role(request.role)  # ValueError on an unknown role
         # Looked up per call, so a handler patched on the class is the one
         # that answers.
-        handler = getattr(self, _HANDLERS[role])
+        handler = getattr(self, "_complete_" + request.role.value)
         try:
             with self._lock:
                 return handler(request)
@@ -633,7 +621,7 @@ class ScriptedBackend:
         check_noise(noise_rate)
         self._base = base
         self._script = {
-            _role(role): list(items) for role, items in (script or {}).items()
+            GeneratorRole(role): list(items) for role, items in (script or {}).items()
         }
         self._noise_rate = noise_rate
         self._seed = seed
@@ -653,7 +641,7 @@ class ScriptedBackend:
             self._base.close()
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        role = _role(request.role)  # ValueError on an unknown role
+        role = request.role
         # None marks a sample that noise leaves to the script or the base.
         samples: list[Optional[str]] = [None] * request.n
         # The lock guards only this backend's own state (the noise draws and
@@ -722,22 +710,22 @@ def _sentence_count(prompt: str) -> int:
 #             answer; it reads on
 # ---------------------------------------------------------------------------
 
+def _document(doc: dict) -> bytes:
+    """One wire line: the document as JSON with sorted keys, then a newline, in UTF-8."""
+    return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
+
+
 _RESET = {"reset": True}
-RESET_DOCUMENT = (json.dumps(_RESET) + "\n").encode("utf-8")
+RESET_DOCUMENT = _document(_RESET)
 
 
 def encode_request(request: CompletionRequest) -> bytes:
-    doc = {
-        "role": _role(request.role).value,
+    return _document({
+        "role": request.role.value,
         "prompt": request.prompt,
-        "scored_continuations": (
-            list(request.scored_continuations)
-            if request.scored_continuations is not None
-            else None
-        ),
+        "scored_continuations": request.scored_continuations,
         "n": request.n,
-    }
-    return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
+    })
 
 
 def decode_request(data: bytes) -> Optional[CompletionRequest]:
@@ -754,12 +742,8 @@ def decode_request(data: bytes) -> Optional[CompletionRequest]:
         # A bool is an int to Python, but not a count.
         if type(n) is not int or n < 1:
             raise ValueError(f"n {n!r} is not a positive integer")
-        return CompletionRequest(
-            role=_role(doc["role"]),
-            prompt=prompt,
-            scored_continuations=cont,
-            n=n,
-        )
+        # The request reads the role; an unknown one raises ValueError.
+        return CompletionRequest(doc["role"], prompt, cont, n)
     except KeyError as exc:
         raise RemoteError(f"bad request document: missing field {exc}") from exc
     # A document nested past the parser's depth is as unreadable as bad JSON.
@@ -768,20 +752,14 @@ def decode_request(data: bytes) -> Optional[CompletionRequest]:
 
 
 def encode_response(response: CompletionResponse) -> bytes:
-    doc = {
-        "samples": list(response.samples),
-        "continuation_logprobs": (
-            dict(response.continuation_logprobs)
-            if response.continuation_logprobs is not None
-            else None
-        ),
-    }
-    return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
+    return _document({
+        "samples": response.samples,
+        "continuation_logprobs": response.continuation_logprobs,
+    })
 
 
 def encode_error(exc: Exception) -> bytes:
-    doc = {"error": f"{type(exc).__name__}: {exc}"}
-    return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
+    return _document({"error": f"{type(exc).__name__}: {exc}"})
 
 
 def _load_reply(data: bytes):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -289,6 +290,32 @@ def test_the_package_runs_as_a_module(tmp_path):
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
     assert done.stdout == "4 problems, 0 findings\n"
+
+
+@pytest.mark.parametrize("command, lines", [
+    (["solve"], 1),  # the pipe closes while the command writes
+    (["eval", "--report", "json"], 0),  # it closes before the report is flushed
+], ids=["solve", "eval"])
+def test_a_closed_stdout_ends_a_command_quietly(tmp_path, command, lines):
+    """`sireason solve ... | head -1`: once the reader of stdout is gone the
+    command exits 1 with nothing on stderr, not a BrokenPipeError traceback.
+    The traces of 200 problems fill more than a pipe's buffer, so `solve` is
+    still writing when the pipe closes; stdout is buffered, so the `eval`
+    report is written only when the command ends."""
+    path = tmp_path / "gen.jsonl"
+    assert main(["gen-problems", "--seed", "4", "--count", "50", "--out", str(path)]) == 0
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "sireason", *command, "--problems", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        for _ in range(lines):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
 
 
 def test_eval_deterministic_output(problem_file, capsys):
@@ -625,6 +652,7 @@ def test_an_unreadable_problem_file_is_a_usage_error(
     ("no-question", "missing key 'question'"),
     ("repeated-id", "repeats the id on line 1"),
     ("context-string", "context 'the cat is big' is not a list of strings"),
+    ("empty-selection", "selection must be non-empty"),
 ])
 def test_a_bad_problem_file_is_a_usage_error(
     tmp_path, monkeypatch, capsys, pipe_spawns, command, fault, message
@@ -636,6 +664,8 @@ def test_a_bad_problem_file_is_a_usage_error(
         del docs[1]["question"]
     elif fault == "repeated-id":
         docs[1]["id"] = docs[0]["id"]
+    elif fault == "empty-selection":
+        docs[1]["proof"][0]["selection"] = []
     else:
         docs[1]["context"] = "the cat is big"
     path = tmp_path / "bad.jsonl"

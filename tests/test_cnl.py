@@ -223,6 +223,19 @@ def test_a_head_variable_no_condition_binds_is_outside_the_grammar():
         assert parse_statement(surface) is None, surface
 
 
+@pytest.mark.parametrize("surface", [
+    "the cat likes",  # a relation without its object: a missing term
+    "If something is big and  then it is red",  # an empty atom between the spaces
+])
+def test_a_statement_with_a_part_missing_is_outside_the_grammar(surface):
+    assert parse_statement(surface) is None
+
+
+def test_a_rule_needs_a_body():
+    with pytest.raises(ValueError, match="rule body must be non-empty"):
+        RuleAst((), Atom("red", const("cat")))
+
+
 def test_grammar_lists_exactly_the_verb_table():
     grammar = pathlib.Path(cnl.__file__).with_name("grammar.txt").read_text()
     lines = grammar.splitlines()

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -139,6 +140,21 @@ def test_answer_parse_render():
     assert choice.render() == "a fly"
     assert not choice.is_unknown
     assert Answer.TRUE.render() == "True"
+
+
+@pytest.mark.parametrize("args, message", [
+    (("maybe",), "bad answer kind: maybe"),
+    (("choice",), "choice text iff kind == 'choice'"),
+    (("true", "x"), "choice text iff kind == 'choice'"),
+])
+def test_an_answer_outside_its_kinds_is_a_value_error(args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Answer(*args)
+
+
+def test_a_step_needs_a_selection():
+    with pytest.raises(ValueError, match="selection must be non-empty"):
+        ReasoningStep((), Statement("the cat is big"))
 
 
 def test_an_answer_has_two_fields():

@@ -760,6 +760,19 @@ def test_training_pairs_equal_engine_prompts_pw(seed, depth):
     _assert_pairs_match_engine_prompts(problem)
 
 
+@pytest.mark.parametrize("fixture", ["pw_problems", "pw_worst_problems"])
+def test_training_pairs_equal_engine_prompts_on_the_golden_proofs(fixture, request):
+    """A proof file may list a step's labels in any order; its pairs are the
+    engine's prompts all the same, value pairs included."""
+    unequal = []
+    for problem in request.getfixturevalue(fixture):
+        try:
+            _assert_pairs_match_engine_prompts(problem)
+        except AssertionError:
+            unequal.append(problem.id)
+    assert unequal == []
+
+
 @pytest.mark.parametrize("pid", ["eb-d1-fly", "eb-d1-ice-cube", "eb-d2-runway"])
 def test_training_pairs_equal_engine_prompts_eb(eb_problems, pid):
     problem = next(p for p in eb_problems if p.id == pid)

@@ -173,3 +173,34 @@ def test_each_text_form_is_spelled_only_by_its_owner(text, owner):
     spelling = sorted(path.stem for path in PACKAGE.glob("*.py")
                       if any(text in s for s in _spelled(path)))
     assert spelling == [owner]
+
+
+def _callers(path: pathlib.Path, callee: str) -> list[tuple[str, str]]:
+    """(module, enclosing class or function) of each call to `callee`, a name
+    or a dotted `module.name`; a class is named with the method that calls."""
+    found = []
+
+    def visit(node, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == callee:
+                found.append((path.stem, where))
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+def test_a_request_reads_its_own_role():
+    """A role given as its value is read once, where a request is built;
+    the scripted backend reads its script's keys the same way."""
+    callers = sorted(hit for path in sorted(PACKAGE.glob("*.py"))
+                     for hit in _callers(path, "GeneratorRole"))
+    assert callers == [("models", "CompletionRequest.__post_init__"),
+                       ("models", "ScriptedBackend.__init__")]
+
+
+def test_one_writer_frames_every_wire_line():
+    assert _callers(PACKAGE / "models.py", "json.dumps") == [("models", "_document")]

@@ -1131,7 +1131,7 @@ def _role_requests():
 @pytest.mark.parametrize("request_", _role_requests(), ids=lambda r: r.role.value)
 def test_a_role_given_as_its_string_gets_the_members_reply(request_):
     as_string = replace(request_, role=request_.role.value)
-    assert type(as_string.role) is str
+    assert as_string.role is request_.role
     assert OracleBackend().complete(as_string) == OracleBackend().complete(request_)
     scripted = ScriptedBackend(base=OracleBackend())
     assert scripted.complete(as_string) == OracleBackend().complete(request_)
@@ -1166,20 +1166,20 @@ def test_an_unknown_role_is_a_value_error(backend, n):
 @pytest.mark.parametrize("role", [GeneratorRole.HALTER_READY, "halter_ready", "verdict", ["value"]],
                          ids=["member", "value", "unknown", "unhashable"])
 def test_a_role_reads_as_the_enum_reads_it(role):
-    """The role table gives what `GeneratorRole(role)` gives: the member,
+    """A request reads its role as `GeneratorRole(role)` reads it: the member,
     or the same ValueError, which the wire reports as a bad document."""
     doc = json.dumps({"role": role, "prompt": "p", "scored_continuations": None, "n": 1})
     try:
         expected = GeneratorRole(role)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
-            models._role(role)
+            CompletionRequest(role, "p")
         assert str(got.value) == str(exc)
         with pytest.raises(RemoteError) as got:
             decode_request(doc.encode())
         assert str(got.value) == f"bad request document: {exc}"
     else:
-        assert models._role(role) is expected
+        assert CompletionRequest(role, "p").role is expected
         assert decode_request(doc.encode()).role is expected
 
 

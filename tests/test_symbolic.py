@@ -215,17 +215,39 @@ def test_a_contradictory_world_is_drawn_again(monkeypatch):
 
 
 def test_a_generator_that_never_draws_a_world_gives_up(monkeypatch):
+    """It names the reason of its last attempt."""
     draws = []
 
     def contradictory(*args):
         draws.append(args)
-        raise symbolic._RetryGeneration("contradictory world")
+        raise symbolic._RetryGeneration(f"contradictory world {len(draws)}")
 
     monkeypatch.setattr(symbolic, "_generate_once", contradictory)
     with pytest.raises(GenerationFailure,
-                       match="no problem after 40 attempts: contradictory world"):
+                       match="^no problem after 40 attempts: contradictory world 40$"):
         generate_problem(seed=0, depth=1)
     assert len(draws) == symbolic.MAX_ATTEMPTS == 40
+
+
+@pytest.mark.parametrize("retries", [1, 3, symbolic.MAX_ATTEMPTS - 1])
+def test_generate_problem_returns_the_first_world_drawn_whole(monkeypatch, retries):
+    attempts = []
+
+    def draw(*args):
+        attempts.append(args)
+        if len(attempts) <= retries:
+            raise symbolic._RetryGeneration(f"reason {len(attempts)}")
+        return f"attempt {len(attempts)}"
+
+    monkeypatch.setattr(symbolic, "_generate_once", draw)
+    assert generate_problem(seed=0, depth=1) == f"attempt {retries + 1}"
+
+
+def test_a_ground_rule_with_a_variable_head_entails_nothing():
+    fact = cnl.parse_statement("the cat is red")
+    rule = cnl.RuleAst((fact,), cnl.Atom("like", cnl.const("dog"), cnl.VAR))
+    with pytest.raises(NoEntailment, match="rule head remains unbound"):
+        symbolic.apply_rule(rule, [fact])
 
 
 def test_a_relation_pool_that_runs_dry_is_drawn_again():
